@@ -16,7 +16,9 @@ Rewrite the recorded outcomes from the current code:
 
     python3 perfbench/run.py --record
 
-See README.md for what each workload and metric means.
+Times are reported at reference speed: each timed call is divided by the
+speed probe's factor around it (speed.py).  See README.md for what each
+workload and metric means.
 """
 
 from __future__ import annotations
@@ -41,12 +43,14 @@ SRC = ROOT / "src"
 RESULTS = HERE / "results"
 EXPECTED = HERE / "expected.json"
 SETUP_REPEATS = 5
+SETUP_PROBES = 20  # probe samples before and after each set-up repeat
 
 sys.path.insert(0, str(HERE))
 
 import workloads  # noqa: E402  (imports no defcolor module by itself)
 from checkers import digest  # noqa: E402
 from tracer import LAYERS, Tracer  # noqa: E402
+from speed import Probe  # noqa: E402
 
 END_TO_END = {
     "setup_s": "s",
@@ -78,40 +82,70 @@ def import_package():
     return api
 
 
-def setup(workload: str, seed: int, workdir: Path):
-    """Import, input generation and document writing, repeated; median time."""
-    times = []
+def setup(workload: str, seed: int, workdir: Path, probe: Probe):
+    """Import, input generation and document writing, repeated.
+
+    Returns the median time at reference speed and the median raw time.
+    Each repeat is scaled by probe samples taken right before and right
+    after it.
+    """
+    raw, scaled = [], []
     for _ in range(SETUP_REPEATS):
         shutil.rmtree(workdir, ignore_errors=True)
+        probe.sample(SETUP_PROBES)
         start = time.perf_counter()
         api = import_package()
         queries = workloads.SETUPS[workload](api, seed, str(workdir))
-        times.append(time.perf_counter() - start)
+        end = time.perf_counter()
+        probe.sample(SETUP_PROBES)
+        raw.append(end - start)
+        scaled.append(raw[-1] / probe.factor(start, end))
     random.Random(seed).shuffle(queries)
-    return api, queries, statistics.median(times)
+    return api, queries, statistics.median(scaled), statistics.median(raw)
 
 
-def run_pass(api, queries, expected: dict, record: bool = False) -> dict:
-    """One pass over the batch: every query once, in order."""
-    verbs = dict.fromkeys(VERBS, 0.0)
+def run_pass(api, queries, expected: dict, probe: Probe, record: bool = False) -> dict:
+    """One pass over the batch: every query once, in order, with probe
+    samples after every timed call.  ``scale`` adds the scaled times."""
+    probe.sample()
     counts = {workloads.OK: 0, workloads.FAIL: 0, workloads.WRONG: 0}
-    times, outcomes = {}, {}
+    times, calls, outcomes = {}, {}, {}
     for q in queries:
-        clock = workloads.Clock()
+        clock = workloads.Clock(probe)
         out = q.run(clock, expected.get(q.key), api, record)
-        for verb, dt in clock.verbs.items():
-            verbs[verb] += dt
         counts[out.status] += 1
         times[q.key] = clock.elapsed
+        calls[q.key] = clock.calls
         outcomes[q.key] = out
         if out.status == workloads.WRONG:
             print(f"WRONG {q.key}: observed {out.observed}; {out.note}", file=sys.stderr)
-    return {"verbs": verbs, "counts": counts, "times": times, "outcomes": outcomes}
+    return {"counts": counts, "times": times, "calls": calls, "outcomes": outcomes}
 
 
-def best_times(passes: list[dict]) -> dict[str, float]:
-    """Each query's fastest time over the passes."""
-    return {k: min(p["times"][k] for p in passes) for k in passes[0]["times"]}
+def scale(passes: list[dict], probe: Probe) -> None:
+    """Divide every timed call by the probe factor around it, once the run
+    has its samples on both sides.  Adds to each pass the per-query times
+    and per-verb totals at reference speed, and ``factor``, the pass's raw
+    time over its scaled time."""
+    for p in passes:
+        p["scaled"] = {}
+        p["verbs"] = dict.fromkeys(VERBS, 0.0)
+        for key, calls in p["calls"].items():
+            total = 0.0
+            for start, end, verb in calls:
+                dt = (end - start) / probe.factor(start, end)
+                total += dt
+                if verb is not None:
+                    p["verbs"][verb] += dt
+            p["scaled"][key] = total
+        p["factor"] = sum(p["times"].values()) / sum(p["scaled"].values())
+
+
+def typical_times(passes: list[dict], scaled: bool = True) -> dict[str, float]:
+    """Each query's median time over the passes, at reference speed unless
+    ``scaled`` is false."""
+    field = "scaled" if scaled else "times"
+    return {k: statistics.median(p[field][k] for p in passes) for k in passes[0]["times"]}
 
 
 def percentile(samples: list[float], q: float, half_width: int) -> float:
@@ -131,17 +165,17 @@ def percentile(samples: list[float], q: float, half_width: int) -> float:
     return statistics.fmean(window)
 
 
-def end_to_end(setup_s: float, passes: list[dict]) -> dict:
-    best = best_times(passes)
+def end_to_end(setup_s: float, passes: list[dict], scaled: bool = True) -> dict:
+    typical = typical_times(passes, scaled)
     answered = [
-        best[k] if o.status == workloads.OK else math.inf
+        typical[k] if o.status == workloads.OK else math.inf
         for k, o in passes[0]["outcomes"].items()
     ]
-    attempted = len(best) * len(passes)
+    attempted = len(typical) * len(passes)
     failed = sum(p["counts"][workloads.FAIL] for p in passes)
     return {
         "setup_s": setup_s,
-        "wall_s": sum(best.values()),
+        "wall_s": sum(typical.values()),
         "query_p50_ms": percentile(answered, 0.5, 5) * 1e3,
         "query_p90_ms": percentile(answered, 0.9, 2) * 1e3,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
@@ -187,15 +221,18 @@ COUNTERS = {
 
 def per_layer(tracer: Tracer, plain: list[dict], traced: list[dict], queries) -> dict:
     """Per-layer metrics per traced pass; verb totals and shares come from
-    the untraced passes of the same run."""
+    the untraced passes of the same run.  Times are at reference speed."""
     n = len(traced)
     stats = tracer.stats
+    factor = sum(sum(p["times"].values()) for p in traced) / sum(
+        sum(p["scaled"].values()) for p in traced
+    )
 
     def calls(name):
         return stats[name].calls / n if name in stats else 0
 
     def self_s(names):
-        return sum(stats[x].self_s for x in names if x in stats) / n
+        return sum(stats[x].self_s for x in names if x in stats) / n / factor
 
     out = {}
     for layer in LAYERS:
@@ -205,7 +242,8 @@ def per_layer(tracer: Tracer, plain: list[dict], traced: list[dict], queries) ->
         for f in fields:
             out[f"{name}.{f}"] = (calls(name), "count") if f == "calls" else (self_s([name]), "s")
     for name, unit in COUNTERS.items():
-        out[name] = (tracer.counters.get(name, 0) / n, unit)
+        value = tracer.counters.get(name, 0) / n
+        out[name] = (value / factor if unit == "s" else value, unit)
     finds = calls("scheme.homogeneous.find_homogeneous")
     misses = tracer.counters.get("scheme.homogeneous.find_homogeneous.misses", 0) / n
     out["scheme.homogeneous.find_homogeneous.miss_share"] = (misses / finds if finds else 0.0, "share")
@@ -225,25 +263,31 @@ def per_layer(tracer: Tracer, plain: list[dict], traced: list[dict], queries) ->
         out[f"{verb}_s"] = (statistics.median(p["verbs"][verb] for p in plain), "s")
     out["failed_share"] = (plain[0]["counts"][workloads.FAIL] / len(queries), "share")
     out["query_samples"] = (len(queries), "count")
-    overhead = sum(best_times(traced).values()) / sum(best_times(plain).values()) - 1
+    overhead = sum(typical_times(traced).values()) / sum(typical_times(plain).values()) - 1
     out["trace.overhead_share"] = (overhead, "share")
     return out
 
 
-def measure(api, queries, expected: dict, passes: int, trace: bool):
-    """``passes`` untraced passes; a traced run alternates half as many
+def measure(api, queries, expected: dict, seconds: float, probe: Probe, trace: bool):
+    """Passes over the batch while the next one would end no more than half
+    a pass after ``seconds``; at least one.  A traced run alternates
     untraced and traced passes, so both see the same machine conditions.
     Returns (untraced passes, traced passes, tracer)."""
     plain, traced = [], []
     tracer = Tracer() if trace else None
-    for _ in range(math.ceil(passes / 2) if trace else passes):
-        plain.append(run_pass(api, queries, expected))
+    start = time.perf_counter()
+    last = 0.0
+    while not plain or time.perf_counter() - start + last / 2 <= seconds:
+        began = time.perf_counter()
+        plain.append(run_pass(api, queries, expected, probe))
         if tracer is not None:
             tracer.install()
             try:
-                traced.append(run_pass(api, queries, expected))
+                traced.append(run_pass(api, queries, expected, probe))
             finally:
                 tracer.uninstall()
+        last = time.perf_counter() - began
+    scale(plain + traced, probe)
     return plain, traced, tracer
 
 
@@ -253,10 +297,12 @@ def run_workload(args) -> int:
     expected = json.loads(EXPECTED.read_text())[args.workload]
     RESULTS.mkdir(parents=True, exist_ok=True)
     workdir = RESULTS / f"tmp-{args.workload}-{os.getpid()}"
+    probe = Probe()
     try:
-        api, queries, setup_s = setup(args.workload, args.seed, workdir)
-        passes = max(1, int(args.seconds // workloads.PASS_S[args.workload]))
-        plain, traced, tracer = measure(api, queries, expected, passes, bool(args.trace))
+        api, queries, setup_s, setup_raw_s = setup(args.workload, args.seed, workdir, probe)
+        plain, traced, tracer = measure(
+            api, queries, expected, args.seconds, probe, bool(args.trace)
+        )
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     if args.trace:
@@ -290,14 +336,18 @@ def run_workload(args) -> int:
             if o.status != workloads.OK
         ),
         "pass_wall_s": [sum(p["times"].values()) for p in plain],
-        "query_best_ms": {k: v * 1e3 for k, v in sorted(best_times(plain).items())},
+        "pass_factor": [p["factor"] for p in plain],
+        "probe_samples": len(probe.samples),
+        "query_typical_ms": {k: v * 1e3 for k, v in sorted(typical_times(plain).items())},
+        "unscaled_end_to_end": end_to_end(setup_raw_s, plain, scaled=False),
         "result": result,
     }
     name = f"BENCH_{args.workload}_seed{args.seed}_trace{args.trace}.json"
     (RESULTS / name).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"{args.workload}: {len(plain)} pass(es) of {len(queries)} queries"
           f"{' plus as many traced' if args.trace else ''}; "
-          f"percentiles over {len(queries)} per-query best times; result in {RESULTS / name}")
+          f"percentiles over {len(queries)} per-query median times at reference speed; "
+          f"result in {RESULTS / name}")
     print(json.dumps(result))
     return 0 if result["correct"] else 1
 
@@ -370,7 +420,7 @@ def record_expected() -> int:
         try:
             api = import_package()
             queries = workloads.SETUPS[wl](api, 0, str(workdir))
-            done = run_pass(api, queries, {}, record=True)
+            done = run_pass(api, queries, {}, Probe(), record=True)
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
         if done["counts"][workloads.WRONG]:

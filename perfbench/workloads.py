@@ -33,11 +33,6 @@ from checkers import coloring_ok, depth_witness_ok, digest, model_ok
 
 WORKLOADS = ("scheme-scale", "exact-mix", "cli-docs")
 
-# Seconds one pass over each batch takes on the 2-CPU reference machine.  A
-# run makes seconds // PASS_S passes, so it does the same work however fast
-# the machine happens to be while it runs.
-PASS_S = {"scheme-scale": 12.0, "exact-mix": 7.2, "cli-docs": 2.8}
-
 # A query's status: "ok" answered and checked, "fail" no certified answer
 # (typed error, budget stop, traceback), "wrong" an answer that contradicts
 # the record or fails the benchmark's own check.
@@ -67,21 +62,27 @@ def load_api() -> SimpleNamespace:
 
 
 class Clock:
-    """Times calls into the package; ``verbs`` sums them per CLI verb."""
+    """Times calls into the package.
 
-    def __init__(self):
+    ``elapsed`` is the raw time and ``calls`` holds each call's (start,
+    end, CLI verb or None).  Each call is followed by samples of ``probe``
+    (``speed.Probe``), so it can be scaled to reference speed later.
+    """
+
+    def __init__(self, probe):
+        self.probe = probe
         self.elapsed = 0.0
-        self.verbs: dict[str, float] = {}
+        self.calls: list[tuple[float, float, Optional[str]]] = []
 
     def call(self, verb: Optional[str], fn, *args, **kwargs):
         start = time.perf_counter()
         try:
             return fn(*args, **kwargs)
         finally:
-            dt = time.perf_counter() - start
-            self.elapsed += dt
-            if verb is not None:
-                self.verbs[verb] = self.verbs.get(verb, 0.0) + dt
+            end = time.perf_counter()
+            self.elapsed += end - start
+            self.calls.append((start, end, verb))
+            self.probe.after(end - start)
 
 
 @dataclass
