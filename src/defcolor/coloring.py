@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BudgetExceededError, PartialColoringError, SizeLimitError
-from .graphs import Graph, RootedTree, closure
+from .graphs import Graph, RootedTree
 
 DEFAULT_EXACT_LIMIT = 16
 
@@ -176,8 +176,3 @@ def level_coloring(tree: RootedTree) -> Coloring:
     """
     depths = tree.depths()
     return Coloring(tree.height, tuple(d + 1 for d in depths))
-
-
-def level_coloring_graph(tree: RootedTree) -> Graph:
-    """The graph a level coloring colors: the closure of the tree."""
-    return closure(tree)

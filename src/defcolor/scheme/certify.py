@@ -6,6 +6,12 @@ clauses are decided exactly except the minor clause of the witness-family
 condition, which is verified from the structured certificate when it
 parses, re-searched exhaustively when the contracted graph is small
 enough, and otherwise marked skipped with a reason.
+
+The conditions scan the entry graphs and the original graph in O(n + m)
+per pair (D2 walks the original edges, not the vertex pairs), apart from
+the model scans of D3 and D6a, which take O(n) for each new or special
+vertex, and the minor clause of D10, which may search exhaustively within
+the size limits of ``minors``.
 """
 
 from __future__ import annotations
@@ -15,7 +21,13 @@ from itertools import product
 from typing import Optional
 
 from ..graphs import Graph, ct, ct_order, disjoint_copies, induced_components
-from ..minors import MinorModel, has_minor, verify_model
+from ..minors import (
+    EXHAUSTIVE_HOST_LIMIT,
+    EXHAUSTIVE_PATTERN_LIMIT,
+    MinorModel,
+    has_minor,
+    verify_model,
+)
 from ..errors import SizeLimitError, BudgetExceededError
 from .entry import Hyperedge, SchemeEntry, initial_entry
 from .params import SchemeParams
@@ -43,9 +55,6 @@ CONDITIONS = (
     "D11",
     "D12",
 )
-
-MINOR_HOST_LIMIT = 14
-MINOR_PATTERN_LIMIT = 8
 
 
 @dataclass
@@ -120,6 +129,13 @@ class _View:
                 self.holder[o] = v
         self.heads = entry.heads()
         self.sinks = entry.sinks()
+        # index -> hyperedge, over those whose sink and members are vertices
+        # of the graph; D5 fails the rest, and no later check looks at them
+        self.edges_in_range = {
+            i: e
+            for i, e in enumerate(entry.hyperedges)
+            if all(0 <= v < self.g.n for v in e.members | {e.sink})
+        }
 
     def special(self, v: int) -> bool:
         return len(self.entry.model[v]) >= 2 or v in self.heads or v in self.sinks
@@ -219,17 +235,30 @@ def _check_d2(report: CertReport, pv: _View, nv: _View, original: Graph):
         if not ok:
             report.fail("D2", clause="edge-without-preimage", edge=[u, v])
             return
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.has_edge(u, v):
-                continue
-            mu, mv = nv.entry.model[u], nv.entry.model[v]
-            if len(mu) == 1 and len(mv) == 1:
-                if any(original.adj[o] & mv for o in mu):
-                    report.fail(
-                        "D2", clause="missing-edge-between-originals", pair=[u, v]
-                    )
-                    return
+    # singletons whose originals are adjacent must be adjacent: walk the
+    # original edges, not the vertex pairs, so the scan is O(n + m).  The
+    # holders come from the models themselves, so a duplicated id keeps all.
+    singles = sorted(
+        v for v, m in nv.entry.model.items() if len(m) == 1 and 0 <= v < g.n
+    )
+    holders: dict[int, list[int]] = {}
+    for v in singles:
+        holders.setdefault(next(iter(nv.entry.model[v])), []).append(v)
+    for u in singles:
+        o = next(iter(nv.entry.model[u]))
+        if not 0 <= o < original.n:
+            continue  # an id outside the original graph; D1 fails it
+        missing = [
+            v
+            for x in original.adj[o]
+            for v in holders.get(x, ())
+            if v > u and not g.has_edge(u, v)
+        ]
+        if missing:
+            report.fail(
+                "D2", clause="missing-edge-between-originals", pair=[u, min(missing)]
+            )
+            return
 
 
 def _check_d3(report: CertReport, pv: _View, nv: _View, params: SchemeParams):
@@ -358,7 +387,7 @@ def _check_d6(report: CertReport, pv: _View, nv: _View, params: SchemeParams):
 
 def _check_d7(report: CertReport, pv: _View, nv: _View):
     present = {(e.members, e.label) for e in nv.entry.hyperedges}
-    for edge in pv.entry.hyperedges:
+    for edge in pv.edges_in_range.values():
         rest = edge.members - {edge.sink}
         images = {v: _persist(pv, nv, v) for v in rest}
         if any(w is None for w in images.values()):
@@ -431,7 +460,7 @@ def _check_d8(
         v for v in range(pv.g.n) if pv.entry.model[v] <= nv.entry.model[q]
     }
 
-    for edge in pv.entry.hyperedges:
+    for edge in pv.edges_in_range.values():
         if edge.sink not in absorbed_into_q:
             continue
         for x in sorted(edge.members - {edge.sink}):
@@ -509,7 +538,7 @@ def _check_d8g(report, pv, nv, params, original, q, u_set, u_plus):
         ):
             report.fail("D8g", clause="gc-endpoint-unqualified", edge=[u, v])
             return
-    for edge in pv.entry.hyperedges:
+    for edge in pv.edges_in_range.values():
         if _absorb(pv, nv, edge.sink) != q:
             continue
         if not _find_gd_partner(pv, nv, original, edge, q, u_plus):
@@ -543,7 +572,7 @@ def _find_gd_partner(pv, nv, original, edge, q, u_plus) -> bool:
         for v in edge.members
         if pv.orig_of.get(v) in u_plus
     }
-    for cand in pv.entry.hyperedges:
+    for cand in pv.edges_in_range.values():
         if cand.label != edge.label:
             continue
         if pv.orig_of.get(cand.sink) in u_plus:
@@ -622,7 +651,7 @@ def _check_d8h(report, pv, nv, params, original, q, u_set, u_plus):
         if not ok:
             report.fail("D8h", clause="hf-no-twin-in-q", original=o)
             return
-    for edge in pv.entry.hyperedges:
+    for edge in pv.edges_in_range.values():
         sink_model = pv.entry.model[edge.sink]
         if sink_model & nv.covered:
             continue
@@ -645,7 +674,7 @@ def _find_hg_partner(pv, nv, original, edge, q, u_set) -> bool:
     want = _sig_multiset(
         frozenset(original.adj[pv.orig_of[v]] & u_set) for v in gone
     )
-    for cand in pv.entry.hyperedges:
+    for cand in pv.edges_in_range.values():
         if cand.label != edge.label or len(cand.members) != len(edge.members):
             continue
         if not pv.entry.model[cand.sink] <= nv.entry.model[q]:
@@ -675,7 +704,7 @@ def _find_hg_partner(pv, nv, original, edge, q, u_set) -> bool:
 
 def _check_d8i(report, pv, nv, original, q, u_set, u_plus):
     present = {(e.members, e.label) for e in nv.entry.hyperedges}
-    for edge in pv.entry.hyperedges:
+    for edge in pv.edges_in_range.values():
         sink_in = pv.entry.model[edge.sink] <= nv.entry.model[q]
         if not sink_in:
             continue
@@ -761,6 +790,11 @@ def _check_d9(report: CertReport, nv: _View):
 def _check_d10(report, nv: _View, params: SchemeParams, original: Graph):
     leftover = frozenset(range(original.n)) - nv.covered
     for ei, edge in enumerate(nv.entry.hyperedges):
+        if ei not in nv.edges_in_range:
+            report.skip(
+                "D10", f"edge {ei}: sink or member out of range, flagged by D5"
+            )
+            continue
         fam = nv.entry.witnesses.get(ei, ())
         links = nv.entry.witness_links.get(ei, ())
         sink_zone = nv.entry.model[edge.sink] | leftover
@@ -857,7 +891,7 @@ def _check_minor_clause(report, nv, params, original, ei, edge, fam):
     # fall back to an exhaustive search on the contracted graph
     pattern_n = copies * ct_order(edge.label, params.k)
     host = _quotient(original, fam)
-    if host.n > MINOR_HOST_LIMIT or pattern_n > MINOR_PATTERN_LIMIT:
+    if host.n > EXHAUSTIVE_HOST_LIMIT or pattern_n > EXHAUSTIVE_PATTERN_LIMIT:
         report.skip(
             "D10",
             f"edge {ei}: minor clause needs host {host.n}/pattern {pattern_n}, "
@@ -912,10 +946,10 @@ def _preorder_ids(label, k):
 
 
 def _check_d11(report: CertReport, nv: _View):
-    edges = nv.entry.hyperedges
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            if edges[i].sink == edges[j].sink:
+    edges = nv.edges_in_range
+    for i in edges:
+        for j in edges:
+            if j <= i or edges[i].sink == edges[j].sink:
                 continue
             fam_i = nv.entry.witnesses.get(i, ())
             fam_j = nv.entry.witnesses.get(j, ())

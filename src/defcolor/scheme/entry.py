@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from ..graphs import Graph
+from ..graphs import Graph, ct_order
 from .params import SchemeParams
 
 
@@ -50,13 +50,6 @@ class WitnessNode:
             yield from child.sets()
 
 
-def group_size(label: int, k: int) -> int:
-    """Vertex count of ct(label, k): the flat length of one witness group."""
-    if k == 1:
-        return label
-    return (k**label - 1) // (k - 1)
-
-
 def flatten_groups(groups: tuple[WitnessNode, ...]) -> tuple[frozenset[int], ...]:
     out: list[frozenset[int]] = []
     for g in groups:
@@ -70,7 +63,7 @@ def parse_groups(
     """Rebuild witness trees from the canonical flat order, or None."""
     if label < 1:
         return None
-    size = group_size(label, k)
+    size = ct_order(label, k)  # the flat length of one witness group
     if size * expected_groups != len(flat):
         return None
 

@@ -210,10 +210,40 @@ def minor_oracle(host: Graph, pattern: Graph) -> bool:
         return True
     if p > n:
         return False
+    masks, reach = _connected_assignments(host.adj, p)
+    valid = np.ones(masks.shape[1], dtype=bool)
+    for a, b in pattern.edges():
+        valid &= (reach[a] & masks[b]) != 0
+    return bool(valid.any())
+
+
+@lru_cache(maxsize=8)
+def _connected_assignments(adj: tuple[frozenset[int], ...], p: int):
+    """The assignments of the host's vertices to p branch sets or to none
+    in which every branch set is nonempty and connected: their branch-set
+    bitmasks and the union of each set's neighborhoods, both (p, count)."""
+    conn, adj_union = _host_tables(adj)
+    masks = _branch_masks(len(adj), p)
+    keep = conn[masks[0]]
+    for j in range(1, p):
+        keep &= conn[masks[j]]
+    masks = masks[:, keep]
+    reach = adj_union[masks]
+    masks.flags.writeable = reach.flags.writeable = False
+    return masks, reach
+
+
+@lru_cache(maxsize=8)
+def _host_tables(adj: tuple[frozenset[int], ...]):
+    """Per vertex subset of the host: is it connected, and the union of its
+    neighborhoods (both indexed by bitmask)."""
+    import numpy as np
+
+    n = len(adj)
     conn = np.zeros(1 << n, dtype=bool)
     adj_bits = [0] * n
     for v in range(n):
-        for u in host.adj[v]:
+        for u in adj[v]:
             adj_bits[v] |= 1 << u
     for mask in range(1, 1 << n):
         low = mask & -mask
@@ -233,6 +263,16 @@ def minor_oracle(host: Graph, pattern: Graph) -> bool:
     for mask in range(1, 1 << n):
         low = mask & -mask
         adj_union[mask] = adj_union[mask ^ low] | adj_bits[low.bit_length() - 1]
+    # cached and shared between calls, so read-only
+    conn.flags.writeable = adj_union.flags.writeable = False
+    return conn, adj_union
+
+
+@lru_cache(maxsize=8)
+def _branch_masks(n: int, p: int):
+    """Every assignment of n host vertices to p branch sets or to none, as
+    a (p, (p + 1) ** n) array of branch-set bitmasks."""
+    import numpy as np
 
     total = (p + 1) ** n
     codes = np.arange(total, dtype=np.int64)
@@ -242,12 +282,42 @@ def minor_oracle(host: Graph, pattern: Graph) -> bool:
         rest, digit = np.divmod(rest, p + 1)
         for j in range(p):
             masks[j] |= (digit == j).astype(np.int64) << i
-    valid = np.ones(total, dtype=bool)
-    for j in range(p):
-        valid &= conn[masks[j]]
-    for a, b in pattern.edges():
-        valid &= (adj_union[masks[a]] & masks[b]) != 0
-    return bool(valid.any())
+    masks.flags.writeable = False
+    return masks
+
+
+# ---------------------------------------------------------------------------
+# scheme oracle: condition D2 by a scan over every vertex pair
+
+
+def d2_oracle(prev, nxt, original: Graph) -> dict:
+    """Verdict JSON of condition D2 for the pair (prev, nxt), found by the
+    plain quadratic scan: every edge of the next graph, then every pair of
+    its vertices in lexicographic order.  Models must be disjoint."""
+    g, pg = nxt.graph, prev.graph
+    absorbed = {
+        w: [v for v in range(pg.n) if prev.model[v] <= nxt.model[w]]
+        for w in range(g.n)
+    }
+
+    def fail(**witness):
+        return {"status": "fail", "witness": witness}
+
+    for u, v in g.edges():
+        if not any(
+            original.has_edge(a, b) for a in nxt.model[u] for b in nxt.model[v]
+        ):
+            return fail(clause="edge-not-in-contraction", edge=[u, v])
+        if not any(pg.has_edge(a, b) for a in absorbed[u] for b in absorbed[v]):
+            return fail(clause="edge-without-preimage", edge=[u, v])
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            mu, mv = nxt.model[u], nxt.model[v]
+            if g.has_edge(u, v) or len(mu) != 1 or len(mv) != 1:
+                continue
+            if original.has_edge(min(mu), min(mv)):
+                return fail(clause="missing-edge-between-originals", pair=[u, v])
+    return {"status": "pass"}
 
 
 # ---------------------------------------------------------------------------

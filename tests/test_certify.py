@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from defcolor.graphs import Graph, complete_graph, ct
@@ -13,6 +15,7 @@ from defcolor.scheme import (
 )
 from defcolor.scheme.corpus import caterpillar, star_of_balls
 from defcolor.scheme.entry import SchemeEntry
+from helpers import d2_oracle
 
 
 def swap(entry: SchemeEntry, **changes) -> SchemeEntry:
@@ -141,6 +144,93 @@ class TestPairwiseConditions:
         mutated = swap(e2, graph=edited)
         report = certify_entry(scheme[0], mutated, inst.params, inst.graph)
         assert "D2" in report.failures()
+        assert report.verdicts["D2"].witness == {
+            "clause": "edge-not-in-contraction",
+            "edge": [u, w],
+        }
+
+    def test_lost_preimage_fails_d2(self, cat):
+        inst, scheme = cat
+        e1, e2 = scheme
+        # the first edge between originals; its preimage is the same edge of
+        # the first entry, whose vertex ids are the original ids
+        u, v = next(
+            (u, v)
+            for u, v in e2.graph.edges()
+            if e2.orig_of(u) is not None and e2.orig_of(v) is not None
+        )
+        a, b = sorted((e2.orig_of(u), e2.orig_of(v)))
+        cut = Graph.from_edges(
+            e1.graph.n, [e for e in e1.graph.edges() if e != (a, b)]
+        )
+        report = certify_entry(swap(e1, graph=cut), e2, inst.params, inst.graph)
+        assert report.verdicts["D2"].witness == {
+            "clause": "edge-without-preimage",
+            "edge": [u, v],
+        }
+
+    def test_dropped_edges_between_originals_fail_d2(self, cat):
+        inst, scheme = cat
+        e2 = scheme[1]
+        between = [
+            (u, v)
+            for u, v in e2.graph.edges()
+            if e2.orig_of(u) is not None and e2.orig_of(v) is not None
+        ]
+        # two edges at the apex and one further along the spine
+        dropped = [e for e in between if e[0] == between[0][0]][-2:]
+        dropped.append(between[-1])
+        kept = [e for e in e2.graph.edges() if e not in dropped]
+        mutated = swap(e2, graph=Graph.from_edges(e2.graph.n, kept))
+        report = certify_entry(scheme[0], mutated, inst.params, inst.graph)
+        # the lexicographically first missing pair is the witness
+        assert report.verdicts["D2"].witness == {
+            "clause": "missing-edge-between-originals",
+            "pair": list(min(dropped)),
+        }
+
+
+class TestD2AgainstOracle:
+    def test_seeded_edge_edits_match_quadratic_scan(self):
+        rng = random.Random(11)
+        seen = set()
+        for inst in (
+            caterpillar(1, 20),
+            caterpillar(2, 24),
+            star_of_balls(1, 20, 5),
+            star_of_balls(2, 33, 3),
+        ):
+            scheme = build_scheme(inst.graph, inst.params)
+            pairs = list(zip(scheme, scheme[1:])) + [(scheme[-1], scheme[-1])]
+            for prev, nxt in pairs:
+                for _ in range(8):
+                    prev_m = prev
+                    if rng.random() < 0.3:
+                        prev_m = swap(prev, graph=_edit_edges(prev.graph, rng, 2, 0))
+                    nxt_m = swap(nxt, graph=_edit_edges(nxt.graph, rng, 3, 2))
+                    got = certify_entry(prev_m, nxt_m, inst.params, inst.graph)
+                    want = d2_oracle(prev_m, nxt_m, inst.graph)
+                    assert got.verdicts["D2"].to_json() == want, inst.name
+                    seen.add(want.get("witness", {}).get("clause"))
+        assert seen == {
+            None,
+            "edge-not-in-contraction",
+            "edge-without-preimage",
+            "missing-edge-between-originals",
+        }
+
+
+def _edit_edges(g: Graph, rng: random.Random, most_dropped: int, most_added: int):
+    """g with up to ``most_dropped`` random edges removed and up to
+    ``most_added`` random non-edges added."""
+    edges = set(g.edges())
+    for _ in range(rng.randint(0, most_dropped)):
+        if edges:
+            edges.discard(rng.choice(sorted(edges)))
+    for _ in range(rng.randint(0, most_added)):
+        u, v = sorted(rng.sample(range(g.n), 2))
+        edges.add((u, v))
+    return Graph.from_edges(g.n, sorted(edges))
 
 
 class TestWitnessOverlapAcrossSinks:

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from defcolor.cli import main
 from defcolor.graphs import ct, parse_graph6, to_edge_json, to_graph6
-from defcolor.scheme import scheme_from_json
+from defcolor.scheme import build_scheme, scheme_from_json, scheme_to_json
 from defcolor.scheme.corpus import caterpillar, star_of_balls
 
 
@@ -175,6 +177,30 @@ class TestScheme:
         code, out = run(capsys, "scheme", "certify", str(spath), "--params", str(ppath))
         assert code == 1
         assert not json.loads(out)["clean"]
+
+    @pytest.mark.parametrize("field", ["sink", "member"])
+    def test_certify_out_of_range_hyperedge_is_dirty(self, capsys, tmp_path, field):
+        inst = caterpillar(1, 13)
+        ppath = tmp_path / "params.json"
+        ppath.write_text(json.dumps(inst.params.to_json()))
+        scheme = build_scheme(inst.graph, inst.params)
+        doc = json.loads(scheme_to_json(scheme))
+        n = doc[1]["graph"]["n"]
+        edge = doc[1]["hyperedges"][0]
+        if field == "sink":
+            edge["sink"] = n + 2
+        else:
+            edge["s"].append(n + 1)
+        spath = tmp_path / "scheme.json"
+        spath.write_text(json.dumps(doc))
+        code, out = run(capsys, "scheme", "certify", str(spath), "--params", str(ppath))
+        assert code == 1
+        report = json.loads(out)
+        assert not report["clean"]
+        first = report["pairs"][0]
+        assert first["D5"]["status"] == "fail"
+        assert first["D10"]["status"] == "skipped"
+        assert first["D10"]["reason"].endswith("out of range, flagged by D5")
 
 
 class TestConstants:
