@@ -16,7 +16,7 @@ import sys
 from . import graphs
 from .constants import paper_constants
 from .coloring import Coloring, decide_defective
-from .depth import clustered_bounds, connected_tree_depth, omega_delta_excluded
+from .depth import ClusteredBounds, connected_tree_depth
 from .errors import (
     BucketTooSmallError,
     BudgetExceededError,
@@ -117,6 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dp = sub.add_parser("depth", help="tree-depth report")
     dp.add_argument("graph")
     dp.add_argument("--limit", type=int, default=20)
+    dp.add_argument("--budget-nodes", type=int, default=None)
     dp.add_argument("-o", "--output", default=None)
 
     mi = sub.add_parser("minor", help="minor containment with certificate")
@@ -183,7 +184,9 @@ def _run(args) -> int:
 
     if args.verb == "depth":
         g = _load_graph(args.graph)
-        report = connected_tree_depth(g, limit=args.limit)
+        report = connected_tree_depth(
+            g, limit=args.limit, node_budget=args.budget_nodes
+        )
         doc = {
             "td": report.td,
             "ctd": report.ctd,
@@ -196,8 +199,8 @@ def _run(args) -> int:
             "embedding": list(report.embedding),
         }
         if g.n > 0:
-            bounds = clustered_bounds(g, limit=args.limit)
-            doc["omega_delta"] = omega_delta_excluded(g, limit=args.limit)
+            bounds = ClusteredBounds.from_ctd(report.ctd)
+            doc["omega_delta"] = report.ctd - 1
             doc["clustered_bounds"] = {
                 "lower": bounds.lower,
                 "general": bounds.general,

@@ -6,27 +6,32 @@ whose closure contains G as a subgraph; tree-depth is the maximum of ctd
 over components.  For a possibly-disconnected graph the single-tree value
 follows the packing rule: the maximum component ctd, plus one unless the
 maximum is attained by exactly one component.
+
+The solver is a branch and bound over the recurrence, for connected S,
+
+    ctd(S) = 1 + min over v in S of max over components C of S - v of ctd(C).
+
+Vertex sets are int bitmasks and components come from bit-BFS over one
+neighbor mask per vertex.  Calls are bounded: ``ctd(S, ub)`` returns the
+exact value when it is below ``ub`` and otherwise a proven lower bound of
+at least ``ub``.  Two tables keyed on the mask of S hold the exact values
+and the proven lower bounds.  Each set starts from the lower bound
+degeneracy + 1 (td >= tw + 1 >= degeneracy + 1, which also covers the
+clique bound); a root v is dropped as soon as one component of S - v,
+visited largest first, reaches the best value found so far.  Every set
+whose roots are tried counts as expanded; ``node_budget`` caps that count
+and the search raises ``BudgetExceededError`` past it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Iterable, Optional
 
-from .errors import SizeLimitError
-from .graphs import (
-    Graph,
-    RootedTree,
-    bfs_distances,
-    canonical_key,
-    induced_components,
-)
+from .errors import BudgetExceededError, SizeLimitError
+from .graphs import Graph, RootedTree
 
 DEFAULT_EXACT_LIMIT = 20
-
-# canonical-form memo lookups pay off only once subgraphs are big enough to
-# recur under many labelings
-_CANON_MIN_SIZE = 6
 
 
 @dataclass(frozen=True)
@@ -36,12 +41,14 @@ class DepthReport:
     ``witness`` is a rooted tree on exactly the input's vertices (identity
     embedding) whose closure contains the input as a subgraph and whose
     height equals ``ctd``.  ``ctd - 1 <= td <= ctd`` always holds.
+    ``expanded`` is the number of vertex sets the search expanded.
     """
 
     td: int
     ctd: int
     witness: RootedTree
     embedding: tuple[int, ...]
+    expanded: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -56,164 +63,202 @@ class ClusteredBounds:
     general: int
     conditional_planar: int
 
+    @classmethod
+    def from_ctd(cls, ctd: int) -> "ClusteredBounds":
+        return cls(lower=ctd - 1, general=3 * ctd - 3, conditional_planar=2 * ctd - 2)
+
+
+def _mask(vs: Iterable[int]) -> int:
+    out = 0
+    for v in vs:
+        out |= 1 << v
+    return out
+
+
+def _bits(s: int) -> list[int]:
+    out = []
+    while s:
+        low = s & -s
+        out.append(low.bit_length() - 1)
+        s ^= low
+    return out
+
 
 class _DepthSolver:
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, node_budget: Optional[int] = None):
         self.g = g
-        self.memo: dict[frozenset[int], int] = {}
-        self.canon_memo: dict[tuple, int] = {}
+        self.nbr = [_mask(g.adj[v]) for v in range(g.n)]
+        self.exact: dict[int, int] = {}
+        self.lower: dict[int, int] = {}
+        self.node_budget = node_budget
+        self.expanded = 0
 
-    # -- bounds ----------------------------------------------------------
+    # -- sets ----------------------------------------------------------------
 
-    def _greedy_clique(self, vs: frozenset[int]) -> int:
-        g = self.g
-        best = 1
-        for start in vs:
-            clique = {start}
-            common = g.adj[start] & vs
-            while common:
-                v = max(common, key=lambda u: (len(g.adj[u] & common), -u))
-                clique.add(v)
-                common &= g.adj[v]
-            best = max(best, len(clique))
-        return best
+    def components(self, s: int) -> list[int]:
+        """Components of g[s], ordered by least vertex."""
+        nbr = self.nbr
+        out = []
+        while s:
+            comp = frontier = s & -s
+            while frontier:
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reach |= nbr[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = reach & s & ~comp
+                comp |= frontier
+            out.append(comp)
+            s &= ~comp
+        return out
 
-    def _path_bound(self, vs: frozenset[int]) -> int:
-        # td of a path on m vertices is floor(log2 m) + 1 = m.bit_length();
-        # a shortest path is induced, and td is subgraph-monotone
-        sub, _ = self.g.subgraph(vs)
-        far = 0
-        for _ in range(2):
-            dist = bfs_distances(sub, [far])
-            far = max(range(sub.n), key=lambda v: (dist[v], -v))
-        m = max(bfs_distances(sub, [far])) + 1
-        return m.bit_length()
+    def degeneracy_bound(self, s: int) -> int:
+        """degeneracy(g[s]) + 1, a lower bound on td(g[s])."""
+        nbr = self.nbr
+        deg = {v: (nbr[v] & s).bit_count() for v in _bits(s)}
+        best = 0
+        # the last best + 1 vertices cannot raise the maximum min-degree
+        while len(deg) > best + 1:
+            v = min(deg, key=deg.__getitem__)
+            d = deg.pop(v)
+            if d > best:
+                best = d
+            for u in self.g.adj[v]:
+                if u in deg:
+                    deg[u] -= 1
+        return best + 1
 
-    def _greedy_upper(self, vs: frozenset[int]) -> int:
-        if not vs:
+    # -- bounded values --------------------------------------------------------
+
+    def ctd(self, s: int, ub: int) -> int:
+        """ctd of connected g[s]: exact if below ``ub``, else a lower bound >= ub."""
+        got = self.exact.get(s)
+        if got is not None:
+            return got
+        size = s.bit_count()
+        if size <= 2:
+            return size
+        lb = self.lower.get(s)
+        if lb is None:
+            lb = self.degeneracy_bound(s)
+            if lb >= size:
+                # a clique: the chain of its vertices is optimal
+                self.exact[s] = size
+                return size
+            self.lower[s] = lb
+        if lb >= ub:
+            return lb
+        self.expanded += 1
+        if self.node_budget is not None and self.expanded > self.node_budget:
+            raise BudgetExceededError(
+                f"depth search exceeded {self.node_budget} expanded sets",
+                size=self.expanded,
+            )
+        nbr = self.nbr
+        order = sorted(_bits(s), key=lambda u: (-(nbr[u] & s).bit_count(), u))
+        best = ub
+        floor = size + 1
+        for v in order:
+            val = 1 + self.forest(s & ~(1 << v), best - 1)
+            if val < best:
+                best = val
+            if val < floor:
+                floor = val
+            if best <= lb:
+                break
+        if best < ub:
+            self.exact[s] = best
+            return best
+        # every root reached ub: the least of their bounds is proven
+        self.lower[s] = floor
+        return floor
+
+    def forest(self, s: int, ub: int) -> int:
+        """Max component ctd of g[s]: exact if below ``ub``, else a lower bound >= ub."""
+        if not s:
             return 0
-        comps = induced_components(self.g, vs)
-        return max(self._greedy_upper_connected(c) for c in comps)
+        comps = self.components(s)
+        comps.sort(key=int.bit_count, reverse=True)
+        worst = 0
+        for c in comps:
+            if c.bit_count() <= worst:
+                break  # this and every later component has ctd <= its size
+            val = self.ctd(c, ub)
+            if val >= ub:
+                return val
+            if val > worst:
+                worst = val
+        return worst
 
-    def _greedy_upper_connected(self, vs: frozenset[int]) -> int:
-        if len(vs) == 1:
-            return 1
-        v = max(vs, key=lambda u: (len(self.g.adj[u] & vs), -u))
-        return 1 + self._greedy_upper(vs - {v})
+    # -- frozenset entry points ------------------------------------------------
 
-    # -- exact values ------------------------------------------------------
+    def ctd_connected(self, vs: frozenset[int]) -> int:
+        return self.exact_ctd(_mask(vs))
 
     def td_value(self, vs: frozenset[int]) -> int:
         """Least rooted-forest height containing g[vs]: max component ctd."""
-        if not vs:
-            return 0
-        comps = induced_components(self.g, vs)
-        return max(self.ctd_connected(c) for c in comps)
+        return self.forest(_mask(vs), len(vs) + 1)
 
-    def packed_value(self, vs: frozenset[int]) -> int:
-        """Least single-tree height containing g[vs] (vs may be disconnected).
+    # -- witness extraction ----------------------------------------------------
 
-        At most one maximum-ctd component can embed through the tree's root;
-        any second one pays one extra level.
-        """
-        if not vs:
-            return 0
-        comps = induced_components(self.g, vs)
-        vals = sorted((self.ctd_connected(c) for c in comps), reverse=True)
-        if len(vals) >= 2 and vals[1] == vals[0]:
-            return vals[0] + 1
-        return vals[0]
+    def exact_ctd(self, s: int) -> int:
+        return self.ctd(s, s.bit_count() + 1)
 
-    def ctd_connected(self, vs: frozenset[int]) -> int:
-        # For connected g a minimum-height witness roots at a graph vertex v
-        # and hangs a forest containing g - v below it.
-        n = len(vs)
-        if n == 1:
-            return 1
-        if n == 2:
-            return 2
-        got = self.memo.get(vs)
-        if got is not None:
-            return got
-        ckey = None
-        if n >= _CANON_MIN_SIZE:
-            sub, _ = self.g.subgraph(vs)
-            ckey = canonical_key(sub)
-            got = self.canon_memo.get(ckey)
-            if got is not None:
-                self.memo[vs] = got
-                return got
-        lb = max(self._greedy_clique(vs), self._path_bound(vs))
-        best = self._greedy_upper_connected(vs)
-        if best > lb:
-            order = sorted(vs, key=lambda u: (-len(self.g.adj[u] & vs), u))
-            for v in order:
-                val = 1 + self.td_value(vs - {v})
-                if val < best:
-                    best = val
-                if best == lb:
-                    break
-        self.memo[vs] = best
-        if ckey is not None:
-            self.canon_memo[ckey] = best
-        return best
-
-    # -- witness extraction -------------------------------------------------
-
-    def packed_tree(self, vs: frozenset[int], parent: list) -> Optional[int]:
-        """Fill parent links for a packed single tree on vs; returns its root.
+    def packed_tree(self, s: int, parent: list) -> int:
+        """Fill parent links for a packed single tree on s; returns its root.
 
         Components besides the deepest hang off the top tree's root, which
         realizes exactly the packed value.
         """
-        if not vs:
-            return None
-        comps = induced_components(self.g, vs)
-        comps.sort(key=lambda c: (-self.ctd_connected(c), min(c)))
+        comps = self.components(s)
+        comps.sort(key=lambda c: (-self.exact_ctd(c), c & -c))
         top = self.connected_tree(comps[0], parent)
         for comp in comps[1:]:
-            sub_root = self.connected_tree(comp, parent)
-            parent[sub_root] = top
+            parent[self.connected_tree(comp, parent)] = top
         return top
 
-    def forest_trees(self, vs: frozenset[int], parent: list) -> list[int]:
-        return [
-            self.connected_tree(c, parent) for c in induced_components(self.g, vs)
-        ]
-
-    def connected_tree(self, vs: frozenset[int], parent: list) -> int:
-        value = self.ctd_connected(vs)
-        if len(vs) == 1:
-            return next(iter(vs))
-        for v in sorted(vs):
-            if 1 + self.td_value(vs - {v}) == value:
-                for sub_root in self.forest_trees(vs - {v}, parent):
-                    parent[sub_root] = v
+    def connected_tree(self, s: int, parent: list) -> int:
+        # the least root whose forest value is ctd - 1, as a bounded call
+        value = self.exact_ctd(s)
+        for v in _bits(s):
+            rest = s & ~(1 << v)
+            if not rest:
+                return v
+            if self.forest(rest, value) < value:
+                for comp in self.components(rest):
+                    parent[self.connected_tree(comp, parent)] = v
                 return v
         raise AssertionError("internal: no root attains the memoized value")
 
 
-def connected_tree_depth(g: Graph, limit: int = DEFAULT_EXACT_LIMIT) -> DepthReport:
+def connected_tree_depth(
+    g: Graph, limit: int = DEFAULT_EXACT_LIMIT, node_budget: Optional[int] = None
+) -> DepthReport:
     """Exact ctd, td, and a verifying height-ctd witness tree.
 
     ``ctd`` is the single-tree value of the whole input (packing rule when
-    disconnected); ``td`` is the maximum over components.
+    disconnected); ``td`` is the maximum over components.  Raises
+    ``BudgetExceededError`` once more than ``node_budget`` vertex sets are
+    expanded (no limit when None).
     """
     if g.n > limit:
         raise SizeLimitError(f"exact mode limited to {limit} vertices (got {g.n})")
     if g.n == 0:
         return DepthReport(0, 0, RootedTree((), None, 0), ())
-    solver = _DepthSolver(g)
-    comps = induced_components(g, range(g.n))
-    comp_vals = [solver.ctd_connected(c) for c in comps]
-    td = max(comp_vals)
-    ctd = solver.packed_value(frozenset(range(g.n)))
+    solver = _DepthSolver(g, node_budget)
+    full = (1 << g.n) - 1
+    vals = sorted((solver.exact_ctd(c) for c in solver.components(full)), reverse=True)
+    td = vals[0]
+    # at most one maximum-ctd component embeds through the tree's root; any
+    # second one pays one extra level
+    ctd = td + 1 if len(vals) >= 2 and vals[1] == td else td
     parent: list[Optional[int]] = [None] * g.n
-    solver.packed_tree(frozenset(range(g.n)), parent)
+    solver.packed_tree(full, parent)
     witness = RootedTree.from_parents(parent)
     if witness.height != ctd:
         raise AssertionError("internal: witness height disagrees with ctd")
-    return DepthReport(td, ctd, witness, tuple(range(g.n)))
+    return DepthReport(td, ctd, witness, tuple(range(g.n)), solver.expanded)
 
 
 def verify_depth_witness(g: Graph, report: DepthReport) -> bool:
@@ -245,5 +290,4 @@ def clustered_bounds(
     h_pattern: Graph, limit: int = DEFAULT_EXACT_LIMIT
 ) -> ClusteredBounds:
     """Clustered-coloring bounds for the class excluding ``h_pattern``."""
-    td = connected_tree_depth(h_pattern, limit=limit).ctd
-    return ClusteredBounds(lower=td - 1, general=3 * td - 3, conditional_planar=2 * td - 2)
+    return ClusteredBounds.from_ctd(connected_tree_depth(h_pattern, limit=limit).ctd)

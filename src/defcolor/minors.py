@@ -209,7 +209,12 @@ def _exhaustive_search(
                 return got
         return None
 
-    found = place(0, 0)
+    try:
+        found = place(0, 0)
+    finally:
+        # place reaches itself through its closure; break that cycle so the
+        # candidate masks are freed on return, not at a later full collection
+        place = None
     if found is None:
         return None
     model = MinorModel(found)

@@ -226,7 +226,8 @@ def _check_d2(report: CertReport, pv: _View, nv: _View, original: Graph):
             absorbed[w].append(v)
     for u, v in g.edges():
         mu, mv = nv.entry.model[u], nv.entry.model[v]
-        if not any(original.adj[o] & mv for o in mu):
+        # an id outside the original graph witnesses nothing; D1 fails it
+        if not any(0 <= o < original.n and original.adj[o] & mv for o in mu):
             report.fail("D2", clause="edge-not-in-contraction", edge=[u, v])
             return
         ok = any(

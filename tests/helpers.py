@@ -1,8 +1,9 @@
 """Shared strategies and independent brute-force oracles.
 
 The oracles here deliberately avoid the algorithms they check: plain
-enumeration over labeled rooted trees, raw assignment enumeration for
-minors, and exhaustive coloring enumeration.
+enumeration over labeled rooted trees, the unbounded depth recurrence
+without pruning, raw assignment enumeration for minors, and exhaustive
+coloring enumeration.
 """
 
 from __future__ import annotations
@@ -196,6 +197,59 @@ def ctd_oracle(g: Graph) -> int:
         if height < best and edge_mask & ~anc == 0:
             best = height
     return best
+
+
+def depth_oracle(g: Graph) -> tuple[int, int, list]:
+    """(td, ctd, witness parent list) by the plain recurrence
+    ctd(S) = 1 + min over v of max component ctd of S - v, memoised on
+    frozensets, with no bounds and no pruning.  The witness roots each
+    connected S at the least v whose forest value is ctd(S) - 1, and the
+    packed top level orders components by (-ctd, least vertex)."""
+    if g.n == 0:
+        return 0, 0, []
+
+    def comps(vs: frozenset) -> list[frozenset]:
+        out, seen = [], set()
+        for s in sorted(vs):
+            if s in seen:
+                continue
+            comp, stack = {s}, [s]
+            while stack:
+                u = stack.pop()
+                for w in g.adj[u] & vs:
+                    if w not in comp:
+                        comp.add(w)
+                        stack.append(w)
+            seen |= comp
+            out.append(frozenset(comp))
+        return out
+
+    @lru_cache(maxsize=None)
+    def ctd(vs: frozenset) -> int:
+        if len(vs) == 1:
+            return 1
+        return 1 + min(forest(vs - {v}) for v in vs)
+
+    def forest(vs: frozenset) -> int:
+        return max((ctd(c) for c in comps(vs)), default=0)
+
+    parent: list = [None] * g.n
+
+    def tree(vs: frozenset) -> int:
+        for v in sorted(vs):
+            if 1 + forest(vs - {v}) == ctd(vs):
+                for c in comps(vs - {v}):
+                    parent[tree(c)] = v
+                return v
+        raise AssertionError("no root attains ctd")
+
+    top = sorted(comps(frozenset(range(g.n))), key=lambda c: (-ctd(c), min(c)))
+    vals = [ctd(c) for c in top]
+    root = tree(top[0])
+    for c in top[1:]:
+        parent[tree(c)] = root
+    packed = vals[0] + 1 if len(vals) >= 2 and vals[1] == vals[0] else vals[0]
+    return vals[0], packed, parent
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,25 @@ class TestPairwiseConditions:
         }
 
 
+class TestOutOfRangeModelIds:
+    def test_shifted_singleton_ids_give_reports(self, cat):
+        # an id past original.n used to raise IndexError in D2's edge clause
+        inst, scheme = cat
+        prev, nxt = scheme[0], scheme[1]
+        singles = [v for v, m in sorted(nxt.model.items()) if len(m) == 1]
+        assert 0 in singles
+        for v in singles:
+            shifted = min(nxt.model[v]) + 10**6
+            model = dict(nxt.model)
+            model[v] = frozenset({shifted})
+            report = certify_entry(prev, swap(nxt, model=model), inst.params, inst.graph)
+            assert not report.clean()
+            assert report.verdicts["D1"].to_json() == {
+                "status": "fail",
+                "witness": {"clause": "id-range", "vertex": v, "original": shifted},
+            }
+
+
 class TestD2AgainstOracle:
     def test_seeded_edge_edits_match_quadratic_scan(self):
         rng = random.Random(11)

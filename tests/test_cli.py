@@ -67,6 +67,31 @@ class TestDepth:
         }
         assert len(doc["witness"]["parent"]) == 7
 
+    def test_one_solver_run_per_call(self, capsys, tmp_path, monkeypatch):
+        import defcolor.depth as depth
+
+        runs = []
+
+        class CountingSolver(depth._DepthSolver):
+            def __init__(self, *args, **kwargs):
+                runs.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(depth, "_DepthSolver", CountingSolver)
+        p = tmp_path / "g.g6"
+        p.write_text(to_graph6(ct(3, 2)) + "\n")
+        code, _ = run(capsys, "depth", str(p))
+        assert code == 0
+        assert len(runs) == 1
+
+    def test_budget_exit_code(self, capsys, tmp_path):
+        p = tmp_path / "g.g6"
+        p.write_text(to_graph6(ct(3, 3)) + "\n")
+        code, out = run(capsys, "depth", str(p), "--budget-nodes", "1")
+        assert code == 3 and out == ""
+        code, out = run(capsys, "depth", str(p), "--budget-nodes", "100")
+        assert code == 0 and json.loads(out)["ctd"] == 3
+
 
 class TestMinor:
     def test_present_emits_model_document(self, capsys, tmp_path):
@@ -201,6 +226,21 @@ class TestScheme:
         assert first["D5"]["status"] == "fail"
         assert first["D10"]["status"] == "skipped"
         assert first["D10"]["reason"].endswith("out of range, flagged by D5")
+
+    def test_certify_out_of_range_model_id_is_dirty(self, capsys, tmp_path):
+        inst = caterpillar(1, 14)
+        ppath = tmp_path / "params.json"
+        ppath.write_text(json.dumps(inst.params.to_json()))
+        doc = json.loads(scheme_to_json(build_scheme(inst.graph, inst.params)))
+        (o,) = doc[1]["model"]["0"]
+        doc[1]["model"]["0"] = [o + 10**6]
+        spath = tmp_path / "scheme.json"
+        spath.write_text(json.dumps(doc))
+        code, out = run(capsys, "scheme", "certify", str(spath), "--params", str(ppath))
+        assert code == 1
+        report = json.loads(out)
+        assert not report["clean"]
+        assert report["pairs"][0]["D1"]["witness"]["clause"] == "id-range"
 
 
 class TestConstants:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +13,9 @@ from defcolor.depth import (
     tree_depth,
     verify_depth_witness,
 )
-from defcolor.errors import SizeLimitError
+from defcolor.errors import BudgetExceededError, SizeLimitError
 from defcolor.graphs import (
+    Graph,
     complete_graph,
     contract_set,
     ct,
@@ -21,7 +24,13 @@ from defcolor.graphs import (
     path_graph,
     star_graph,
 )
-from helpers import all_graphs, connected_graphs_st, ctd_oracle, graphs_st
+from helpers import (
+    all_graphs,
+    connected_graphs_st,
+    ctd_oracle,
+    depth_oracle,
+    graphs_st,
+)
 
 
 class TestConnectedTreeDepth:
@@ -103,6 +112,39 @@ class TestRecursionShape:
             got = solver.ctd_connected(full)
             best = min(1 + solver.td_value(full - {v}) for v in range(g.n))
             assert got == best == ctd_oracle(g)
+
+
+class TestAgainstRecurrenceOracle:
+    def test_oracle_matches_embedding_oracle(self):
+        for n in range(6):
+            for g in all_graphs(n):
+                assert depth_oracle(g)[1] == ctd_oracle(g)
+
+    def test_seeded_gnp(self):
+        rng = random.Random(3)
+        for n in range(7, 13):
+            for p in (0.2, 0.35, 0.6):
+                for _ in range(3):
+                    edges = [
+                        (u, v)
+                        for u in range(n)
+                        for v in range(u + 1, n)
+                        if rng.random() < p
+                    ]
+                    g = Graph.from_edges(n, edges)
+                    report = connected_tree_depth(g)
+                    got = (report.td, report.ctd, list(report.witness.parent))
+                    assert got == depth_oracle(g), (n, p, edges)
+
+
+class TestNodeBudget:
+    def test_budget_stops_the_search(self):
+        g = ct(3, 3)
+        full = connected_tree_depth(g)
+        assert full.expanded >= 2
+        with pytest.raises(BudgetExceededError):
+            connected_tree_depth(g, node_budget=full.expanded - 1)
+        assert connected_tree_depth(g, node_budget=full.expanded) == full
 
 
 class TestParameterTranslations:

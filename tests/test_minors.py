@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 
@@ -111,6 +113,19 @@ class TestHasMinor:
             return
         sub = Graph.from_edges(host.n, edges[: max(1, len(edges) // 2)])
         assert has_minor(host, sub) is not None
+
+
+    def test_exhaustive_search_leaves_no_cyclic_garbage(self):
+        # the candidate masks must be freed on return, not held by a
+        # reference cycle until the next full collection
+        gc.collect()
+        gc.disable()
+        try:
+            assert has_minor(ct(3, 2), complete_graph(3)) is not None
+            assert has_minor(ct(3, 2), complete_graph(4)) is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestCtMinor:
