@@ -36,14 +36,6 @@ def split_path_budget(t: int, k: int, length: int) -> int:
     return k**t + t * length
 
 
-def split_path_budget_recurrence(t: int, k: int, length: int) -> int:
-    """Direct evaluation of the defining recurrence (test oracle)."""
-    val = k + length
-    for x in range(2, t + 1):
-        val = k * (val - (x - 1) * length) + x * length
-    return val
-
-
 @dataclass(frozen=True)
 class ConstantsTable:
     """Exact derived constants plus the main exponent of t for reporting."""

@@ -3,6 +3,19 @@
 ``has_minor`` is complete in exhaustive mode within documented size limits;
 heuristic mode is sound for presence and never reports a false absence
 (``None`` means unknown there).
+
+The exhaustive search places the pattern vertices by degree (descending),
+then id.  Each takes the host's connected vertex sets in order of size, then
+bitmask value, as its branch set; a node is one such set that is disjoint
+from the sets already placed, and ``node_budget`` bounds the nodes visited.
+A set is tried when it touches the set of every placed pattern neighbor and
+leaves enough free vertices, and its subtree is cut when some placed vertex
+x has fewer free host vertices next to B_x than unplaced pattern neighbors
+(their branch sets are disjoint and each needs its own vertex next to B_x).
+The cuts remove only subtrees without a model, so the first model in this
+order is the answer, and the search never visits more nodes than the same
+search without the capacity cut: any budget under which that search answers
+gives the same model here.
 """
 
 from __future__ import annotations
@@ -78,29 +91,42 @@ def verify_model(
     return True, None
 
 
-def _connected_masks(g: Graph) -> list[int]:
-    """All nonempty vertex masks inducing a connected subgraph, small first."""
+def _adj_masks(g: Graph) -> list[int]:
     adj = [0] * g.n
     for v in range(g.n):
         for u in g.adj[v]:
             adj[v] |= 1 << u
+    return adj
+
+
+def _connected_masks(g: Graph) -> list[int]:
+    """All nonempty vertex masks inducing a connected subgraph, small first.
+
+    Each set is grown once, from its least vertex v: a set S is extended by
+    one vertex of its frontier above v at a time, and a frontier vertex
+    passed over at one level is excluded from every set grown after it, so
+    no set is reached twice.  The cost is linear in the number of sets,
+    plus sorting each size class by mask.
+    """
+    adj = _adj_masks(g)
+    by_size: list[list[int]] = [[] for _ in range(g.n + 1)]
+    for v in range(g.n):
+        low = 1 << v
+        excl = (low << 1) - 1  # v and every vertex below it
+        stack = [(low, adj[v] & ~excl, excl)]
+        while stack:
+            s, ext, excl = stack.pop()
+            by_size[s.bit_count()].append(s)
+            while ext:
+                b = ext & -ext
+                ext ^= b
+                t = s | b
+                stack.append((t, (ext | adj[b.bit_length() - 1]) & ~(excl | t), excl))
+                excl |= b
     out = []
-    for mask in range(1, 1 << g.n):
-        low = mask & -mask
-        reach = low
-        frontier = low
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                b = m & -m
-                m ^= b
-                nxt |= adj[b.bit_length() - 1]
-            frontier = nxt & mask & ~reach
-            reach |= frontier
-        if reach == mask:
-            out.append(mask)
-    out.sort(key=lambda m: (bin(m).count("1"), m))
+    for masks in by_size:
+        masks.sort()
+        out += masks
     return out
 
 
@@ -156,20 +182,33 @@ def _exhaustive_search(
     p = pattern.n
     order = sorted(range(p), key=lambda v: (-pattern.degree(v), v))
     pos = {v: i for i, v in enumerate(order)}
-    # pattern neighbors already placed when a vertex comes up
+    # positions of the pattern neighbors already placed when a vertex comes up
     placed_nbrs = [
-        [u for u in pattern.adj[order[i]] if pos[u] < i] for i in range(p)
+        [pos[u] for u in pattern.adj[order[i]] if pos[u] < i] for i in range(p)
     ]
-    candidates = _connected_masks(host)
-    host_adj = [0] * host.n
-    for v in range(host.n):
-        for u in host.adj[v]:
-            host_adj[v] |= 1 << u
+    # after position i is placed: (placed position, its unplaced neighbors)
+    demand = [
+        [
+            (j, c)
+            for j in range(i + 1)
+            if (c := sum(pos[u] > i for u in pattern.adj[order[j]]))
+        ]
+        for i in range(p)
+    ]
+    host_adj = _adj_masks(host)
     full = (1 << host.n) - 1
 
     branch = [0] * p  # mask per order position
     branch_adj = [0] * p  # union of host adjacency over the branch
     nodes = 0
+
+    def count(k: int) -> None:
+        nonlocal nodes
+        nodes += k
+        if nodes > node_budget:
+            raise BudgetExceededError(
+                f"minor search exceeded {node_budget} nodes", size=node_budget + 1
+            )
 
     def adj_union(mask: int) -> int:
         out = 0
@@ -179,38 +218,46 @@ def _exhaustive_search(
             out |= host_adj[b.bit_length() - 1]
         return out
 
-    def place(i: int, used: int) -> Optional[dict[int, frozenset[int]]]:
-        nonlocal nodes
-        if i == p:
-            return {order[j]: _mask_to_set(branch[j]) for j in range(p)}
+    def place(
+        i: int, used: int, pool: list[int]
+    ) -> Optional[dict[int, frozenset[int]]]:
+        # pool: the candidates disjoint from used, in candidate order; each
+        # is one node, counted in bulk up to the next candidate tried
+        nbrs = placed_nbrs[i]
+        if nbrs:
+            first = branch_adj[nbrs[0]]
+            hits = [k for k, mask in enumerate(pool) if mask & first]
+            nbrs = nbrs[1:]
+        else:
+            hits = range(len(pool))
+        free = full & ~used
         free_needed = p - i - 1
-        for mask in candidates:
-            if mask & used:
+        counted = 0
+        for k in hits:
+            count(k + 1 - counted)
+            counted = k + 1
+            mask = pool[k]
+            if not all(branch_adj[j] & mask for j in nbrs):
                 continue
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceededError(
-                    f"minor search exceeded {node_budget} nodes", size=nodes
-                )
-            ok = True
-            for u in placed_nbrs[i]:
-                if not branch_adj[pos[u]] & mask:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            rest = full & ~(used | mask)
-            if bin(rest).count("1") < free_needed:
+            rest = free & ~mask
+            if rest.bit_count() < free_needed:
                 continue
             branch[i] = mask
             branch_adj[i] = adj_union(mask)
-            got = place(i + 1, used | mask)
+            if not free_needed:
+                return {order[j]: _mask_to_set(branch[j]) for j in range(p)}
+            # each unplaced neighbor of a placed x needs its own free vertex
+            # next to B_x, as their branch sets are disjoint
+            if any((branch_adj[j] & rest).bit_count() < c for j, c in demand[i]):
+                continue
+            got = place(i + 1, used | mask, [m for m in pool if not m & mask])
             if got is not None:
                 return got
+        count(len(pool) - counted)
         return None
 
     try:
-        found = place(0, 0)
+        found = place(0, 0, _connected_masks(host))
     finally:
         # place reaches itself through its closure; break that cycle so the
         # candidate masks are freed on return, not at a later full collection

@@ -118,6 +118,8 @@ class _View:
     def __init__(self, entry: SchemeEntry):
         self.entry = entry
         self.g = entry.graph
+        # every condition after D1 reads exactly one model per vertex
+        self.keys_ok = set(entry.model) == set(range(self.g.n))
         self.originals = entry.originals()  # orig -> vertex
         self.orig_of = {v: o for o, v in self.originals.items()}
         self.covered = entry.covered()
@@ -174,6 +176,16 @@ def certify_entry(
     report = CertReport()
     pv, nv = _View(prev), _View(nxt)
     _check_d1(report, nv, original)
+    if not (pv.keys_ok and nv.keys_ok):
+        reason = (
+            "model keys are not the vertices, flagged by D1"
+            if not nv.keys_ok
+            else "model keys of the previous entry are not its vertices, "
+            "flagged by D1 of the pair before"
+        )
+        for cond in CONDITIONS[1:]:
+            report.skip(cond, reason)
+        return report
     _check_d2(report, pv, nv, original)
     _check_d3(report, pv, nv, params)
     _check_d4(report, pv, nv)
@@ -193,7 +205,7 @@ def certify_entry(
 
 def _check_d1(report: CertReport, nv: _View, original: Graph):
     entry = nv.entry
-    if set(entry.model) != set(range(entry.graph.n)):
+    if not nv.keys_ok:
         report.fail("D1", clause="model-keys", expected=entry.graph.n)
         return
     seen: dict[int, int] = {}

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the algorithms they check: plain
 enumeration over labeled rooted trees, the unbounded depth recurrence
-without pruning, raw assignment enumeration for minors, and exhaustive
-coloring enumeration.
+without pruning, raw assignment enumeration and the plain unpruned
+branch-set search for minors, the split-path budget by its recurrence, and
+exhaustive coloring enumeration.
 """
 
 from __future__ import annotations
@@ -340,6 +341,62 @@ def _branch_masks(n: int, p: int):
     return masks
 
 
+def minor_dfs_oracle(host: Graph, pattern: Graph):
+    """The plain branch-set DFS without pruning: ``(model, nodes)``.
+
+    Pattern vertices are placed by degree (descending), then id.  Each takes
+    the host's connected vertex sets in order of size, then bitmask value,
+    skipping those that meet a placed set; every set not skipped is one
+    node.  A set is tried when it touches every placed neighbor's set and
+    leaves a vertex for each pattern vertex still to place.  ``model`` is
+    the first full placement (pattern vertex -> frozenset) or None; ``nodes``
+    counts every node the search visited up to that point.
+    """
+    n, p = host.n, pattern.n
+    candidates = []
+    for mask in range(1, 1 << n):
+        vs = frozenset(v for v in range(n) if mask >> v & 1)
+        seen, todo = set(), [min(vs)]
+        while todo:
+            v = todo.pop()
+            if v not in seen:
+                seen.add(v)
+                todo.extend(host.adj[v] & vs)
+        if seen == vs:
+            candidates.append((len(vs), mask, vs))
+    candidates = [vs for _, _, vs in sorted(candidates, key=lambda c: c[:2])]
+    order = sorted(range(p), key=lambda v: (-pattern.degree(v), v))
+    branch: dict[int, frozenset] = {}
+    nodes = 0
+
+    def place(i: int, used: frozenset):
+        nonlocal nodes
+        if i == p:
+            return dict(branch)
+        pv = order[i]
+        for vs in candidates:
+            if vs & used:
+                continue
+            nodes += 1
+            if not all(
+                any(host.adj[v] & branch[u] for v in vs)
+                for u in pattern.adj[pv]
+                if u in branch
+            ):
+                continue
+            if n - len(used) - len(vs) < p - i - 1:
+                continue
+            branch[pv] = vs
+            got = place(i + 1, used | vs)
+            if got is not None:
+                return got
+            del branch[pv]
+        return None
+
+    model = place(0, frozenset())
+    return model, nodes
+
+
 # ---------------------------------------------------------------------------
 # scheme oracle: condition D2 by a scan over every vertex pair
 
@@ -372,6 +429,18 @@ def d2_oracle(prev, nxt, original: Graph) -> dict:
             if original.has_edge(min(mu), min(mv)):
                 return fail(clause="missing-edge-between-originals", pair=[u, v])
     return {"status": "pass"}
+
+
+# ---------------------------------------------------------------------------
+# constants oracle: the split-path budget by its defining recurrence
+
+
+def split_path_budget_recurrence(t: int, k: int, length: int) -> int:
+    """Direct evaluation of the defining recurrence (test oracle)."""
+    val = k + length
+    for x in range(2, t + 1):
+        val = k * (val - (x - 1) * length) + x * length
+    return val
 
 
 # ---------------------------------------------------------------------------

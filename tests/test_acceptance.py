@@ -11,7 +11,7 @@ import random
 import time
 
 from defcolor.coloring import decide_defective, level_coloring, verify_coloring
-from defcolor.constants import paper_constants, split_path_budget_recurrence
+from defcolor.constants import paper_constants
 from defcolor.depth import connected_tree_depth
 from defcolor.graphs import (
     Graph,
@@ -36,7 +36,13 @@ from defcolor.scheme import (
 from defcolor.scheme.corpus import acceptance_corpus, caterpillar, star_of_balls
 from defcolor.scheme.entry import SchemeEntry, StepMeta
 
-from helpers import all_graphs, ctd_oracle, max_clique_oracle, minor_oracle
+from helpers import (
+    all_graphs,
+    ctd_oracle,
+    max_clique_oracle,
+    minor_oracle,
+    split_path_budget_recurrence,
+)
 from test_split import check_conclusions_independently, layered_instance
 
 

@@ -13,6 +13,7 @@ from defcolor.scheme import (
     certify_scheme,
     initial_entry,
 )
+from defcolor.scheme.certify import CONDITIONS
 from defcolor.scheme.corpus import caterpillar, star_of_balls
 from defcolor.scheme.entry import SchemeEntry
 from helpers import d2_oracle
@@ -207,6 +208,29 @@ class TestOutOfRangeModelIds:
                 "status": "fail",
                 "witness": {"clause": "id-range", "vertex": v, "original": shifted},
             }
+
+    def test_model_key_gap_gives_report(self, cat):
+        # a model key past graph.n used to raise KeyError in D2's absorb map
+        inst, scheme = cat
+        prev, nxt = scheme
+        last = max(nxt.model)
+        model = dict(nxt.model)
+        model[last + 5] = model.pop(last)
+        gap = swap(nxt, model=model)
+        report = certify_scheme([prev, gap], inst.params, inst.graph)
+        assert not report.clean()
+        # the second pair is the frozen-tail self-pair of the same entry
+        for pair in report.pair_reports:
+            assert pair.verdicts["D1"].to_json() == {
+                "status": "fail",
+                "witness": {"clause": "model-keys", "expected": nxt.graph.n},
+            }
+            # the conditions after D1 read one model per vertex
+            assert pair.skipped() == list(CONDITIONS[1:])
+        later = certify_entry(gap, nxt, inst.params, inst.graph)
+        assert later.verdicts["D1"].status == "pass"
+        assert later.skipped() == list(CONDITIONS[1:])
+        assert "previous entry" in later.verdicts["D2"].reason
 
 
 class TestD2AgainstOracle:

@@ -123,6 +123,17 @@ class TestMinor:
         assert code == 1
         assert json.loads(out) == {}
 
+    def test_budget_exit_code(self, capsys, tmp_path):
+        host = tmp_path / "host.g6"
+        host.write_text(to_graph6(ct(3, 2)) + "\n")
+        pattern = tmp_path / "pattern.g6"
+        pattern.write_text(to_graph6(ct(2, 2)) + "\n")
+        argv = ("minor", str(host), "--pattern", str(pattern), "--budget-nodes")
+        code, out = run(capsys, *argv, "1")
+        assert code == 3 and out == ""
+        code, out = run(capsys, *argv, "1000")
+        assert code == 0 and set(json.loads(out)) == {"0", "1", "2"}
+
     def test_verify_rejects_bad_model(self, capsys, tmp_path):
         host = tmp_path / "host.g6"
         host.write_text(to_graph6(ct(3, 2)) + "\n")
@@ -241,6 +252,22 @@ class TestScheme:
         report = json.loads(out)
         assert not report["clean"]
         assert report["pairs"][0]["D1"]["witness"]["clause"] == "id-range"
+
+    def test_certify_model_key_gap_is_dirty(self, capsys, tmp_path):
+        inst = caterpillar(1, 14)
+        ppath = tmp_path / "params.json"
+        ppath.write_text(json.dumps(inst.params.to_json()))
+        doc = json.loads(scheme_to_json(build_scheme(inst.graph, inst.params)))
+        model = doc[1]["model"]
+        last = max(model, key=int)
+        model[str(int(last) + 5)] = model.pop(last)
+        spath = tmp_path / "scheme.json"
+        spath.write_text(json.dumps(doc))
+        code, out = run(capsys, "scheme", "certify", str(spath), "--params", str(ppath))
+        assert code == 1
+        report = json.loads(out)
+        assert not report["clean"]
+        assert report["pairs"][0]["D1"]["witness"]["clause"] == "model-keys"
 
 
 class TestConstants:

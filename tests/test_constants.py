@@ -4,12 +4,9 @@ from itertools import product
 
 import pytest
 
-from defcolor.constants import (
-    paper_constants,
-    split_path_budget,
-    split_path_budget_recurrence,
-)
+from defcolor.constants import paper_constants, split_path_budget
 from defcolor.hugeint import hcmp
+from helpers import split_path_budget_recurrence
 
 
 class TestPathBudget:

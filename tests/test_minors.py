@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import gc
+import random
 
 import pytest
 from hypothesis import given, settings
 
-from defcolor.errors import SizeLimitError
+from defcolor.errors import BudgetExceededError, SizeLimitError
 from defcolor.graphs import (
     Graph,
     complete_bipartite,
@@ -16,7 +17,7 @@ from defcolor.graphs import (
     star_graph,
 )
 from defcolor.minors import MinorModel, has_ct_minor, has_minor, verify_model
-from helpers import all_graphs, graphs_st, minor_oracle
+from helpers import all_graphs, graphs_st, minor_dfs_oracle, minor_oracle
 
 
 class TestVerifyModel:
@@ -126,6 +127,43 @@ class TestHasMinor:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestNodeBudget:
+    def test_small_budget_raises(self):
+        # ct(3, 2) has tree-depth 3, so the K4 search must exhaust
+        for pattern, budget in ((complete_graph(4), 10), (ct(2, 2), 1)):
+            with pytest.raises(BudgetExceededError) as exc:
+                has_minor(ct(3, 2), pattern, node_budget=budget)
+            assert exc.value.size == budget + 1
+        assert has_minor(ct(3, 2), complete_graph(4)) is None
+        assert has_minor(ct(3, 2), ct(2, 2)) is not None
+
+
+class TestAgainstDfsOracle:
+    def test_seeded_pairs_same_model_within_oracle_nodes(self):
+        rng = random.Random(4)
+
+        def gnp(n, p):
+            return Graph.from_edges(
+                n,
+                [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p],
+            )
+
+        outcomes = set()
+        for _ in range(120):
+            n = rng.randint(3, 9)
+            host = gnp(n, rng.uniform(0.2, 0.7))
+            pattern = gnp(rng.randint(2, min(5, n)), rng.uniform(0.3, 0.9))
+            # these two inputs are answered before any search
+            if not pattern.edge_count() or host == pattern:
+                continue
+            want, nodes = minor_dfs_oracle(host, pattern)
+            # the search never visits more nodes than the unpruned one
+            got = has_minor(host, pattern, node_budget=nodes)
+            assert (None if got is None else got.branch_sets) == want
+            outcomes.add(want is None)
+        assert outcomes == {True, False}
 
 
 class TestCtMinor:
