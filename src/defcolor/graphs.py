@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Container, Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, InputFormatError, NotConnectedError
 
@@ -296,16 +296,37 @@ def bfs_distances(g: Graph, sources: Iterable[int]) -> list[int]:
     return dist
 
 
-def ball(g: Graph, s: Iterable[int], radius: int) -> frozenset[int]:
-    """Vertices within distance ``radius`` of the set s (s itself included)."""
-    src = set(s)
-    for v in src:
+def ball(
+    g: Graph,
+    sources: Iterable[int],
+    radius: int,
+    within: Optional[Container[int]] = None,
+) -> frozenset[int]:
+    """Vertices within distance ``radius`` of the sources (sources included).
+
+    With ``within``, paths pass only through vertices of that set, so the
+    result is the ball of g[within | sources].  A frontier BFS that stops at
+    ``radius``: it costs the size of the ball and its boundary, not of g.
+    """
+    seen = set(sources)
+    for v in seen:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    dist = bfs_distances(g, src)
-    return frozenset(v for v in range(g.n) if 0 <= dist[v] <= radius)
+    adj = g.adj
+    frontier = list(seen)
+    for _ in range(radius):
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in seen and (within is None or v in within):
+                    seen.add(v)
+                    nxt.append(v)
+        if not nxt:
+            break
+        frontier = nxt
+    return frozenset(seen)
 
 
 def components(g: Graph) -> list[frozenset[int]]:

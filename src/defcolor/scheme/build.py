@@ -8,12 +8,12 @@ construction.
 from __future__ import annotations
 
 from ..errors import CertificationError, SearchFailureError
-from ..graphs import Graph
+from ..graphs import Graph, ball
 from .certify import certify_entry
 from .entry import SchemeEntry, initial_entry
 from .homogeneous import boundary, find_homogeneous
 from .params import SchemeParams
-from .steps import _x_ball_multi, contract_step, del_step
+from .steps import contract_step, del_step
 
 
 def build_scheme(g: Graph, params: SchemeParams) -> list[SchemeEntry]:
@@ -36,7 +36,7 @@ def build_scheme(g: Graph, params: SchemeParams) -> list[SchemeEntry]:
             )
         x, z, w = triple.x_set, triple.z_set, triple.w_set
         full = all(
-            not (boundary(cur.graph, _x_ball_multi(cur.graph, x, [zi], params.l0 - 1)) - w)
+            boundary(cur.graph, ball(cur.graph, [zi], params.l0 - 1, within=x)) <= w
             for zi in z
         )
         if full:

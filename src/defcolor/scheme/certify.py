@@ -29,7 +29,7 @@ from ..minors import (
     verify_model,
 )
 from ..errors import SizeLimitError, BudgetExceededError
-from .entry import Hyperedge, SchemeEntry, initial_entry
+from .entry import SchemeEntry, initial_entry
 from .params import SchemeParams
 
 CONDITIONS = (
@@ -112,50 +112,25 @@ class CertReport:
         return {c: v.to_json() for c, v in self.verdicts.items()}
 
 
-class _View:
-    """Derived lookups for one entry."""
+def _absorb(prev: SchemeEntry, nxt: SchemeEntry, v: int) -> Optional[int]:
+    """Next vertex whose model contains the whole model of prev vertex v.
 
-    def __init__(self, entry: SchemeEntry):
-        self.entry = entry
-        self.g = entry.graph
-        # every condition after D1 reads exactly one model per vertex
-        self.keys_ok = set(entry.model) == set(range(self.g.n))
-        self.originals = entry.originals()  # orig -> vertex
-        self.orig_of = {v: o for o, v in self.originals.items()}
-        self.covered = entry.covered()
-        self.by_model = {}  # frozenset -> vertex
-        self.holder = {}  # orig id -> vertex whose model contains it
-        for v, m in entry.model.items():
-            self.by_model[m] = v
-            for o in m:
-                self.holder[o] = v
-        self.heads = entry.heads()
-        self.sinks = entry.sinks()
-        # index -> hyperedge, over those whose sink and members are vertices
-        # of the graph; D5 fails the rest, and no later check looks at them
-        self.edges_in_range = {
-            i: e
-            for i, e in enumerate(entry.hyperedges)
-            if all(0 <= v < self.g.n for v in e.members | {e.sink})
-        }
-
-    def special(self, v: int) -> bool:
-        return len(self.entry.model[v]) >= 2 or v in self.heads or v in self.sinks
-
-
-def _absorb(prev: _View, nxt: _View, v: int) -> Optional[int]:
-    """Next vertex whose model contains the whole model of prev vertex v."""
-    m = prev.entry.model[v]
-    w = nxt.holder.get(next(iter(m)))
-    if w is not None and m <= nxt.entry.model[w]:
+    An empty model (D1 fails it) is absorbed into nothing.
+    """
+    m = prev.model[v]
+    w = nxt.holder.get(next(iter(m))) if m else None
+    if w is not None and m <= nxt.model[w]:
         return w
     return None
 
 
-def _persist(prev: _View, nxt: _View, v: int) -> Optional[int]:
-    """Next vertex with exactly the same model as prev vertex v."""
-    m = prev.entry.model[v]
-    return nxt.by_model.get(m)
+def _persist(prev: SchemeEntry, nxt: SchemeEntry, v: int) -> Optional[int]:
+    """Next vertex with exactly the same model as prev vertex v.
+
+    An empty model (D1 fails it) persists as nothing.
+    """
+    m = prev.model[v]
+    return nxt.by_model.get(m) if m else None
 
 
 def _same_state(prev: SchemeEntry, nxt: SchemeEntry) -> bool:
@@ -174,43 +149,41 @@ def certify_entry(
     original: Graph,
 ) -> CertReport:
     report = CertReport()
-    pv, nv = _View(prev), _View(nxt)
-    _check_d1(report, nv, original)
-    if not (pv.keys_ok and nv.keys_ok):
+    _check_d1(report, nxt, original)
+    if not (prev.keys_ok and nxt.keys_ok):
         reason = (
             "model keys are not the vertices, flagged by D1"
-            if not nv.keys_ok
+            if not nxt.keys_ok
             else "model keys of the previous entry are not its vertices, "
             "flagged by D1 of the pair before"
         )
         for cond in CONDITIONS[1:]:
             report.skip(cond, reason)
         return report
-    _check_d2(report, pv, nv, original)
-    _check_d3(report, pv, nv, params)
-    _check_d4(report, pv, nv)
-    _check_d5(report, nv, params)
-    _check_d6(report, pv, nv, params)
-    _check_d7(report, pv, nv)
-    _check_d8(report, pv, nv, params, original)
-    _check_d9(report, nv)
-    _check_d10(report, nv, params, original)
-    _check_d11(report, nv)
-    _check_d12(report, nv, params)
+    _check_d2(report, prev, nxt, original)
+    _check_d3(report, prev, nxt, params)
+    _check_d4(report, prev, nxt)
+    _check_d5(report, nxt, params)
+    _check_d6(report, prev, nxt, params)
+    _check_d7(report, prev, nxt)
+    _check_d8(report, prev, nxt, params, original)
+    _check_d9(report, nxt)
+    _check_d10(report, nxt, params, original)
+    _check_d11(report, nxt)
+    _check_d12(report, nxt, params)
     return report
 
 
 # ---------------------------------------------------------------------------
 
 
-def _check_d1(report: CertReport, nv: _View, original: Graph):
-    entry = nv.entry
+def _check_d1(report: CertReport, nv: SchemeEntry, original: Graph):
     if not nv.keys_ok:
-        report.fail("D1", clause="model-keys", expected=entry.graph.n)
+        report.fail("D1", clause="model-keys", expected=nv.graph.n)
         return
     seen: dict[int, int] = {}
-    for v in range(entry.graph.n):
-        m = entry.model[v]
+    for v in range(nv.graph.n):
+        m = nv.model[v]
         if not m:
             report.fail("D1", clause="empty-model", vertex=v)
             return
@@ -229,21 +202,23 @@ def _check_d1(report: CertReport, nv: _View, original: Graph):
             return
 
 
-def _check_d2(report: CertReport, pv: _View, nv: _View, original: Graph):
-    g = nv.g
+def _check_d2(
+    report: CertReport, pv: SchemeEntry, nv: SchemeEntry, original: Graph
+):
+    g = nv.graph
     absorbed: dict[int, list[int]] = {w: [] for w in range(g.n)}
-    for v in range(pv.g.n):
+    for v in range(pv.graph.n):
         w = _absorb(pv, nv, v)
         if w is not None:
             absorbed[w].append(v)
     for u, v in g.edges():
-        mu, mv = nv.entry.model[u], nv.entry.model[v]
+        mu, mv = nv.model[u], nv.model[v]
         # an id outside the original graph witnesses nothing; D1 fails it
         if not any(0 <= o < original.n and original.adj[o] & mv for o in mu):
             report.fail("D2", clause="edge-not-in-contraction", edge=[u, v])
             return
         ok = any(
-            pv.g.has_edge(a, b) for a in absorbed[u] for b in absorbed[v]
+            pv.graph.has_edge(a, b) for a in absorbed[u] for b in absorbed[v]
         )
         if not ok:
             report.fail("D2", clause="edge-without-preimage", edge=[u, v])
@@ -252,13 +227,13 @@ def _check_d2(report: CertReport, pv: _View, nv: _View, original: Graph):
     # original edges, not the vertex pairs, so the scan is O(n + m).  The
     # holders come from the models themselves, so a duplicated id keeps all.
     singles = sorted(
-        v for v, m in nv.entry.model.items() if len(m) == 1 and 0 <= v < g.n
+        v for v, m in nv.model.items() if len(m) == 1 and 0 <= v < g.n
     )
     holders: dict[int, list[int]] = {}
     for v in singles:
-        holders.setdefault(next(iter(nv.entry.model[v])), []).append(v)
+        holders.setdefault(next(iter(nv.model[v])), []).append(v)
     for u in singles:
-        o = next(iter(nv.entry.model[u]))
+        o = next(iter(nv.model[u]))
         if not 0 <= o < original.n:
             continue  # an id outside the original graph; D1 fails it
         missing = [
@@ -274,55 +249,54 @@ def _check_d2(report: CertReport, pv: _View, nv: _View, original: Graph):
             return
 
 
-def _check_d3(report: CertReport, pv: _View, nv: _View, params: SchemeParams):
-    frozen = pv.g.n <= params.n_freeze
-    same = _same_state(pv.entry, nv.entry)
+def _check_d3(
+    report: CertReport, pv: SchemeEntry, nv: SchemeEntry, params: SchemeParams
+):
+    frozen = pv.graph.n <= params.n_freeze
+    same = _same_state(pv, nv)
     if frozen and same:
         return
     if frozen and not same:
-        report.fail("D3", clause="frozen-entry-changed", size=pv.g.n)
+        report.fail("D3", clause="frozen-entry-changed", size=pv.graph.n)
         return
     if same:
-        report.fail("D3", clause="unfrozen-entry-unchanged", size=pv.g.n)
+        report.fail("D3", clause="unfrozen-entry-unchanged", size=pv.graph.n)
         return
-    if len(nv.entry.model) >= len(pv.entry.model):
+    if len(nv.model) >= len(pv.model):
         report.fail(
             "D3",
             clause="model-count-not-decreasing",
-            sizes=[len(pv.entry.model), len(nv.entry.model)],
+            sizes=[len(pv.model), len(nv.model)],
         )
         return
     next_models = set(nv.by_model)
-    for v in range(pv.g.n):
-        m = pv.entry.model[v]
+    for v in range(pv.graph.n):
+        m = pv.model[v]
         if m in next_models:
             continue
         w = _absorb(pv, nv, v)
         if w is not None:
             continue
-        if any(o in nv.covered for o in m):
+        if any(o in nv.cover for o in m):
             report.fail("D3", clause="model-split-across-entries", vertex=v)
             return
     prev_models = set(pv.by_model)
-    for w in range(nv.g.n):
-        m = nv.entry.model[w]
+    for w in range(nv.graph.n):
+        m = nv.model[w]
         if m in prev_models:
             continue
-        parts = [v for v in range(pv.g.n) if pv.entry.model[v] <= m]
-        union: set[int] = set()
-        for v in parts:
-            union |= pv.entry.model[v]
-        if frozenset(union) != m:
+        parts = [v for v in range(pv.graph.n) if pv.model[v] <= m]
+        if frozenset().union(*(pv.model[v] for v in parts)) != m:
             report.fail("D3", clause="new-model-not-a-union", vertex=w)
             return
-        if len(induced_components(pv.g, parts)) > 1:
+        if len(induced_components(pv.graph, parts)) > 1:
             report.fail("D3", clause="contracted-set-disconnected", vertex=w)
             return
 
 
-def _check_d4(report: CertReport, pv: _View, nv: _View):
-    g = nv.g
-    arcs = nv.entry.arcs
+def _check_d4(report: CertReport, pv: SchemeEntry, nv: SchemeEntry):
+    g = nv.graph
+    arcs = nv.arcs
     for a, b in sorted(arcs):
         if not (0 <= a < g.n and 0 <= b < g.n) or not g.has_edge(a, b):
             report.fail("D4", clause="arc-not-on-edge", arc=[a, b])
@@ -338,7 +312,7 @@ def _check_d4(report: CertReport, pv: _View, nv: _View):
             c = next(c for (x, c) in sorted(arcs) if x == b)
             report.fail("D4", clause="directed-two-path", path=[a, b, c])
             return
-    for a, b in sorted(pv.entry.arcs):
+    for a, b in sorted(pv.arcs):
         wa, wb = _absorb(pv, nv, a), _absorb(pv, nv, b)
         if wa is not None and wb is not None and g.has_edge(wa, wb):
             if (wa, wb) not in arcset:
@@ -347,15 +321,15 @@ def _check_d4(report: CertReport, pv: _View, nv: _View):
     # arc tails are original vertices; hyperedge members and the greedy
     # coloring rely on it
     for a, b in sorted(arcs):
-        if len(nv.entry.model[a]) != 1:
+        if len(nv.model[a]) != 1:
             report.fail("D4", clause="tail-not-original", arc=[a, b])
             return
 
 
-def _check_d5(report: CertReport, nv: _View, params: SchemeParams):
-    arcset = set(nv.entry.arcs)
-    for edge in nv.entry.hyperedges:
-        if not all(0 <= v < nv.g.n for v in edge.members):
+def _check_d5(report: CertReport, nv: SchemeEntry, params: SchemeParams):
+    arcset = set(nv.arcs)
+    for edge in nv.hyperedges:
+        if not all(0 <= v < nv.graph.n for v in edge.members):
             report.fail("D5", clause="member-out-of-range", members=edge.members)
             return
         if len(edge.members) > params.r + 1:
@@ -384,22 +358,24 @@ def _check_d5(report: CertReport, nv: _View, params: SchemeParams):
             return
 
 
-def _check_d6(report: CertReport, pv: _View, nv: _View, params: SchemeParams):
-    for v in range(nv.g.n):
-        if not nv.special(v):
+def _check_d6(
+    report: CertReport, pv: SchemeEntry, nv: SchemeEntry, params: SchemeParams
+):
+    for v in range(nv.graph.n):
+        if v not in nv.special:
             continue
         count = sum(
-            1 for u in range(pv.g.n) if pv.entry.model[u] <= nv.entry.model[v]
+            1 for u in range(pv.graph.n) if pv.model[u] <= nv.model[v]
         )
         if count > params.n_freeze:
             report.fail("D6a", vertex=v, absorbed=count, limit=params.n_freeze)
-        for u in nv.g.adj[v]:
-            if u > v and nv.special(u):
+        for u in nv.graph.adj[v]:
+            if u > v and u in nv.special:
                 report.fail("D6b", edge=[v, u])
 
 
-def _check_d7(report: CertReport, pv: _View, nv: _View):
-    present = {(e.members, e.label) for e in nv.entry.hyperedges}
+def _check_d7(report: CertReport, pv: SchemeEntry, nv: SchemeEntry):
+    present = {(e.members, e.label) for e in nv.hyperedges}
     for edge in pv.edges_in_range.values():
         rest = edge.members - {edge.sink}
         images = {v: _persist(pv, nv, v) for v in rest}
@@ -409,7 +385,7 @@ def _check_d7(report: CertReport, pv: _View, nv: _View):
         if w_sink is None:
             continue
         derived = frozenset({w_sink}) | frozenset(
-            w for w in images.values() if w in nv.g.adj[w_sink]
+            w for w in images.values() if w in nv.graph.adj[w_sink]
         )
         if (derived, edge.label) not in present:
             report.fail(
@@ -422,63 +398,67 @@ def _check_d7(report: CertReport, pv: _View, nv: _View):
 
 
 def _check_d8(
-    report: CertReport, pv: _View, nv: _View, params: SchemeParams, original: Graph
+    report: CertReport,
+    pv: SchemeEntry,
+    nv: SchemeEntry,
+    params: SchemeParams,
+    original: Graph,
 ):
-    if _same_state(pv.entry, nv.entry):
+    if _same_state(pv, nv):
         return
-    meta = nv.entry.step_meta
+    meta = nv.step_meta
     d8_all = [c for c in CONDITIONS if c.startswith("D8")]
     if meta is None:
         for c in d8_all:
             report.fail(c, clause="missing-step-meta")
         return
     q, u_set, u_plus = meta.q, meta.u_set, meta.u_plus
-    if not 0 <= q < nv.g.n:
+    if not 0 <= q < nv.graph.n:
         for c in d8_all:
             report.fail(c, clause="q-out-of-range", q=q)
         return
     if not u_set <= u_plus:
         report.fail("D8b", clause="u-not-in-u-plus", extra=u_set - u_plus)
     for o in sorted(u_plus):
-        if o not in pv.originals or o not in nv.originals:
+        if o not in pv.by_orig or o not in nv.by_orig:
             for c in d8_all:
                 report.fail(c, clause="u-plus-not-shared-original", original=o)
             return
 
     d = params.d
     # D8a: vanished or absorbed singletons had low degree
-    for v in range(pv.g.n):
-        if len(pv.entry.model[v]) != 1:
+    for v in range(pv.graph.n):
+        if len(pv.model[v]) != 1:
             continue
-        if _persist(pv, nv, v) is None and pv.g.degree(v) > d:
-            report.fail("D8a", vertex=v, degree=pv.g.degree(v), limit=d)
+        if _persist(pv, nv, v) is None and pv.graph.degree(v) > d:
+            report.fail("D8a", vertex=v, degree=pv.graph.degree(v), limit=d)
             break
 
     expected_u = frozenset(
-        o for o in u_plus if nv.g.degree(nv.originals[o]) > d
+        o for o in u_plus if nv.graph.degree(nv.by_orig[o]) > d
     )
     if u_set != expected_u:
         report.fail("D8b", clause="u-mismatch", u=u_set, expected=expected_u)
 
-    if nv.orig_of.get(q) in u_plus:
+    if nv.orig_at.get(q) in u_plus:
         report.fail("D8c", clause="q-in-u-plus", q=q)
-    for x in sorted(nv.g.adj[q]):
-        if nv.g.degree(x) > d:
-            o = nv.orig_of.get(x)
+    for x in sorted(nv.graph.adj[q]):
+        if nv.graph.degree(x) > d:
+            o = nv.orig_at.get(x)
             if o is None or o not in u_set:
                 report.fail("D8c", clause="hot-neighbor-outside-u", vertex=x)
                 break
 
     absorbed_into_q = {
-        v for v in range(pv.g.n) if pv.entry.model[v] <= nv.entry.model[q]
+        v for v in range(pv.graph.n) if pv.model[v] <= nv.model[q]
     }
 
     for edge in pv.edges_in_range.values():
         if edge.sink not in absorbed_into_q:
             continue
         for x in sorted(edge.members - {edge.sink}):
-            if pv.g.degree(x) > d:
-                o = pv.orig_of.get(x)
+            if pv.graph.degree(x) > d:
+                o = pv.orig_at.get(x)
                 if o is None or o not in u_plus:
                     report.fail("D8d", member=x, edge_members=edge.members)
                     break
@@ -488,32 +468,33 @@ def _check_d8(
     for vp in sorted(absorbed_into_q):
         if done_e:
             break
-        for v in sorted(pv.g.adj[vp]):
-            o = pv.orig_of.get(v)
-            if o is None or o in u_plus or pv.g.degree(v) > d:
+        for v in sorted(pv.graph.adj[vp]):
+            o = pv.orig_at.get(v)
+            if o is None or o in u_plus or pv.graph.degree(v) > d:
                 continue
-            w_img = nv.originals.get(o)
+            w_img = nv.by_orig.get(o)
             if w_img is None:
                 continue
-            for x in sorted(nv.g.adj[w_img]):
-                ox = nv.orig_of.get(x)
-                if ox is not None and nv.g.degree(x) > d and ox not in u_set:
+            for x in sorted(nv.graph.adj[w_img]):
+                ox = nv.orig_at.get(x)
+                if ox is not None and nv.graph.degree(x) > d and ox not in u_set:
                     report.fail("D8e", around=o, hot_neighbor=ox)
                     done_e = True
                     break
             if done_e:
                 break
 
+    # an id of U that is not an original of the next entry fails D8b
     wanted = frozenset({q}) | frozenset(
-        nv.originals[o] for o in u_set if nv.originals[o] in nv.g.adj[q]
+        nv.by_orig[o] for o in u_set if nv.by_orig.get(o) in nv.graph.adj[q]
     )
     if not any(
         e.members == wanted and e.label == 1 and e.sink == q
-        for e in nv.entry.hyperedges
+        for e in nv.hyperedges
     ):
         report.fail("D8f", expected_members=wanted)
 
-    if pv.covered == nv.covered:
+    if pv.cover == nv.cover:
         _check_d8g(report, pv, nv, params, original, q, u_set, u_plus)
         # D8h vacuous on contraction-type steps
     else:
@@ -524,29 +505,29 @@ def _check_d8(
 
 
 def _check_d8g(report, pv, nv, params, original, q, u_set, u_plus):
-    if any(pv.entry.model[v] == nv.entry.model[q] for v in range(pv.g.n)):
+    if any(pv.model[v] == nv.model[q] for v in range(pv.graph.n)):
         report.fail("D8g", clause="ga-q-not-new", q=q)
-    for v in range(pv.g.n):
-        m = pv.entry.model[v]
+    for v in range(pv.graph.n):
+        m = pv.model[v]
         if m in nv.by_model:
             continue
-        if not m <= nv.entry.model[q]:
+        if not m <= nv.model[q]:
             report.fail("D8g", clause="gb-model-lost", vertex=v)
             return
-    for u, v in pv.g.edges():
+    for u, v in pv.graph.edges():
         wu, wv = _absorb(pv, nv, u), _absorb(pv, nv, v)
-        if wu is None or wv is None or wu == wv or nv.g.has_edge(wu, wv):
+        if wu is None or wv is None or wu == wv or nv.graph.has_edge(wu, wv):
             continue
         if q not in (wu, wv):
             report.fail("D8g", clause="gc-edge-dropped-away-from-q", edge=[u, v])
             return
         x_next = wu if wv == q else wv
         x_prev = u if wv == q else v
-        o = pv.orig_of.get(x_prev)
+        o = pv.orig_at.get(x_prev)
         if (
             o is None
             or o in u_plus
-            or pv.g.degree(x_prev) > params.d
+            or pv.graph.degree(x_prev) > params.d
             or x_prev in pv.sinks
         ):
             report.fail("D8g", clause="gc-endpoint-unqualified", edge=[u, v])
@@ -561,13 +542,9 @@ def _check_d8g(report, pv, nv, params, original, q, u_set, u_plus):
             return
 
 
-def _u_plus_signature(pv: _View, v: int, u_plus: frozenset[int]) -> frozenset[int]:
-    out = []
-    for u in pv.g.adj[v]:
-        o = pv.orig_of.get(u)
-        if o is not None and o in u_plus:
-            out.append(o)
-    return frozenset(out)
+def _u_part(pv: SchemeEntry, vertices, u_plus: frozenset[int]) -> frozenset[int]:
+    """Originals of the given vertices that lie in U+."""
+    return frozenset(o for o in map(pv.orig_at.get, vertices) if o in u_plus)
 
 
 def _sig_multiset(sigs) -> list[tuple[int, ...]]:
@@ -577,38 +554,29 @@ def _sig_multiset(sigs) -> list[tuple[int, ...]]:
 def _find_gd_partner(pv, nv, original, edge, q, u_plus) -> bool:
     rest = [
         v for v in sorted(edge.members - {edge.sink})
-        if pv.orig_of.get(v) not in u_plus
+        if pv.orig_at.get(v) not in u_plus
     ]
-    want = _sig_multiset(_u_plus_signature(pv, v, u_plus) for v in rest)
-    s_upart = {
-        pv.orig_of.get(v)
-        for v in edge.members
-        if pv.orig_of.get(v) in u_plus
-    }
+    want = _sig_multiset(_u_part(pv, pv.graph.adj[v], u_plus) for v in rest)
+    s_upart = _u_part(pv, edge.members, u_plus)
     for cand in pv.edges_in_range.values():
         if cand.label != edge.label:
             continue
-        if pv.orig_of.get(cand.sink) in u_plus:
+        if pv.orig_at.get(cand.sink) in u_plus:
             continue
         outside = [
             v
             for v in cand.members - {cand.sink}
-            if pv.orig_of.get(v) not in u_plus
+            if pv.orig_at.get(v) not in u_plus
         ]
-        cu = {
-            pv.orig_of.get(v)
-            for v in cand.members
-            if pv.orig_of.get(v) in u_plus
-        }
-        if cu != s_upart:
+        if _u_part(pv, cand.members, u_plus) != s_upart:
             continue
         union_ok = all(
-            pv.entry.model[v] <= nv.entry.model[q]
+            pv.model[v] <= nv.model[q]
             for v in list(outside) + [cand.sink]
         )
         if not union_ok:
             continue
-        got = _sig_multiset(_u_plus_signature(pv, v, u_plus) for v in outside)
+        got = _sig_multiset(_u_part(pv, pv.graph.adj[v], u_plus) for v in outside)
         if got == want:
             return True
     return False
@@ -616,57 +584,58 @@ def _find_gd_partner(pv, nv, original, edge, q, u_plus) -> bool:
 
 def _check_d8h(report, pv, nv, params, original, q, u_set, u_plus):
     vanished = []
-    for v in range(pv.g.n):
-        m = pv.entry.model[v]
-        if m in nv.by_model or m <= nv.entry.model[q]:
+    for v in range(pv.graph.n):
+        m = pv.model[v]
+        if m in nv.by_model or m <= nv.model[q]:
             continue
-        if m & nv.covered:
+        if m & nv.cover:
             report.fail("D8h", clause="ha-model-partially-kept", vertex=v)
             return
         vanished.append(v)
     vanished_set = set(vanished)
     allowed = set()
     for o in u_plus:
-        if nv.originals[o] in nv.g.adj[q]:
-            allowed.add(pv.originals[o])
+        if nv.by_orig[o] in nv.graph.adj[q]:
+            allowed.add(pv.by_orig[o])
     for v in vanished:
-        for u in pv.g.adj[v]:
+        for u in pv.graph.adj[v]:
             if u not in vanished_set and u not in allowed:
                 report.fail("D8h", clause="hb-vanished-neighbor", edge=[v, u])
                 return
-    for x in sorted(nv.g.adj[q]):
-        o = nv.orig_of.get(x)
+    for x in sorted(nv.graph.adj[q]):
+        o = nv.orig_at.get(x)
         if o is None:
             report.fail("D8h", clause="hc-neighbor-not-original", vertex=x)
             return
-        if pv.originals.get(o) in pv.heads:
+        if pv.by_orig.get(o) in pv.heads:
             report.fail("D8h", clause="hc-neighbor-is-head", vertex=x)
             return
-    for u, v in pv.g.edges():
+    for u, v in pv.graph.edges():
         wu, wv = _absorb(pv, nv, u), _absorb(pv, nv, v)
         if wu is not None and wv is not None and wu != wv:
-            if not nv.g.has_edge(wu, wv):
+            if not nv.graph.has_edge(wu, wv):
                 report.fail("D8h", clause="hd-edge-dropped", edge=[u, v])
                 return
-    gone = sum(1 for v in range(pv.g.n) if _persist(pv, nv, v) is None)
+    gone = sum(1 for v in range(pv.graph.n) if _persist(pv, nv, v) is None)
     if gone > params.n_freeze:
         report.fail("D8h", clause="he-too-many-removed", removed=gone)
-    for v in range(pv.g.n):
-        o = pv.orig_of.get(v)
-        if o is None or o in nv.covered:
+    for v in range(pv.graph.n):
+        o = pv.orig_at.get(v)
+        # an id outside the original graph was flagged before this pair
+        if o is None or o in nv.cover or not 0 <= o < original.n:
             continue
         ok = False
         sig = frozenset(original.adj[o] & u_set)
-        for o2 in sorted(nv.entry.model[q]):
-            if o2 in pv.originals and frozenset(original.adj[o2] & u_set) == sig:
+        for o2 in sorted(nv.model[q]):
+            if o2 in pv.by_orig and frozenset(original.adj[o2] & u_set) == sig:
                 ok = True
                 break
         if not ok:
             report.fail("D8h", clause="hf-no-twin-in-q", original=o)
             return
     for edge in pv.edges_in_range.values():
-        sink_model = pv.entry.model[edge.sink]
-        if sink_model & nv.covered:
+        sink_model = pv.model[edge.sink]
+        if sink_model & nv.cover:
             continue
         if not _find_hg_partner(pv, nv, original, edge, q, u_set):
             report.fail("D8h", clause="hg-no-partner-edge", members=edge.members)
@@ -682,15 +651,15 @@ def _find_hg_partner(pv, nv, original, edge, q, u_set) -> bool:
         for v in sorted(edge.members - {edge.sink})
         if _persist(pv, nv, v) is None
     ]
-    if any(pv.orig_of.get(v) is None for v in gone):
+    if any(pv.orig_at.get(v) is None for v in gone):
         return False
     want = _sig_multiset(
-        frozenset(original.adj[pv.orig_of[v]] & u_set) for v in gone
+        frozenset(original.adj[pv.orig_at[v]] & u_set) for v in gone
     )
     for cand in pv.edges_in_range.values():
         if cand.label != edge.label or len(cand.members) != len(edge.members):
             continue
-        if not pv.entry.model[cand.sink] <= nv.entry.model[q]:
+        if not pv.model[cand.sink] <= nv.model[q]:
             continue
         cand_surviving = frozenset(
             v
@@ -702,13 +671,13 @@ def _find_hg_partner(pv, nv, original, edge, q, u_set) -> bool:
         in_q = [
             v
             for v in sorted(cand.members - {cand.sink})
-            if pv.orig_of.get(v) is not None
-            and pv.orig_of[v] in nv.entry.model[q]
+            if pv.orig_at.get(v) is not None
+            and pv.orig_at[v] in nv.model[q]
         ]
         if len(in_q) != len(gone):
             continue
         got = _sig_multiset(
-            frozenset(original.adj[pv.orig_of[v]] & u_set) for v in in_q
+            frozenset(original.adj[pv.orig_at[v]] & u_set) for v in in_q
         )
         if got == want:
             return True
@@ -716,106 +685,81 @@ def _find_hg_partner(pv, nv, original, edge, q, u_set) -> bool:
 
 
 def _check_d8i(report, pv, nv, original, q, u_set, u_plus):
-    present = {(e.members, e.label) for e in nv.entry.hyperedges}
+    present = {(e.members, e.label) for e in nv.hyperedges}
+    # an id of U that is not an original of the next entry fails D8b
+    u_set = frozenset(o for o in u_set if o in nv.by_orig)
     for edge in pv.edges_in_range.values():
-        sink_in = pv.entry.model[edge.sink] <= nv.entry.model[q]
+        sink_in = pv.model[edge.sink] <= nv.model[q]
         if not sink_in:
             continue
         if not any(
-            pv.entry.model[v] <= nv.entry.model[q]
+            pv.model[v] <= nv.model[q]
             for v in edge.members - {edge.sink}
         ):
             continue
         outside = [
             v
             for v in sorted(edge.members - {edge.sink})
-            if pv.orig_of.get(v) not in u_plus
+            if pv.orig_at.get(v) not in u_plus
         ]
-        u_part = frozenset(
-            nv.originals[pv.orig_of[v]]
-            for v in edge.members
-            if pv.orig_of.get(v) in u_plus
-        )
-        choices = []
-        anchors = []
+        u_part = frozenset(nv.by_orig[o] for o in _u_part(pv, edge.members, u_plus))
+        zones = {}
         for v in outside:
-            o = pv.orig_of.get(v)
-            if o is None:
+            o = pv.orig_at.get(v)
+            if o is not None and original.adj[o] & u_set:
+                zones[v] = sorted(original.adj[o] & u_set)
+        # no skipped member: the derived edge (ia); a skipped member: the
+        # upgraded edge on the rest (ib)
+        for skip in [None] + outside:
+            choices = [zone for v, zone in zones.items() if v != skip]
+            if skip is not None and not u_part and not choices:
                 continue
-            zone = sorted(original.adj[o] & u_set)
-            if zone:
-                choices.append(zone)
-                anchors.append(v)
-        for pick in product(*choices) if choices else [()]:
-            members = (
-                frozenset({q})
-                | u_part
-                | frozenset(nv.originals[o] for o in pick)
-            )
-            if (members, edge.label) not in present:
-                report.fail(
-                    "D8i",
-                    clause="ia-missing-derived-edge",
-                    source=edge.members,
-                    expected=members,
-                )
-                return
-        for skip in outside:
-            choices_u = []
-            for v in outside:
-                if v == skip:
-                    continue
-                o = pv.orig_of.get(v)
-                if o is None:
-                    continue
-                zone = sorted(original.adj[o] & u_set)
-                if zone:
-                    choices_u.append(zone)
-            if not u_part and not choices_u:
-                continue
-            for pick in product(*choices_u) if choices_u else [()]:
+            label = edge.label if skip is None else edge.label + 1
+            for pick in product(*choices):
                 members = (
                     frozenset({q})
                     | u_part
-                    | frozenset(nv.originals[o] for o in pick)
+                    | frozenset(nv.by_orig[o] for o in pick)
                 )
-                if (members, edge.label + 1) not in present:
+                if (members, label) not in present:
                     report.fail(
                         "D8i",
-                        clause="ib-missing-upgraded-edge",
+                        clause="ia-missing-derived-edge"
+                        if skip is None
+                        else "ib-missing-upgraded-edge",
                         source=edge.members,
                         expected=members,
                     )
                     return
 
 
-def _check_d9(report: CertReport, nv: _View):
-    idx = set(range(len(nv.entry.hyperedges)))
-    if set(nv.entry.witnesses) != idx or set(nv.entry.witness_links) != idx:
+def _check_d9(report: CertReport, nv: SchemeEntry):
+    idx = set(range(len(nv.hyperedges)))
+    if set(nv.witnesses) != idx or set(nv.witness_links) != idx:
         report.fail(
             "D9",
-            witness_keys=sorted(nv.entry.witnesses),
-            link_keys=sorted(nv.entry.witness_links),
+            witness_keys=sorted(nv.witnesses),
+            link_keys=sorted(nv.witness_links),
             expected=sorted(idx),
         )
 
 
-def _check_d10(report, nv: _View, params: SchemeParams, original: Graph):
-    leftover = frozenset(range(original.n)) - nv.covered
-    for ei, edge in enumerate(nv.entry.hyperedges):
+def _check_d10(report, nv: SchemeEntry, params: SchemeParams, original: Graph):
+    leftover = frozenset(range(original.n)) - nv.cover
+    for ei, edge in enumerate(nv.hyperedges):
         if ei not in nv.edges_in_range:
             report.skip(
                 "D10", f"edge {ei}: sink or member out of range, flagged by D5"
             )
             continue
-        fam = nv.entry.witnesses.get(ei, ())
-        links = nv.entry.witness_links.get(ei, ())
-        sink_zone = nv.entry.model[edge.sink] | leftover
+        fam = nv.witnesses.get(ei, ())
+        links = nv.witness_links.get(ei, ())
+        sink_zone = nv.model[edge.sink] | leftover
         member_zone = leftover | frozenset().union(
-            *(nv.entry.model[v] for v in edge.members)
+            *(nv.model[v] for v in edge.members)
         )
         member_origs = frozenset(
-            nv.orig_of[v] for v in edge.members - {edge.sink} if v in nv.orig_of
+            nv.orig_at[v] for v in edge.members - {edge.sink} if v in nv.orig_at
         )
         for a in fam:
             if not a:
@@ -892,7 +836,7 @@ def _check_minor_clause(report, nv, params, original, ei, edge, fam):
     if not 1 <= edge.label <= params.h - 2:
         report.skip("D10", f"edge {ei}: label outside range, flagged by D5")
         return
-    groups = nv.entry.groups_for(ei, params)
+    groups = nv.groups_for(ei, params)
     if groups is not None and _verify_groups(groups, edge.label, params.k, original):
         return
     if edge.label == 1:
@@ -958,16 +902,16 @@ def _preorder_ids(label, k):
     return out
 
 
-def _check_d11(report: CertReport, nv: _View):
+def _check_d11(report: CertReport, nv: SchemeEntry):
     edges = nv.edges_in_range
     for i in edges:
         for j in edges:
             if j <= i or edges[i].sink == edges[j].sink:
                 continue
-            fam_i = nv.entry.witnesses.get(i, ())
-            fam_j = nv.entry.witnesses.get(j, ())
-            links_i = nv.entry.witness_links.get(i, ())
-            links_j = nv.entry.witness_links.get(j, ())
+            fam_i = nv.witnesses.get(i, ())
+            fam_j = nv.witnesses.get(j, ())
+            links_i = nv.witness_links.get(i, ())
+            links_j = nv.witness_links.get(j, ())
             for a in fam_i:
                 for b in fam_j:
                     if a & b:
@@ -987,12 +931,15 @@ def _check_d11(report: CertReport, nv: _View):
                             "D11", clause="witness-meets-link", edges=[j, i]
                         )
                         return
-            s_i = _member_orig_set(nv, edges[i])
-            s_j = _member_orig_set(nv, edges[j])
+            shared_members = frozenset(
+                nv.orig_at[v]
+                for v in edges[i].members & edges[j].members
+                if v in nv.orig_at
+            )
             for a in links_i:
                 for b in links_j:
                     shared = a & b
-                    if shared and not shared <= (s_i & s_j):
+                    if shared and not shared <= shared_members:
                         report.fail(
                             "D11",
                             clause="link-overlap-outside-shared-members",
@@ -1002,19 +949,10 @@ def _check_d11(report: CertReport, nv: _View):
                         return
 
 
-def _member_orig_set(nv: _View, edge: Hyperedge) -> frozenset[int]:
-    out = []
-    for v in edge.members:
-        o = nv.orig_of.get(v)
-        if o is not None:
-            out.append(o)
-    return frozenset(out)
-
-
-def _check_d12(report: CertReport, nv: _View, params: SchemeParams):
-    for v in range(nv.g.n):
-        if nv.special(v) and nv.g.degree(v) > params.r:
-            report.fail("D12", vertex=v, degree=nv.g.degree(v), limit=params.r)
+def _check_d12(report: CertReport, nv: SchemeEntry, params: SchemeParams):
+    for v in range(nv.graph.n):
+        if v in nv.special and nv.graph.degree(v) > params.r:
+            report.fail("D12", vertex=v, degree=nv.graph.degree(v), limit=params.r)
             return
 
 

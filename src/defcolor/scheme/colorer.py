@@ -26,10 +26,9 @@ def color_from_scheme(
         raise HypothesisViolationError(
             f"final entry has {final.graph.n} > N = {params.n_freeze} vertices"
         )
-    colors: dict[int, int] = {o: 1 for o in final.originals()}
+    colors: dict[int, int] = {o: 1 for o in final.by_orig}
     for prev, nxt in reversed(list(zip(scheme, scheme[1:]))):
-        prev_originals = prev.originals()
-        fresh = [o for o in sorted(prev_originals) if o not in colors]
+        fresh = [o for o in sorted(prev.by_orig) if o not in colors]
         if not fresh:
             continue
         meta = nxt.step_meta

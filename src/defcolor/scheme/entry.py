@@ -14,6 +14,7 @@ a height-``j`` branch tree whose contraction yields one ct(j, k) minor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional
 
 from ..graphs import Graph, ct_order
@@ -104,6 +105,37 @@ class StepMeta:
 
 @dataclass(frozen=True)
 class SchemeEntry:
+    """One entry of a scheme, with its derived lookups.
+
+    The lookups below are computed once per entry, on first use, and shared
+    by the certifier, the steps and the colorer; they are read-only.  They
+    are well defined on any parseable entry, valid or not, so the certifier
+    can read them before it has checked the entry.  Where two vertices
+    compete for one key (a shared id or model), the later in model order
+    wins.
+
+    ``by_orig``
+        original id -> entry vertex, over singleton models; ``originals()``
+        returns it.
+    ``orig_at``
+        entry vertex -> original id, the inverse of ``by_orig``.
+    ``holder``
+        original id -> a vertex whose model contains it.
+    ``by_model``
+        model -> vertex with that model.
+    ``heads``, ``sinks``
+        arc heads and hyperedge sinks.
+    ``special``
+        multi-vertex models, arc heads and hyperedge sinks.
+    ``cover``
+        the union of the models; ``covered()`` returns it.
+    ``keys_ok``
+        whether the model keys are exactly the vertices.
+    ``edges_in_range``
+        index -> hyperedge, over those whose sink and members are vertices
+        (the certifier fails the rest in D5 and reads no further into them).
+    """
+
     graph: Graph
     model: dict[int, frozenset[int]]
     arcs: frozenset[tuple[int, int]]
@@ -112,38 +144,66 @@ class SchemeEntry:
     witness_links: dict[int, tuple[frozenset[int], ...]] = field(default_factory=dict)
     step_meta: Optional[StepMeta] = None
 
-    # -- identity between entry vertices and original vertices -------------
+    @cached_property
+    def by_orig(self) -> dict[int, int]:
+        return {next(iter(m)): v for v, m in self.model.items() if len(m) == 1}
 
-    def orig_of(self, v: int) -> Optional[int]:
-        """The original vertex an entry vertex stands for, if a singleton."""
-        m = self.model[v]
-        if len(m) == 1:
-            return next(iter(m))
-        return None
+    @cached_property
+    def orig_at(self) -> dict[int, int]:
+        return {v: o for o, v in self.by_orig.items()}
 
-    def originals(self) -> dict[int, int]:
-        """original id -> entry vertex, over singleton models."""
-        out = {}
-        for v, m in self.model.items():
-            if len(m) == 1:
-                out[next(iter(m))] = v
-        return out
+    @cached_property
+    def holder(self) -> dict[int, int]:
+        return {o: v for v, m in self.model.items() for o in m}
 
-    def covered(self) -> frozenset[int]:
-        out: set[int] = set()
-        for m in self.model.values():
-            out |= m
-        return frozenset(out)
+    @cached_property
+    def by_model(self) -> dict[frozenset[int], int]:
+        return {m: v for v, m in self.model.items()}
 
+    @cached_property
     def heads(self) -> frozenset[int]:
         return frozenset(v for _, v in self.arcs)
 
+    @cached_property
     def sinks(self) -> frozenset[int]:
         return frozenset(e.sink for e in self.hyperedges)
 
+    @cached_property
+    def special(self) -> frozenset[int]:
+        multi = frozenset(v for v, m in self.model.items() if len(m) >= 2)
+        return multi | self.heads | self.sinks
+
+    @cached_property
+    def cover(self) -> frozenset[int]:
+        return frozenset().union(*self.model.values())
+
+    @cached_property
+    def keys_ok(self) -> bool:
+        return set(self.model) == set(range(self.graph.n))
+
+    @cached_property
+    def edges_in_range(self) -> dict[int, Hyperedge]:
+        n = self.graph.n
+        return {
+            i: e
+            for i, e in enumerate(self.hyperedges)
+            if all(0 <= v < n for v in e.members | {e.sink})
+        }
+
+    def orig_of(self, v: int) -> Optional[int]:
+        """The original vertex an entry vertex stands for, if a singleton."""
+        return self.orig_at.get(v)
+
+    def originals(self) -> dict[int, int]:
+        """original id -> entry vertex, over singleton models."""
+        return self.by_orig
+
+    def covered(self) -> frozenset[int]:
+        return self.cover
+
     def is_special(self, v: int) -> bool:
         """Multi-vertex model, arc head, or hyperedge sink."""
-        return len(self.model[v]) >= 2 or v in self.heads() or v in self.sinks()
+        return v in self.special
 
     def link_for(
         self, edge_index: int, member_orig: int

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..graphs import Graph
+from ..graphs import Graph, ball
 
 
 @dataclass(frozen=True)
@@ -19,23 +19,6 @@ class HomogeneousTriple:
     x_set: frozenset[int]
     z_set: frozenset[int]
     w_set: frozenset[int]
-
-
-def _x_ball(g: Graph, x_set: frozenset[int], center: int, radius: int) -> frozenset[int]:
-    """Ball inside the induced subgraph on x_set."""
-    dist = {center: 0}
-    frontier = [center]
-    d = 0
-    while frontier and d < radius:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in g.adj[u]:
-                if v in x_set and v not in dist:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return frozenset(dist)
 
 
 def boundary(g: Graph, region: frozenset[int]) -> frozenset[int]:
@@ -73,10 +56,10 @@ def check_homogeneous(
         if g.degree(v) > d:
             return f"vertex {v} in X has degree {g.degree(v)} > {d}"
     for z in sorted(z_set):
-        reach = _x_ball(g, x_set, z, 2 * length - 2)
+        reach = ball(g, [z], 2 * length - 2, within=x_set)
         if any(other != z and other in reach for other in z_set):
             return f"ball centers within distance {2 * length - 2} of {z} in g[X]"
-        b = _x_ball(g, x_set, z, length - 1)
+        b = ball(g, [z], length - 1, within=x_set)
         nb = boundary(g, b)
         got = nb if full_boundary else nb - x_set
         if got != w_set:
@@ -101,7 +84,7 @@ def find_homogeneous(
         return None
     groups: dict[frozenset[int], list[int]] = {}
     for z in sorted(x_set):
-        b = _x_ball(g, x_set, z, length - 1)
+        b = ball(g, [z], length - 1, within=x_set)
         w = boundary(g, b) - x_set
         if len(w) <= r - 1:
             groups.setdefault(w, []).append(z)
@@ -117,7 +100,7 @@ def find_homogeneous(
             chosen.append(z)
             if len(chosen) == t:
                 break
-            blocked |= _x_ball(g, x_set, z, 2 * length - 2)
+            blocked |= ball(g, [z], 2 * length - 2, within=x_set)
         if len(chosen) == t:
             triple = HomogeneousTriple(x_set, frozenset(chosen), w)
             problem = check_homogeneous(g, triple, t, length, d, r)

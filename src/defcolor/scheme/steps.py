@@ -14,7 +14,11 @@ the new vertex off from X.
 
 Each step rebuilds arcs, hyperedges (the surviving, re-rooted and
 label-upgraded families) and their witness structures exactly as the
-construction prescribes; certification is the caller's job.
+construction prescribes; certification is the caller's job.  Both steps
+hand that work to one routine, ``_next_entry``; they differ only in the
+source balls the witnesses come from (the deleted balls, or the anchor
+balls along the split path) and in how a hyperedge is matched to its
+type-equal counterpart in such a ball.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from ..errors import (
     GeodesicTooShortError,
     HypothesisViolationError,
 )
-from ..graphs import Graph, geodesic_from
+from ..graphs import Graph, ball, geodesic_from
 from .entry import (
     Hyperedge,
     SchemeEntry,
@@ -41,24 +45,6 @@ from .entry import (
 from .homogeneous import HomogeneousTriple, boundary, check_homogeneous
 from .params import SchemeParams
 from .split import geodesic_split
-
-
-def _x_ball_multi(
-    g: Graph, x_set: frozenset[int], sources, radius: int
-) -> frozenset[int]:
-    dist = {s: 0 for s in sources}
-    frontier = list(dist)
-    d = 0
-    while frontier and d < radius:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in g.adj[u]:
-                if v in x_set and v not in dist:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return frozenset(dist)
 
 
 def _subsets(items: list[int]):
@@ -90,16 +76,14 @@ def _common_checks(
     )
     if problem is not None:
         raise HypothesisViolationError(problem)
-    heads = entry.heads()
-    sinks = entry.sinks()
     w_orig = {}
     for wv in sorted(w):
-        o = entry.orig_of(wv)
+        o = entry.orig_at.get(wv)
         if o is None:
             raise HypothesisViolationError(
                 f"boundary vertex {wv} has a multi-vertex model"
             )
-        if wv in heads or wv in sinks:
+        if wv in entry.heads or wv in entry.sinks:
             raise HypothesisViolationError(
                 f"boundary vertex {wv} is an arc head or a hyperedge sink"
             )
@@ -108,7 +92,7 @@ def _common_checks(
 
 
 def _member_orig(entry: SchemeEntry, v: int) -> int:
-    o = entry.orig_of(v)
+    o = entry.orig_at.get(v)
     if o is None:
         raise HypothesisViolationError(
             f"hyperedge member {v} has a multi-vertex model"
@@ -116,43 +100,63 @@ def _member_orig(entry: SchemeEntry, v: int) -> int:
     return o
 
 
-def _edge_type(
-    entry: SchemeEntry,
-    edge: Hyperedge,
-    w_vertices: frozenset[int],
-    original: Graph,
-    use_original: bool,
-) -> tuple:
-    """Type of a hyperedge relative to W: label, size, W-part, mask counts.
+def _w_masker(
+    entry: SchemeEntry, w: frozenset[int], original: Graph, use_original: bool
+):
+    """The map v -> neighborhood of v inside W, as entry vertex ids.
 
-    ``use_original`` selects whether member neighborhoods are read in the
-    original graph (deletion branch) or the entry graph (contraction
-    branch).
+    ``use_original`` reads member neighborhoods in the original graph
+    (deletion branch) instead of the entry graph (contraction branch).
     """
-    w_part = frozenset(edge.members & w_vertices)
+    if not use_original:
+        return lambda v: frozenset(entry.graph.adj[v] & w)
+    w_vertex = {_member_orig(entry, wv): wv for wv in w}
+
+    def mask(v: int) -> frozenset[int]:
+        o = _member_orig(entry, v)
+        return frozenset(w_vertex[u] for u in original.adj[o] if u in w_vertex)
+
+    return mask
+
+
+def _edge_type(edge: Hyperedge, w: frozenset[int], mask) -> tuple:
+    """Type of a hyperedge relative to W: label, size, W-part, mask counts."""
     counts: dict[frozenset[int], int] = {}
     for v in edge.members - {edge.sink}:
-        mask = _w_mask(entry, v, w_vertices, original, use_original)
-        counts[mask] = counts.get(mask, 0) + 1
+        m = mask(v)
+        counts[m] = counts.get(m, 0) + 1
     canon = tuple(sorted((tuple(sorted(m)), c) for m, c in counts.items()))
-    return (edge.label, len(edge.members), tuple(sorted(w_part)), canon)
+    return (edge.label, len(edge.members), tuple(sorted(edge.members & w)), canon)
 
 
-def _w_mask(
-    entry: SchemeEntry,
-    v: int,
-    w_vertices: frozenset[int],
-    original: Graph,
-    use_original: bool,
-) -> frozenset[int]:
-    """Neighborhood of a vertex inside W, as entry vertex ids."""
-    if not use_original:
-        return frozenset(entry.graph.adj[v] & w_vertices)
-    o = _member_orig(entry, v)
-    w_orig_to_vertex = {_member_orig(entry, wv): wv for wv in w_vertices}
-    return frozenset(
-        w_orig_to_vertex[u] for u in original.adj[o] if u in w_orig_to_vertex
-    )
+def _same_type(
+    entry: SchemeEntry, edge: Hyperedge, region, w: frozenset[int], mask
+) -> Optional[int]:
+    """Index of a hyperedge of the type of ``edge`` whose sink lies in region."""
+    wanted = _edge_type(edge, w, mask)
+    for ej, other in enumerate(entry.hyperedges):
+        if other.sink in region and _edge_type(other, w, mask) == wanted:
+            return ej
+    return None
+
+
+def _mask_bijection(source, target, mask) -> dict[int, int]:
+    """Bijection source -> target matching W-neighborhood masks groupwise."""
+    groups_s: dict[frozenset[int], list[int]] = {}
+    groups_t: dict[frozenset[int], list[int]] = {}
+    for vs, groups in ((source, groups_s), (target, groups_t)):
+        for v in sorted(vs):
+            groups.setdefault(mask(v), []).append(v)
+    if {m: len(g) for m, g in groups_s.items()} != {
+        m: len(g) for m, g in groups_t.items()
+    }:
+        raise HypothesisViolationError(
+            "type-equal hyperedges disagree on W-neighborhood mask counts"
+        )
+    out = {}
+    for m, vs in groups_s.items():
+        out.update(zip(vs, groups_t[m]))
+    return out
 
 
 def _matching(
@@ -160,10 +164,9 @@ def _matching(
 ) -> Optional[dict[int, int]]:
     """Match each original in t_origs to a distinct candidate entry vertex
     adjacent to it in the entry graph (Kuhn's augmenting paths)."""
-    originals = entry.originals()
     adj = {}
     for u in t_origs:
-        uv = originals.get(u)
+        uv = entry.by_orig.get(u)
         if uv is None:
             return None
         adj[u] = [c for c in cands if entry.graph.has_edge(uv, c)]
@@ -194,77 +197,22 @@ def _require_link(entry: SchemeEntry, edge_index: int, member_orig: int):
     return link
 
 
-def _find_same_type(
-    entry: SchemeEntry,
-    region: frozenset[int],
-    wanted_type: tuple,
-    w_vertices: frozenset[int],
-    original: Graph,
-    use_original: bool,
-) -> Optional[int]:
-    """Index of a hyperedge of the wanted type whose sink lies in region."""
-    for ei, edge in enumerate(entry.hyperedges):
-        if edge.sink not in region:
-            continue
-        if _edge_type(entry, edge, w_vertices, original, use_original) == wanted_type:
-            return ei
-    return None
-
-
-def _mask_bijection(
-    entry: SchemeEntry,
-    source: list[int],
-    target: list[int],
-    w_vertices: frozenset[int],
-    original: Graph,
-    use_original: bool,
-) -> dict[int, int]:
-    """Bijection source -> target matching W-neighborhood masks groupwise."""
-    groups_s: dict[frozenset[int], list[int]] = {}
-    groups_t: dict[frozenset[int], list[int]] = {}
-    for v in sorted(source):
-        groups_s.setdefault(
-            _w_mask(entry, v, w_vertices, original, use_original), []
-        ).append(v)
-    for v in sorted(target):
-        groups_t.setdefault(
-            _w_mask(entry, v, w_vertices, original, use_original), []
-        ).append(v)
-    if {m: len(g) for m, g in groups_s.items()} != {
-        m: len(g) for m, g in groups_t.items()
-    }:
-        raise HypothesisViolationError(
-            "type-equal hyperedges disagree on W-neighborhood mask counts"
-        )
-    out = {}
-    for mask, vs in groups_s.items():
-        for a, b in zip(vs, groups_t[mask]):
-            out[a] = b
-    return out
-
-
 class _Rebuild:
     """Shared mechanics of producing the next entry from a chosen region."""
 
     def __init__(
         self,
         entry: SchemeEntry,
-        params: SchemeParams,
-        original: Graph,
         contracted: frozenset[int],
         deleted: frozenset[int],
         cut_x_edges: Optional[frozenset[int]],
     ):
         self.entry = entry
-        self.params = params
-        self.original = original
-        self.contracted = contracted
-        self.deleted = deleted
         g = entry.graph
         removed = contracted | deleted
-        self.survivors = [v for v in range(g.n) if v not in removed]
-        self.idx = {v: i for i, v in enumerate(self.survivors)}
-        self.v_new = len(self.survivors)
+        survivors = [v for v in range(g.n) if v not in removed]
+        self.idx = {v: i for i, v in enumerate(survivors)}
+        self.v_new = len(survivors)
         edges = set()
         for u, v in g.edges():
             iu, iv = self.idx.get(u), self.idx.get(v)
@@ -277,11 +225,8 @@ class _Rebuild:
                 if cut_x_edges is None or v not in cut_x_edges:
                     edges.add((min(iv, self.v_new), max(iv, self.v_new)))
         self.graph = Graph.from_edges(self.v_new + 1, sorted(edges))
-        model = {self.idx[v]: entry.model[v] for v in self.survivors}
-        merged: set[int] = set()
-        for v in contracted:
-            merged |= entry.model[v]
-        model[self.v_new] = frozenset(merged)
+        model = {self.idx[v]: entry.model[v] for v in survivors}
+        model[self.v_new] = frozenset().union(*(entry.model[v] for v in contracted))
         self.model = model
 
     def map_members(self, vertices) -> frozenset[int]:
@@ -305,32 +250,94 @@ class _Rebuild:
         return frozenset(arcs), meta
 
 
-def _derived_edges(
+def _next_entry(
     entry: SchemeEntry,
     rb: _Rebuild,
     region: frozenset[int],
     w_orig: dict[int, int],
-    u_set: frozenset[int],
     params: SchemeParams,
-    original: Graph,
-    use_original: bool,
-    upgrade_witness,
-):
-    """Hyperedges E1/E2/E3 of the next entry, plus their witness builders.
+    sources: dict,
+    correspond,
+    e1_from_self: bool,
+) -> SchemeEntry:
+    """The next entry: surviving hyperedges, then E1/E2/E3 on the new vertex.
 
-    ``region`` is the contracted vertex set (one ball or O).  Returns a
-    dict hyperedge -> (flat witnesses, links) in first-wins order.
+    This is the one witness-upgrade routine of both steps.  ``region`` is
+    the contracted vertex set (one ball or O) and ``w_orig`` the boundary
+    of the new vertex, {entry vertex: original}.  ``sources`` maps a key to
+    a source region, in order: the deleted balls of ``del_step`` or the
+    anchor balls of ``contract_step``.  ``correspond(edge, key)`` returns
+    (ej, iota): a hyperedge of the type of ``edge`` whose sink lies in that
+    region, and a bijection of the members of ``edge`` onto its members.
+
+    E3 (the new vertex and its high-degree boundary, label 1) takes one
+    witness per source region.  E1 (label kept) reuses the witness family
+    of the first region's counterpart, or with ``e1_from_self`` the family
+    of ``edge`` itself.  E2 (label + 1, one member u_mid dropped) glues one
+    upgraded witness per region, from the first k + h - label - 1 regions.
+    Links extend the counterparts' links by the members taken over from
+    the boundary.  The first hyperedge built wins: surviving ones, then E3,
+    then E1/E2 in hyperedge order.
     """
-    collected: dict[Hyperedge, tuple] = {}
-    originals = entry.originals()
+    arcs, meta = rb.arcs_and_meta(w_orig, params.d)
+    u_set = meta.u_set
     w_vertices = frozenset(w_orig)
+    keys = list(sources)
+    collected: dict[Hyperedge, tuple] = {}
+    for ei, edge in enumerate(entry.hyperedges):
+        if all(v in rb.idx for v in edge.members):
+            he = Hyperedge(
+                rb.map_members(edge.members), edge.label, rb.idx[edge.sink]
+            )
+            collected[he] = (
+                entry.witnesses.get(ei, ()),
+                entry.witness_links.get(ei, ()),
+            )
 
-    # E3: the new vertex plus its high-degree boundary
     e3_members = frozenset({rb.v_new}) | frozenset(
-        rb.idx[originals[u]] for u in u_set
+        rb.idx[entry.by_orig[u]] for u in u_set
     )
-    e3 = Hyperedge(e3_members, 1, rb.v_new)
-    collected[e3] = upgrade_witness("e3", None, None, None, None)
+    groups = tuple(
+        WitnessNode(frozenset().union(*(entry.model[v] for v in s)))
+        for s in sources.values()
+    )
+    links = tuple(frozenset([u]) for u in sorted(u_set))
+    collected[Hyperedge(e3_members, 1, rb.v_new)] = (flatten_groups(groups), links)
+
+    def lifted(edge, counterparts, t_sub, m, u_mid):
+        """Witness family and links of a derived hyperedge."""
+        pairs, upgraded = [], []
+        for ej, iota in counterparts:
+            pairs.append((ej, iota))
+            if u_mid is None:
+                continue
+            sub_groups = entry.groups_for(ej, params)
+            if sub_groups is None or len(sub_groups) < params.k + 1:
+                raise HypothesisViolationError(
+                    f"witness groups of hyperedge {ej} unusable for an upgrade"
+                )
+            glued = _require_link(entry, ej, _member_orig(entry, iota[u_mid]))
+            for s in sub_groups[0].sets():
+                glued = glued | s
+            upgraded.append(WitnessNode(glued, sub_groups[1 : params.k + 1]))
+        if u_mid is None:
+            flat = tuple(entry.witnesses.get(pairs[0][0], ()))
+        else:
+            flat = flatten_groups(tuple(upgraded))
+        links = []
+        for v in sorted(edge.members & w_vertices):
+            merged: frozenset[int] = frozenset()
+            for ej, _ in pairs:
+                merged = merged | _require_link(entry, ej, w_orig[v])
+            links.append(merged)
+        for u in t_sub:
+            merged = frozenset([u])
+            for ej, iota in pairs:
+                merged = merged | _require_link(
+                    entry, ej, _member_orig(entry, iota[m[u]])
+                )
+            links.append(merged)
+        return flat, tuple(links)
 
     for ei, edge in enumerate(entry.hyperedges):
         if edge.sink not in region:
@@ -339,22 +346,11 @@ def _derived_edges(
         base_w_origs = frozenset(w_orig[v] for v in base_w)
         cands_all = sorted((edge.members - {edge.sink}) & region)
         t_pool = sorted(u_set - base_w_origs)
-        for t_sub in _subsets(t_pool):
-            m = _matching(entry, t_sub, cands_all)
-            if m is None:
-                continue
-            members = (
-                frozenset({rb.v_new})
-                | rb.map_members(base_w)
-                | frozenset(rb.idx[originals[u]] for u in t_sub)
-            )
-            he = Hyperedge(members, edge.label, rb.v_new)
-            if he not in collected:
-                collected[he] = upgrade_witness("e1", ei, t_sub, m, None)
-        for u_mid in cands_all:
+        # u_mid None gives E1; a dropped member u_mid gives E2
+        for u_mid in [None] + cands_all:
             cands = [c for c in cands_all if c != u_mid]
             for t_sub in _subsets(t_pool):
-                if not base_w and not t_sub:
+                if u_mid is not None and not base_w and not t_sub:
                     continue
                 m = _matching(entry, t_sub, cands)
                 if m is None:
@@ -362,39 +358,20 @@ def _derived_edges(
                 members = (
                     frozenset({rb.v_new})
                     | rb.map_members(base_w)
-                    | frozenset(rb.idx[originals[u]] for u in t_sub)
+                    | frozenset(rb.idx[entry.by_orig[u]] for u in t_sub)
                 )
-                he = Hyperedge(members, edge.label + 1, rb.v_new)
-                if he not in collected:
-                    collected[he] = upgrade_witness("e2", ei, t_sub, m, u_mid)
-    return collected
+                label = edge.label if u_mid is None else edge.label + 1
+                he = Hyperedge(members, label, rb.v_new)
+                if he in collected:
+                    continue
+                if u_mid is None and e1_from_self:
+                    pairs = [(ei, {v: v for v in edge.members})]
+                else:
+                    count = 1 if u_mid is None else params.k + params.h - label
+                    pairs = (correspond(edge, key) for key in keys[:count])
+                collected[he] = lifted(edge, pairs, t_sub, m, u_mid)
 
-
-def _surviving_edges(entry: SchemeEntry, rb: _Rebuild) -> dict[Hyperedge, tuple]:
-    out: dict[Hyperedge, tuple] = {}
-    for ei, edge in enumerate(entry.hyperedges):
-        if all(v in rb.idx for v in edge.members):
-            he = Hyperedge(
-                rb.map_members(edge.members), edge.label, rb.idx[edge.sink]
-            )
-            out[he] = (
-                entry.witnesses.get(ei, ()),
-                entry.witness_links.get(ei, ()),
-            )
-    return out
-
-
-def _assemble(
-    rb: _Rebuild,
-    surviving: dict[Hyperedge, tuple],
-    derived: dict[Hyperedge, tuple],
-    arcs: frozenset,
-    meta: StepMeta,
-) -> SchemeEntry:
-    merged = dict(surviving)
-    for he, data in derived.items():
-        merged.setdefault(he, data)
-    hyperedges, witnesses, links = sort_hyperedges(merged)
+    hyperedges, witnesses, links = sort_hyperedges(collected)
     return SchemeEntry(
         graph=rb.graph,
         model=rb.model,
@@ -421,24 +398,20 @@ def del_step(
     """Contract one ball of a uniform type bucket; delete the bucket's rest.
 
     Requires the full-neighborhood form of the hypothesis: every ball's
-    entire boundary is exactly W.
+    entire boundary is exactly W.  The witnesses of the derived hyperedges
+    come from the deleted balls of the bucket.
     """
     w_orig = _common_checks(entry, x, z, w, params, full_boundary=True)
     g = entry.graph
-    balls = {zi: _x_ball_multi(g, x, [zi], params.l0 - 1) for zi in z}
+    balls = {zi: ball(g, [zi], params.l0 - 1, within=x) for zi in z}
+    mask = _w_masker(entry, w, original, use_original=True)
 
     sig: dict[int, tuple] = {}
     for zi in z:
         edge_sig = frozenset(
-            _edge_type(entry, e, frozenset(w), original, use_original=True)
-            for e in entry.hyperedges
-            if e.sink in balls[zi]
+            _edge_type(e, w, mask) for e in entry.hyperedges if e.sink in balls[zi]
         )
-        vertex_sig = frozenset(
-            _w_mask(entry, v, frozenset(w), original, use_original=True)
-            for v in balls[zi]
-            if entry.orig_of(v) is not None
-        )
+        vertex_sig = frozenset(mask(v) for v in balls[zi] if v in entry.orig_at)
         sig[zi] = (edge_sig, vertex_sig)
     buckets: dict[tuple, list[int]] = {}
     for zi in sorted(z):
@@ -449,99 +422,25 @@ def del_step(
         raise BucketTooSmallError(max(len(b) for b in buckets.values()), need)
     group = min(eligible, key=lambda b: b[0])
     z_chosen = group[:need]
-    z_star = z_chosen[0]
-    region = balls[z_star]
-    deleted: set[int] = set()
-    for zi in z_chosen[1:]:
-        deleted |= balls[zi]
+    region = balls[z_chosen[0]]
+    deleted = frozenset().union(*(balls[zi] for zi in z_chosen[1:]))
+    rb = _Rebuild(entry, contracted=region, deleted=deleted, cut_x_edges=None)
 
-    rb = _Rebuild(
-        entry,
-        params,
-        original,
-        contracted=region,
-        deleted=frozenset(deleted),
-        cut_x_edges=None,
+    def correspond(edge: Hyperedge, zi: int):
+        ej = _same_type(entry, edge, balls[zi], w, mask)
+        if ej is None:
+            raise HypothesisViolationError(
+                f"no type-equal hyperedge with sink in the ball of {zi}"
+            )
+        other = entry.hyperedges[ej]
+        src = (edge.members - {edge.sink}) & region
+        tgt = (other.members - {other.sink}) & balls[zi]
+        return ej, _mask_bijection(src, tgt, mask)
+
+    sources = {zi: balls[zi] for zi in z_chosen[1:]}
+    return _next_entry(
+        entry, rb, region, w_orig, params, sources, correspond, e1_from_self=True
     )
-    arcs, meta = rb.arcs_and_meta(w_orig, params.d)
-
-    def union_model(vertices) -> frozenset[int]:
-        out: set[int] = set()
-        for v in vertices:
-            out |= entry.model[v]
-        return frozenset(out)
-
-    def witness(kind, ei, t_sub, m, u_mid):
-        if kind == "e3":
-            groups = tuple(
-                WitnessNode(union_model(balls[zi])) for zi in z_chosen[1:]
-            )
-            links = tuple(frozenset([u]) for u in sorted(meta.u_set))
-            return flatten_groups(groups), links
-        edge = entry.hyperedges[ei]
-        if kind == "e1":
-            flat = entry.witnesses.get(ei, ())
-            links = []
-            for v in sorted(edge.members & w):
-                links.append(_require_link(entry, ei, w_orig[v]))
-            for u in t_sub:
-                partner = m[u]
-                base = _require_link(entry, ei, _member_orig(entry, partner))
-                links.append(base | {u})
-            return tuple(flat), tuple(links)
-        # e2: label upgrade through the other chosen balls
-        label = edge.label
-        z_pool = z_chosen[1:][: params.k + params.h - label - 1]
-        ty = _edge_type(entry, edge, frozenset(w), original, use_original=True)
-        src = sorted((edge.members - {edge.sink}) & region)
-        groups_out = []
-        per_z = []
-        for zi in z_pool:
-            ej = _find_same_type(
-                entry, balls[zi], ty, frozenset(w), original, use_original=True
-            )
-            if ej is None:
-                raise HypothesisViolationError(
-                    f"no type-equal hyperedge with sink in the ball of {zi}"
-                )
-            other = entry.hyperedges[ej]
-            tgt = sorted((other.members - {other.sink}) & balls[zi])
-            iota = _mask_bijection(
-                entry, src, tgt, frozenset(w), original, use_original=True
-            )
-            per_z.append((ej, iota))
-            sub_groups = entry.groups_for(ej, params)
-            if sub_groups is None or len(sub_groups) < params.k + 1:
-                raise HypothesisViolationError(
-                    f"witness groups of hyperedge {ej} unusable for an upgrade"
-                )
-            glued = _require_link(entry, ej, _member_orig(entry, iota[u_mid]))
-            for s in sub_groups[0].sets():
-                glued = glued | s
-            groups_out.append(
-                WitnessNode(glued, tuple(sub_groups[1 : params.k + 1]))
-            )
-        links = []
-        for v in sorted(edge.members & w):
-            merged: frozenset[int] = frozenset()
-            for ej, _ in per_z:
-                merged = merged | _require_link(entry, ej, w_orig[v])
-            links.append(merged)
-        for u in t_sub:
-            partner = m[u]
-            merged = frozenset([u])
-            for ej, iota in per_z:
-                merged = merged | _require_link(
-                    entry, ej, _member_orig(entry, iota[partner])
-                )
-            links.append(merged)
-        return flatten_groups(tuple(groups_out)), tuple(links)
-
-    derived = _derived_edges(
-        entry, rb, region, w_orig, meta.u_set, params, original, True, witness
-    )
-    surviving = _surviving_edges(entry, rb)
-    return _assemble(rb, surviving, derived, arcs, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -559,11 +458,12 @@ def contract_step(
     """Contract a typed neighborhood of a split geodesic; cut it from X.
 
     Requires some ball to reach X beyond W (otherwise the deletion branch
-    applies and BranchMismatchError is raised).
+    applies and BranchMismatchError is raised).  The witnesses of the
+    derived hyperedges come from the anchor balls around the split chunks.
     """
     w_orig = _common_checks(entry, x, z, w, params, full_boundary=False)
     g = entry.graph
-    balls = {zi: _x_ball_multi(g, x, [zi], params.l0 - 1) for zi in z}
+    balls = {zi: ball(g, [zi], params.l0 - 1, within=x) for zi in z}
     violating = [zi for zi in sorted(z) if boundary(g, balls[zi]) - w]
     if not violating:
         raise BranchMismatchError(
@@ -571,20 +471,13 @@ def contract_step(
         )
     z_star = violating[0]
     region0 = balls[z_star]
+    mask = _w_masker(entry, w, original, use_original=False)
 
     # type every ball vertex by its W-neighborhood and hyperedge roles
-    w_vertices = frozenset(w)
-    types = sorted(
-        {
-            _edge_type(entry, e, w_vertices, original, use_original=False)
-            for e in entry.hyperedges
-        }
-    )
     by_type: dict[tuple, list[Hyperedge]] = {}
     for e in entry.hyperedges:
-        by_type.setdefault(
-            _edge_type(entry, e, w_vertices, original, use_original=False), []
-        ).append(e)
+        by_type.setdefault(_edge_type(e, w, mask), []).append(e)
+    types = sorted(by_type)
 
     def phi(v: int) -> tuple:
         flags = []
@@ -597,7 +490,7 @@ def contract_step(
                 if v in e.members:
                     a = 2
             flags.append(a)
-        return (tuple(sorted(g.adj[v] & w_vertices)), tuple(flags))
+        return (tuple(sorted(g.adj[v] & w)), tuple(flags))
 
     phi_of = {v: phi(v) for v in region0}
     palette = sorted(set(phi_of.values()))
@@ -624,139 +517,52 @@ def contract_step(
             f"no geodesic on {needed - 3 * t1} vertices from the ball center"
         )
     split = geodesic_split(sub, fwd[z_star], f_colors, path, t1, k0, 3)
-    live_types = frozenset(palette[c - 1] for c in split.color_set)
     ny = len(split.color_set)
     q_path = [ids[v] for v in split.subpath]
 
-    region_core = _x_ball_multi(g, x, q_path, 3 * (ny - 1) + 1)
+    region_core = ball(g, q_path, 3 * (ny - 1) + 1, within=x)
     extra = frozenset(
         v
         for v in boundary(g, region_core)
-        if v in x and (len(entry.model[v]) >= 2 or v in entry.sinks())
+        if v in x and (len(entry.model[v]) >= 2 or v in entry.sinks)
     )
     region = frozenset(region_core | extra)
 
     anchor = {
-        alpha: _x_ball_multi(
+        alpha: ball(
             g,
-            x,
             [ids[v] for v in split.chunks[(alpha - 1) * spacing]],
             3 * (ny - 1),
+            within=x,
         )
         for alpha in range(1, n_anchors + 1)
     }
 
     u_plus_vertices = frozenset(boundary(g, region) - x)
-    if not u_plus_vertices <= w_vertices:
+    if not u_plus_vertices <= w:
         raise HypothesisViolationError(
             "contraction boundary escapes W outside X"
         )
     w_orig_used = {wv: w_orig[wv] for wv in u_plus_vertices}
+    rb = _Rebuild(entry, contracted=region, deleted=frozenset(), cut_x_edges=x)
 
-    rb = _Rebuild(
-        entry,
-        params,
-        original,
-        contracted=region,
-        deleted=frozenset(),
-        cut_x_edges=x,
-    )
-    arcs, meta = rb.arcs_and_meta(w_orig_used, params.d)
-
-    def union_model(vertices) -> frozenset[int]:
-        out: set[int] = set()
-        for v in vertices:
-            out |= entry.model[v]
-        return frozenset(out)
-
-    def claim2(edge: Hyperedge, ei: int, alpha: int):
-        ty = _edge_type(entry, edge, w_vertices, original, use_original=False)
-        ej = _find_same_type(
-            entry, anchor[alpha], ty, w_vertices, original, use_original=False
-        )
+    def correspond(edge: Hyperedge, alpha: int):
+        ej = _same_type(entry, edge, anchor[alpha], w, mask)
         if ej is None:
             raise HypothesisViolationError(
                 f"no type-equal hyperedge with sink in anchor ball {alpha}"
             )
         other = entry.hyperedges[ej]
-        src = sorted(edge.members - {edge.sink} - u_plus_vertices)
-        tgt = sorted(other.members - {other.sink} - u_plus_vertices)
-        iota = _mask_bijection(
-            entry, src, tgt, w_vertices, original, use_original=False
-        )
+        src = edge.members - {edge.sink} - u_plus_vertices
+        tgt = other.members - {other.sink} - u_plus_vertices
+        iota = _mask_bijection(src, tgt, mask)
         for a, b in iota.items():
-            if frozenset(g.adj[a] & u_plus_vertices) != frozenset(
-                g.adj[b] & u_plus_vertices
-            ):
+            if g.adj[a] & u_plus_vertices != g.adj[b] & u_plus_vertices:
                 raise HypothesisViolationError(
                     "bijection does not preserve boundary neighborhoods"
                 )
         return ej, iota
 
-    def witness(kind, ei, t_sub, m, u_mid):
-        if kind == "e3":
-            groups = tuple(
-                WitnessNode(union_model(anchor[alpha]))
-                for alpha in range(1, n_anchors + 1)
-            )
-            links = tuple(frozenset([u]) for u in sorted(meta.u_set))
-            return flatten_groups(groups), links
-        edge = entry.hyperedges[ei]
-        if kind == "e1":
-            ej, iota = claim2(edge, ei, 1)
-            other = entry.hyperedges[ej]
-            flat = entry.witnesses.get(ej, ())
-            links = []
-            for v in sorted(edge.members & u_plus_vertices):
-                links.append(_require_link(entry, ej, w_orig[v]))
-            for u in t_sub:
-                partner = iota[m[u]]
-                base = _require_link(entry, ej, _member_orig(entry, partner))
-                links.append(base | {u})
-            return tuple(flat), tuple(links)
-        label = edge.label
-        count = params.k + params.h - label - 1
-        groups_out = []
-        per_alpha = []
-        for alpha in range(1, count + 1):
-            ej, iota = claim2(edge, ei, alpha)
-            per_alpha.append((ej, iota))
-            sub_groups = entry.groups_for(ej, params)
-            if sub_groups is None or len(sub_groups) < params.k + 1:
-                raise HypothesisViolationError(
-                    f"witness groups of hyperedge {ej} unusable for an upgrade"
-                )
-            glued = _require_link(entry, ej, _member_orig(entry, iota[u_mid]))
-            for s in sub_groups[0].sets():
-                glued = glued | s
-            groups_out.append(
-                WitnessNode(glued, tuple(sub_groups[1 : params.k + 1]))
-            )
-        links = []
-        for v in sorted(edge.members & u_plus_vertices):
-            merged: frozenset[int] = frozenset()
-            for ej, _ in per_alpha:
-                merged = merged | _require_link(entry, ej, w_orig[v])
-            links.append(merged)
-        for u in t_sub:
-            merged = frozenset([u])
-            for ej, iota in per_alpha:
-                merged = merged | _require_link(
-                    entry, ej, _member_orig(entry, iota[m[u]])
-                )
-            links.append(merged)
-        return flatten_groups(tuple(groups_out)), tuple(links)
-
-    derived = _derived_edges(
-        entry,
-        rb,
-        region,
-        w_orig_used,
-        meta.u_set,
-        params,
-        original,
-        False,
-        witness,
+    return _next_entry(
+        entry, rb, region, w_orig_used, params, anchor, correspond, e1_from_self=False
     )
-    surviving = _surviving_edges(entry, rb)
-    return _assemble(rb, surviving, derived, arcs, meta)

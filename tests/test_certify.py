@@ -11,12 +11,15 @@ from defcolor.scheme import (
     build_scheme,
     certify_entry,
     certify_scheme,
+    contract_step,
+    find_homogeneous,
     initial_entry,
 )
 from defcolor.scheme.certify import CONDITIONS
 from defcolor.scheme.corpus import caterpillar, star_of_balls
-from defcolor.scheme.entry import SchemeEntry
+from defcolor.scheme.entry import SchemeEntry, StepMeta
 from helpers import d2_oracle
+from test_steps import typed_spine_fabric
 
 
 def swap(entry: SchemeEntry, **changes) -> SchemeEntry:
@@ -231,6 +234,49 @@ class TestOutOfRangeModelIds:
         assert later.verdicts["D1"].status == "pass"
         assert later.skipped() == list(CONDITIONS[1:])
         assert "previous entry" in later.verdicts["D2"].reason
+
+    def test_shifted_id_in_earlier_entry_gives_report(self):
+        # an id past original.n in the previous entry used to raise
+        # IndexError in D8h's twin clause; the start check flags it
+        inst = star_of_balls(1, 5, 1)
+        prev, nxt = build_scheme(inst.graph, inst.params)
+        for v in range(prev.graph.n):
+            model = dict(prev.model)
+            model[v] = frozenset(o + 10**6 for o in model[v])
+            report = certify_scheme(
+                [swap(prev, model=model), nxt], inst.params, inst.graph
+            )
+            assert report.start.witness == {"clause": "nonstandard-first-entry"}
+
+
+class TestUOutsideUPlus:
+    def test_every_foreign_id_gives_report(self, cat):
+        # an id of U that is no original of the next entry used to raise
+        # KeyError in D8f and D8i
+        inst, scheme = cat
+        prev, nxt = scheme
+        meta = nxt.step_meta
+        for o in sorted(set(range(inst.graph.n)) - set(nxt.originals())):
+            bad = StepMeta(meta.q, meta.u_set | {o}, meta.u_plus)
+            mutated = swap(nxt, step_meta=bad)
+            report = certify_entry(prev, mutated, inst.params, inst.graph)
+            assert report.verdicts["D8b"].witness == {
+                "clause": "u-not-in-u-plus",
+                "extra": frozenset({o}),
+            }
+
+    def test_ids_absorbed_into_q_give_reports(self):
+        # ids merged into q, next to members of the hyperedges D8i re-derives
+        g, prev, params = typed_spine_fabric()
+        triple = find_homogeneous(prev.graph, 1, params.l0, 4, 3)
+        nxt = contract_step(
+            prev, triple.x_set, triple.z_set, triple.w_set, params, g
+        )
+        meta = nxt.step_meta
+        for o in sorted(nxt.model[meta.q])[:4]:
+            bad = StepMeta(meta.q, meta.u_set | {o}, meta.u_plus)
+            report = certify_entry(prev, swap(nxt, step_meta=bad), params, g)
+            assert report.verdicts["D8b"].witness["clause"] == "u-not-in-u-plus"
 
 
 class TestD2AgainstOracle:

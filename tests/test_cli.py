@@ -269,6 +269,44 @@ class TestScheme:
         assert not report["clean"]
         assert report["pairs"][0]["D1"]["witness"]["clause"] == "model-keys"
 
+    def _certify_edited(self, capsys, tmp_path, edit):
+        inst = caterpillar(1, 14)
+        ppath = tmp_path / "params.json"
+        ppath.write_text(json.dumps(inst.params.to_json()))
+        doc = json.loads(scheme_to_json(build_scheme(inst.graph, inst.params)))
+        edit(doc[-1])
+        spath = tmp_path / "scheme.json"
+        spath.write_text(json.dumps(doc))
+        code, out = run(capsys, "scheme", "certify", str(spath), "--params", str(ppath))
+        assert code == 1
+        report = json.loads(out)
+        assert not report["clean"]
+        return report
+
+    def test_certify_u_outside_u_plus_is_dirty(self, capsys, tmp_path):
+        # an id of U that is not in U+ used to raise KeyError in D8f
+        report = self._certify_edited(
+            capsys, tmp_path, lambda e: e["step_meta"]["U"].append(10**6)
+        )
+        first, tail = report["pairs"]
+        assert first["D8b"] == {
+            "status": "fail",
+            "witness": {"clause": "u-not-in-u-plus", "extra": [10**6]},
+        }
+        assert [c for c, v in first.items() if v["status"] != "pass"] == ["D8b"]
+        assert all(v["status"] == "pass" for v in tail.values())
+
+    def test_certify_empty_model_is_dirty(self, capsys, tmp_path):
+        # the frozen-tail self-pair used to raise StopIteration in _absorb
+        report = self._certify_edited(
+            capsys, tmp_path, lambda e: e["model"].update({"3": []})
+        )
+        for pair in report["pairs"]:
+            assert pair["D1"] == {
+                "status": "fail",
+                "witness": {"clause": "empty-model", "vertex": 3},
+            }
+
 
 class TestConstants:
     def test_table(self, capsys):

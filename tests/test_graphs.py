@@ -134,6 +134,37 @@ class TestBall:
         peeled = ball(g, ball(g, s, 1), radius - 1) | s
         assert got == peeled
 
+    @given(graphs_st(min_n=1, max_n=8), st.data())
+    @settings(max_examples=80)
+    def test_within_is_ball_of_induced_subgraph(self, g, data):
+        verts = st.integers(0, g.n - 1)
+        s = data.draw(st.frozensets(verts, min_size=1, max_size=3))
+        within = data.draw(st.frozensets(verts))
+        radius = data.draw(st.integers(0, 4))
+        sub, ids = g.subgraph(within | s)
+        near = set()
+        for v in s:
+            dist = bfs_dist_oracle(sub, ids.index(v))
+            near |= {ids[i] for i in range(sub.n) if 0 <= dist[i] <= radius}
+        want = frozenset(near)
+        assert ball(g, s, radius, within=within) == want
+
+    def test_within_keeps_outside_sources(self):
+        # a source outside ``within`` is in the ball and grows into it
+        assert ball(path_graph(5), [0], 3, within={1, 2}) == frozenset({0, 1, 2})
+
+    def test_out_of_range_source(self):
+        with pytest.raises(ValueError):
+            ball(path_graph(3), [3], 1)
+        with pytest.raises(ValueError):
+            ball(path_graph(3), [0, -1], 1, within={0, 1})
+
+    def test_negative_radius(self):
+        with pytest.raises(ValueError):
+            ball(path_graph(3), [0], -1)
+        with pytest.raises(ValueError):
+            ball(path_graph(3), [0], -1, within={1})
+
 
 class TestGeodesic:
     def test_whole_path(self):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from defcolor.constants import split_path_budget
 from defcolor.errors import (
     BranchMismatchError,
     BucketTooSmallError,
@@ -247,53 +248,58 @@ class TestDelLabelUpgrade:
         assert report.clean() and not report.skipped(), report.to_json()
 
 
+def typed_spine_fabric(h: int = 4, k: int = 1):
+    """One apex over a spine long enough for the contraction branch at
+    t1 = 2 live types.  Spine pairs (s, m) carry one label-1 hyperedge each
+    on {s, m, apex}, backed by k + h - 1 leftover witness vertices that the
+    entry does not cover."""
+    t1 = 2
+    spacing = 6 * (t1 - 1) + 1
+    k0 = 1 + (h + k - 2) * spacing
+    l0 = split_path_budget(t1, k0, 3) + 1
+    spine = l0 + 5 + (l0 + 5) % 2  # even, reaching past the ball radius
+    apex = 0
+    edges = [(apex, 1 + i) for i in range(spine)]
+    edges += [(1 + i, 2 + i) for i in range(spine - 1)]
+    n = 1 + spine
+    witnesses = {}
+    links = {}
+    hyperedges = []
+    arcs = set()
+    extra_edges = []
+    for i in range(spine // 2):
+        s, m = 1 + 2 * i, 2 + 2 * i
+        arcs.add((m, s))
+        arcs.add((apex, s))
+        hyperedges.append(Hyperedge(frozenset({s, m, apex}), 1, s))
+        mine = []
+        for _ in range(k + h - 1):
+            x = n
+            n += 1
+            extra_edges += [(m, x), (apex, x)]
+            mine.append(x)
+        witnesses[len(hyperedges) - 1] = tuple(frozenset({x}) for x in mine)
+        links[len(hyperedges) - 1] = (frozenset({m}), frozenset({apex}))
+    g = Graph.from_edges(n, edges + extra_edges)
+    entry_graph = Graph.from_edges(1 + spine, edges)
+    entry = SchemeEntry(
+        graph=entry_graph,
+        model={v: frozenset({v}) for v in range(1 + spine)},
+        arcs=frozenset(arcs),
+        hyperedges=tuple(hyperedges),
+        witnesses=witnesses,
+        witness_links=links,
+        step_meta=None,
+    )
+    params = SchemeParams(h=h, k=k, r=3, d=4, n_freeze=490, l0=l0, t=1)
+    return g, entry, params
+
+
 class TestContractLabelUpgrade:
     def test_typed_spine_upgrade(self):
-        h, k = 4, 1
-        t1 = 2
-        spacing = 6 * (t1 - 1) + 1
-        k0 = 1 + (h + k - 2) * spacing
-        from defcolor.constants import split_path_budget
-
-        l0 = split_path_budget(t1, k0, 3) + 1
-        spine = l0 + 5 + (l0 + 5) % 2  # even, reaching past the ball radius
         apex = 0
-        edges = [(apex, 1 + i) for i in range(spine)]
-        edges += [(1 + i, 2 + i) for i in range(spine - 1)]
-        n = 1 + spine
-        witnesses = {}
-        links = {}
-        hyperedges = []
-        arcs = set()
-        extra_edges = []
-        for i in range(spine // 2):
-            s, m = 1 + 2 * i, 2 + 2 * i
-            arcs.add((m, s))
-            arcs.add((apex, s))
-            hyperedges.append(Hyperedge(frozenset({s, m, apex}), 1, s))
-            mine = []
-            for _ in range(k + h - 1):
-                x = n
-                n += 1
-                extra_edges += [(m, x), (apex, x)]
-                mine.append(x)
-            witnesses[len(hyperedges) - 1] = tuple(frozenset({x}) for x in mine)
-            links[len(hyperedges) - 1] = (frozenset({m}), frozenset({apex}))
-        g = Graph.from_edges(n, edges + extra_edges)
-        entry_graph = Graph.from_edges(1 + spine, edges)
-        entry = SchemeEntry(
-            graph=entry_graph,
-            model={v: frozenset({v}) for v in range(1 + spine)},
-            arcs=frozenset(arcs),
-            hyperedges=tuple(hyperedges),
-            witnesses=witnesses,
-            witness_links=links,
-            step_meta=None,
-        )
-        params = SchemeParams(
-            h=h, k=k, r=3, d=4, n_freeze=490, l0=l0, t=1
-        )
-        triple = find_homogeneous(entry.graph, 1, l0, 4, 3)
+        g, entry, params = typed_spine_fabric()
+        triple = find_homogeneous(entry.graph, 1, params.l0, 4, 3)
         assert triple is not None
         out = contract_step(
             entry, triple.x_set, triple.z_set, triple.w_set, params, g
