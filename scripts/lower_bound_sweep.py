@@ -4,7 +4,10 @@
 For each (h, k) in range, compute the least defect of an (h-1)-coloring of
 ct(h, k) by complete search.  The threshold always lands at k, never k-1:
 the family realizes the lower bound that the elimination-scheme pipeline is
-built around.
+built around.  ct(h, k) is the closure of its tree, so ``min_defect`` runs
+the forest DP; the defaults (h <= 6, k <= 4, up to ct(6,4) with 1,365
+vertices) finish in well under a second.  Exits 1 if any threshold differs
+from k.
 """
 
 from __future__ import annotations
@@ -19,24 +22,28 @@ from defcolor.graphs import ct, ct_order
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-h", type=int, default=3)
-    ap.add_argument("--max-k", type=int, default=3)
-    ap.add_argument("--max-vertices", type=int, default=16)
+    ap.add_argument("--max-h", type=int, default=6)
+    ap.add_argument("--max-k", type=int, default=4)
+    ap.add_argument("--max-vertices", type=int, default=ct_order(6, 4))
     args = ap.parse_args()
 
-    print(f"{'h':>2s} {'k':>2s} {'n':>4s} {'min defect of (h-1)-coloring':>30s} {'s':>6s}")
+    print(f"{'h':>2s} {'k':>2s} {'n':>5s} {'min defect of (h-1)-coloring':>30s} {'s':>6s}")
+    wrong = 0
+    started = time.perf_counter()
     for h in range(2, args.max_h + 1):
         for k in range(1, args.max_k + 1):
             n = ct_order(h, k)
             if n > args.max_vertices:
-                print(f"{h:2d} {k:2d} {n:4d} {'skipped (raise --max-vertices)':>30s}")
+                print(f"{h:2d} {k:2d} {n:5d} {'skipped (raise --max-vertices)':>30s}")
                 continue
-            t0 = time.time()
+            t0 = time.perf_counter()
             got = min_defect(ct(h, k), h - 1, max_vertices=args.max_vertices)
-            dt = time.time() - t0
+            dt = time.perf_counter() - t0
             marker = "= k" if got == k else f"!= k ({got})"
-            print(f"{h:2d} {k:2d} {n:4d} {f'{got}  {marker}':>30s} {dt:6.2f}")
-    return 0
+            wrong += got != k
+            print(f"{h:2d} {k:2d} {n:5d} {f'{got}  {marker}':>30s} {dt:6.2f}")
+    print(f"total {time.perf_counter() - started:.2f} s; {wrong} threshold(s) != k")
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":

@@ -138,7 +138,11 @@ def _build_parser() -> argparse.ArgumentParser:
     co.add_argument("--k", type=int)
     co.add_argument("--d", type=int)
     co.add_argument("--max-vertices", type=int, default=16)
-    co.add_argument("--budget-nodes", type=int, default=None)
+    co.add_argument(
+        "--budget-nodes", type=int, default=None,
+        help="memo entries of the forest DP on closures of rooted forests, "
+        "colors tried by backtracking on other graphs",
+    )
     co.add_argument("--scheme", default=None, help="color via a scheme document")
     co.add_argument("--params", default=None, help="scheme parameter JSON file")
     co.add_argument("-o", "--output", default=None)

@@ -1,18 +1,32 @@
-"""Exact decision procedure for defect-bounded colorings.
+"""Exact decision procedures for defect-bounded colorings.
 
 A k-coloring has defect d when every color class induces a subgraph of
-maximum degree at most d.  ``decide_defective`` is complete: an infeasible
-answer is reported only after exhausting the pruned search space, and a
-budget stop is a distinct error, never an answer.
+maximum degree at most d.  ``decide_defective`` and ``min_defect`` take one
+of two complete routes:
+
+- **Forest DP**, when g is the closure of a rooted forest (every ancestor
+  pair adjacent, nothing else; ``graphs.closure_forest`` recognizes it in
+  O(n + m)).  The dynamic program of ``decide_defective_forest`` runs over
+  that forest; a budget node is one memo entry, a (subtree shape, root-path
+  key) pair, where the key is the multiplicities of the root path's
+  colors.  ct(h, k) is such a closure.  The forest is found and shaped once
+  per call of either function.
+- **Backtracking** for every other graph: vertices by descending degree,
+  colors ascending with symmetry breaking; a budget node is one color tried
+  at one vertex.
+
+Either route reports infeasible only after exhausting its search space; a
+budget stop is a distinct error, never an answer.  Every feasible answer is
+rechecked by ``verify_coloring``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceededError, PartialColoringError, SizeLimitError
-from .graphs import Graph, RootedTree
+from .graphs import Graph, RootedTree, closure_forest
 
 DEFAULT_EXACT_LIMIT = 16
 
@@ -76,6 +90,32 @@ def verify_coloring(
     return True, None
 
 
+def _check_args(k: int, d: int) -> None:
+    if k < 1:
+        raise ValueError("k must be positive")
+    if d < 0:
+        raise ValueError("d must be nonnegative")
+
+
+def _check_size(g: Graph, max_vertices: int) -> None:
+    if g.n > max_vertices:
+        raise SizeLimitError(
+            f"decide_defective limited to {max_vertices} vertices (got {g.n}); "
+            "raise max_vertices to extend"
+        )
+
+
+def _feasible(g: Graph, k: int, colors: Sequence[int], d: int) -> DefectReport:
+    found = Coloring(k, tuple(colors))
+    ok, _ = verify_coloring(g, found, d)
+    if not ok:
+        raise AssertionError("internal: search produced an invalid coloring")
+    return DefectReport(True, found, class_degrees(g, found))
+
+
+_INFEASIBLE = DefectReport(False, None, None)
+
+
 def decide_defective(
     g: Graph,
     k: int,
@@ -85,19 +125,35 @@ def decide_defective(
 ) -> DefectReport:
     """Complete search for a k-coloring of defect d.
 
-    Vertices are tried by descending degree, colors ascending with symmetry
-    breaking (a vertex may open at most one fresh color); a branch dies as
-    soon as some class's internal degree exceeds d.
+    Closures of rooted forests go to ``decide_defective_forest``; every
+    other graph to backtracking (see the module docstring).
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    if g.n > max_vertices:
-        raise SizeLimitError(
-            f"decide_defective limited to {max_vertices} vertices (got {g.n}); "
-            "raise max_vertices to extend"
-        )
+    _check_args(k, d)
+    _check_size(g, max_vertices)
+    return _decide(g, _closure_shapes(g), k, d, node_budget)
+
+
+def _closure_shapes(g: Graph) -> Optional["_Forest"]:
+    """The shaped forest whose closure is g, or None (then backtrack)."""
+    parent = closure_forest(g)
+    return None if parent is None else _forest_shapes(g, parent, closed=True)
+
+
+def _decide(
+    g: Graph,
+    forest: Optional["_Forest"],
+    k: int,
+    d: int,
+    node_budget: Optional[int],
+) -> DefectReport:
+    """The forest DP when a forest is given; otherwise backtracking.
+
+    Backtracking tries vertices by descending degree, colors ascending with
+    symmetry breaking (a vertex may open at most one fresh color); a branch
+    dies as soon as some class's internal degree exceeds d.
+    """
+    if forest is not None:
+        return _forest_dp(g, forest, k, d, node_budget)
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     color = [0] * g.n  # 0 = uncolored
     same = [0] * g.n  # same-colored neighbor count, colored vertices only
@@ -139,12 +195,372 @@ def decide_defective(
         return False
 
     if assign(0, 0):
-        found = Coloring(k, tuple(color))
-        ok, _ = verify_coloring(g, found, d)
-        if not ok:
-            raise AssertionError("internal: search produced an invalid coloring")
-        return DefectReport(True, found, class_degrees(g, found))
-    return DefectReport(False, None, None)
+        return _feasible(g, k, color, d)
+    return _INFEASIBLE
+
+
+# ---------------------------------------------------------------------------
+# Dynamic program over a rooted forest
+
+
+@dataclass(frozen=True)
+class _Shape:
+    """A subtree up to isomorphism, at a fixed depth.
+
+    ``touched`` lists, ascending, the proper-ancestor levels adjacent to
+    some vertex of the subtree; ``own`` gives the positions in ``touched``
+    of the levels adjacent to the subtree's root.  ``kids`` are the shape
+    codes of the root's children, ascending; ``maps[j]`` places kid j's
+    touched levels among ``touched`` plus the root's own level, or is None
+    when the two are equal.
+    """
+
+    touched: tuple[int, ...]
+    own: tuple[int, ...]
+    kids: tuple[int, ...]
+    maps: tuple[Optional[tuple[int, ...]], ...]
+
+
+class _Forest(NamedTuple):
+    order: list[int]  # preorder
+    children: list[list[int]]  # sorted by shape code
+    code: list[int]  # shape code per vertex
+    shapes: list[_Shape]  # a shape's code exceeds the codes of its kids
+    roots: set[int]  # shape codes of the roots
+    full: bool  # g is the closure of the forest
+
+
+def _forest_shapes(
+    g: Graph, parent: Sequence[Optional[int]], closed: bool = False
+) -> _Forest:
+    """Validate the forest and its edges; group subtrees by shape.
+
+    The shape code is an AHU-style code (depth, adjacent ancestor levels,
+    sorted kid codes), exact for any forest.  With ``closed`` the caller
+    vouches that g is the forest's closure (``closure_forest`` checked it),
+    and the edges are not scanned.
+    """
+    n = g.n
+    if len(parent) != n:
+        raise ValueError(f"parent list has {len(parent)} entries for {n} vertices")
+    children: list[list[int]] = [[] for _ in range(n)]
+    roots = []
+    for v, p in enumerate(parent):
+        if p is None:
+            roots.append(v)
+        elif isinstance(p, int) and 0 <= p < n and p != v:
+            children[p].append(v)
+        else:
+            raise ValueError(f"vertex {v} has invalid parent {p!r}")
+    order: list[int] = []
+    depth = [0] * n
+    stack = roots[::-1]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for c in children[v]:
+            depth[c] = depth[v] + 1
+            stack.append(c)
+    if len(order) != n:
+        raise ValueError("parent links contain a cycle")
+    tin = [0] * n
+    for i, v in enumerate(order):
+        tin[v] = i
+    size = [1] * n
+    for v in reversed(order):
+        if parent[v] is not None:
+            size[parent[v]] += size[v]
+    if closed:
+        levels_above = [tuple(range(i)) for i in range(max(depth, default=0) + 1)]
+        own_levels = [levels_above[i] for i in depth]
+    else:
+        own_levels = _own_levels(g, depth, tin, size)
+    full = all(len(own_levels[v]) == depth[v] for v in range(n))
+    intern: dict[tuple, int] = {}
+    shapes: list[_Shape] = []
+    code = [0] * n
+    for v in reversed(order):
+        kids = children[v]
+        if len(kids) > 1:
+            kids.sort(key=code.__getitem__)
+        sig = (depth[v], own_levels[v], tuple([code[c] for c in kids]))
+        c = intern.get(sig)
+        if c is None:
+            dv, own, kid_codes = sig
+            levels = set(own)
+            for kid in set(kid_codes):
+                levels.update(shapes[kid].touched)
+            levels.discard(dv)
+            touched = tuple(sorted(levels))
+            where = {lvl: i for i, lvl in enumerate(touched + (dv,))}
+            identity = tuple(range(len(where)))
+            maps = []
+            for kid in kid_codes:
+                idx = tuple(where[lvl] for lvl in shapes[kid].touched)
+                maps.append(None if idx == identity else idx)
+            c = intern[sig] = len(shapes)
+            shapes.append(
+                _Shape(touched, tuple(where[lvl] for lvl in own), kid_codes, tuple(maps))
+            )
+        code[v] = c
+    return _Forest(order, children, code, shapes, {code[v] for v in roots}, full)
+
+
+def _own_levels(
+    g: Graph, depth: list[int], tin: list[int], size: list[int]
+) -> list[tuple[int, ...]]:
+    """Depths of each vertex's ancestor neighbors, ascending; ValueError on
+    any edge that does not join an ancestor and a descendant.
+
+    An edge is checked from its endpoint later in preorder: the earlier one
+    must be its ancestor, i.e. have it inside its preorder interval.
+    """
+    own_levels: list[list[int]] = [[] for _ in range(g.n)]
+    for v, neighbors in enumerate(g.adj):
+        tv = tin[v]
+        for u in neighbors:
+            tu = tin[u]
+            if tu < tv:
+                if tv >= tu + size[u]:
+                    raise ValueError(
+                        f"edge ({min(u, v)},{max(u, v)}) does not join an ancestor "
+                        "and a descendant of the forest"
+                    )
+                own_levels[v].append(depth[u])
+    return [tuple(sorted(levels)) for levels in own_levels]
+
+
+def _canon(colors) -> tuple[int, ...]:
+    """Relabel colors 0, 1, ... by order of first appearance."""
+    label: dict[int, int] = {}
+    return tuple(label.setdefault(c, len(label)) for c in colors)
+
+
+def _pareto(vectors, guard: int) -> list[int]:
+    """Componentwise-minimal vectors among packed ones, ascending.
+
+    Packed vectors hold one field per slot with its top bit (``guard``)
+    clear, so ``a <= b`` in every field iff subtracting a from b with the
+    guards set borrows from none of them.  A vector can be dominated only
+    by a numerically smaller one.
+    """
+    kept: list[int] = []
+    for s in sorted(vectors):
+        sg = s | guard
+        for a in kept:
+            if (sg - a) & guard == guard:
+                break
+        else:
+            kept.append(s)
+    return kept
+
+
+def decide_defective_forest(
+    g: Graph,
+    parent: Sequence[Optional[int]],
+    k: int,
+    d: int,
+    node_budget: Optional[int] = None,
+) -> DefectReport:
+    """Exact k-coloring of defect d by dynamic programming over a forest.
+
+    ``parent`` is a rooted forest on g's vertices in which every edge of g
+    joins an ancestor to a descendant; any other edge raises ValueError.
+    Once the colors on a vertex v's root path are fixed, the subtrees of v's
+    children are independent.  A subtree's table holds its Pareto-minimal
+    count vectors with one slot per ancestor class: how many same-colored
+    neighbors the subtree gives the ancestors of that class (each slot
+    capped so no ancestor exceeds d).  At v, for each color, the children's
+    vectors are summed (Minkowski), v's own count is checked and its slot
+    dropped; the union over colors is v's table.  Tables are memoized on
+    (shape code, root-path key), and each memo entry is one node against
+    ``node_budget``.  The key takes one of two forms:
+
+    - In general a slot is one ancestor level the subtree touches, and the
+      key is the colors on those levels, relabeled by first appearance
+      (colors are interchangeable, so this is sound).
+    - When g is the closure of the forest, every vertex sees all of its
+      ancestors, so only how often each color occurs on the root path
+      matters.  A slot is one color of the path, and the key is the
+      multiplicities of those colors in non-increasing order.  Long chains
+      of twins (K_n is a path's closure) then cost polynomially many keys
+      instead of one per coloring of the chain.
+
+    A feasible answer is rebuilt from the tables and checked by
+    ``verify_coloring``.
+    """
+    _check_args(k, d)
+    return _forest_dp(g, _forest_shapes(g, parent), k, d, node_budget)
+
+
+def _forest_dp(
+    g: Graph, forest: _Forest, k: int, d: int, node_budget: Optional[int]
+) -> DefectReport:
+    order, children, code, shapes, roots, full = forest
+    # Count vectors are packed into ints, one field per slot.  A field holds
+    # up to 2 * cap below its guard bit, so a sum of two vectors within
+    # their caps never carries; adding (half - 1 - cap) to a field sets its
+    # guard bit iff the field exceeds its cap.
+    width = d.bit_length() + 1
+    half = 1 << (width - 1)
+    ones = [0]
+    for i in range(max((len(s.touched) for s in shapes), default=0) + 1):
+        ones.append(ones[-1] | 1 << (width * i))
+
+    def level_choices(shape: _Shape, key: tuple[int, ...]):
+        """Slots are touched levels; key[i] is the canonical color there."""
+        fresh = max(key) + 1 if key else 0
+        slots = len(key)
+        over = (half - 1 - d) * ones[slots + 1]
+        for cc in range(min(fresh + 1, k)):
+            same = [p for p in shape.own if key[p] == cc]
+            if len(same) > d:
+                continue
+            # v's slot holds its own count; each same-colored ancestor it
+            # touches gets one
+            start = (len(same) << (width * slots)) + sum(1 << (width * p) for p in same)
+            ukey = key + (cc,)
+            kids = tuple(
+                (kid, ukey, None) if idx is None
+                else (kid, _canon([ukey[p] for p in idx]), idx)
+                for kid, idx in zip(shape.kids, shape.maps)
+            )
+            yield key.index(cc) if cc < fresh else None, start, over, kids
+
+    def count_choices(shape: _Shape, key: tuple[int, ...]):
+        """Slots are path colors; key[i] is how often color i occurs.
+
+        The deepest ancestor of color i already has key[i] - 1 same-colored
+        ancestors, so the subtree may hold at most d - key[i] + 1 vertices
+        of color i.  If v takes color i, that cap is also v's own bound;
+        only a color new to the path needs v's own slot.
+        """
+        slots = len(key)
+        over = (half - 1 - d) << (width * slots)
+        for i, m in enumerate(key):
+            over += (half - 1 - (d - m + 1)) << (width * i)
+        for j in range(min(slots + 1, k)):
+            if j < slots:
+                if key[j] > d:
+                    continue
+                mult = list(key)
+                mult[j] += 1
+                start = 1 << (width * j)
+            else:
+                mult = list(key) + [1]
+                start = 0
+            perm = sorted(range(len(mult)), key=lambda i: -mult[i])
+            kkey = tuple(mult[i] for i in perm)
+            kid = (kkey, None if perm == list(range(len(mult))) else tuple(perm))
+            kids = tuple((c,) + kid for c in shape.kids)
+            yield (j if j < slots else None), start, over, kids
+
+    choices_at = count_choices if full else level_choices
+
+    # Top-down: the root-path keys each shape is asked about, each with its
+    # allowed colors as (label, start vector, cap addend, kids).  A label is
+    # the slot whose color v takes, None for a color absent from the path;
+    # kids are (code, key, perm): kid slot i feeds slot perm[i] (slot i when
+    # perm is None), where slot len(key) is v's own.  Codes of kids are below
+    # their parent's, so descending codes visit parents first.
+    asked: list[dict[tuple[int, ...], list]] = [{} for _ in shapes]
+    nodes = 0
+
+    def ask(c: int, key: tuple[int, ...]) -> None:
+        nonlocal nodes
+        if key not in asked[c]:
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                raise BudgetExceededError(
+                    f"forest coloring DP exceeded {node_budget} memo entries",
+                    size=nodes,
+                )
+            asked[c][key] = []
+
+    for c in roots:
+        ask(c, ())
+    for c in range(len(shapes) - 1, -1, -1):
+        for key, choices in asked[c].items():
+            for choice in choices_at(shapes[c], key):
+                for kid, kkey, _ in choice[3]:
+                    ask(kid, kkey)
+                choices.append(choice)
+
+    # Bottom-up: each table maps a result vector to (label, kids, kid
+    # vectors), enough to rebuild a coloring without search.
+    tables: list[dict[tuple[int, ...], dict]] = [{} for _ in shapes]
+    mask = (1 << width) - 1
+    for c in range(len(shapes)):
+        for key, choices in asked[c].items():
+            slots = len(key)
+            low = (1 << (width * slots)) - 1
+            guard = half * ones[slots + 1]
+            finals = {}  # result vector -> (choice, packed sum, fold stages)
+            for choice in choices:
+                _, start, over, kids = choice
+                fold, stages = [start], []
+                spread: dict[tuple, list] = {}
+                for kid in kids:
+                    pairs = spread.get(kid)
+                    if pairs is None:
+                        code_, kkey, perm = kid
+                        result = tables[code_][kkey]
+                        if perm is None:
+                            pairs = [(r, r) for r in result]
+                        else:
+                            shifts = [width * p for p in perm]
+                            pairs = [
+                                (sum(((r >> (width * i)) & mask) << s for i, s in enumerate(shifts)), r)
+                                for r in result
+                            ]
+                        spread[kid] = pairs
+                    step = {}
+                    for s in fold:
+                        for ru, r in pairs:
+                            t = s + ru
+                            if (t + over) & guard or t in step:
+                                continue
+                            step[t] = (s, r)
+                    fold = _pareto(step, guard)
+                    if not fold:
+                        break
+                    stages.append(step)
+                for s in fold:
+                    finals.setdefault(s & low, (choice, s, stages))
+            entry = {}
+            for out in _pareto(finals, half * ones[slots]):
+                (label, _, _, kids), s, stages = finals[out]
+                vecs = []
+                for step in reversed(stages):
+                    s, r = step[s]
+                    vecs.append(r)
+                entry[out] = (label, kids, vecs[::-1])
+            tables[c][key] = entry
+
+    if any(not tables[c][()] for c in roots):
+        return _INFEASIBLE
+    # Rebuild top-down; ``slot_colors[v]`` holds the actual color of each
+    # slot of v's key.
+    colors = [0] * g.n
+    key_at: list[tuple[int, ...]] = [()] * g.n
+    slot_colors: list[list[int]] = [[]] * g.n
+    target = [0] * g.n
+    for v in order:
+        mine = slot_colors[v]
+        label, kids, vecs = tables[code[v]][key_at[v]][target[v]]
+        if label is None:
+            colors[v] = next(c for c in range(1, k + 1) if c not in mine)
+        else:
+            colors[v] = mine[label]
+        on_slots = mine + [colors[v]]
+        for child, (_, kkey, perm), vec in zip(children[v], kids, vecs):
+            if perm is None:
+                slot_colors[child] = on_slots[: len(kkey)]
+            else:
+                slot_colors[child] = [on_slots[p] for p in perm]
+            key_at[child] = kkey
+            target[child] = vec
+    return _feasible(g, k, colors, d)
 
 
 def min_defect(
@@ -153,14 +569,23 @@ def min_defect(
     max_vertices: int = DEFAULT_EXACT_LIMIT,
     node_budget: Optional[int] = None,
 ) -> int:
-    """Least d such that g has a k-coloring with defect d (binary search)."""
+    """Least d such that g has a k-coloring with defect d (binary search).
+
+    The route (forest DP or backtracking) is chosen, and the forest shaped,
+    once per call, not per probe.
+    """
     if g.n == 0:
         return 0
     lo, hi = 0, max(g.degree(v) for v in range(g.n))
     # defect Delta(g) is always feasible: a single class realizes it
+    if lo == hi:
+        return 0
+    _check_args(k, 0)
+    _check_size(g, max_vertices)
+    forest = _closure_shapes(g)
     while lo < hi:
         mid = (lo + hi) // 2
-        report = decide_defective(g, k, mid, max_vertices, node_budget)
+        report = _decide(g, forest, k, mid, node_budget)
         if report.feasible:
             hi = mid
         else:

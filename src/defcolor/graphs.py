@@ -221,6 +221,61 @@ def closure(tree: RootedTree) -> Graph:
     return Graph.from_edges(tree.n, edges)
 
 
+def closure_forest(g: Graph) -> Optional[list[Optional[int]]]:
+    """Parent list of a rooted forest whose closure is g, or None.
+
+    In a closure every vertex's closed neighborhood lies inside those of its
+    ancestors, so ancestors come first in order of descending degree (equal
+    degrees among comparable vertices mean twins, which may swap).  Taking
+    that order, each vertex's parent is its latest earlier neighbor, and g
+    is the closure of the resulting forest iff every vertex's earlier
+    neighbors are exactly its parent and the parent's earlier neighbors.
+    O(n + m).  The maximum-degree vertex is tested first: each of its
+    neighbors' closed neighborhoods must lie inside its own, which rejects
+    most other graphs before anything is sorted.
+    """
+    n = g.n
+    adj = g.adj
+    if n == 0:
+        return []
+    degs = list(map(len, adj))
+    top_deg = max(degs)
+    top = degs.index(top_deg)
+    top_closed = adj[top] | {top}
+    for u in adj[top]:
+        if not adj[u] <= top_closed:
+            return None
+    buckets: list[list[int]] = [[] for _ in range(top_deg + 1)]
+    for v in range(n):
+        buckets[degs[v]].append(v)
+    pos = [0] * n
+    order = [v for bucket in reversed(buckets) for v in bucket]
+    for i, v in enumerate(order):
+        pos[v] = i
+    parent: list[Optional[int]] = [None] * n
+    earlier = [0] * n
+    for v in order:
+        pv = pos[v]
+        best, count = -1, 0
+        for u in adj[v]:
+            if pos[u] < pv:
+                count += 1
+                if pos[u] > best:
+                    best = pos[u]
+        if count == 0:
+            continue
+        p = order[best]
+        if count != earlier[p] + 1:
+            return None
+        adj_p = adj[p]
+        for u in adj[v]:
+            if pos[u] < best and u not in adj_p:
+                return None
+        parent[v] = p
+        earlier[v] = count
+    return parent
+
+
 def ct_order(height: int, arity: int) -> int:
     """Vertex count of ct(height, arity), exact in arbitrary precision."""
     if arity == 1:

@@ -57,7 +57,7 @@ def check_homogeneous(
             return f"vertex {v} in X has degree {g.degree(v)} > {d}"
     for z in sorted(z_set):
         reach = ball(g, [z], 2 * length - 2, within=x_set)
-        if any(other != z and other in reach for other in z_set):
+        if len(reach & z_set) > 1:  # reach always holds z itself
             return f"ball centers within distance {2 * length - 2} of {z} in g[X]"
         b = ball(g, [z], length - 1, within=x_set)
         nb = boundary(g, b)

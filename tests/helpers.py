@@ -4,7 +4,8 @@ The oracles here deliberately avoid the algorithms they check: plain
 enumeration over labeled rooted trees, the unbounded depth recurrence
 without pruning, raw assignment enumeration and the plain unpruned
 branch-set search for minors, the split-path budget by its recurrence, and
-exhaustive coloring enumeration.
+exhaustive coloring enumeration, and closures of rooted forests by their
+forbidden induced subgraphs.
 """
 
 from __future__ import annotations
@@ -458,3 +459,22 @@ def decide_defective_oracle(g: Graph, k: int, d: int) -> bool:
         if ok:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# closure-of-forest oracle: forbidden induced subgraphs
+
+
+def forest_closure_oracle(g: Graph) -> bool:
+    """True iff g has no induced P4 or C4 over all 4-vertex subsets.
+
+    Those are exactly the closures of rooted forests (the trivially perfect
+    graphs, Wolk 1962 and Golumbic 1978).
+    """
+    from itertools import combinations
+
+    for quad in combinations(range(g.n), 4):
+        degs = sorted(sum(1 for u in quad if u in g.adj[v]) for v in quad)
+        if degs in ([1, 1, 2, 2], [2, 2, 2, 2]):
+            return False
+    return True

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 import time
 
-from defcolor.coloring import decide_defective, level_coloring, verify_coloring
+from defcolor.coloring import decide_defective, level_coloring, min_defect, verify_coloring
 from defcolor.constants import paper_constants
 from defcolor.depth import connected_tree_depth
 from defcolor.graphs import (
@@ -324,3 +324,14 @@ def test_c10_constants_table():
                 assert hcmp(tab.n_total, other.n_total) <= 0
     assert time.time() - started < 1
     report(10, "t exponent 72 at (3,1,2); t and N monotone on the grid", started)
+
+
+def test_c11_lower_bound_thresholds_by_forest_dp():
+    started = time.time()
+    frontier = decide_defective(ct(4, 3), 3, 2, max_vertices=64, node_budget=200_000)
+    assert not frontier.feasible
+    for h in range(2, 5):
+        for k in range(1, 4):
+            assert min_defect(ct(h, k), h - 1, max_vertices=64) == k, (h, k)
+    assert time.time() - started < 5
+    report(11, "min defect of an (h-1)-coloring of ct(h,k) is k, h<=4, k<=3", started)

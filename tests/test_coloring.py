@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,19 +10,25 @@ from defcolor.coloring import (
     Coloring,
     class_degrees,
     decide_defective,
+    decide_defective_forest,
     level_coloring,
     min_defect,
     verify_coloring,
 )
+from defcolor.depth import connected_tree_depth
 from defcolor.errors import BudgetExceededError, PartialColoringError, SizeLimitError
 from defcolor.graphs import (
+    Graph,
     balanced_tree,
     closure,
+    closure_forest,
+    complete_graph,
     ct,
     cycle_graph,
+    path_graph,
     star_graph,
 )
-from helpers import decide_defective_oracle, graphs_st
+from helpers import all_graphs, decide_defective_oracle, graphs_st
 
 
 class TestVerify:
@@ -104,6 +112,100 @@ class TestDecide:
         if decide_defective(g, k, d).feasible:
             assert decide_defective(g, k + 1, d).feasible
             assert decide_defective(g, k, d + 1).feasible
+
+
+def seeded_gnp(seed: int, n: int, p: float) -> Graph:
+    rng = random.Random(seed)
+    return Graph.from_edges(
+        n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p]
+    )
+
+
+class TestForestDP:
+    @staticmethod
+    def check_against_oracle(g: Graph, parent, outcomes: set) -> None:
+        for k in (1, 2, 3):
+            for d in (0, 1, 2):
+                report = decide_defective_forest(g, parent, k, d)
+                assert report.feasible == decide_defective_oracle(g, k, d), (
+                    g.edges(), k, d,
+                )
+                outcomes.add(report.feasible)
+                if report.feasible:
+                    ok, _ = verify_coloring(g, report.coloring, d)
+                    assert ok and report.coloring.k == k
+
+    def test_oracle_agreement_every_small_graph(self):
+        # the depth witness is an elimination forest, rarely with g as its
+        # closure (tables keyed by level colors); a closure's own forest
+        # keys them by color multiplicities
+        outcomes: set = set()
+        closures = 0
+        for n in range(1, 7):
+            for g in all_graphs(n):
+                witness = list(connected_tree_depth(g).witness.parent)
+                self.check_against_oracle(g, witness, outcomes)
+                parent = closure_forest(g)
+                if parent is not None:
+                    self.check_against_oracle(g, parent, outcomes)
+                    closures += 1
+        assert outcomes == {True, False}
+        assert closures > 20
+
+    def test_oracle_agreement_seeded_gnp(self):
+        outcomes: set = set()
+        for seed in range(24):
+            g = seeded_gnp(seed, 7 + seed % 4, (0.25, 0.4, 0.6)[seed % 3])
+            witness = list(connected_tree_depth(g).witness.parent)
+            self.check_against_oracle(g, witness, outcomes)
+        assert outcomes == {True, False}
+
+    def test_complete_graphs_by_arithmetic(self):
+        # K_n is the closure of a path: k classes of defect d hold at most
+        # k(d + 1) vertices, and that many suffice.  Keyed by color
+        # multiplicities, no decision needs more than 114 memo entries here
+        # (keyed by the colors in path order, up to 1,243).
+        for n in range(1, 17):
+            g = complete_graph(n)
+            for k in range(1, 6):
+                for d in range(0, 4):
+                    got = decide_defective(g, k, d, node_budget=200)
+                    assert got.feasible == (n <= k * (d + 1)), (n, k, d)
+
+    def test_edge_outside_ancestor_pairs_rejected(self):
+        # P3 hung as a cherry: the edge (1,2) joins two siblings
+        with pytest.raises(ValueError, match=r"edge \(1,2\)"):
+            decide_defective_forest(path_graph(3), [None, 0, 0], 2, 0)
+        with pytest.raises(ValueError):
+            decide_defective_forest(path_graph(3), [1, 2, 0], 2, 0)
+        with pytest.raises(ValueError):
+            decide_defective_forest(path_graph(3), [None, 0], 2, 0)
+
+    def test_budget_counts_memo_entries(self):
+        g = ct(4, 3)
+        parent = closure_forest(g)
+        for budget in (0, 1, 5):
+            with pytest.raises(BudgetExceededError) as info:
+                decide_defective_forest(g, parent, 3, 2, node_budget=budget)
+            assert info.value.size == budget + 1
+
+    def test_frontier_infeasible_within_budget(self):
+        got = decide_defective(ct(4, 3), 3, 2, max_vertices=64, node_budget=200_000)
+        assert not got.feasible
+        report = decide_defective(ct(4, 3), 3, 3, max_vertices=64, node_budget=200_000)
+        assert report.feasible and max(report.max_class_degree.values()) <= 3
+
+    def test_closure_route_matches_backtracking(self):
+        # decide_defective takes the DP on closures; the answers must agree
+        # with plain backtracking, which _decide runs when given no forest
+        from defcolor.coloring import _decide
+
+        for h, k in ((2, 4), (3, 2), (3, 3), (4, 2)):
+            g = ct(h, k)
+            for colors in (h - 1, h):
+                for d in range(0, k + 1):
+                    got = decide_defective(g, colors, d, max_vertices=64)
+                    assert got.feasible == _decide(g, None, colors, d, None).feasible
 
 
 class TestMinDefect:

@@ -13,6 +13,7 @@ from defcolor.graphs import (
     ball,
     canonical_key,
     closure,
+    closure_forest,
     complete_bipartite,
     complete_graph,
     contract_set,
@@ -32,7 +33,13 @@ from defcolor.graphs import (
     to_graph6,
     validate_graph,
 )
-from helpers import bfs_dist_oracle, graphs_st, max_clique_oracle
+from helpers import (
+    all_graphs,
+    bfs_dist_oracle,
+    forest_closure_oracle,
+    graphs_st,
+    max_clique_oracle,
+)
 
 
 class TestClosure:
@@ -112,6 +119,63 @@ class TestJoinCopies:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             disjoint_copies(100, complete_graph(3), budget=200)
+
+
+def forest_to_graph(parent) -> Graph:
+    """Closure of a rooted forest through ``closure``: hang every root under
+    one extra vertex, close the tree, drop the extra vertex again."""
+    n = len(parent)
+    tree = RootedTree.from_parents([n if p is None else p for p in parent] + [None])
+    return closure(tree).subgraph(range(n))[0]
+
+
+class TestClosureForest:
+    def test_ct_round_trips(self):
+        for h in range(1, 5):
+            for k in range(1, 4):
+                g = ct(h, k)
+                parent = closure_forest(g)
+                assert parent is not None
+                assert forest_to_graph(parent) == g
+                assert max(RootedTree.from_parents(parent).depths()) == h - 1
+
+    def test_disjoint_unions_round_trip(self):
+        for g in (
+            disjoint_copies(3, ct(3, 2)),
+            disjoint_copies(2, complete_graph(4)),
+            disjoint_copies(4, complete_graph(1)),
+        ):
+            parent = closure_forest(g)
+            assert parent is not None
+            assert forest_to_graph(parent) == g
+
+    def test_complete_and_empty_graphs(self):
+        for n in range(0, 6):
+            for g in (complete_graph(n), empty_graph(n)):
+                parent = closure_forest(g)
+                assert parent is not None
+                assert forest_to_graph(parent) == g
+        assert closure_forest(empty_graph(4)) == [None] * 4
+
+    def test_p4_and_c4_are_not_closures(self):
+        assert closure_forest(path_graph(4)) is None
+        assert closure_forest(cycle_graph(4)) is None
+
+    def test_agrees_with_forbidden_subgraph_oracle(self):
+        for n in range(0, 7):
+            for g in all_graphs(n):
+                parent = closure_forest(g)
+                assert (parent is not None) == forest_closure_oracle(g), g.edges()
+                if parent is not None:
+                    assert forest_to_graph(parent) == g
+
+    @given(graphs_st(max_n=9))
+    @settings(max_examples=60, deadline=None)
+    def test_random_graphs(self, g):
+        parent = closure_forest(g)
+        assert (parent is not None) == forest_closure_oracle(g)
+        if parent is not None:
+            assert forest_to_graph(parent) == g
 
 
 class TestBall:
