@@ -7,11 +7,18 @@ condition, which is verified from the structured certificate when it
 parses, re-searched exhaustively when the contracted graph is small
 enough, and otherwise marked skipped with a reason.
 
+Each pair first maps every previous vertex to the next vertex that absorbs
+its model and to the one that keeps it exactly (``_pair_maps``); D2, D3,
+D4, D7 and D8 read these two maps and never recompute them.  D2 is set
+algebra per next vertex u: the edges at u must lie in the absorb image of
+the previous edges, and when u is a singleton, its singleton neighbours must
+be exactly the holders of its original's neighbours.  That costs O(n + m)
+set work over the previous, next and original graphs.
+
 The conditions scan the entry graphs and the original graph in O(n + m)
-per pair (D2 walks the original edges, not the vertex pairs), apart from
-the model scans of D3 and D6a, which take O(n) for each new or special
-vertex, and the minor clause of D10, which may search exhaustively within
-the size limits of ``minors``.
+per pair, apart from the model scans of D3 and D6a, which take O(n) for
+each new or special vertex, and the minor clause of D10, which may search
+exhaustively within the size limits of ``minors``.
 """
 
 from __future__ import annotations
@@ -112,25 +119,25 @@ class CertReport:
         return {c: v.to_json() for c, v in self.verdicts.items()}
 
 
-def _absorb(prev: SchemeEntry, nxt: SchemeEntry, v: int) -> Optional[int]:
-    """Next vertex whose model contains the whole model of prev vertex v.
+# previous vertex -> next vertex, or None
+Images = dict[int, Optional[int]]
 
-    An empty model (D1 fails it) is absorbed into nothing.
+
+def _pair_maps(prev: SchemeEntry, nxt: SchemeEntry) -> tuple[Images, Images]:
+    """The absorb and persist images of every previous vertex.
+
+    A vertex is absorbed into the next vertex whose model contains its whole
+    model, and persists as the next vertex with exactly its model; None
+    when there is none.  An empty model (D1 fails it) maps to None in both.
     """
-    m = prev.model[v]
-    w = nxt.holder.get(next(iter(m))) if m else None
-    if w is not None and m <= nxt.model[w]:
-        return w
-    return None
-
-
-def _persist(prev: SchemeEntry, nxt: SchemeEntry, v: int) -> Optional[int]:
-    """Next vertex with exactly the same model as prev vertex v.
-
-    An empty model (D1 fails it) persists as nothing.
-    """
-    m = prev.model[v]
-    return nxt.by_model.get(m) if m else None
+    absorb: Images = {}
+    persist: Images = {}
+    for v in range(prev.graph.n):
+        m = prev.model[v]
+        w = nxt.holder.get(next(iter(m))) if m else None
+        absorb[v] = w if w is not None and m <= nxt.model[w] else None
+        persist[v] = nxt.by_model.get(m) if m else None
+    return absorb, persist
 
 
 def _same_state(prev: SchemeEntry, nxt: SchemeEntry) -> bool:
@@ -160,13 +167,14 @@ def certify_entry(
         for cond in CONDITIONS[1:]:
             report.skip(cond, reason)
         return report
-    _check_d2(report, prev, nxt, original)
-    _check_d3(report, prev, nxt, params)
-    _check_d4(report, prev, nxt)
+    absorb, persist = _pair_maps(prev, nxt)
+    _check_d2(report, prev, nxt, original, absorb)
+    _check_d3(report, prev, nxt, params, absorb, persist)
+    _check_d4(report, prev, nxt, absorb)
     _check_d5(report, nxt, params)
     _check_d6(report, prev, nxt, params)
-    _check_d7(report, prev, nxt)
-    _check_d8(report, prev, nxt, params, original)
+    _check_d7(report, prev, nxt, absorb, persist)
+    _check_d8(report, prev, nxt, params, original, absorb, persist)
     _check_d9(report, nxt)
     _check_d10(report, nxt, params, original)
     _check_d11(report, nxt)
@@ -197,60 +205,88 @@ def _check_d1(report: CertReport, nv: SchemeEntry, original: Graph):
                 )
                 return
             seen[o] = v
-        if len(induced_components(original, m)) > 1:
+        if len(m) > 1 and len(induced_components(original, m)) > 1:
             report.fail("D1", clause="connectivity", vertex=v, model=m)
             return
 
 
 def _check_d2(
-    report: CertReport, pv: SchemeEntry, nv: SchemeEntry, original: Graph
+    report: CertReport,
+    pv: SchemeEntry,
+    nv: SchemeEntry,
+    original: Graph,
+    absorb: Images,
 ):
     g = nv.graph
-    absorbed: dict[int, list[int]] = {w: [] for w in range(g.n)}
-    for v in range(pv.graph.n):
-        w = _absorb(pv, nv, v)
+    # image[w]: where the previous neighbours of the vertices absorbed into w
+    # went; an edge (u, v) has a preimage iff v is in image[u]
+    image: list[set] = [set() for _ in range(g.n)]
+    for a, w in absorb.items():
         if w is not None:
-            absorbed[w].append(v)
-    for u, v in g.edges():
-        mu, mv = nv.model[u], nv.model[v]
-        # an id outside the original graph witnesses nothing; D1 fails it
-        if not any(0 <= o < original.n and original.adj[o] & mv for o in mu):
-            report.fail("D2", clause="edge-not-in-contraction", edge=[u, v])
-            return
-        ok = any(
-            pv.graph.has_edge(a, b) for a in absorbed[u] for b in absorbed[v]
-        )
-        if not ok:
-            report.fail("D2", clause="edge-without-preimage", edge=[u, v])
-            return
-    # singletons whose originals are adjacent must be adjacent: walk the
-    # original edges, not the vertex pairs, so the scan is O(n + m).  The
-    # holders come from the models themselves, so a duplicated id keeps all.
-    singles = sorted(
-        v for v, m in nv.model.items() if len(m) == 1 and 0 <= v < g.n
-    )
-    holders: dict[int, list[int]] = {}
-    for v in singles:
-        holders.setdefault(next(iter(nv.model[v])), []).append(v)
-    for u in singles:
-        o = next(iter(nv.model[u]))
-        if not 0 <= o < original.n:
-            continue  # an id outside the original graph; D1 fails it
-        missing = [
-            v
-            for x in original.adj[o]
-            for v in holders.get(x, ())
-            if v > u and not g.has_edge(u, v)
-        ]
-        if missing:
-            report.fail(
-                "D2", clause="missing-edge-between-originals", pair=[u, min(missing)]
+            image[w].update(map(absorb.get, pv.graph.adj[a]))
+    # the singletons holding each original id: one in ``by_orig``, the others
+    # of a duplicated id in ``shared``
+    single_id = {v: next(iter(m)) for v, m in nv.model.items() if len(m) == 1}
+    singles = frozenset(single_id)
+    by_orig = nv.by_orig
+    shared: dict[int, list[int]] = {}
+    if len(by_orig) < len(single_id):
+        for v, o in single_id.items():
+            if by_orig[o] != v:
+                shared.setdefault(o, []).append(v)
+    # the edges at a multi-vertex model that the contraction lacks, both
+    # ways; an id outside the original graph witnesses nothing (D1 fails it)
+    foreign: dict[int, set[int]] = {}
+    for w, m in nv.model.items():
+        if len(m) > 1:
+            reach = frozenset().union(
+                *(original.adj[o] for o in m if 0 <= o < original.n)
             )
+            for v in g.adj[w]:
+                if reach.isdisjoint(nv.model[v]):
+                    foreign.setdefault(w, set()).add(v)
+                    foreign.setdefault(v, set()).add(w)
+    missing_pair = None
+    for u, adj in enumerate(g.adj):
+        outside = near = frozenset()
+        o = single_id.get(u)
+        if o is not None:
+            # the singletons whose originals are adjacent to u's original
+            if 0 <= o < original.n:
+                near = set(map(by_orig.get, original.adj[o]))
+                near.discard(None)
+                if shared:
+                    near.update(
+                        v for x in original.adj[o] if x in shared for v in shared[x]
+                    )
+            adj_singles = adj & singles
+            if near != adj_singles:
+                outside = adj_singles - near
+                missing = [v for v in near - adj_singles if v > u]
+                if missing_pair is None and missing:
+                    missing_pair = [u, min(missing)]
+        if u in foreign:
+            outside = outside | foreign[u]
+        # both clauses are symmetric, so the first vertex with a failing edge
+        # holds the least failing edge (u, v), with v > u
+        if outside or not adj <= image[u]:
+            v = min(outside | (adj - image[u]))
+            clause = (
+                "edge-not-in-contraction" if v in outside else "edge-without-preimage"
+            )
+            report.fail("D2", clause=clause, edge=[u, v])
             return
+    if missing_pair is not None:
+        report.fail("D2", clause="missing-edge-between-originals", pair=missing_pair)
 
 
 def _check_d3(
-    report: CertReport, pv: SchemeEntry, nv: SchemeEntry, params: SchemeParams
+    report: CertReport,
+    pv: SchemeEntry,
+    nv: SchemeEntry,
+    params: SchemeParams,
+    absorb: Images,
+    persist: Images,
 ):
     frozen = pv.graph.n <= params.n_freeze
     same = _same_state(pv, nv)
@@ -269,15 +305,9 @@ def _check_d3(
             sizes=[len(pv.model), len(nv.model)],
         )
         return
-    next_models = set(nv.by_model)
     for v in range(pv.graph.n):
-        m = pv.model[v]
-        if m in next_models:
-            continue
-        w = _absorb(pv, nv, v)
-        if w is not None:
-            continue
-        if any(o in nv.cover for o in m):
+        kept = persist[v] is not None or absorb[v] is not None
+        if not kept and not pv.model[v].isdisjoint(nv.cover):
             report.fail("D3", clause="model-split-across-entries", vertex=v)
             return
     prev_models = set(pv.by_model)
@@ -294,7 +324,7 @@ def _check_d3(
             return
 
 
-def _check_d4(report: CertReport, pv: SchemeEntry, nv: SchemeEntry):
+def _check_d4(report: CertReport, pv: SchemeEntry, nv: SchemeEntry, absorb: Images):
     g = nv.graph
     arcs = nv.arcs
     for a, b in sorted(arcs):
@@ -313,7 +343,14 @@ def _check_d4(report: CertReport, pv: SchemeEntry, nv: SchemeEntry):
             report.fail("D4", clause="directed-two-path", path=[a, b, c])
             return
     for a, b in sorted(pv.arcs):
-        wa, wb = _absorb(pv, nv, a), _absorb(pv, nv, b)
+        if a not in absorb or b not in absorb:
+            report.skip(
+                "D4",
+                f"arc [{a}, {b}]: arc endpoint out of range, flagged by D4 of "
+                "the pair before",
+            )
+            continue
+        wa, wb = absorb[a], absorb[b]
         if wa is not None and wb is not None and g.has_edge(wa, wb):
             if (wa, wb) not in arcset:
                 report.fail("D4", clause="arc-not-inherited", arc=[a, b])
@@ -374,14 +411,20 @@ def _check_d6(
                 report.fail("D6b", edge=[v, u])
 
 
-def _check_d7(report: CertReport, pv: SchemeEntry, nv: SchemeEntry):
+def _check_d7(
+    report: CertReport,
+    pv: SchemeEntry,
+    nv: SchemeEntry,
+    absorb: Images,
+    persist: Images,
+):
     present = {(e.members, e.label) for e in nv.hyperedges}
     for edge in pv.edges_in_range.values():
         rest = edge.members - {edge.sink}
-        images = {v: _persist(pv, nv, v) for v in rest}
+        images = {v: persist[v] for v in rest}
         if any(w is None for w in images.values()):
             continue
-        w_sink = _absorb(pv, nv, edge.sink)
+        w_sink = absorb[edge.sink]
         if w_sink is None:
             continue
         derived = frozenset({w_sink}) | frozenset(
@@ -403,6 +446,8 @@ def _check_d8(
     nv: SchemeEntry,
     params: SchemeParams,
     original: Graph,
+    absorb: Images,
+    persist: Images,
 ):
     if _same_state(pv, nv):
         return
@@ -430,7 +475,7 @@ def _check_d8(
     for v in range(pv.graph.n):
         if len(pv.model[v]) != 1:
             continue
-        if _persist(pv, nv, v) is None and pv.graph.degree(v) > d:
+        if persist[v] is None and pv.graph.degree(v) > d:
             report.fail("D8a", vertex=v, degree=pv.graph.degree(v), limit=d)
             break
 
@@ -495,16 +540,16 @@ def _check_d8(
         report.fail("D8f", expected_members=wanted)
 
     if pv.cover == nv.cover:
-        _check_d8g(report, pv, nv, params, original, q, u_set, u_plus)
+        _check_d8g(report, pv, nv, params, original, q, u_plus, absorb)
         # D8h vacuous on contraction-type steps
     else:
-        _check_d8h(report, pv, nv, params, original, q, u_set, u_plus)
+        _check_d8h(report, pv, nv, params, original, q, u_set, u_plus, absorb, persist)
         # D8g vacuous on deletion-type steps
 
     _check_d8i(report, pv, nv, original, q, u_set, u_plus)
 
 
-def _check_d8g(report, pv, nv, params, original, q, u_set, u_plus):
+def _check_d8g(report, pv, nv, params, original, q, u_plus, absorb):
     if any(pv.model[v] == nv.model[q] for v in range(pv.graph.n)):
         report.fail("D8g", clause="ga-q-not-new", q=q)
     for v in range(pv.graph.n):
@@ -515,7 +560,7 @@ def _check_d8g(report, pv, nv, params, original, q, u_set, u_plus):
             report.fail("D8g", clause="gb-model-lost", vertex=v)
             return
     for u, v in pv.graph.edges():
-        wu, wv = _absorb(pv, nv, u), _absorb(pv, nv, v)
+        wu, wv = absorb[u], absorb[v]
         if wu is None or wv is None or wu == wv or nv.graph.has_edge(wu, wv):
             continue
         if q not in (wu, wv):
@@ -533,7 +578,7 @@ def _check_d8g(report, pv, nv, params, original, q, u_set, u_plus):
             report.fail("D8g", clause="gc-endpoint-unqualified", edge=[u, v])
             return
     for edge in pv.edges_in_range.values():
-        if _absorb(pv, nv, edge.sink) != q:
+        if absorb[edge.sink] != q:
             continue
         if not _find_gd_partner(pv, nv, original, edge, q, u_plus):
             report.fail(
@@ -582,7 +627,7 @@ def _find_gd_partner(pv, nv, original, edge, q, u_plus) -> bool:
     return False
 
 
-def _check_d8h(report, pv, nv, params, original, q, u_set, u_plus):
+def _check_d8h(report, pv, nv, params, original, q, u_set, u_plus, absorb, persist):
     vanished = []
     for v in range(pv.graph.n):
         m = pv.model[v]
@@ -611,12 +656,12 @@ def _check_d8h(report, pv, nv, params, original, q, u_set, u_plus):
             report.fail("D8h", clause="hc-neighbor-is-head", vertex=x)
             return
     for u, v in pv.graph.edges():
-        wu, wv = _absorb(pv, nv, u), _absorb(pv, nv, v)
+        wu, wv = absorb[u], absorb[v]
         if wu is not None and wv is not None and wu != wv:
             if not nv.graph.has_edge(wu, wv):
                 report.fail("D8h", clause="hd-edge-dropped", edge=[u, v])
                 return
-    gone = sum(1 for v in range(pv.graph.n) if _persist(pv, nv, v) is None)
+    gone = list(persist.values()).count(None)
     if gone > params.n_freeze:
         report.fail("D8h", clause="he-too-many-removed", removed=gone)
     for v in range(pv.graph.n):
@@ -637,20 +682,16 @@ def _check_d8h(report, pv, nv, params, original, q, u_set, u_plus):
         sink_model = pv.model[edge.sink]
         if sink_model & nv.cover:
             continue
-        if not _find_hg_partner(pv, nv, original, edge, q, u_set):
+        if not _find_hg_partner(pv, nv, original, edge, q, u_set, persist):
             report.fail("D8h", clause="hg-no-partner-edge", members=edge.members)
             return
 
 
-def _find_hg_partner(pv, nv, original, edge, q, u_set) -> bool:
+def _find_hg_partner(pv, nv, original, edge, q, u_set, persist) -> bool:
     surviving = frozenset(
-        v for v in edge.members - {edge.sink} if _persist(pv, nv, v) is not None
+        v for v in edge.members - {edge.sink} if persist[v] is not None
     )
-    gone = [
-        v
-        for v in sorted(edge.members - {edge.sink})
-        if _persist(pv, nv, v) is None
-    ]
+    gone = [v for v in sorted(edge.members - {edge.sink}) if persist[v] is None]
     if any(pv.orig_at.get(v) is None for v in gone):
         return False
     want = _sig_multiset(
@@ -662,9 +703,7 @@ def _find_hg_partner(pv, nv, original, edge, q, u_set) -> bool:
         if not pv.model[cand.sink] <= nv.model[q]:
             continue
         cand_surviving = frozenset(
-            v
-            for v in cand.members - {cand.sink}
-            if _persist(pv, nv, v) is not None
+            v for v in cand.members - {cand.sink} if persist[v] is not None
         )
         if cand_surviving != surviving:
             continue

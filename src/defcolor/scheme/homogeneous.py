@@ -2,8 +2,9 @@
 identical outside boundaries.
 
 ``find_homogeneous`` is a best-effort search: a returned triple satisfies
-all conditions (re-verified), while ``None`` only means this strategy
-failed, never that no triple exists.
+all conditions (the step that uses it verifies them with
+``check_homogeneous``), while ``None`` only means this strategy failed,
+never that no triple exists.
 """
 
 from __future__ import annotations
@@ -102,9 +103,5 @@ def find_homogeneous(
                 break
             blocked |= ball(g, [z], 2 * length - 2, within=x_set)
         if len(chosen) == t:
-            triple = HomogeneousTriple(x_set, frozenset(chosen), w)
-            problem = check_homogeneous(g, triple, t, length, d, r)
-            if problem is not None:
-                raise AssertionError(f"internal: search violated its contract: {problem}")
-            return triple
+            return HomogeneousTriple(x_set, frozenset(chosen), w)
     return None

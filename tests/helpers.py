@@ -405,12 +405,16 @@ def minor_dfs_oracle(host: Graph, pattern: Graph):
 def d2_oracle(prev, nxt, original: Graph) -> dict:
     """Verdict JSON of condition D2 for the pair (prev, nxt), found by the
     plain quadratic scan: every edge of the next graph, then every pair of
-    its vertices in lexicographic order.  Models must be disjoint."""
+    its vertices in lexicographic order.  Models may share ids only between
+    singletons; a previous model inside several next models is absorbed
+    into the last of them in model order, the certifier's rule for a shared
+    key."""
     g, pg = nxt.graph, prev.graph
-    absorbed = {
-        w: [v for v in range(pg.n) if prev.model[v] <= nxt.model[w]]
-        for w in range(g.n)
-    }
+    absorbed = {w: [] for w in range(g.n)}
+    for v in range(pg.n):
+        into = [w for w in nxt.model if prev.model[v] <= nxt.model[w]]
+        if into:
+            absorbed[into[-1]].append(v)
 
     def fail(**witness):
         return {"status": "fail", "witness": witness}

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
 
+from defcolor.errors import DefcolorError
 from defcolor.graphs import Graph, complete_graph, ct
 from defcolor.scheme import (
     Hyperedge,
@@ -14,6 +17,8 @@ from defcolor.scheme import (
     contract_step,
     find_homogeneous,
     initial_entry,
+    scheme_from_json,
+    scheme_to_json,
 )
 from defcolor.scheme.certify import CONDITIONS
 from defcolor.scheme.corpus import caterpillar, star_of_balls
@@ -249,6 +254,31 @@ class TestOutOfRangeModelIds:
             assert report.start.witness == {"clause": "nonstandard-first-entry"}
 
 
+class TestOutOfRangeArcs:
+    def test_arc_endpoint_past_n_gives_report(self):
+        # an arc endpoint past the graph of the previous entry used to raise
+        # KeyError in D4's inherited-arc clause of the next pair
+        inst = caterpillar(1, 20)
+        scheme = build_scheme(inst.graph, inst.params)
+        (a, _), *rest = sorted(scheme[1].arcs)
+        bad = swap(scheme[1], arcs=frozenset([(a, 10**6), *rest]))
+        report = certify_scheme(
+            [scheme[0], bad, *scheme[2:]], inst.params, inst.graph
+        )
+        assert not report.clean()
+        assert report.pair_reports[0].verdicts["D4"].witness == {
+            "clause": "arc-not-on-edge",
+            "arc": [a, 10**6],
+        }
+        later = report.pair_reports[1]
+        assert later.failures() == []
+        assert later.skipped() == ["D4"]
+        assert later.verdicts["D4"].reason == (
+            f"arc [{a}, {10**6}]: arc endpoint out of range, "
+            "flagged by D4 of the pair before"
+        )
+
+
 class TestUOutsideUPlus:
     def test_every_foreign_id_gives_report(self, cat):
         # an id of U that is no original of the next entry used to raise
@@ -306,6 +336,53 @@ class TestD2AgainstOracle:
             "edge-not-in-contraction",
             "edge-without-preimage",
             "missing-edge-between-originals",
+        }
+
+    def test_seeded_model_edits_match_quadratic_scan(self):
+        # duplicated singleton ids (on a vertex whose edges are kept or
+        # dropped) and moved multi-vertex models, each with an edge edit, so
+        # every branch of D2 meets the oracle
+        rng = random.Random(12)
+        seen = set()
+        for inst in (
+            caterpillar(1, 20),
+            caterpillar(2, 24),
+            star_of_balls(1, 20, 5),
+            star_of_balls(2, 33, 3),
+        ):
+            scheme = build_scheme(inst.graph, inst.params)
+            for prev, nxt in list(zip(scheme, scheme[1:])) + [(scheme[-1],) * 2]:
+                singles = [v for v, m in nxt.model.items() if len(m) == 1]
+                multi = [v for v, m in nxt.model.items() if len(m) > 1]
+                for _ in range(12):
+                    model = dict(nxt.model)
+                    graph = _edit_edges(nxt.graph, rng, 1, 1)
+                    a, b = sorted(rng.sample(singles, 2))
+                    kind = rng.choice(["duplicated-id", "moved-model"])
+                    if kind == "moved-model" and multi:
+                        c = rng.choice(multi)
+                        model[a], model[c] = model[c], model[a]
+                    else:
+                        kind = "duplicated-id"
+                        model[a] = model[b]
+                        if rng.random() < 0.5:
+                            graph = Graph.from_edges(
+                                graph.n, [e for e in graph.edges() if a not in e]
+                            )
+                    nxt_m = swap(nxt, model=model, graph=graph)
+                    got = certify_entry(prev, nxt_m, inst.params, inst.graph)
+                    want = d2_oracle(prev, nxt_m, inst.graph)
+                    assert got.verdicts["D2"].to_json() == want, inst.name
+                    witness = want.get("witness", {})
+                    ends = witness.get("edge", ())
+                    multi_end = any(len(model[v]) > 1 for v in ends)
+                    seen.add((kind, witness.get("clause"), multi_end))
+        assert seen >= {
+            ("duplicated-id", "edge-not-in-contraction", False),
+            ("duplicated-id", "edge-without-preimage", False),
+            ("duplicated-id", "missing-edge-between-originals", False),
+            ("moved-model", "edge-not-in-contraction", True),
+            ("moved-model", "edge-without-preimage", True),
         }
 
 
@@ -401,3 +478,58 @@ class TestSchemeLevel:
         params = SchemeParams(h=3, k=2, r=2, d=2, n_freeze=5, l0=1, t=1)
         report = certify_scheme([], params, ct(2, 2))
         assert not report.clean()
+
+
+def _mutate(doc: list, rng: random.Random, n_orig: int) -> list:
+    """A copy of a scheme document with one field of one entry changed: an
+    edge dropped or added, a model id replaced, two models swapped, or an
+    arc endpoint moved (every new value in range)."""
+    d = json.loads(json.dumps(doc))
+    e = rng.choice(d)
+    kind = rng.choice(["drop-edge", "add-edge", "model-id", "model-swap", "arc-end"])
+    n = e["graph"]["n"]
+    edges = e["graph"]["edges"]
+    if kind == "drop-edge" and edges:
+        edges.pop(rng.randrange(len(edges)))
+    elif kind == "add-edge":
+        u, v = sorted(rng.sample(range(n), 2))
+        if [u, v] not in edges:
+            edges.append([u, v])
+    elif kind == "model-id":
+        ids = e["model"][str(rng.randrange(n))]
+        ids[rng.randrange(len(ids))] = rng.randrange(n_orig)
+    elif kind == "model-swap":
+        a, b = (str(x) for x in rng.sample(range(n), 2))
+        e["model"][a], e["model"][b] = e["model"][b], e["model"][a]
+    elif kind == "arc-end" and e["arcs"]:
+        arc = rng.choice(e["arcs"])
+        arc[rng.randrange(2)] = rng.randrange(n)
+    return d
+
+
+class TestPinnedMutationReports:
+    # sha256 of the report JSON of 1,000 seeded mutations (one line each),
+    # recorded before the certifier shared one absorb/persist map per pair
+    DIGEST = "6f079db7247e4b8366868fbc1a7e00fb9fb42c0a82e668ec863d49558980ee3b"
+
+    def test_single_field_mutations_keep_their_reports(self):
+        rng = random.Random(7)
+        digest = hashlib.sha256()
+        for inst in (
+            caterpillar(1, 14),
+            caterpillar(1, 20),
+            caterpillar(2, 14),
+            star_of_balls(1, 6, 2),
+            star_of_balls(2, 7, 2),
+        ):
+            doc = json.loads(scheme_to_json(build_scheme(inst.graph, inst.params)))
+            for _ in range(200):
+                text = json.dumps(_mutate(doc, rng, inst.graph.n))
+                try:
+                    scheme = scheme_from_json(text)
+                    report = certify_scheme(scheme, inst.params, inst.graph)
+                    line = json.dumps(report.to_json())
+                except DefcolorError as exc:
+                    line = "error:" + type(exc).__name__
+                digest.update(line.encode() + b"\n")
+        assert digest.hexdigest() == self.DIGEST

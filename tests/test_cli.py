@@ -269,6 +269,24 @@ class TestScheme:
         assert not report["clean"]
         assert report["pairs"][0]["D1"]["witness"]["clause"] == "model-keys"
 
+    def test_certify_out_of_range_arc_is_dirty(self, capsys, tmp_path):
+        # an arc endpoint past the graph of entry 1 used to raise KeyError in
+        # D4 of the pair after, a traceback and exit 1
+        inst = caterpillar(1, 20)
+        ppath = tmp_path / "params.json"
+        ppath.write_text(json.dumps(inst.params.to_json()))
+        doc = json.loads(scheme_to_json(build_scheme(inst.graph, inst.params)))
+        doc[1]["arcs"][0][1] = 10**6
+        spath = tmp_path / "scheme.json"
+        spath.write_text(json.dumps(doc))
+        code, out = run(capsys, "scheme", "certify", str(spath), "--params", str(ppath))
+        assert code == 1
+        report = json.loads(out)
+        assert not report["clean"]
+        first, second = report["pairs"][:2]
+        assert first["D4"]["witness"]["clause"] == "arc-not-on-edge"
+        assert second["D4"]["status"] == "skipped"
+
     def _certify_edited(self, capsys, tmp_path, edit):
         inst = caterpillar(1, 14)
         ppath = tmp_path / "params.json"

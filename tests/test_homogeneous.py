@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from defcolor.graphs import Graph, complete_graph, star_graph
+from defcolor.scheme.corpus import caterpillar, star_of_balls
 from defcolor.scheme.homogeneous import (
     HomogeneousTriple,
     check_homogeneous,
@@ -55,6 +56,18 @@ class TestFindHomogeneous:
         triple = find_homogeneous(g, t=4, length=2, d=4, r=3)
         assert triple is not None
         assert check_homogeneous(g, triple, 4, 2, 4, 3) is None
+
+    def test_corpus_triples_reverify(self):
+        # the scheme-scale instances of the benchmark: every first triple
+        # meets the conditions the steps check
+        instances = [star_of_balls(1, m, 5) for m in [*range(20, 60), 400]]
+        instances += [star_of_balls(2, m, 3) for m in range(33, 93)]
+        instances += [caterpillar(w, s) for w in (1, 2) for s in range(12, 36)]
+        for inst in instances:
+            g, p = inst.graph, inst.params
+            triple = find_homogeneous(g, p.t, p.l0, p.d, p.r)
+            assert triple is not None, inst.name
+            assert check_homogeneous(g, triple, p.t, p.l0, p.d, p.r) is None
 
     def test_full_boundary_flag(self):
         # single-vertex balls: the whole boundary is the apex set
