@@ -9,6 +9,7 @@ Exit status: 0 success or a positive answer, 1 a computed negative answer
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -82,6 +83,7 @@ def _coloring_json(c: Coloring) -> str:
     return json.dumps({"k": c.k, "colors": list(c.colors)}) + "\n"
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="defcolor",
@@ -91,8 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument(
         "--seed",
         type=int,
-        default=int(os.environ.get("DEFCOLOR_SEED", "0")),
-        help="seed for randomized subroutines (env DEFCOLOR_SEED)",
+        default=None,
+        help="seed for randomized subroutines (default: env DEFCOLOR_SEED, else 0)",
     )
     sub = ap.add_subparsers(dest="verb", required=True)
 
@@ -295,6 +297,14 @@ def _run(args) -> int:
     raise InputFormatError(f"unknown verb {args.verb!r}")
 
 
+def _env_seed() -> int:
+    raw = os.environ.get("DEFCOLOR_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputFormatError(f"DEFCOLOR_SEED must be an integer, got {raw!r}") from None
+
+
 def main(argv=None) -> int:
     ap = _build_parser()
     try:
@@ -302,6 +312,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        if args.seed is None:
+            args.seed = _env_seed()
         return _run(args)
     except (
         BudgetExceededError,

@@ -16,6 +16,19 @@ The cuts remove only subtrees without a model, so the first model in this
 order is the answer, and the search never visits more nodes than the same
 search without the capacity cut: any budget under which that search answers
 gives the same model here.
+
+The search runs on a kernel of the host.  With δ the least pattern degree,
+δ >= 1 drops the isolated host vertices, and δ >= 2 also peels vertices of
+degree <= 1 until none is left (the islet and twig rules of Bodlaender,
+Koster and van den Eijkhof), in O(n + m).  No model has a branch set that
+is one removed vertex, and a removed vertex inside a larger branch set is a
+leaf of it that covers no pattern edge: dropping it leaves a valid model
+that comes earlier in the order.  So the first model avoids the removed
+vertices.  The survivors keep their relative order, so the kernel's
+candidate sets are the raw ones without the removed vertices, in the same
+order; each candidate pool is a subsequence of the raw one and both cuts
+fire at least as often.  The first model is the same and the node count
+never grows.
 """
 
 from __future__ import annotations
@@ -151,6 +164,10 @@ def has_minor(
     Exhaustive mode is complete: ``None`` means the pattern is not a minor.
     Inputs beyond the documented limits raise SizeLimitError there; callers
     must opt into ``mode="heuristic"`` (sound, incomplete) for larger inputs.
+    The limits and the shortcuts apply to the raw host.  The search runs on
+    the host's leaf-free kernel (see the module docstring); its model, mapped
+    back to host ids and checked on the raw host, is the one the search
+    would find on the raw host, within the same node budget.
     """
     if pattern.n == 0:
         return MinorModel({})
@@ -173,12 +190,44 @@ def has_minor(
             f"pattern<={EXHAUSTIVE_PATTERN_LIMIT} vertices "
             f"(got {host.n}, {pattern.n}); use heuristic mode"
         )
-    return _exhaustive_search(host, pattern, node_budget)
+    kernel, survivors = host.subgraph(_kernel(host, pattern))
+    found = _exhaustive_search(kernel, pattern, node_budget)
+    if found is None:
+        return None
+    model = MinorModel(
+        {pv: frozenset(survivors[v] for v in s) for pv, s in found.items()}
+    )
+    ok, violation = verify_model(host, pattern, model)
+    if not ok:
+        raise AssertionError(f"internal: search produced invalid model: {violation}")
+    return model
+
+
+def _kernel(host: Graph, pattern: Graph) -> list[int]:
+    """The host vertices that can lie in the first model, ascending.
+
+    With least pattern degree δ, vertices of degree below min(δ, 2) are
+    peeled until none is left: such a vertex is either a whole branch set,
+    which has too few neighbours, or a leaf of one, which covers no pattern
+    edge.
+    """
+    low = min(2, *(pattern.degree(v) for v in range(pattern.n)))
+    deg = [len(s) for s in host.adj]
+    alive = [d >= low for d in deg]
+    stack = [v for v in range(host.n) if not alive[v]]
+    while stack:
+        for u in host.adj[stack.pop()]:
+            if alive[u]:
+                deg[u] -= 1
+                if deg[u] < low:
+                    alive[u] = False
+                    stack.append(u)
+    return [v for v in range(host.n) if alive[v]]
 
 
 def _exhaustive_search(
     host: Graph, pattern: Graph, node_budget: int
-) -> Optional[MinorModel]:
+) -> Optional[dict[int, frozenset[int]]]:
     p = pattern.n
     order = sorted(range(p), key=lambda v: (-pattern.degree(v), v))
     pos = {v: i for i, v in enumerate(order)}
@@ -262,13 +311,7 @@ def _exhaustive_search(
         # place reaches itself through its closure; break that cycle so the
         # candidate masks are freed on return, not at a later full collection
         place = None
-    if found is None:
-        return None
-    model = MinorModel(found)
-    ok, violation = verify_model(host, pattern, model)
-    if not ok:
-        raise AssertionError(f"internal: search produced invalid model: {violation}")
-    return model
+    return found
 
 
 def _heuristic_search(host: Graph, pattern: Graph, seed: int) -> Optional[MinorModel]:

@@ -214,17 +214,20 @@ class _Rebuild:
         self.idx = {v: i for i, v in enumerate(survivors)}
         self.v_new = len(survivors)
         edges = set()
-        for u, v in g.edges():
-            iu, iv = self.idx.get(u), self.idx.get(v)
-            if iu is not None and iv is not None:
-                edges.add((min(iu, iv), max(iu, iv)))
-            elif iu is not None and v in contracted:
-                if cut_x_edges is None or u not in cut_x_edges:
-                    edges.add((min(iu, self.v_new), max(iu, self.v_new)))
-            elif iv is not None and u in contracted:
-                if cut_x_edges is None or v not in cut_x_edges:
-                    edges.add((min(iv, self.v_new), max(iv, self.v_new)))
-        self.graph = Graph.from_edges(self.v_new + 1, sorted(edges))
+        for u, nbrs in enumerate(g.adj):
+            for v in nbrs:
+                if u > v:
+                    continue
+                iu, iv = self.idx.get(u), self.idx.get(v)
+                if iu is not None and iv is not None:
+                    edges.add((iu, iv))
+                elif iu is not None and v in contracted:
+                    if cut_x_edges is None or u not in cut_x_edges:
+                        edges.add((iu, self.v_new))
+                elif iv is not None and u in contracted:
+                    if cut_x_edges is None or v not in cut_x_edges:
+                        edges.add((iv, self.v_new))
+        self.graph = Graph.from_edges(self.v_new + 1, edges)
         model = {self.idx[v]: entry.model[v] for v in survivors}
         model[self.v_new] = frozenset().union(*(entry.model[v] for v in contracted))
         self.model = model

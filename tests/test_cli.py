@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from defcolor import cli
 from defcolor.cli import main
 from defcolor.graphs import ct, parse_graph6, to_edge_json, to_graph6
 from defcolor.scheme import build_scheme, scheme_from_json, scheme_to_json
@@ -147,6 +148,52 @@ class TestMinor:
         )
         assert code == 1
         assert json.loads(out)["violation"]["clause"] == "disjointness"
+
+
+class TestParserAndSeed:
+    def _minor_argv(self, tmp_path):
+        host = tmp_path / "host.g6"
+        host.write_text(to_graph6(ct(3, 2)) + "\n")
+        pattern = tmp_path / "pattern.g6"
+        pattern.write_text(to_graph6(ct(2, 2)) + "\n")
+        return ["minor", str(host), "--pattern", str(pattern), "--mode", "heuristic"]
+
+    def _record_seeds(self, monkeypatch) -> list:
+        seeds = []
+        real = cli.has_minor
+
+        def recording(*args, **kwargs):
+            seeds.append(kwargs["seed"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "has_minor", recording)
+        return seeds
+
+    def test_one_parser_per_process(self, capsys, tmp_path):
+        parser = cli._build_parser()
+        argv = self._minor_argv(tmp_path)
+        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, "gen", "ct", "--h", "2", "--k", "2")[0] == 0
+        assert cli._build_parser() is parser
+
+    def test_each_call_reads_its_own_env_seed(self, capsys, tmp_path, monkeypatch):
+        seeds = self._record_seeds(monkeypatch)
+        argv = self._minor_argv(tmp_path)
+        for value in ("5", "9"):
+            monkeypatch.setenv("DEFCOLOR_SEED", value)
+            assert run(capsys, *argv)[0] == 0
+        # the flag wins over the environment, and no variable means 0
+        assert run(capsys, "--seed", "3", *argv)[0] == 0
+        monkeypatch.delenv("DEFCOLOR_SEED")
+        assert run(capsys, *argv)[0] == 0
+        assert seeds == [5, 9, 3, 0]
+
+    def test_bad_env_seed_exits_2(self, capsys, tmp_path, monkeypatch):
+        seeds = self._record_seeds(monkeypatch)
+        monkeypatch.setenv("DEFCOLOR_SEED", "x7")
+        code = main(self._minor_argv(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 2 and "DEFCOLOR_SEED" in err and seeds == []
 
 
 class TestColor:

@@ -12,11 +12,12 @@ from defcolor.graphs import (
     complete_bipartite,
     complete_graph,
     ct,
+    cycle_graph,
     empty_graph,
     path_graph,
     star_graph,
 )
-from defcolor.minors import MinorModel, has_ct_minor, has_minor, verify_model
+from defcolor.minors import MinorModel, _kernel, has_ct_minor, has_minor, verify_model
 from helpers import all_graphs, graphs_st, minor_dfs_oracle, minor_oracle
 
 
@@ -164,6 +165,96 @@ class TestAgainstDfsOracle:
             assert (None if got is None else got.branch_sets) == want
             outcomes.add(want is None)
         assert outcomes == {True, False}
+
+
+def _with_twigs(rng: random.Random, core_n: int, p: float, twigs: int, islets: int) -> Graph:
+    """A G(core_n, p) core with ``twigs`` pendant vertices grown onto it (each
+    hangs from the core or from an earlier twig) and ``islets`` isolated
+    vertices, relabelled at random so the removable vertices interleave."""
+    n = core_n + twigs + islets
+    edges = [
+        (u, v) for u in range(core_n) for v in range(u + 1, core_n) if rng.random() < p
+    ]
+    edges += [(rng.randrange(core_n + t), core_n + t) for t in range(twigs)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+class TestKernel:
+    # the exact-mix host G(14, 0.25) of the benchmark: vertices 9 and 13 are
+    # twigs, so K4 and K2,3 are searched on a 12-vertex kernel
+    G14 = Graph.from_edges(14, [
+        (0, 10), (0, 11), (1, 7), (1, 11), (2, 4), (2, 6), (2, 7), (3, 7),
+        (3, 8), (4, 6), (4, 11), (4, 12), (4, 13), (5, 10), (5, 11), (5, 12),
+        (6, 9), (7, 8), (7, 10), (7, 12), (10, 12),
+    ])
+
+    def test_twigs_and_islets_same_model_within_oracle_nodes(self):
+        rng = random.Random(8)
+        peeled = {1: 0, 2: 0}
+        for _ in range(90):
+            host = _with_twigs(
+                rng, rng.randint(3, 6), rng.uniform(0.3, 0.8),
+                rng.randint(0, 3), rng.randint(0, 1),
+            )
+            k = rng.randint(3, min(5, host.n))
+            pattern = Graph.from_edges(k, [
+                (u, v) for u in range(k) for v in range(u + 1, k)
+                if rng.random() < rng.uniform(0.4, 0.9)
+            ])
+            if not pattern.edge_count() or host == pattern:
+                continue
+            least = min(pattern.degree(v) for v in range(k))
+            if least and len(_kernel(host, pattern)) < host.n:
+                peeled[min(least, 2)] += 1
+            want, nodes = minor_dfs_oracle(host, pattern)
+            got = has_minor(host, pattern, node_budget=nodes)
+            assert (None if got is None else got.branch_sets) == want
+        # both rules removed vertices in many of the pairs
+        assert min(peeled.values()) >= 10, peeled
+
+    def test_min_degree_two_patterns_match_partition_oracle(self):
+        rng = random.Random(9)
+        patterns = [
+            complete_graph(3), complete_graph(4), cycle_graph(4), cycle_graph(5),
+            complete_bipartite(2, 3), ct(2, 3),
+        ]
+        outcomes = set()
+        for _ in range(40):
+            host = _with_twigs(
+                rng, rng.randint(3, 5), rng.uniform(0.4, 0.9),
+                rng.randint(1, 2), rng.randint(0, 1),
+            )
+            for pattern in patterns:
+                if pattern.n > host.n:
+                    continue
+                got = has_minor(host, pattern)
+                assert (got is not None) == minor_oracle(host, pattern)
+                outcomes.add(got is None)
+        assert outcomes == {True, False}
+
+    def test_kernel_rules(self):
+        # a triangle with a two-vertex tail at 2 and an isolated vertex 5
+        host = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+        assert _kernel(host, star_graph(2)) == [0, 1, 2, 3, 4]
+        assert _kernel(host, complete_graph(3)) == [0, 1, 2]
+        assert _kernel(host, Graph.from_edges(3, [(0, 1)])) == list(range(6))
+        assert _kernel(path_graph(5), cycle_graph(4)) == []
+
+    def test_exact_mix_host_answers_within_bench_budget(self):
+        assert _kernel(self.G14, complete_graph(4)) == [
+            0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12,
+        ]
+        want = {
+            "K4": (complete_graph(4), [[4], [11], [5, 12], [1, 2, 7]]),
+            "K2,3": (complete_bipartite(2, 3), [[4], [5], [11], [12], [2, 7, 10]]),
+        }
+        for pattern, sets in want.values():
+            model = has_minor(self.G14, pattern, node_budget=40_000)
+            assert model is not None
+            assert verify_model(self.G14, pattern, model) == (True, None)
+            assert model.branch_sets == {pv: frozenset(s) for pv, s in enumerate(sets)}
 
 
 class TestCtMinor:
