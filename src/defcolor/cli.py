@@ -3,7 +3,8 @@ and the derived-constants table.
 
 Exit status: 0 success or a positive answer, 1 a computed negative answer
 (infeasible, no minor, dirty certificate), 2 usage or input errors,
-3 exhausted budgets or failed searches.
+3 exhausted budgets or failed searches, 4 an internal error (a bug: no
+answer was computed).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _read(path: str) -> str:
@@ -77,6 +79,13 @@ def _load_params(path: str) -> SchemeParams:
         return SchemeParams.from_json(json.loads(_read(path)))
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise InputFormatError(f"bad params file: {exc}") from exc
+
+
+def _load_model(path: str) -> MinorModel:
+    doc = json.loads(_read(path))
+    return MinorModel(
+        {pv: frozenset(s) for pv, s in graphs.int_keyed(doc, "model document", 2)}
+    )
 
 
 def _coloring_json(c: Coloring) -> str:
@@ -219,11 +228,7 @@ def _run(args) -> int:
         host = _load_graph(args.host)
         pattern = _load_graph(args.pattern)
         if args.verify is not None:
-            doc = json.loads(_read(args.verify))
-            model = MinorModel(
-                {int(pv): frozenset(s) for pv, s in doc.items()}
-            )
-            ok, violation = verify_model(host, pattern, model)
+            ok, violation = verify_model(host, pattern, _load_model(args.verify))
             out = {"valid": ok}
             if violation is not None:
                 out["violation"] = {
@@ -241,7 +246,7 @@ def _run(args) -> int:
             return EXIT_NEGATIVE
         ok, _ = verify_model(host, pattern, model)
         if not ok:
-            raise DefcolorError("internal: search produced an invalid model")
+            raise RuntimeError("search produced an invalid model")
         doc = {str(pv): sorted(s) for pv, s in model.branch_sets.items()}
         _emit(json.dumps(doc), args.output)
         return EXIT_OK
@@ -331,6 +336,12 @@ def main(argv=None) -> int:
     except DefcolorError as exc:
         print(f"defcolor: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        import traceback  # only on this path; it is slow to import
+
+        print(f"defcolor: internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Container, Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, InputFormatError, NotConnectedError
@@ -384,31 +385,6 @@ def ball(
     return frozenset(seen)
 
 
-def components(g: Graph) -> list[frozenset[int]]:
-    """Connected components, each sorted internally, ordered by least vertex."""
-    seen = [False] * g.n
-    out = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = []
-        stack = [s]
-        seen[s] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in g.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        out.append(frozenset(comp))
-    return out
-
-
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(components(g)) == 1
-
-
 def induced_components(g: Graph, vs: Iterable[int]) -> list[frozenset[int]]:
     """Components of g[vs] expressed in g's vertex ids."""
     vset = set(vs)
@@ -733,3 +709,28 @@ def parse_graph(text: str) -> Graph:
     if stripped.startswith("{"):
         return parse_edge_json(stripped)
     return parse_graph6(stripped)
+
+
+def int_lists(value, what: str, depth: int = 1):
+    """``value`` if it is a JSON list nested ``depth`` deep whose leaves are
+    integers (not booleans): a list of ints at depth 1, of int lists at 2."""
+    items = [value]
+    for level in range(depth):
+        if not set(map(type, items)) <= {list}:
+            break
+        items = chain.from_iterable(items)
+        if level + 1 < depth:
+            items = list(items)
+    else:
+        if set(map(type, items)) <= {int}:
+            return value
+    raise InputFormatError(f"{what}: expected integers, got {value!r:.40}")
+
+
+def int_keyed(value, what: str, depth: int) -> Iterator[tuple[int, list]]:
+    """The items of a JSON object keyed by decimal digit strings, keys as
+    ints; every value must pass ``int_lists(value, what, depth - 1)``."""
+    if type(value) is dict and all(map(str.isdecimal, value)):
+        int_lists(list(value.values()), what, depth)
+        return zip(map(int, value), value.values())
+    raise InputFormatError(f"{what} must be an object keyed by integers")

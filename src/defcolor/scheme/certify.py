@@ -7,7 +7,19 @@ condition, which is verified from the structured certificate when it
 parses, re-searched exhaustively when the contracted graph is small
 enough, and otherwise marked skipped with a reason.
 
-Each pair first maps every previous vertex to the next vertex that absorbs
+One shape pass per entry (``_shape``) decides well-formedness before any
+clause reads the entry, so the clauses carry no range guards.  D1 reports
+model keys other than the vertices, an empty model or an id outside the
+original graph; D4 an arc endpoint that is not a vertex; D5 a hyperedge
+member that is not a vertex, a sink that is not a member or a label outside
+[1, h - 2]; D9 witness or link keys other than the hyperedge indices.  A
+flaw of the next entry fails its condition; a flaw of the previous entry
+was reported by the pair before (the start check requires the first entry
+to be exactly the initial one).  Either way D2-D12 are skipped with one
+reason, and D1's own clauses run unless the flaw is D1's.  q, U and U+ are
+not shape fields: D8 checks them.
+
+Each pair then maps every previous vertex to the next vertex that absorbs
 its model and to the one that keeps it exactly (``_pair_maps``); D2, D3,
 D4, D7 and D8 read these two maps and never recompute them.  D2 is set
 algebra per next vertex u: the edges at u must lie in the absorb image of
@@ -128,15 +140,15 @@ def _pair_maps(prev: SchemeEntry, nxt: SchemeEntry) -> tuple[Images, Images]:
 
     A vertex is absorbed into the next vertex whose model contains its whole
     model, and persists as the next vertex with exactly its model; None
-    when there is none.  An empty model (D1 fails it) maps to None in both.
+    when there is none.
     """
     absorb: Images = {}
     persist: Images = {}
     for v in range(prev.graph.n):
         m = prev.model[v]
-        w = nxt.holder.get(next(iter(m))) if m else None
+        w = nxt.holder.get(next(iter(m)))
         absorb[v] = w if w is not None and m <= nxt.model[w] else None
-        persist[v] = nxt.by_model.get(m) if m else None
+        persist[v] = nxt.by_model.get(m)
     return absorb, persist
 
 
@@ -149,6 +161,44 @@ def _same_state(prev: SchemeEntry, nxt: SchemeEntry) -> bool:
     )
 
 
+def _shape(
+    entry: SchemeEntry, params: SchemeParams, original: Graph
+) -> Optional[tuple[str, dict]]:
+    """The entry's first shape flaw as (condition, witness), or None."""
+    n = entry.graph.n
+    model = entry.model
+    if len(model) != n or (n and (min(model) < 0 or max(model) >= n)):
+        return "D1", {"clause": "model-keys", "expected": n}
+    cover = entry.cover
+    if frozenset() in entry.by_model or (
+        cover and (min(cover) < 0 or max(cover) >= original.n)
+    ):
+        for v in range(n):
+            if not model[v]:
+                return "D1", {"clause": "empty-model", "vertex": v}
+            for o in model[v]:
+                if not 0 <= o < original.n:
+                    return "D1", {"clause": "id-range", "vertex": v, "original": o}
+    stray = [(a, b) for a, b in entry.arcs if not (0 <= a < n and 0 <= b < n)]
+    if stray:
+        return "D4", {"clause": "arc-not-on-edge", "arc": list(min(stray))}
+    for edge in entry.hyperedges:
+        if not all(0 <= v < n for v in edge.members):
+            return "D5", {"clause": "member-out-of-range", "members": edge.members}
+        if not 1 <= edge.label <= params.h - 2:
+            return "D5", {"clause": "label-out-of-range", "label": edge.label}
+        if edge.sink not in edge.members:
+            return "D5", {"clause": "sink-not-a-member", "sink": edge.sink}
+    idx = set(range(len(entry.hyperedges)))
+    if entry.witnesses.keys() != idx or entry.witness_links.keys() != idx:
+        return "D9", {
+            "witness_keys": sorted(entry.witnesses),
+            "link_keys": sorted(entry.witness_links),
+            "expected": sorted(idx),
+        }
+    return None
+
+
 def certify_entry(
     prev: SchemeEntry,
     nxt: SchemeEntry,
@@ -156,14 +206,17 @@ def certify_entry(
     original: Graph,
 ) -> CertReport:
     report = CertReport()
-    _check_d1(report, nxt, original)
-    if not (prev.keys_ok and nxt.keys_ok):
-        reason = (
-            "model keys are not the vertices, flagged by D1"
-            if not nxt.keys_ok
-            else "model keys of the previous entry are not its vertices, "
-            "flagged by D1 of the pair before"
-        )
+    flaw = _shape(nxt, params, original)
+    if flaw is not None:
+        cond, witness = flaw
+        report.fail(cond, **witness)
+        reason = f"a field of the entry is out of range, flagged by {cond}"
+    elif (flaw := _shape(prev, params, original)) is not None:
+        reason = f"previous entry out of range, flagged by {flaw[0]} of the pair before"
+    # after a D1 flaw the models are not one nonempty id set per vertex
+    if report.verdicts["D1"].status == "pass":
+        _check_d1(report, nxt, original)
+    if flaw is not None:
         for cond in CONDITIONS[1:]:
             report.skip(cond, reason)
         return report
@@ -175,7 +228,6 @@ def certify_entry(
     _check_d6(report, prev, nxt, params)
     _check_d7(report, prev, nxt, absorb, persist)
     _check_d8(report, prev, nxt, params, original, absorb, persist)
-    _check_d9(report, nxt)
     _check_d10(report, nxt, params, original)
     _check_d11(report, nxt)
     _check_d12(report, nxt, params)
@@ -186,19 +238,10 @@ def certify_entry(
 
 
 def _check_d1(report: CertReport, nv: SchemeEntry, original: Graph):
-    if not nv.keys_ok:
-        report.fail("D1", clause="model-keys", expected=nv.graph.n)
-        return
     seen: dict[int, int] = {}
     for v in range(nv.graph.n):
         m = nv.model[v]
-        if not m:
-            report.fail("D1", clause="empty-model", vertex=v)
-            return
         for o in m:
-            if not 0 <= o < original.n:
-                report.fail("D1", clause="id-range", vertex=v, original=o)
-                return
             if o in seen:
                 report.fail(
                     "D1", clause="disjointness", vertices=[seen[o], v], shared=o
@@ -234,14 +277,11 @@ def _check_d2(
         for v, o in single_id.items():
             if by_orig[o] != v:
                 shared.setdefault(o, []).append(v)
-    # the edges at a multi-vertex model that the contraction lacks, both
-    # ways; an id outside the original graph witnesses nothing (D1 fails it)
+    # the edges at a multi-vertex model that the contraction lacks, both ways
     foreign: dict[int, set[int]] = {}
     for w, m in nv.model.items():
         if len(m) > 1:
-            reach = frozenset().union(
-                *(original.adj[o] for o in m if 0 <= o < original.n)
-            )
+            reach = frozenset().union(*(original.adj[o] for o in m))
             for v in g.adj[w]:
                 if reach.isdisjoint(nv.model[v]):
                     foreign.setdefault(w, set()).add(v)
@@ -252,13 +292,12 @@ def _check_d2(
         o = single_id.get(u)
         if o is not None:
             # the singletons whose originals are adjacent to u's original
-            if 0 <= o < original.n:
-                near = set(map(by_orig.get, original.adj[o]))
-                near.discard(None)
-                if shared:
-                    near.update(
-                        v for x in original.adj[o] if x in shared for v in shared[x]
-                    )
+            near = set(map(by_orig.get, original.adj[o]))
+            near.discard(None)
+            if shared:
+                near.update(
+                    v for x in original.adj[o] if x in shared for v in shared[x]
+                )
             adj_singles = adj & singles
             if near != adj_singles:
                 outside = adj_singles - near
@@ -328,7 +367,7 @@ def _check_d4(report: CertReport, pv: SchemeEntry, nv: SchemeEntry, absorb: Imag
     g = nv.graph
     arcs = nv.arcs
     for a, b in sorted(arcs):
-        if not (0 <= a < g.n and 0 <= b < g.n) or not g.has_edge(a, b):
+        if not g.has_edge(a, b):
             report.fail("D4", clause="arc-not-on-edge", arc=[a, b])
             return
     arcset = set(arcs)
@@ -343,13 +382,6 @@ def _check_d4(report: CertReport, pv: SchemeEntry, nv: SchemeEntry, absorb: Imag
             report.fail("D4", clause="directed-two-path", path=[a, b, c])
             return
     for a, b in sorted(pv.arcs):
-        if a not in absorb or b not in absorb:
-            report.skip(
-                "D4",
-                f"arc [{a}, {b}]: arc endpoint out of range, flagged by D4 of "
-                "the pair before",
-            )
-            continue
         wa, wb = absorb[a], absorb[b]
         if wa is not None and wb is not None and g.has_edge(wa, wb):
             if (wa, wb) not in arcset:
@@ -366,19 +398,10 @@ def _check_d4(report: CertReport, pv: SchemeEntry, nv: SchemeEntry, absorb: Imag
 def _check_d5(report: CertReport, nv: SchemeEntry, params: SchemeParams):
     arcset = set(nv.arcs)
     for edge in nv.hyperedges:
-        if not all(0 <= v < nv.graph.n for v in edge.members):
-            report.fail("D5", clause="member-out-of-range", members=edge.members)
-            return
         if len(edge.members) > params.r + 1:
             report.fail(
                 "D5", clause="oversized", members=edge.members, limit=params.r + 1
             )
-            return
-        if not 1 <= edge.label <= params.h - 2:
-            report.fail("D5", clause="label-out-of-range", label=edge.label)
-            return
-        if edge.sink not in edge.members:
-            report.fail("D5", clause="sink-not-a-member", sink=edge.sink)
             return
         valid = [
             v
@@ -419,7 +442,7 @@ def _check_d7(
     persist: Images,
 ):
     present = {(e.members, e.label) for e in nv.hyperedges}
-    for edge in pv.edges_in_range.values():
+    for edge in pv.hyperedges:
         rest = edge.members - {edge.sink}
         images = {v: persist[v] for v in rest}
         if any(w is None for w in images.values()):
@@ -498,7 +521,7 @@ def _check_d8(
         v for v in range(pv.graph.n) if pv.model[v] <= nv.model[q]
     }
 
-    for edge in pv.edges_in_range.values():
+    for edge in pv.hyperedges:
         if edge.sink not in absorbed_into_q:
             continue
         for x in sorted(edge.members - {edge.sink}):
@@ -577,7 +600,7 @@ def _check_d8g(report, pv, nv, params, original, q, u_plus, absorb):
         ):
             report.fail("D8g", clause="gc-endpoint-unqualified", edge=[u, v])
             return
-    for edge in pv.edges_in_range.values():
+    for edge in pv.hyperedges:
         if absorb[edge.sink] != q:
             continue
         if not _find_gd_partner(pv, nv, original, edge, q, u_plus):
@@ -603,7 +626,7 @@ def _find_gd_partner(pv, nv, original, edge, q, u_plus) -> bool:
     ]
     want = _sig_multiset(_u_part(pv, pv.graph.adj[v], u_plus) for v in rest)
     s_upart = _u_part(pv, edge.members, u_plus)
-    for cand in pv.edges_in_range.values():
+    for cand in pv.hyperedges:
         if cand.label != edge.label:
             continue
         if pv.orig_at.get(cand.sink) in u_plus:
@@ -666,8 +689,7 @@ def _check_d8h(report, pv, nv, params, original, q, u_set, u_plus, absorb, persi
         report.fail("D8h", clause="he-too-many-removed", removed=gone)
     for v in range(pv.graph.n):
         o = pv.orig_at.get(v)
-        # an id outside the original graph was flagged before this pair
-        if o is None or o in nv.cover or not 0 <= o < original.n:
+        if o is None or o in nv.cover:
             continue
         ok = False
         sig = frozenset(original.adj[o] & u_set)
@@ -678,7 +700,7 @@ def _check_d8h(report, pv, nv, params, original, q, u_set, u_plus, absorb, persi
         if not ok:
             report.fail("D8h", clause="hf-no-twin-in-q", original=o)
             return
-    for edge in pv.edges_in_range.values():
+    for edge in pv.hyperedges:
         sink_model = pv.model[edge.sink]
         if sink_model & nv.cover:
             continue
@@ -697,7 +719,7 @@ def _find_hg_partner(pv, nv, original, edge, q, u_set, persist) -> bool:
     want = _sig_multiset(
         frozenset(original.adj[pv.orig_at[v]] & u_set) for v in gone
     )
-    for cand in pv.edges_in_range.values():
+    for cand in pv.hyperedges:
         if cand.label != edge.label or len(cand.members) != len(edge.members):
             continue
         if not pv.model[cand.sink] <= nv.model[q]:
@@ -727,7 +749,7 @@ def _check_d8i(report, pv, nv, original, q, u_set, u_plus):
     present = {(e.members, e.label) for e in nv.hyperedges}
     # an id of U that is not an original of the next entry fails D8b
     u_set = frozenset(o for o in u_set if o in nv.by_orig)
-    for edge in pv.edges_in_range.values():
+    for edge in pv.hyperedges:
         sink_in = pv.model[edge.sink] <= nv.model[q]
         if not sink_in:
             continue
@@ -772,27 +794,11 @@ def _check_d8i(report, pv, nv, original, q, u_set, u_plus):
                     return
 
 
-def _check_d9(report: CertReport, nv: SchemeEntry):
-    idx = set(range(len(nv.hyperedges)))
-    if set(nv.witnesses) != idx or set(nv.witness_links) != idx:
-        report.fail(
-            "D9",
-            witness_keys=sorted(nv.witnesses),
-            link_keys=sorted(nv.witness_links),
-            expected=sorted(idx),
-        )
-
-
 def _check_d10(report, nv: SchemeEntry, params: SchemeParams, original: Graph):
     leftover = frozenset(range(original.n)) - nv.cover
     for ei, edge in enumerate(nv.hyperedges):
-        if ei not in nv.edges_in_range:
-            report.skip(
-                "D10", f"edge {ei}: sink or member out of range, flagged by D5"
-            )
-            continue
-        fam = nv.witnesses.get(ei, ())
-        links = nv.witness_links.get(ei, ())
+        fam = nv.witnesses[ei]
+        links = nv.witness_links[ei]
         sink_zone = nv.model[edge.sink] | leftover
         member_zone = leftover | frozenset().union(
             *(nv.model[v] for v in edge.members)
@@ -872,9 +878,6 @@ def _quotient(original: Graph, fam) -> Graph:
 
 def _check_minor_clause(report, nv, params, original, ei, edge, fam):
     copies = params.k + params.h - edge.label
-    if not 1 <= edge.label <= params.h - 2:
-        report.skip("D10", f"edge {ei}: label outside range, flagged by D5")
-        return
     groups = nv.groups_for(ei, params)
     if groups is not None and _verify_groups(groups, edge.label, params.k, original):
         return
@@ -942,15 +945,13 @@ def _preorder_ids(label, k):
 
 
 def _check_d11(report: CertReport, nv: SchemeEntry):
-    edges = nv.edges_in_range
-    for i in edges:
-        for j in edges:
-            if j <= i or edges[i].sink == edges[j].sink:
+    edges = nv.hyperedges
+    for i in range(len(edges)):
+        for j in range(i + 1, len(edges)):
+            if edges[i].sink == edges[j].sink:
                 continue
-            fam_i = nv.witnesses.get(i, ())
-            fam_j = nv.witnesses.get(j, ())
-            links_i = nv.witness_links.get(i, ())
-            links_j = nv.witness_links.get(j, ())
+            fam_i, fam_j = nv.witnesses[i], nv.witnesses[j]
+            links_i, links_j = nv.witness_links[i], nv.witness_links[j]
             for a in fam_i:
                 for b in fam_j:
                     if a & b:
@@ -1026,14 +1027,9 @@ def certify_scheme(
     if not scheme:
         start = Verdict("fail", witness={"clause": "empty-scheme"})
         return SchemeReport(start, [])
-    want = initial_entry(original)
-    first = scheme[0]
-    if (
-        first.graph != original
-        or first.model != want.model
-        or first.arcs
-        or first.hyperedges
-    ):
+    # the pairs after a malformed entry read nothing past D1 of it, so the
+    # first entry must be exactly the initial one
+    if scheme[0] != initial_entry(original):
         start = Verdict("fail", witness={"clause": "nonstandard-first-entry"})
     reports = []
     for prev, nxt in zip(scheme, scheme[1:]):

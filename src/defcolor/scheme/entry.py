@@ -107,16 +107,19 @@ class StepMeta:
 class SchemeEntry:
     """One entry of a scheme, with its derived lookups.
 
+    An entry checks nothing about itself: the certifier's shape pass
+    decides once per entry whether its keys, ids, arcs, hyperedges and
+    witness keys are in range (see ``certify``).
+
     The lookups below are computed once per entry, on first use, and shared
     by the certifier, the steps and the colorer; they are read-only.  They
-    are well defined on any parseable entry, valid or not, so the certifier
-    can read them before it has checked the entry.  Where two vertices
+    are well defined on any parseable entry, valid or not, so the shape
+    pass can read them before it has checked the entry.  Where two vertices
     compete for one key (a shared id or model), the later in model order
     wins.
 
     ``by_orig``
-        original id -> entry vertex, over singleton models; ``originals()``
-        returns it.
+        original id -> entry vertex, over singleton models.
     ``orig_at``
         entry vertex -> original id, the inverse of ``by_orig``.
     ``holder``
@@ -128,12 +131,7 @@ class SchemeEntry:
     ``special``
         multi-vertex models, arc heads and hyperedge sinks.
     ``cover``
-        the union of the models; ``covered()`` returns it.
-    ``keys_ok``
-        whether the model keys are exactly the vertices.
-    ``edges_in_range``
-        index -> hyperedge, over those whose sink and members are vertices
-        (the certifier fails the rest in D5 and reads no further into them).
+        the union of the models.
     """
 
     graph: Graph
@@ -176,34 +174,6 @@ class SchemeEntry:
     @cached_property
     def cover(self) -> frozenset[int]:
         return frozenset().union(*self.model.values())
-
-    @cached_property
-    def keys_ok(self) -> bool:
-        return set(self.model) == set(range(self.graph.n))
-
-    @cached_property
-    def edges_in_range(self) -> dict[int, Hyperedge]:
-        n = self.graph.n
-        return {
-            i: e
-            for i, e in enumerate(self.hyperedges)
-            if all(0 <= v < n for v in e.members | {e.sink})
-        }
-
-    def orig_of(self, v: int) -> Optional[int]:
-        """The original vertex an entry vertex stands for, if a singleton."""
-        return self.orig_at.get(v)
-
-    def originals(self) -> dict[int, int]:
-        """original id -> entry vertex, over singleton models."""
-        return self.by_orig
-
-    def covered(self) -> frozenset[int]:
-        return self.cover
-
-    def is_special(self, v: int) -> bool:
-        """Multi-vertex model, arc head, or hyperedge sink."""
-        return v in self.special
 
     def link_for(
         self, edge_index: int, member_orig: int

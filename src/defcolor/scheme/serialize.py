@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 
 from ..errors import InputFormatError
-from ..graphs import Graph
+from ..graphs import Graph, int_keyed, int_lists
 from .entry import Hyperedge, SchemeEntry, StepMeta
 
 
@@ -41,34 +41,37 @@ def entry_to_json(entry: SchemeEntry) -> dict:
     return doc
 
 
+def _families(doc: dict, key: str) -> dict[int, tuple[frozenset[int], ...]]:
+    items = int_keyed(doc.get(key, {}), key, 3)
+    return {i: tuple(map(frozenset, family)) for i, family in items}
+
+
 def entry_from_json(doc: dict) -> SchemeEntry:
+    """One entry; every integer field must be a JSON integer, not a boolean."""
     try:
-        graph = Graph.from_edges(
-            doc["graph"]["n"], [tuple(e) for e in doc["graph"]["edges"]]
-        )
-        model = {int(v): frozenset(m) for v, m in doc["model"].items()}
-        arcs = frozenset((a, b) for a, b in doc["arcs"])
+        (n,) = int_lists([doc["graph"]["n"]], "graph size")
+        if n < 0:
+            raise ValueError(f"negative graph size {n}")
+        graph = Graph.from_edges(n, int_lists(doc["graph"]["edges"], "edges", 2))
+        model = {v: frozenset(m) for v, m in int_keyed(doc["model"], "model", 2)}
+        arcs = frozenset((a, b) for a, b in int_lists(doc["arcs"], "arcs", 2))
+        edges = doc["hyperedges"]
+        if type(edges) is not list:
+            raise ValueError("hyperedges must be a list")
+        int_lists([e["s"] for e in edges], "hyperedge members", 2)
+        int_lists([e[f] for e in edges for f in ("j", "sink")], "labels and sinks")
         hyperedges = tuple(
-            Hyperedge(frozenset(e["s"]), e["j"], e["sink"])
-            for e in doc["hyperedges"]
+            Hyperedge(frozenset(e["s"]), e["j"], e["sink"]) for e in edges
         )
-        witnesses = {
-            int(i): tuple(frozenset(s) for s in sets)
-            for i, sets in doc.get("witnesses", {}).items()
-        }
-        links = {
-            int(i): tuple(frozenset(s) for s in sets)
-            for i, sets in doc.get("witness_links", {}).items()
-        }
+        witnesses = _families(doc, "witnesses")
+        links = _families(doc, "witness_links")
         meta = None
         if doc.get("step_meta") is not None:
             m = doc["step_meta"]
-            meta = StepMeta(
-                q=m["q"],
-                u_set=frozenset(m["U"]),
-                u_plus=frozenset(m["U_plus"]),
-            )
-    except (KeyError, TypeError, ValueError) as exc:
+            (q,) = int_lists([m["q"]], "q")
+            u = int_lists([m["U"], m["U_plus"]], "U and U_plus", 2)
+            meta = StepMeta(q=q, u_set=frozenset(u[0]), u_plus=frozenset(u[1]))
+    except (KeyError, TypeError, ValueError, InputFormatError) as exc:
         raise InputFormatError(f"malformed scheme entry: {exc}") from exc
     return SchemeEntry(
         graph=graph,

@@ -186,8 +186,8 @@ def _assert_exact_flip(baseline, mutated, condition):
 def _tail_spine_vertices(scheme, count):
     """Images of the last spine originals: low-degree plain vertices."""
     e2 = scheme[1]
-    originals = e2.originals()
-    spine = sorted(o for o in originals if not e2.is_special(originals[o]))
+    originals = e2.by_orig
+    spine = sorted(o for o in originals if originals[o] not in e2.special)
     return [originals[o] for o in spine[-count:]]
 
 
@@ -219,8 +219,8 @@ def test_c08_mutation_sensitivity():
     leftover_pair = None
     for u, v in e2.graph.edges():
         if (
-            not e2.is_special(u)
-            and not e2.is_special(v)
+            u not in e2.special
+            and v not in e2.special
             and e2.graph.degree(u) <= inst2.params.r
             and e2.graph.degree(v) <= inst2.params.r
         ):
@@ -235,11 +235,11 @@ def test_c08_mutation_sensitivity():
     meta = e2.step_meta
     cold = next(
         o
-        for o, v in e2.originals().items()
+        for o, v in e2.by_orig.items()
         if o not in meta.u_plus
-        and not e2.is_special(v)
+        and v not in e2.special
         and e2.graph.degree(v) <= inst2.params.d
-        and o in scheme2[0].originals()
+        and o in scheme2[0].by_orig
     )
     padded = _swap_entry(
         e2,
@@ -258,7 +258,7 @@ def test_c08_mutation_sensitivity():
     base3 = certify_entry(scheme3[0], scheme3[1], params3, g3)
     e3 = scheme3[1]
     hot = max(
-        (v for v in range(e3.graph.n) if not e3.is_special(v)),
+        (v for v in range(e3.graph.n) if v not in e3.special),
         key=e3.graph.degree,
     )
     assert e3.graph.degree(hot) > params3.r

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -59,7 +61,7 @@ class TestPairwiseConditions:
         e2 = scheme[1]
         # chain two arcs along surviving spine edges: u -> v -> w
         spine = sorted(
-            v for v in range(e2.graph.n) if not e2.is_special(v)
+            v for v in range(e2.graph.n) if v not in e2.special
         )
         path3 = None
         for u in spine:
@@ -87,7 +89,7 @@ class TestPairwiseConditions:
         pool = [
             v
             for v in range(e2.graph.n)
-            if v not in target.members and not e2.is_special(v)
+            if v not in target.members and v not in e2.special
         ]
         need = inst.params.r + 2 - len(target.members)
         grown = Hyperedge(
@@ -145,7 +147,7 @@ class TestPairwiseConditions:
         spine = sorted(
             v
             for v in range(e2.graph.n)
-            if not e2.is_special(v) and e2.graph.degree(v) <= inst.params.d
+            if v not in e2.special and e2.graph.degree(v) <= inst.params.d
         )
         u, w = spine[0], spine[-1]
         assert not e2.graph.has_edge(u, w)
@@ -166,9 +168,9 @@ class TestPairwiseConditions:
         u, v = next(
             (u, v)
             for u, v in e2.graph.edges()
-            if e2.orig_of(u) is not None and e2.orig_of(v) is not None
+            if e2.orig_at.get(u) is not None and e2.orig_at.get(v) is not None
         )
-        a, b = sorted((e2.orig_of(u), e2.orig_of(v)))
+        a, b = sorted((e2.orig_at.get(u), e2.orig_at.get(v)))
         cut = Graph.from_edges(
             e1.graph.n, [e for e in e1.graph.edges() if e != (a, b)]
         )
@@ -184,7 +186,7 @@ class TestPairwiseConditions:
         between = [
             (u, v)
             for u, v in e2.graph.edges()
-            if e2.orig_of(u) is not None and e2.orig_of(v) is not None
+            if e2.orig_at.get(u) is not None and e2.orig_at.get(v) is not None
         ]
         # two edges at the apex and one further along the spine
         dropped = [e for e in between if e[0] == between[0][0]][-2:]
@@ -270,13 +272,61 @@ class TestOutOfRangeArcs:
             "clause": "arc-not-on-edge",
             "arc": [a, 10**6],
         }
+        # the pair after reads no field of the malformed previous entry
         later = report.pair_reports[1]
         assert later.failures() == []
-        assert later.skipped() == ["D4"]
+        assert later.skipped() == list(CONDITIONS[1:])
         assert later.verdicts["D4"].reason == (
-            f"arc [{a}, {10**6}]: arc endpoint out of range, "
-            "flagged by D4 of the pair before"
+            "previous entry out of range, flagged by D4 of the pair before"
         )
+
+
+class TestShapePass:
+    def test_witness_key_gap_fails_d9_and_skips_the_rest(self, cat):
+        inst, scheme = cat
+        prev, nxt = scheme
+        witnesses = dict(nxt.witnesses)
+        witnesses[len(nxt.hyperedges)] = witnesses.pop(0)
+        report = certify_entry(
+            prev, swap(nxt, witnesses=witnesses), inst.params, inst.graph
+        )
+        assert report.failures() == ["D9"]
+        assert report.verdicts["D1"].status == "pass"
+        assert report.skipped() == [c for c in CONDITIONS[1:] if c != "D9"]
+        assert report.verdicts["D2"].reason.endswith("flagged by D9")
+
+    @pytest.mark.parametrize("field", ["witnesses", "witness_links"])
+    def test_first_entry_with_witnesses_is_nonstandard(self, cat, field):
+        # the first pair reads nothing past D1 of a malformed previous entry,
+        # so the start check flags every malformed first entry
+        inst, scheme = cat
+        first = swap(scheme[0], **{field: {0: ()}})
+        report = certify_scheme([first, *scheme[1:]], inst.params, inst.graph)
+        assert report.start.witness == {"clause": "nonstandard-first-entry"}
+        assert not report.clean()
+
+
+def _mutation_audit():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "mutation_audit.py"
+    spec = importlib.util.spec_from_file_location("mutation_audit", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTotality:
+    def test_seeded_mutants_give_a_report_or_an_input_error(self):
+        # the generator of scripts/mutation_audit.py on a small seeded sample
+        audit = _mutation_audit()
+        rng = random.Random(3)
+        for inst in audit.instances():
+            doc = json.loads(scheme_to_json(build_scheme(inst.graph, inst.params)))
+            for _ in range(150):
+                got = audit.mutate(doc, rng, inst.graph.n)
+                if got is not None:
+                    # a report or InputFormatError; anything else raises
+                    outcome = audit.outcome(json.dumps(got[0]), inst)
+                    assert outcome in ("input-error", "dirty", "clean")
 
 
 class TestUOutsideUPlus:
@@ -286,7 +336,7 @@ class TestUOutsideUPlus:
         inst, scheme = cat
         prev, nxt = scheme
         meta = nxt.step_meta
-        for o in sorted(set(range(inst.graph.n)) - set(nxt.originals())):
+        for o in sorted(set(range(inst.graph.n)) - set(nxt.by_orig)):
             bad = StepMeta(meta.q, meta.u_set | {o}, meta.u_plus)
             mutated = swap(nxt, step_meta=bad)
             report = certify_entry(prev, mutated, inst.params, inst.graph)

@@ -149,6 +149,25 @@ class TestMinor:
         assert code == 1
         assert json.loads(out)["violation"]["clause"] == "disjointness"
 
+    @pytest.mark.parametrize(
+        "doc",
+        [[[0], [1]], {"0": 5, "1": [1]}, {"0": ["x"], "1": [1]}],
+        ids=["list", "int-set", "string-id"],
+    )
+    def test_verify_malformed_model_is_input_error(self, capsys, tmp_path, doc):
+        # each used to raise in the bare comprehension: a traceback, exit 1
+        host = tmp_path / "host.g6"
+        host.write_text(to_graph6(ct(3, 2)) + "\n")
+        pattern = tmp_path / "pattern.g6"
+        pattern.write_text(to_graph6(ct(2, 2)) + "\n")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        code, out = run(
+            capsys, "minor", str(host), "--pattern", str(pattern),
+            "--verify", str(model),
+        )
+        assert code == 2 and out == ""
+
 
 class TestParserAndSeed:
     def _minor_argv(self, tmp_path):
@@ -371,6 +390,46 @@ class TestScheme:
                 "status": "fail",
                 "witness": {"clause": "empty-model", "vertex": 3},
             }
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda e: e["hyperedges"][0].update({"j": True}),
+            lambda e: e["arcs"].append(["a", 1]),
+            lambda e: e["arcs"].append([0.0, 1]),
+            lambda e: e.update({"model": list(e["model"].values())}),
+            lambda e: e["step_meta"].update({"q": "0"}),
+        ],
+        ids=["label-true", "arc-string", "arc-float", "model-list", "q-string"],
+    )
+    def test_certify_retyped_field_is_input_error(self, capsys, tmp_path, edit):
+        # a retyped field used to crash the certifier (exit 1 by traceback),
+        # or, for "j": true, to certify clean
+        inst = caterpillar(1, 14)
+        ppath = tmp_path / "params.json"
+        ppath.write_text(json.dumps(inst.params.to_json()))
+        doc = json.loads(scheme_to_json(build_scheme(inst.graph, inst.params)))
+        edit(doc[1])
+        spath = tmp_path / "scheme.json"
+        spath.write_text(json.dumps(doc))
+        code, out = run(capsys, "scheme", "certify", str(spath), "--params", str(ppath))
+        assert code == 2 and out == ""
+
+    def test_internal_error_exit(self, capsys, tmp_path, monkeypatch):
+        inst = caterpillar(1, 14)
+        ppath = tmp_path / "params.json"
+        ppath.write_text(json.dumps(inst.params.to_json()))
+        spath = tmp_path / "scheme.json"
+        spath.write_text(scheme_to_json(build_scheme(inst.graph, inst.params)))
+
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "certify_scheme", boom)
+        code = main(["scheme", "certify", str(spath), "--params", str(ppath)])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err.startswith("defcolor: internal error:")
 
 
 class TestConstants:

@@ -69,13 +69,13 @@ class TestCorpus:
         scheme = build_scheme(inst.graph, inst.params)
         assert len(scheme) == 2
         # the deletion step keeps the covered set strictly smaller
-        assert scheme[1].covered() < scheme[0].covered()
+        assert scheme[1].cover < scheme[0].cover
 
     def test_contraction_instance_shape(self):
         inst = caterpillar(1, 14)
         scheme = build_scheme(inst.graph, inst.params)
         assert len(scheme) == 2
-        assert scheme[1].covered() == scheme[0].covered()
+        assert scheme[1].cover == scheme[0].cover
         meta = scheme[1].step_meta
         assert meta is not None and len(scheme[1].model[meta.q]) >= 2
 
@@ -136,7 +136,7 @@ class TestColoringGuards:
         coloring = color_from_scheme(scheme, inst.params, inst.graph)
         meta = scheme[1].step_meta
         dropped = sorted(
-            set(scheme[0].originals()) - set(scheme[1].originals())
+            set(scheme[0].by_orig) - set(scheme[1].by_orig)
         )
         for o in dropped:
             used = {
