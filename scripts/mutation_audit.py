@@ -11,12 +11,11 @@ report, or a crash (any other exception).
 Prints, per field and mutation, how many mutants still certify clean: the
 certificate slack, which is not a gate.  Exits 1 if any mutant crashed.
 
-    PYTHONPATH=src python3 scripts/mutation_audit.py [--count 2500] [--seed 0]
+    PYTHONPATH=src python3 scripts/mutation_audit.py
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import sys
@@ -41,6 +40,8 @@ FIELDS = (
 MUTATIONS = ("drop", "duplicate", "renumber", "retype", "out-of-range")
 RETYPED = ("x", "1", 1.5, True, None, [], {}, [0], {"0": 0})
 OUTCOMES = ("input-error", "dirty", "clean", "crash")
+COUNT = 2500  # mutants per document
+SEED = 0
 
 
 def instances():
@@ -152,11 +153,7 @@ def audit(count: int, seed: int, out=sys.stdout) -> int:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--count", type=int, default=2500, help="mutants per document")
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
-    return 1 if audit(args.count, args.seed) else 0
+    return 1 if audit(COUNT, SEED) else 0
 
 
 if __name__ == "__main__":

@@ -2,9 +2,9 @@
 and the derived-constants table.
 
 Exit status: 0 success or a positive answer, 1 a computed negative answer
-(infeasible, no minor, dirty certificate), 2 usage or input errors,
-3 exhausted budgets or failed searches, 4 an internal error (a bug: no
-answer was computed).
+(infeasible, no minor, dirty certificate), 2 usage or input errors
+(unreadable paths included), 3 exhausted budgets or failed searches, 4 an
+internal error (a bug: no answer was computed).
 """
 
 from __future__ import annotations
@@ -330,7 +330,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"defcolor: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (InputFormatError, FileNotFoundError, ValueError) as exc:
+    except (InputFormatError, OSError, ValueError) as exc:
         print(f"defcolor: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DefcolorError as exc:

@@ -680,27 +680,35 @@ def parse_edge_json(text: str) -> Graph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"invalid JSON: {exc.msg}", exc.pos) from exc
-    if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
+    return graph_from_doc(doc)
+
+
+def graph_from_doc(doc) -> Graph:
+    """The graph of an edge-list document ``{"n": n, "edges": [[u, v], ...]}``.
+
+    ``n`` and every endpoint must be JSON integers, not booleans, and every
+    edge must join two distinct vertices; raises InputFormatError otherwise.
+    """
+    if type(doc) is not dict or "n" not in doc or "edges" not in doc:
         raise InputFormatError('edge-list JSON needs keys "n" and "edges"')
-    n = doc["n"]
-    edges = doc["edges"]
-    if not isinstance(n, int) or n < 0:
+    n, edges = doc["n"], doc["edges"]
+    if type(n) is not int or n < 0:
         raise InputFormatError('"n" must be a nonnegative integer')
-    if not isinstance(edges, list):
+    if type(edges) is not list:
         raise InputFormatError('"edges" must be a list of [u,v] pairs')
-    pairs = []
+    adj = [set() for _ in range(n)]
     for item in edges:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(x, int) for x in item)
+        try:
+            u, v = item
+        except (TypeError, ValueError):
+            u = v = None
+        if type(u) is not int or type(v) is not int or u == v or not (
+            0 <= u < n and 0 <= v < n
         ):
-            raise InputFormatError(f"bad edge entry {item!r}")
-        pairs.append((item[0], item[1]))
-    try:
-        return Graph.from_edges(n, pairs)
-    except ValueError as exc:
-        raise InputFormatError(str(exc)) from exc
+            raise InputFormatError(f"bad edge entry {item!r:.40} for n={n}")
+        adj[u].add(v)
+        adj[v].add(u)
+    return Graph(n, [frozenset(s) for s in adj])
 
 
 def parse_graph(text: str) -> Graph:
@@ -728,9 +736,14 @@ def int_lists(value, what: str, depth: int = 1):
 
 
 def int_keyed(value, what: str, depth: int) -> Iterator[tuple[int, list]]:
-    """The items of a JSON object keyed by decimal digit strings, keys as
-    ints; every value must pass ``int_lists(value, what, depth - 1)``."""
-    if type(value) is dict and all(map(str.isdecimal, value)):
-        int_lists(list(value.values()), what, depth)
-        return zip(map(int, value), value.values())
-    raise InputFormatError(f"{what} must be an object keyed by integers")
+    """The items of a JSON object keyed by ASCII decimal strings, keys as
+    ints.  Two keys that read as one int ("1" and "01") are an error; every
+    value must pass ``int_lists(value, what, depth - 1)``."""
+    if type(value) is dict and "" not in value:
+        digits = "".join(value) or "0"  # the empty object has no keys to check
+        if digits.isascii() and digits.isdecimal():
+            keys = list(map(int, value))
+            if len(set(keys)) == len(keys):
+                int_lists(list(value.values()), what, depth)
+                return zip(keys, value.values())
+    raise InputFormatError(f"{what} must be an object keyed by distinct integers")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 
 from ..errors import InputFormatError
-from ..graphs import Graph, int_keyed, int_lists
+from ..graphs import graph_from_doc, int_keyed, int_lists
 from .entry import Hyperedge, SchemeEntry, StepMeta
 
 
@@ -49,10 +49,7 @@ def _families(doc: dict, key: str) -> dict[int, tuple[frozenset[int], ...]]:
 def entry_from_json(doc: dict) -> SchemeEntry:
     """One entry; every integer field must be a JSON integer, not a boolean."""
     try:
-        (n,) = int_lists([doc["graph"]["n"]], "graph size")
-        if n < 0:
-            raise ValueError(f"negative graph size {n}")
-        graph = Graph.from_edges(n, int_lists(doc["graph"]["edges"], "edges", 2))
+        graph = graph_from_doc(doc["graph"])
         model = {v: frozenset(m) for v, m in int_keyed(doc["model"], "model", 2)}
         arcs = frozenset((a, b) for a, b in int_lists(doc["arcs"], "arcs", 2))
         edges = doc["hyperedges"]

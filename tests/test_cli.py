@@ -399,12 +399,20 @@ class TestScheme:
             lambda e: e["arcs"].append([0.0, 1]),
             lambda e: e.update({"model": list(e["model"].values())}),
             lambda e: e["step_meta"].update({"q": "0"}),
+            lambda e: e["graph"]["edges"].append([True, 0]),
+            lambda e: e["model"].update({"01": e["model"]["1"]}),
+            lambda e: e["model"].update({"\u0661": e["model"].pop("1")}),
+            lambda e: e["witnesses"].update({"00": e["witnesses"]["0"]}),
         ],
-        ids=["label-true", "arc-string", "arc-float", "model-list", "q-string"],
+        ids=[
+            "label-true", "arc-string", "arc-float", "model-list", "q-string",
+            "edge-bool", "model-key-01", "model-key-arabic-1", "witness-key-00",
+        ],
     )
     def test_certify_retyped_field_is_input_error(self, capsys, tmp_path, edit):
         # a retyped field used to crash the certifier (exit 1 by traceback),
-        # or, for "j": true, to certify clean
+        # or, for "j": true, a boolean endpoint or a second spelling of a key
+        # ("01" or an Arabic-Indic 1, both read as 1), to certify clean
         inst = caterpillar(1, 14)
         ppath = tmp_path / "params.json"
         ppath.write_text(json.dumps(inst.params.to_json()))
@@ -414,6 +422,15 @@ class TestScheme:
         spath.write_text(json.dumps(doc))
         code, out = run(capsys, "scheme", "certify", str(spath), "--params", str(ppath))
         assert code == 2 and out == ""
+
+    def test_certify_directory_path_is_input_error(self, capsys, tmp_path):
+        # an unreadable path is the user's error (exit 2), not a bug (exit 4)
+        ppath = tmp_path / "params.json"
+        ppath.write_text(json.dumps(caterpillar(1, 14).params.to_json()))
+        code = main(["scheme", "certify", str(tmp_path), "--params", str(ppath)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "internal error" not in captured.err
 
     def test_internal_error_exit(self, capsys, tmp_path, monkeypatch):
         inst = caterpillar(1, 14)

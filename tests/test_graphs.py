@@ -343,6 +343,11 @@ class TestFormats:
             parse_edge_json('{"n": 2}')
         with pytest.raises(InputFormatError):
             parse_edge_json('{"n": 2, "edges": [[0, 5]]}')
+        for edges in ("[[true, 0]]", "[[0, 1.0]]", "[[0]]", '["01"]', "[[1, 1]]"):
+            with pytest.raises(InputFormatError):
+                parse_edge_json(f'{{"n": 2, "edges": {edges}}}')
+        with pytest.raises(InputFormatError):
+            parse_edge_json('{"n": true, "edges": []}')
 
 
 class TestBipartite:
