@@ -6,11 +6,11 @@ of two complete routes:
 
 - **Forest DP**, when g is the closure of a rooted forest (every ancestor
   pair adjacent, nothing else; ``graphs.closure_forest`` recognizes it in
-  O(n + m)).  The dynamic program of ``decide_defective_forest`` runs over
-  that forest; a budget node is one memo entry, a (subtree shape, root-path
-  key) pair, where the key is the multiplicities of the root path's
-  colors.  ct(h, k) is such a closure.  The forest is found and shaped once
-  per call of either function.
+  O(n + m)).  The dynamic program of ``_forest_dp`` runs over that forest;
+  a budget node is one memo entry, a (subtree shape, root-path key) pair,
+  where the key is the multiplicities of the root path's colors.  ct(h, k)
+  is such a closure.  The forest is found and shaped once per call of
+  either function.
 - **Backtracking** for every other graph: vertices by descending degree,
   colors ascending with symmetry breaking; a budget node is one color tried
   at one vertex.
@@ -125,8 +125,8 @@ def decide_defective(
 ) -> DefectReport:
     """Complete search for a k-coloring of defect d.
 
-    Closures of rooted forests go to ``decide_defective_forest``; every
-    other graph to backtracking (see the module docstring).
+    Closures of rooted forests go to the forest DP; every other graph to
+    backtracking (see the module docstring).
     """
     _check_args(k, d)
     _check_size(g, max_vertices)
@@ -136,7 +136,7 @@ def decide_defective(
 def _closure_shapes(g: Graph) -> Optional["_Forest"]:
     """The shaped forest whose closure is g, or None (then backtrack)."""
     parent = closure_forest(g)
-    return None if parent is None else _forest_shapes(g, parent, closed=True)
+    return None if parent is None else _forest_shapes(parent)
 
 
 def _decide(
@@ -200,58 +200,31 @@ def _decide(
 
 
 # ---------------------------------------------------------------------------
-# Dynamic program over a rooted forest
-
-
-@dataclass(frozen=True)
-class _Shape:
-    """A subtree up to isomorphism, at a fixed depth.
-
-    ``touched`` lists, ascending, the proper-ancestor levels adjacent to
-    some vertex of the subtree; ``own`` gives the positions in ``touched``
-    of the levels adjacent to the subtree's root.  ``kids`` are the shape
-    codes of the root's children, ascending; ``maps[j]`` places kid j's
-    touched levels among ``touched`` plus the root's own level, or is None
-    when the two are equal.
-    """
-
-    touched: tuple[int, ...]
-    own: tuple[int, ...]
-    kids: tuple[int, ...]
-    maps: tuple[Optional[tuple[int, ...]], ...]
+# Dynamic program over the forest of a closure
 
 
 class _Forest(NamedTuple):
     order: list[int]  # preorder
     children: list[list[int]]  # sorted by shape code
     code: list[int]  # shape code per vertex
-    shapes: list[_Shape]  # a shape's code exceeds the codes of its kids
+    shapes: list[tuple[int, ...]]  # kid codes, ascending; below the shape's code
     roots: set[int]  # shape codes of the roots
-    full: bool  # g is the closure of the forest
 
 
-def _forest_shapes(
-    g: Graph, parent: Sequence[Optional[int]], closed: bool = False
-) -> _Forest:
-    """Validate the forest and its edges; group subtrees by shape.
+def _forest_shapes(parent: Sequence[Optional[int]]) -> _Forest:
+    """Group the subtrees of a ``closure_forest`` forest by shape.
 
-    The shape code is an AHU-style code (depth, adjacent ancestor levels,
-    sorted kid codes), exact for any forest.  With ``closed`` the caller
-    vouches that g is the forest's closure (``closure_forest`` checked it),
-    and the edges are not scanned.
+    The shape code is an AHU-style code (depth, sorted kid codes), exact up
+    to isomorphism of subtrees at a fixed depth.
     """
-    n = g.n
-    if len(parent) != n:
-        raise ValueError(f"parent list has {len(parent)} entries for {n} vertices")
+    n = len(parent)
     children: list[list[int]] = [[] for _ in range(n)]
     roots = []
     for v, p in enumerate(parent):
         if p is None:
             roots.append(v)
-        elif isinstance(p, int) and 0 <= p < n and p != v:
-            children[p].append(v)
         else:
-            raise ValueError(f"vertex {v} has invalid parent {p!r}")
+            children[p].append(v)
     order: list[int] = []
     depth = [0] * n
     stack = roots[::-1]
@@ -261,79 +234,20 @@ def _forest_shapes(
         for c in children[v]:
             depth[c] = depth[v] + 1
             stack.append(c)
-    if len(order) != n:
-        raise ValueError("parent links contain a cycle")
-    tin = [0] * n
-    for i, v in enumerate(order):
-        tin[v] = i
-    size = [1] * n
-    for v in reversed(order):
-        if parent[v] is not None:
-            size[parent[v]] += size[v]
-    if closed:
-        levels_above = [tuple(range(i)) for i in range(max(depth, default=0) + 1)]
-        own_levels = [levels_above[i] for i in depth]
-    else:
-        own_levels = _own_levels(g, depth, tin, size)
-    full = all(len(own_levels[v]) == depth[v] for v in range(n))
     intern: dict[tuple, int] = {}
-    shapes: list[_Shape] = []
+    shapes: list[tuple[int, ...]] = []
     code = [0] * n
     for v in reversed(order):
         kids = children[v]
         if len(kids) > 1:
             kids.sort(key=code.__getitem__)
-        sig = (depth[v], own_levels[v], tuple([code[c] for c in kids]))
-        c = intern.get(sig)
+        kid_codes = tuple([code[c] for c in kids])
+        c = intern.get((depth[v], kid_codes))
         if c is None:
-            dv, own, kid_codes = sig
-            levels = set(own)
-            for kid in set(kid_codes):
-                levels.update(shapes[kid].touched)
-            levels.discard(dv)
-            touched = tuple(sorted(levels))
-            where = {lvl: i for i, lvl in enumerate(touched + (dv,))}
-            identity = tuple(range(len(where)))
-            maps = []
-            for kid in kid_codes:
-                idx = tuple(where[lvl] for lvl in shapes[kid].touched)
-                maps.append(None if idx == identity else idx)
-            c = intern[sig] = len(shapes)
-            shapes.append(
-                _Shape(touched, tuple(where[lvl] for lvl in own), kid_codes, tuple(maps))
-            )
+            c = intern[depth[v], kid_codes] = len(shapes)
+            shapes.append(kid_codes)
         code[v] = c
-    return _Forest(order, children, code, shapes, {code[v] for v in roots}, full)
-
-
-def _own_levels(
-    g: Graph, depth: list[int], tin: list[int], size: list[int]
-) -> list[tuple[int, ...]]:
-    """Depths of each vertex's ancestor neighbors, ascending; ValueError on
-    any edge that does not join an ancestor and a descendant.
-
-    An edge is checked from its endpoint later in preorder: the earlier one
-    must be its ancestor, i.e. have it inside its preorder interval.
-    """
-    own_levels: list[list[int]] = [[] for _ in range(g.n)]
-    for v, neighbors in enumerate(g.adj):
-        tv = tin[v]
-        for u in neighbors:
-            tu = tin[u]
-            if tu < tv:
-                if tv >= tu + size[u]:
-                    raise ValueError(
-                        f"edge ({min(u, v)},{max(u, v)}) does not join an ancestor "
-                        "and a descendant of the forest"
-                    )
-                own_levels[v].append(depth[u])
-    return [tuple(sorted(levels)) for levels in own_levels]
-
-
-def _canon(colors) -> tuple[int, ...]:
-    """Relabel colors 0, 1, ... by order of first appearance."""
-    label: dict[int, int] = {}
-    return tuple(label.setdefault(c, len(label)) for c in colors)
+    return _Forest(order, children, code, shapes, {code[v] for v in roots})
 
 
 def _pareto(vectors, guard: int) -> list[int]:
@@ -355,48 +269,30 @@ def _pareto(vectors, guard: int) -> list[int]:
     return kept
 
 
-def decide_defective_forest(
-    g: Graph,
-    parent: Sequence[Optional[int]],
-    k: int,
-    d: int,
-    node_budget: Optional[int] = None,
+def _forest_dp(
+    g: Graph, forest: _Forest, k: int, d: int, node_budget: Optional[int]
 ) -> DefectReport:
-    """Exact k-coloring of defect d by dynamic programming over a forest.
+    """Exact k-coloring of defect d by dynamic programming over the forest
+    whose closure is g.
 
-    ``parent`` is a rooted forest on g's vertices in which every edge of g
-    joins an ancestor to a descendant; any other edge raises ValueError.
-    Once the colors on a vertex v's root path are fixed, the subtrees of v's
-    children are independent.  A subtree's table holds its Pareto-minimal
-    count vectors with one slot per ancestor class: how many same-colored
-    neighbors the subtree gives the ancestors of that class (each slot
-    capped so no ancestor exceeds d).  At v, for each color, the children's
-    vectors are summed (Minkowski), v's own count is checked and its slot
-    dropped; the union over colors is v's table.  Tables are memoized on
-    (shape code, root-path key), and each memo entry is one node against
-    ``node_budget``.  The key takes one of two forms:
-
-    - In general a slot is one ancestor level the subtree touches, and the
-      key is the colors on those levels, relabeled by first appearance
-      (colors are interchangeable, so this is sound).
-    - When g is the closure of the forest, every vertex sees all of its
-      ancestors, so only how often each color occurs on the root path
-      matters.  A slot is one color of the path, and the key is the
-      multiplicities of those colors in non-increasing order.  Long chains
-      of twins (K_n is a path's closure) then cost polynomially many keys
-      instead of one per coloring of the chain.
+    Every vertex sees all of its ancestors, so once the colors on a vertex
+    v's root path are fixed, only how often each color occurs there
+    matters, and the subtrees of v's children are independent.  A subtree's
+    table holds its Pareto-minimal count vectors with one slot per color of
+    the root path: how many vertices of that color the subtree holds, each
+    slot capped so no ancestor exceeds d.  At v, for each color, the
+    children's vectors are summed (Minkowski), v's own count is checked and
+    its slot dropped; the union over colors is v's table.  Tables are
+    memoized on (shape code, root-path key), where the key is the
+    multiplicities of the path's colors in non-increasing order, and each
+    memo entry is one node against ``node_budget``.  Long chains of twins
+    (K_n is a path's closure) thus cost polynomially many keys instead of
+    one per coloring of the chain.
 
     A feasible answer is rebuilt from the tables and its class degrees are
     recounted.
     """
-    _check_args(k, d)
-    return _forest_dp(g, _forest_shapes(g, parent), k, d, node_budget)
-
-
-def _forest_dp(
-    g: Graph, forest: _Forest, k: int, d: int, node_budget: Optional[int]
-) -> DefectReport:
-    order, children, code, shapes, roots, full = forest
+    order, children, code, shapes, roots = forest
     # Count vectors are packed into ints, one field per slot.  A field holds
     # up to 2 * cap below its guard bit, so a sum of two vectors within
     # their caps never carries; adding (half - 1 - cap) to a field sets its
@@ -404,30 +300,10 @@ def _forest_dp(
     width = d.bit_length() + 1
     half = 1 << (width - 1)
     ones = [0]
-    for i in range(max((len(s.touched) for s in shapes), default=0) + 1):
+    for i in range(min(k, g.n) + 1):
         ones.append(ones[-1] | 1 << (width * i))
 
-    def level_choices(shape: _Shape, key: tuple[int, ...]):
-        """Slots are touched levels; key[i] is the canonical color there."""
-        fresh = max(key) + 1 if key else 0
-        slots = len(key)
-        over = (half - 1 - d) * ones[slots + 1]
-        for cc in range(min(fresh + 1, k)):
-            same = [p for p in shape.own if key[p] == cc]
-            if len(same) > d:
-                continue
-            # v's slot holds its own count; each same-colored ancestor it
-            # touches gets one
-            start = (len(same) << (width * slots)) + sum(1 << (width * p) for p in same)
-            ukey = key + (cc,)
-            kids = tuple(
-                (kid, ukey, None) if idx is None
-                else (kid, _canon([ukey[p] for p in idx]), idx)
-                for kid, idx in zip(shape.kids, shape.maps)
-            )
-            yield key.index(cc) if cc < fresh else None, start, over, kids
-
-    def count_choices(shape: _Shape, key: tuple[int, ...]):
+    def choices_at(kid_codes: tuple[int, ...], key: tuple[int, ...]):
         """Slots are path colors; key[i] is how often color i occurs.
 
         The deepest ancestor of color i already has key[i] - 1 same-colored
@@ -452,10 +328,8 @@ def _forest_dp(
             perm = sorted(range(len(mult)), key=lambda i: -mult[i])
             kkey = tuple(mult[i] for i in perm)
             kid = (kkey, None if perm == list(range(len(mult))) else tuple(perm))
-            kids = tuple((c,) + kid for c in shape.kids)
+            kids = tuple((c,) + kid for c in kid_codes)
             yield (j if j < slots else None), start, over, kids
-
-    choices_at = count_choices if full else level_choices
 
     # Top-down: the root-path keys each shape is asked about, each with its
     # allowed colors as (label, start vector, cap addend, kids).  A label is

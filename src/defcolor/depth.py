@@ -191,15 +191,6 @@ class _DepthSolver:
                 worst = val
         return worst
 
-    # -- frozenset entry points ------------------------------------------------
-
-    def ctd_connected(self, vs: frozenset[int]) -> int:
-        return self.exact_ctd(_mask(vs))
-
-    def td_value(self, vs: frozenset[int]) -> int:
-        """Least rooted-forest height containing g[vs]: max component ctd."""
-        return self.forest(_mask(vs), len(vs) + 1)
-
     # -- witness extraction ----------------------------------------------------
 
     def exact_ctd(self, s: int) -> int:

@@ -102,9 +102,6 @@ class HugeInt:
     def of(x: IntLike) -> "HugeInt":
         return _as_huge(x)
 
-    def is_plain(self) -> bool:
-        return self.val is not None
-
     def materialize(self, max_bits: int = MATERIALIZE_BITS) -> Optional[int]:
         """Plain int value if its size fits in max_bits, else None."""
         if self.val is not None:

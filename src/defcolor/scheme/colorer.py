@@ -4,7 +4,10 @@ The frozen tail is monochromatic; walking the scheme backward, every
 original vertex dropped between consecutive entries takes the least color
 not used by its already-colored high-degree boundary neighbors.  On a
 certifier-clean scheme this uses at most h - 1 colors and realizes defect
-at most 2 * N + d, both of which are re-verified before returning.
+at most 2 * N + d, both of which are re-verified before returning.  Each
+entry must first pass the certifier's shape rule (model keys and ids, arcs,
+hyperedges and witness keys in range); the first flaw raises
+``HypothesisViolationError``.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 from ..coloring import Coloring, verify_coloring
 from ..errors import DefcolorError, EmptyPaletteError, HypothesisViolationError
 from ..graphs import Graph
+from .certify import _shape
 from .entry import SchemeEntry
 from .params import SchemeParams
 
@@ -26,6 +30,11 @@ def color_from_scheme(
         raise HypothesisViolationError(
             f"final entry has {final.graph.n} > N = {params.n_freeze} vertices"
         )
+    for i, entry in enumerate(scheme):
+        flaw = _shape(entry, params, original)
+        if flaw is not None:
+            cond, witness = flaw
+            raise HypothesisViolationError(f"entry {i} fails {cond}: {witness}")
     colors: dict[int, int] = {o: 1 for o in final.by_orig}
     for prev, nxt in reversed(list(zip(scheme, scheme[1:]))):
         fresh = [o for o in sorted(prev.by_orig) if o not in colors]

@@ -16,6 +16,7 @@ from defcolor.scheme import (
     build_scheme,
     certify_entry,
     certify_scheme,
+    color_from_scheme,
     contract_step,
     find_homogeneous,
     initial_entry,
@@ -327,6 +328,26 @@ class TestTotality:
                     # a report or InputFormatError; anything else raises
                     outcome = audit.outcome(json.dumps(got[0]), inst)
                     assert outcome in ("input-error", "dirty", "clean")
+
+    def test_seeded_mutants_color_or_raise_a_toolkit_error(self):
+        # 15 of these 2,000 mutants used to reach the colorer with model ids
+        # out of range and raise IndexError or KeyError
+        audit = _mutation_audit()
+        rng = random.Random(0)
+        for inst in audit.instances():
+            doc = json.loads(scheme_to_json(build_scheme(inst.graph, inst.params)))
+            done = 0
+            while done < 500:
+                got = audit.mutate(doc, rng, inst.graph.n)
+                if got is None:
+                    continue
+                done += 1
+                try:
+                    scheme = scheme_from_json(json.dumps(got[0]))
+                    coloring = color_from_scheme(scheme, inst.params, inst.graph)
+                except DefcolorError:
+                    continue
+                assert len(coloring.colors) == inst.graph.n
 
 
 class TestUOutsideUPlus:

@@ -319,6 +319,21 @@ class TestScheme:
         assert not report["clean"]
         assert report["pairs"][0]["D1"]["witness"]["clause"] == "id-range"
 
+    def test_color_out_of_range_model_id_is_usage_error(self, capsys, tmp_path):
+        # the colorer used to index the original graph with this id: an
+        # IndexError, a traceback and exit 4
+        inst = caterpillar(1, 14)
+        ppath = tmp_path / "params.json"
+        ppath.write_text(json.dumps(inst.params.to_json()))
+        doc = json.loads(scheme_to_json(build_scheme(inst.graph, inst.params)))
+        doc[0]["model"]["0"] = [inst.graph.n]
+        spath = tmp_path / "scheme.json"
+        spath.write_text(json.dumps(doc))
+        code, _ = run(capsys, "scheme", "color", str(spath), "--params", str(ppath))
+        assert code == 2
+        code, _ = run(capsys, "color", "--scheme", str(spath), "--params", str(ppath))
+        assert code == 2
+
     def test_certify_model_key_gap_is_dirty(self, capsys, tmp_path):
         inst = caterpillar(1, 14)
         ppath = tmp_path / "params.json"

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import random
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -10,22 +10,18 @@ from defcolor.coloring import (
     Coloring,
     class_degrees,
     decide_defective,
-    decide_defective_forest,
     level_coloring,
     min_defect,
     verify_coloring,
 )
-from defcolor.depth import connected_tree_depth
 from defcolor.errors import BudgetExceededError, PartialColoringError, SizeLimitError
 from defcolor.graphs import (
-    Graph,
     balanced_tree,
     closure,
     closure_forest,
     complete_graph,
     ct,
     cycle_graph,
-    path_graph,
     star_graph,
 )
 from helpers import all_graphs, decide_defective_oracle, graphs_st
@@ -114,51 +110,49 @@ class TestDecide:
             assert decide_defective(g, k, d + 1).feasible
 
 
-def seeded_gnp(seed: int, n: int, p: float) -> Graph:
-    rng = random.Random(seed)
-    return Graph.from_edges(
-        n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p]
-    )
+def small_closures():
+    for n in range(1, 7):
+        for g in all_graphs(n):
+            if closure_forest(g) is not None:
+                yield g
 
 
 class TestForestDP:
-    @staticmethod
-    def check_against_oracle(g: Graph, parent, outcomes: set) -> None:
-        for k in (1, 2, 3):
-            for d in (0, 1, 2):
-                report = decide_defective_forest(g, parent, k, d)
-                assert report.feasible == decide_defective_oracle(g, k, d), (
-                    g.edges(), k, d,
-                )
-                outcomes.add(report.feasible)
-                if report.feasible:
-                    ok, _ = verify_coloring(g, report.coloring, d)
-                    assert ok and report.coloring.k == k
-
     def test_oracle_agreement_every_small_graph(self):
-        # the depth witness is an elimination forest, rarely with g as its
-        # closure (tables keyed by level colors); a closure's own forest
-        # keys them by color multiplicities
+        # every closure on <= 6 vertices goes to the forest DP
         outcomes: set = set()
         closures = 0
-        for n in range(1, 7):
-            for g in all_graphs(n):
-                witness = list(connected_tree_depth(g).witness.parent)
-                self.check_against_oracle(g, witness, outcomes)
-                parent = closure_forest(g)
-                if parent is not None:
-                    self.check_against_oracle(g, parent, outcomes)
-                    closures += 1
+        for g in small_closures():
+            closures += 1
+            for k in (1, 2, 3):
+                for d in (0, 1, 2):
+                    report = decide_defective(g, k, d)
+                    assert report.feasible == decide_defective_oracle(g, k, d), (
+                        g.edges(), k, d,
+                    )
+                    outcomes.add(report.feasible)
+                    if report.feasible:
+                        ok, _ = verify_coloring(g, report.coloring, d)
+                        assert ok and report.coloring.k == k
         assert outcomes == {True, False}
         assert closures > 20
 
-    def test_oracle_agreement_seeded_gnp(self):
-        outcomes: set = set()
-        for seed in range(24):
-            g = seeded_gnp(seed, 7 + seed % 4, (0.25, 0.4, 0.6)[seed % 3])
-            witness = list(connected_tree_depth(g).witness.parent)
-            self.check_against_oracle(g, witness, outcomes)
-        assert outcomes == {True, False}
+    def test_pinned_colorings(self):
+        # sha256 of every (feasible, coloring) answer of the forest DP on
+        # these closures: pins its memo keys, its fold order and its rebuild
+        corpus = list(small_closures())
+        corpus += [ct(h, k) for h, k in ((2, 4), (3, 2), (3, 3), (4, 2), (4, 3))]
+        corpus += [complete_graph(n) for n in range(1, 17)]
+        digest = hashlib.sha256()
+        for g in corpus:
+            for k in range(1, 5):
+                for d in range(4):
+                    r = decide_defective(g, k, d, max_vertices=64)
+                    digest.update(repr((r.feasible, r.coloring)).encode())
+        assert len(corpus) == 105
+        assert digest.hexdigest() == (
+            "7e0374041524f38bb342c74094aa5ab63e777c52cba8aba7803e1d76e061f79e"
+        )
 
     def test_complete_graphs_by_arithmetic(self):
         # K_n is the closure of a path: k classes of defect d hold at most
@@ -172,22 +166,19 @@ class TestForestDP:
                     got = decide_defective(g, k, d, node_budget=200)
                     assert got.feasible == (n <= k * (d + 1)), (n, k, d)
 
-    def test_edge_outside_ancestor_pairs_rejected(self):
-        # P3 hung as a cherry: the edge (1,2) joins two siblings
-        with pytest.raises(ValueError, match=r"edge \(1,2\)"):
-            decide_defective_forest(path_graph(3), [None, 0, 0], 2, 0)
-        with pytest.raises(ValueError):
-            decide_defective_forest(path_graph(3), [1, 2, 0], 2, 0)
-        with pytest.raises(ValueError):
-            decide_defective_forest(path_graph(3), [None, 0], 2, 0)
-
     def test_budget_counts_memo_entries(self):
-        g = ct(4, 3)
-        parent = closure_forest(g)
         for budget in (0, 1, 5):
             with pytest.raises(BudgetExceededError) as info:
-                decide_defective_forest(g, parent, 3, 2, node_budget=budget)
+                decide_defective(ct(4, 3), 3, 2, max_vertices=64, node_budget=budget)
             assert info.value.size == budget + 1
+
+    def test_frontier_memo_count(self):
+        # the frontier query takes exactly 7 memo entries
+        got = decide_defective(ct(4, 3), 3, 2, max_vertices=64, node_budget=7)
+        assert not got.feasible
+        with pytest.raises(BudgetExceededError) as info:
+            decide_defective(ct(4, 3), 3, 2, max_vertices=64, node_budget=6)
+        assert info.value.size == 7
 
     def test_frontier_infeasible_within_budget(self):
         got = decide_defective(ct(4, 3), 3, 2, max_vertices=64, node_budget=200_000)

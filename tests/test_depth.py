@@ -102,15 +102,16 @@ class TestConnectedTreeDepth:
 class TestRecursionShape:
     def test_forest_recursion_on_small_connected(self):
         # for connected g, ctd = 1 + min over v of the forest value of g - v
-        from defcolor.depth import _DepthSolver
+        from defcolor.depth import _DepthSolver, _mask
 
         for g in all_graphs(5, connected_only=True):
             if g.n < 2:
                 continue
             solver = _DepthSolver(g)
             full = frozenset(range(g.n))
-            got = solver.ctd_connected(full)
-            best = min(1 + solver.td_value(full - {v}) for v in range(g.n))
+            got = solver.exact_ctd(_mask(full))
+            # g - v has g.n - 1 vertices, so g.n bounds its forest value
+            best = min(1 + solver.forest(_mask(full - {v}), g.n) for v in range(g.n))
             assert got == best == ctd_oracle(g)
 
 
