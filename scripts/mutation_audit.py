@@ -8,20 +8,32 @@ mutant goes through ``scheme_from_json`` and ``certify_scheme``; the
 outcome is an input error (exit 2 in the CLI), a dirty report, a clean
 report, or a crash (any other exception).
 
-Prints, per field and mutation, how many mutants still certify clean: the
-certificate slack, which is not a gate.  Exits 1 if any mutant crashed.
+Then every field of each scheme's params document is dropped, retyped to
+each value of ``RETYPED``, raised by 0.5 to a float, or set to each value
+of ``EXTREME`` (no random draw, so the scheme-mutant table does not move),
+and ``defcolor scheme certify`` and ``defcolor scheme color`` run on the
+scheme with each mutant; exit 4 (an internal error) is a crash.
+
+Prints, per field and mutation, how many scheme mutants still certify
+clean (the certificate slack, which is not a gate), then the exit
+statuses of the params mutants.  Exits 1 if any mutant crashed.
 
     PYTHONPATH=src python3 scripts/mutation_audit.py
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
 import random
 import sys
+import tempfile
 import traceback
 from collections import Counter
 
+from defcolor.cli import main as cli_main
 from defcolor.errors import InputFormatError
 from defcolor.scheme import (
     build_scheme,
@@ -42,6 +54,9 @@ RETYPED = ("x", "1", 1.5, True, None, [], {}, [0], {"0": 0})
 OUTCOMES = ("input-error", "dirty", "clean", "crash")
 COUNT = 2500  # mutants per document
 SEED = 0
+PARAMS_KEYS = ("h", "k", "r", "d", "N", "l0", "t")
+EXTREME = (-1, 0, 2**70)
+EXITS = {0: "ok", 1: "negative", 2: "input-error", 3: "budget", 4: "crash"}
 
 
 def instances():
@@ -152,8 +167,60 @@ def audit(count: int, seed: int, out=sys.stdout) -> int:
     return crashes
 
 
+def params_mutants(params: dict):
+    """(key, mutation, document) for each field of a params document
+    dropped, retyped to each RETYPED value, raised by 0.5 or set to each
+    EXTREME value."""
+    for key in PARAMS_KEYS:
+        yield key, "drop", {x: v for x, v in params.items() if x != key}
+        yield key, "float", {**params, key: params[key] + 0.5}
+        for kind, values in (("retype", RETYPED), ("extreme", EXTREME)):
+            for value in values:
+                yield key, kind, {**params, key: value}
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    """Exit status of ``defcolor`` with ``argv``, and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return code, err.getvalue()
+
+
+def params_audit(out=sys.stdout) -> int:
+    table: dict[tuple[str, str, str], Counter] = {}
+    crashes = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        spath = os.path.join(tmp, "scheme.json")
+        ppath = os.path.join(tmp, "params.json")
+        for inst in instances():
+            with open(spath, "w", encoding="utf-8") as fh:
+                fh.write(scheme_to_json(build_scheme(inst.graph, inst.params)))
+            for key, kind, doc in params_mutants(inst.params.to_json()):
+                with open(ppath, "w", encoding="utf-8") as fh:
+                    json.dump(doc, fh)
+                for verb in ("certify", "color"):
+                    code, err = run_cli(["scheme", verb, spath, "--params", ppath])
+                    result = EXITS.get(code, "crash")
+                    if result == "crash":
+                        crashes += 1
+                        print(f"crash: {inst.name} scheme {verb} {key} {kind}", file=out)
+                        print(err, file=out)
+                    table.setdefault((verb, key, kind), Counter())[result] += 1
+    outcomes = list(EXITS.values())
+    print(f"{'verb':<8s} {'param':<6s} {'mutation':<9s}"
+          + "".join(f"{o:>12s}" for o in outcomes), file=out)
+    for (verb, key, kind), counts in sorted(table.items()):
+        cells = "".join(f"{counts[o]:>12d}" for o in outcomes)
+        print(f"{verb:<8s} {key:<6s} {kind:<9s}{cells}", file=out)
+    return crashes
+
+
 def main() -> int:
-    return 1 if audit(COUNT, SEED) else 0
+    crashes = audit(COUNT, SEED)
+    print()
+    crashes += params_audit()
+    return 1 if crashes else 0
 
 
 if __name__ == "__main__":

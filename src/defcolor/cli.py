@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from . import graphs
+from . import coloring, depth, graphs
 from .constants import paper_constants
 from .coloring import Coloring, decide_defective
 from .depth import ClusteredBounds, connected_tree_depth
@@ -77,7 +77,7 @@ def _load_graph(path: str) -> graphs.Graph:
 def _load_params(path: str) -> SchemeParams:
     try:
         return SchemeParams.from_json(json.loads(_read(path)))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except json.JSONDecodeError as exc:
         raise InputFormatError(f"bad params file: {exc}") from exc
 
 
@@ -127,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     dp = sub.add_parser("depth", help="tree-depth report")
     dp.add_argument("graph")
-    dp.add_argument("--limit", type=int, default=20)
+    dp.add_argument("--limit", type=int, default=depth.DEFAULT_EXACT_LIMIT)
     dp.add_argument("--budget-nodes", type=int, default=None)
     dp.add_argument("-o", "--output", default=None)
 
@@ -143,19 +143,17 @@ def _build_parser() -> argparse.ArgumentParser:
     mi.add_argument("--budget-nodes", type=int, default=None)
     mi.add_argument("-o", "--output", default=None)
 
-    co = sub.add_parser("color", help="defect-bounded coloring")
-    co.add_argument("graph", nargs="?")
-    co.add_argument("--exact", action="store_true")
-    co.add_argument("--k", type=int)
-    co.add_argument("--d", type=int)
-    co.add_argument("--max-vertices", type=int, default=16)
+    co = sub.add_parser("color", help="exact defect-bounded coloring")
+    co.add_argument("graph")
+    co.add_argument("--exact", action="store_true", required=True)
+    co.add_argument("--k", type=int, required=True)
+    co.add_argument("--d", type=int, required=True)
+    co.add_argument("--max-vertices", type=int, default=coloring.DEFAULT_EXACT_LIMIT)
     co.add_argument(
         "--budget-nodes", type=int, default=None,
         help="memo entries of the forest DP on closures of rooted forests, "
         "colors tried by backtracking on other graphs",
     )
-    co.add_argument("--scheme", default=None, help="color via a scheme document")
-    co.add_argument("--params", default=None, help="scheme parameter JSON file")
     co.add_argument("-o", "--output", default=None)
 
     sc = sub.add_parser("scheme", help="build / certify / color schemes")
@@ -252,17 +250,6 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.verb == "color":
-        if args.scheme is not None:
-            if args.params is None:
-                raise InputFormatError("--scheme needs --params")
-            params = _load_params(args.params)
-            scheme = scheme_from_json(_read(args.scheme))
-            original = scheme[0].graph if scheme else graphs.empty_graph(0)
-            coloring = color_from_scheme(scheme, params, original)
-            _emit(_coloring_json(coloring), args.output)
-            return EXIT_OK
-        if not args.exact or args.k is None or args.d is None or args.graph is None:
-            raise InputFormatError("exact mode needs a graph, --exact, --k and --d")
         g = _load_graph(args.graph)
         report = decide_defective(
             g, args.k, args.d, max_vertices=args.max_vertices,
@@ -287,8 +274,7 @@ def _run(args) -> int:
             report = certify_scheme(scheme, params, original)
             _emit(json.dumps(report.to_json()), args.output)
             return EXIT_OK if report.clean() else EXIT_NEGATIVE
-        coloring = color_from_scheme(scheme, params, original)
-        _emit(_coloring_json(coloring), args.output)
+        _emit(_coloring_json(color_from_scheme(scheme, params, original)), args.output)
         return EXIT_OK
 
     if args.verb == "constants":

@@ -214,8 +214,10 @@ class _Forest(NamedTuple):
 def _forest_shapes(parent: Sequence[Optional[int]]) -> _Forest:
     """Group the subtrees of a ``closure_forest`` forest by shape.
 
-    The shape code is an AHU-style code (depth, sorted kid codes), exact up
-    to isomorphism of subtrees at a fixed depth.
+    The shape code is an AHU-style code (sorted kid codes), exact up to
+    isomorphism of rooted subtrees.  Depth is no part of it: every root-path
+    key asked of a shape sums to the shape's depth, so shapes at different
+    depths never share a memo entry.
     """
     n = len(parent)
     children: list[list[int]] = [[] for _ in range(n)]
@@ -226,14 +228,11 @@ def _forest_shapes(parent: Sequence[Optional[int]]) -> _Forest:
         else:
             children[p].append(v)
     order: list[int] = []
-    depth = [0] * n
     stack = roots[::-1]
     while stack:
         v = stack.pop()
         order.append(v)
-        for c in children[v]:
-            depth[c] = depth[v] + 1
-            stack.append(c)
+        stack.extend(children[v])
     intern: dict[tuple, int] = {}
     shapes: list[tuple[int, ...]] = []
     code = [0] * n
@@ -242,9 +241,9 @@ def _forest_shapes(parent: Sequence[Optional[int]]) -> _Forest:
         if len(kids) > 1:
             kids.sort(key=code.__getitem__)
         kid_codes = tuple([code[c] for c in kids])
-        c = intern.get((depth[v], kid_codes))
+        c = intern.get(kid_codes)
         if c is None:
-            c = intern[depth[v], kid_codes] = len(shapes)
+            c = intern[kid_codes] = len(shapes)
             shapes.append(kid_codes)
         code[v] = c
     return _Forest(order, children, code, shapes, {code[v] for v in roots})

@@ -38,14 +38,6 @@ class SizeLimitError(DefcolorError):
     """Input exceeds the documented limit of an exact algorithm."""
 
 
-class NotConnectedError(DefcolorError):
-    """A vertex set required to be connected is not; names two separated members."""
-
-    def __init__(self, u: int, v: int):
-        self.witness = (u, v)
-        super().__init__(f"set is not connected: no path between {u} and {v}")
-
-
 class PartialColoringError(DefcolorError):
     """A coloring does not assign a color to every vertex."""
 

@@ -1,5 +1,5 @@
 """Core graph representation, rooted trees and their closures, and metric
-primitives (balls, geodesics, contraction) used by every other module.
+primitives (balls, geodesics) used by every other module.
 
 Graphs are immutable values: simple, undirected, vertex ids dense in
 ``range(n)``.  All operations return new graphs and are safe to share
@@ -13,30 +13,25 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Container, Iterable, Iterator, Optional, Sequence
 
-from .errors import BudgetExceededError, InputFormatError, NotConnectedError
+from .errors import BudgetExceededError, InputFormatError
 
 DEFAULT_VERTEX_BUDGET = 10**6
 
 
 class Graph:
-    """Simple undirected graph with dense vertex ids 0..n-1.
+    """Simple undirected graph with dense vertex ids 0..n-1."""
 
-    ``labels`` is an optional per-vertex opaque tag used to trace rewrites;
-    it does not participate in equality.
-    """
+    __slots__ = ("n", "adj", "_hash")
 
-    __slots__ = ("n", "adj", "labels", "_hash")
-
-    def __init__(self, n: int, adj: Sequence[frozenset[int]], labels=None):
+    def __init__(self, n: int, adj: Sequence[frozenset[int]]):
         self.n = n
         self.adj = tuple(adj)
-        self.labels = tuple(labels) if labels is not None else None
         self._hash = None
         if len(self.adj) != n:
             raise ValueError("adjacency length does not match n")
 
     @staticmethod
-    def from_edges(n: int, edges: Iterable[tuple[int, int]], labels=None) -> "Graph":
+    def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         adj = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -45,7 +40,7 @@ class Graph:
                 raise ValueError(f"self-loop at {u}")
             adj[u].add(v)
             adj[v].add(u)
-        return Graph(n, [frozenset(s) for s in adj], labels)
+        return Graph(n, [frozenset(s) for s in adj])
 
     def edges(self) -> list[tuple[int, int]]:
         """Sorted list of edges as (u, v) with u < v."""
@@ -84,20 +79,7 @@ class Graph:
         vs = sorted(set(vertices))
         index = {v: i for i, v in enumerate(vs)}
         adj = [frozenset(index[u] for u in self.adj[v] if u in index) for v in vs]
-        labels = [self.labels[v] for v in vs] if self.labels is not None else None
-        return Graph(len(vs), adj, labels), vs
-
-
-def validate_graph(g: Graph) -> None:
-    """Check the Graph invariants: no loops, symmetric adjacency, ids in range."""
-    for v in range(g.n):
-        if v in g.adj[v]:
-            raise ValueError(f"self-loop at {v}")
-        for u in g.adj[v]:
-            if not 0 <= u < g.n:
-                raise ValueError(f"neighbor {u} of {v} out of range")
-            if v not in g.adj[u]:
-                raise ValueError(f"asymmetric adjacency between {v} and {u}")
+        return Graph(len(vs), adj), vs
 
 
 # ---------------------------------------------------------------------------
@@ -445,142 +427,6 @@ def geodesic_from(g: Graph, v: int, length: int) -> Optional[list[int]]:
         path.append(nxt)
         cur = nxt
     return path
-
-
-def contract_set(g: Graph, s: Iterable[int]) -> tuple[Graph, int]:
-    """Contract the connected set s into one new vertex; returns (graph, id).
-
-    Survivors keep their relative order with ids 0..m-1; the new vertex is
-    last.  The new vertex's label is the tuple of old labels (or old ids when
-    the input is unlabeled), which traces the contraction.
-    """
-    sset = sorted(set(s))
-    if not sset:
-        raise ValueError("cannot contract an empty set")
-    for v in sset:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-    comps = induced_components(g, sset)
-    if len(comps) > 1:
-        raise NotConnectedError(min(comps[0]), min(comps[1]))
-    inside = set(sset)
-    survivors = [v for v in range(g.n) if v not in inside]
-    index = {v: i for i, v in enumerate(survivors)}
-    new_id = len(survivors)
-    edges = set()
-    for u, v in g.edges():
-        iu = index.get(u, new_id)
-        iv = index.get(v, new_id)
-        if iu != iv:
-            edges.add((min(iu, iv), max(iu, iv)))
-    old_label = (lambda v: g.labels[v]) if g.labels is not None else (lambda v: v)
-    labels = [old_label(v) for v in survivors] + [tuple(old_label(v) for v in sset)]
-    return Graph.from_edges(new_id + 1, sorted(edges), labels), new_id
-
-
-# ---------------------------------------------------------------------------
-# Canonical forms (exact, for small graphs)
-
-
-def _refine(g: Graph, colors: list[int]) -> list[int]:
-    """1-dimensional color refinement until stable."""
-    while True:
-        sig = [
-            (colors[v], tuple(sorted(colors[u] for u in g.adj[v]))) for v in range(g.n)
-        ]
-        ranks = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [ranks[sig[v]] for v in range(g.n)]
-        if new == colors:
-            return colors
-        colors = new
-
-
-def _adjacency_code(g: Graph, order: list[int]) -> tuple[int, ...]:
-    pos = {v: i for i, v in enumerate(order)}
-    rows = []
-    for v in order:
-        row = 0
-        for u in g.adj[v]:
-            row |= 1 << pos[u]
-        rows.append(row)
-    return tuple(rows)
-
-
-def canonical_key(g: Graph) -> tuple:
-    """Exact canonical form; two graphs are isomorphic iff keys are equal.
-
-    Color refinement plus individualization backtracking with prefix
-    pruning.  Exponential worst case; intended for the small graphs this
-    toolkit manipulates (tens of vertices).
-    """
-    n = g.n
-    if n == 0:
-        return (0, ())
-    m = g.edge_count()
-    if m == 0 or m == n * (n - 1) // 2:
-        # edgeless and complete graphs are canonical under any ordering
-        return (n, _adjacency_code(g, list(range(n))))
-    best: list[Optional[tuple[int, ...]]] = [None]
-
-    def cells_of(colors: list[int]) -> list[list[int]]:
-        cells: dict[int, list[int]] = {}
-        for v in range(n):
-            cells.setdefault(colors[v], []).append(v)
-        return [cells[c] for c in sorted(cells)]
-
-    def search(colors: list[int]) -> None:
-        colors = _refine(g, colors)
-        cells = cells_of(colors)
-        target = next((c for c in cells if len(c) > 1), None)
-        if target is None:
-            order = [v for cell in cells for v in cell]
-            code = _adjacency_code(g, order)
-            if best[0] is None or code < best[0]:
-                best[0] = code
-            return
-        # branch on the first non-singleton cell; cell boundaries are
-        # isomorphism-invariant so the minimum code is canonical
-        for v in target:
-            nxt = list(colors)
-            nxt[v] = -1  # individualize below every existing color
-            search(nxt)
-
-    search([0] * n)
-    return (n, best[0])
-
-
-def _peeling_code(g: Graph, vs: frozenset[int]) -> Optional[tuple]:
-    """Canonical code for closures of rooted forests (trivially perfect
-    graphs): peel universal vertices, recurse on components.  None when the
-    graph is outside the class."""
-    if not vs:
-        return ()
-    comps = induced_components(g, vs)
-    if len(comps) > 1:
-        codes = [_peeling_code(g, c) for c in sorted(comps, key=min)]
-        if any(c is None for c in codes):
-            return None
-        return ("forest", tuple(sorted(codes)))
-    comp = comps[0]
-    universal = frozenset(v for v in comp if comp - {v} <= g.adj[v])
-    if not universal:
-        return None
-    rest = _peeling_code(g, comp - universal)
-    if rest is None:
-        return None
-    return ("chain", len(universal), rest)
-
-
-def are_isomorphic(a: Graph, b: Graph) -> bool:
-    if a.n != b.n or a.edge_count() != b.edge_count():
-        return False
-    code_a = _peeling_code(a, frozenset(range(a.n)))
-    if code_a is not None:
-        code_b = _peeling_code(b, frozenset(range(b.n)))
-        if code_b is not None:
-            return code_a == code_b
-        return False
-    return canonical_key(a) == canonical_key(b)
 
 
 # ---------------------------------------------------------------------------

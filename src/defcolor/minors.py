@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BudgetExceededError, SizeLimitError
-from .graphs import Graph, ct, induced_components
+from .graphs import Graph, induced_components
 
 EXHAUSTIVE_HOST_LIMIT = 14
 EXHAUSTIVE_PATTERN_LIMIT = 8
@@ -368,15 +368,3 @@ def _connect(host: Graph, src: set[int], dst: set[int], owner: dict[int, int]):
         frontier = nxt
     return None
 
-
-def has_ct_minor(
-    host: Graph,
-    height: int,
-    arity: int,
-    mode: str = "exhaustive",
-    seed: int = 0,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> Optional[MinorModel]:
-    """Test for a ct(height, arity) minor; delegates to has_minor."""
-    pattern = ct(height, arity)
-    return has_minor(host, pattern, mode=mode, seed=seed, node_budget=node_budget)

@@ -51,13 +51,14 @@ def color_from_scheme(
                 for u in original.adj[o] & meta.u_set
                 if u in colors
             }
-            palette = [c for c in range(1, params.h) if c not in used]
-            if not palette:
+            # the least free color is at most |used| + 1, whatever h is
+            least = next(c for c in range(1, len(used) + 2) if c not in used)
+            if least >= params.h:
                 raise EmptyPaletteError(
                     f"no color left for vertex {o}: boundary uses {sorted(used)}; "
                     "the scheme cannot be certifier-clean"
                 )
-            colors[o] = palette[0]
+            colors[o] = least
     if len(colors) != original.n:
         raise HypothesisViolationError(
             f"scheme colors {len(colors)} of {original.n} vertices; "

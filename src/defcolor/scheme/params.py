@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+
+from ..errors import InputFormatError
+from ..graphs import int_lists
+
+_JSON_KEYS = ("h", "k", "r", "d", "N", "l0", "t")  # in field order
 
 
 @dataclass(frozen=True)
@@ -40,24 +45,14 @@ class SchemeParams:
         return 2 * self.n_freeze + self.d
 
     def to_json(self) -> dict:
-        return {
-            "h": self.h,
-            "k": self.k,
-            "r": self.r,
-            "d": self.d,
-            "N": self.n_freeze,
-            "l0": self.l0,
-            "t": self.t,
-        }
+        return dict(zip(_JSON_KEYS, astuple(self)))
 
     @staticmethod
-    def from_json(doc: dict) -> "SchemeParams":
-        return SchemeParams(
-            h=doc["h"],
-            k=doc["k"],
-            r=doc["r"],
-            d=doc["d"],
-            n_freeze=doc["N"],
-            l0=doc["l0"],
-            t=doc["t"],
-        )
+    def from_json(doc) -> "SchemeParams":
+        """Parameters from a JSON object whose seven fields are JSON integers
+        (not booleans); raises InputFormatError otherwise."""
+        if type(doc) is not dict or not doc.keys() >= set(_JSON_KEYS):
+            raise InputFormatError(
+                f"params must be a JSON object with keys {', '.join(_JSON_KEYS)}"
+            )
+        return SchemeParams(*int_lists([doc[key] for key in _JSON_KEYS], "params"))

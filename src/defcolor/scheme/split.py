@@ -83,11 +83,11 @@ def geodesic_split(
 ) -> SplitResult:
     """Find (Q, S, chunks) for the given colored ball; deterministic.
 
-    ``f`` maps each vertex of g to a color in [t]; ``p`` is a geodesic
+    ``f`` lists each vertex's color in [t]; ``p`` is a geodesic
     starting at v_star on exactly n(t, k, l) - t*l vertices.  Preconditions
     are checked and both conclusions re-verified.
     """
-    f = list(f[v] for v in range(g.n)) if not isinstance(f, (list, tuple)) else list(f)
+    f = list(f)
     _check_preconditions(g, v_star, f, p, t, k, length)
     result = _split(g, f, list(p), t, k, length)
     check_split_conclusions(g, f, t, k, length, result)

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from typing import Optional
 
 from hypothesis import strategies as st
 
-from defcolor.graphs import Graph, canonical_key
+from defcolor.graphs import Graph, induced_components
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +110,6 @@ def all_graphs(n: int, connected_only=False) -> list[Graph]:
     by a new vertex with some neighborhood, so extending a complete list of
     smaller graphs and deduplicating canonically is complete.
     """
-    from defcolor.graphs import induced_components
-
     graphs = _all_graphs_exact(n)
     if connected_only:
         return [
@@ -137,6 +136,111 @@ def _all_graphs_exact(n: int) -> tuple[Graph, ...]:
                 seen.add(key)
                 out.append(g)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# canonical forms (exact, for small graphs)
+
+
+def _refine(g: Graph, colors: list[int]) -> list[int]:
+    """1-dimensional color refinement until stable."""
+    while True:
+        sig = [
+            (colors[v], tuple(sorted(colors[u] for u in g.adj[v]))) for v in range(g.n)
+        ]
+        ranks = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [ranks[sig[v]] for v in range(g.n)]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _adjacency_code(g: Graph, order: list[int]) -> tuple[int, ...]:
+    pos = {v: i for i, v in enumerate(order)}
+    rows = []
+    for v in order:
+        row = 0
+        for u in g.adj[v]:
+            row |= 1 << pos[u]
+        rows.append(row)
+    return tuple(rows)
+
+
+def canonical_key(g: Graph) -> tuple:
+    """Exact canonical form; two graphs are isomorphic iff keys are equal.
+
+    Color refinement plus individualization backtracking with prefix
+    pruning.  Exponential worst case; intended for the small graphs this
+    toolkit manipulates (tens of vertices).
+    """
+    n = g.n
+    if n == 0:
+        return (0, ())
+    m = g.edge_count()
+    if m == 0 or m == n * (n - 1) // 2:
+        # edgeless and complete graphs are canonical under any ordering
+        return (n, _adjacency_code(g, list(range(n))))
+    best: list[Optional[tuple[int, ...]]] = [None]
+
+    def cells_of(colors: list[int]) -> list[list[int]]:
+        cells: dict[int, list[int]] = {}
+        for v in range(n):
+            cells.setdefault(colors[v], []).append(v)
+        return [cells[c] for c in sorted(cells)]
+
+    def search(colors: list[int]) -> None:
+        colors = _refine(g, colors)
+        cells = cells_of(colors)
+        target = next((c for c in cells if len(c) > 1), None)
+        if target is None:
+            order = [v for cell in cells for v in cell]
+            code = _adjacency_code(g, order)
+            if best[0] is None or code < best[0]:
+                best[0] = code
+            return
+        # branch on the first non-singleton cell; cell boundaries are
+        # isomorphism-invariant so the minimum code is canonical
+        for v in target:
+            nxt = list(colors)
+            nxt[v] = -1  # individualize below every existing color
+            search(nxt)
+
+    search([0] * n)
+    return (n, best[0])
+
+
+def _peeling_code(g: Graph, vs: frozenset[int]) -> Optional[tuple]:
+    """Canonical code for closures of rooted forests (trivially perfect
+    graphs): peel universal vertices, recurse on components.  None when the
+    graph is outside the class."""
+    if not vs:
+        return ()
+    comps = induced_components(g, vs)
+    if len(comps) > 1:
+        codes = [_peeling_code(g, c) for c in sorted(comps, key=min)]
+        if any(c is None for c in codes):
+            return None
+        return ("forest", tuple(sorted(codes)))
+    comp = comps[0]
+    universal = frozenset(v for v in comp if comp - {v} <= g.adj[v])
+    if not universal:
+        return None
+    rest = _peeling_code(g, comp - universal)
+    if rest is None:
+        return None
+    return ("chain", len(universal), rest)
+
+
+def are_isomorphic(a: Graph, b: Graph) -> bool:
+    if a.n != b.n or a.edge_count() != b.edge_count():
+        return False
+    code_a = _peeling_code(a, frozenset(range(a.n)))
+    if code_a is not None:
+        code_b = _peeling_code(b, frozenset(range(b.n)))
+        if code_b is not None:
+            return code_a == code_b
+        return False
+    return canonical_key(a) == canonical_key(b)
 
 
 # ---------------------------------------------------------------------------

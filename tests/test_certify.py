@@ -349,6 +349,21 @@ class TestTotality:
                     continue
                 assert len(coloring.colors) == inst.graph.n
 
+    def test_params_mutants_exit_without_internal_error(self, tmp_path):
+        # "h": 3.5 used to reach the colorer (TypeError, exit 4), and with
+        # "h": 2**70 the colorer listed every color below h
+        audit = _mutation_audit()
+        inst = star_of_balls(1, 6, 2)
+        spath = tmp_path / "scheme.json"
+        spath.write_text(scheme_to_json(build_scheme(inst.graph, inst.params)))
+        ppath = tmp_path / "params.json"
+        for key, kind, doc in audit.params_mutants(inst.params.to_json()):
+            ppath.write_text(json.dumps(doc))
+            for verb in ("certify", "color"):
+                argv = ["scheme", verb, str(spath), "--params", str(ppath)]
+                code, err = audit.run_cli(argv)
+                assert code != 4, (verb, key, kind, err)
+
 
 class TestUOutsideUPlus:
     def test_every_foreign_id_gives_report(self, cat):

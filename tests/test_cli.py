@@ -256,10 +256,11 @@ class TestScheme:
         assert code == 0
         doc = json.loads(out)
         assert len(doc["colors"]) == inst.graph.n
+        # `scheme color` is the one scheme-coloring command
         code, out = run(
             capsys, "color", "--scheme", str(spath), "--params", str(ppath)
         )
-        assert code == 0
+        assert code == 2 and out == ""
 
     def test_certify_dirty_exit(self, capsys, tmp_path):
         inst = caterpillar(1, 13)
@@ -330,8 +331,6 @@ class TestScheme:
         spath = tmp_path / "scheme.json"
         spath.write_text(json.dumps(doc))
         code, _ = run(capsys, "scheme", "color", str(spath), "--params", str(ppath))
-        assert code == 2
-        code, _ = run(capsys, "color", "--scheme", str(spath), "--params", str(ppath))
         assert code == 2
 
     def test_certify_model_key_gap_is_dirty(self, capsys, tmp_path):
@@ -446,6 +445,28 @@ class TestScheme:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "internal error" not in captured.err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda p: {**p, "h": 3.5},
+            lambda p: {**p, "k": True},
+            lambda p: {x: v for x, v in p.items() if x != "t"},
+            lambda p: list(p.values()),
+        ],
+        ids=["h-float", "k-true", "t-missing", "list-document"],
+    )
+    @pytest.mark.parametrize("action", ["certify", "color"])
+    def test_retyped_params_are_input_errors(self, capsys, tmp_path, edit, action):
+        # "h": 3.5 used to make `scheme color` exit 4 (TypeError) while
+        # `scheme certify` reported clean, and "k": true was accepted
+        inst = star_of_balls(1, 6, 2)
+        ppath = tmp_path / "params.json"
+        ppath.write_text(json.dumps(edit(inst.params.to_json())))
+        spath = tmp_path / "scheme.json"
+        spath.write_text(scheme_to_json(build_scheme(inst.graph, inst.params)))
+        code, out = run(capsys, "scheme", action, str(spath), "--params", str(ppath))
+        assert code == 2 and out == ""
 
     def test_internal_error_exit(self, capsys, tmp_path, monkeypatch):
         inst = caterpillar(1, 14)

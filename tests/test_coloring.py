@@ -93,8 +93,6 @@ class TestDecide:
 
     def test_oracle_agreement_full_sweep(self):
         # every graph up to 6 vertices (up to isomorphism), k <= 3, d <= 2
-        from helpers import all_graphs
-
         for n in range(1, 7):
             for g in all_graphs(n):
                 for k in (1, 2, 3):

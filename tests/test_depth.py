@@ -17,7 +17,6 @@ from defcolor.errors import BudgetExceededError, SizeLimitError
 from defcolor.graphs import (
     Graph,
     complete_graph,
-    contract_set,
     ct,
     disjoint_copies,
     empty_graph,
@@ -94,8 +93,13 @@ class TestConnectedTreeDepth:
         assert connected_tree_depth(deleted).ctd <= base
         edges = g.edges()
         if edges:
-            e = data.draw(st.sampled_from(edges))
-            contracted, _ = contract_set(g, e)
+            a, b = data.draw(st.sampled_from(edges))
+            # contract ab: b's other edges move to a, then b is deleted
+            moved = Graph.from_edges(g.n, [
+                (a if u == b else u, a if v == b else v)
+                for u, v in edges if (u, v) != (a, b)
+            ])
+            contracted, _ = moved.subgraph([u for u in range(g.n) if u != b])
             assert connected_tree_depth(contracted).ctd <= base
 
 

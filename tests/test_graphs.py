@@ -4,19 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defcolor.errors import BudgetExceededError, InputFormatError, NotConnectedError
+from defcolor.errors import BudgetExceededError, InputFormatError
 from defcolor.graphs import (
     Graph,
     RootedTree,
-    are_isomorphic,
     balanced_tree,
     ball,
-    canonical_key,
     closure,
     closure_forest,
     complete_bipartite,
     complete_graph,
-    contract_set,
     ct,
     ct_order,
     cycle_graph,
@@ -31,11 +28,12 @@ from defcolor.graphs import (
     star_graph,
     to_edge_json,
     to_graph6,
-    validate_graph,
 )
 from helpers import (
     all_graphs,
+    are_isomorphic,
     bfs_dist_oracle,
+    canonical_key,
     forest_closure_oracle,
     graphs_st,
     max_clique_oracle,
@@ -253,35 +251,6 @@ class TestGeodesic:
         assert dist[path[-1]] == length
         for a, b in zip(path, path[1:]):
             assert g.has_edge(a, b)
-
-
-class TestContractSet:
-    def test_c4_edge_contraction(self):
-        got, new_id = contract_set(cycle_graph(4), [0, 1])
-        assert are_isomorphic(got, complete_graph(3))
-        assert new_id == 2
-
-    def test_whole_clique(self):
-        got, new_id = contract_set(complete_graph(5), range(5))
-        assert got.n == 1 and new_id == 0
-
-    def test_disconnected_set_names_witness(self):
-        with pytest.raises(NotConnectedError) as err:
-            contract_set(path_graph(5), [0, 4])
-        assert set(err.value.witness) == {0, 4}
-
-    def test_labels_trace_contraction(self):
-        got, new_id = contract_set(path_graph(4), [1, 2])
-        assert got.labels[new_id] == (1, 2)
-
-    @given(graphs_st(min_n=2, max_n=8), st.data())
-    @settings(max_examples=60)
-    def test_vertex_count(self, g, data):
-        start = data.draw(st.integers(0, g.n - 1))
-        s = ball(g, [start], data.draw(st.integers(0, 2)))
-        got, _ = contract_set(g, s)
-        assert got.n == g.n - len(s) + 1
-        validate_graph(got)
 
 
 class TestCanonical:

@@ -17,7 +17,7 @@ from defcolor.graphs import (
     path_graph,
     star_graph,
 )
-from defcolor.minors import MinorModel, _kernel, has_ct_minor, has_minor, verify_model
+from defcolor.minors import MinorModel, _kernel, has_minor, verify_model
 from helpers import all_graphs, graphs_st, minor_dfs_oracle, minor_oracle
 
 
@@ -259,13 +259,13 @@ class TestKernel:
 
 class TestCtMinor:
     def test_self(self):
-        assert has_ct_minor(ct(3, 2), 3, 2) is not None
+        assert has_minor(ct(3, 2), ct(3, 2)) is not None
 
     def test_path_has_no_deep_closure(self):
-        assert has_ct_minor(path_graph(10), 3, 2) is None
+        assert has_minor(path_graph(10), ct(3, 2)) is None
 
     def test_k5_contains_star(self):
-        assert has_ct_minor(complete_graph(5), 2, 4) is not None
+        assert has_minor(complete_graph(5), ct(2, 4)) is not None
 
 
 class TestOracleAgreement:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from defcolor.coloring import verify_coloring
-from defcolor.errors import EmptyPaletteError, SearchFailureError
+from defcolor.errors import EmptyPaletteError, InputFormatError, SearchFailureError
 from defcolor.graphs import complete_graph, ct, path_graph
 from defcolor.scheme import (
     SchemeParams,
@@ -126,6 +126,29 @@ class TestSerialization:
         back = scheme_from_json(scheme_to_json(scheme))
         report = certify_scheme(back, inst.params, back[0].graph)
         assert report.clean()
+
+
+class TestParamsDocument:
+    def test_roundtrip(self):
+        params = star_of_balls(1, 6, 2).params
+        assert SchemeParams.from_json(params.to_json()) == params
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda p: {**p, "h": 3.5},
+            lambda p: {**p, "k": True},
+            lambda p: {**p, "t": 6.0},
+            lambda p: {**p, "N": "10"},
+            lambda p: {x: v for x, v in p.items() if x != "l0"},
+            lambda p: list(p.values()),
+        ],
+        ids=["h-float", "k-true", "t-float", "N-string", "l0-missing", "list"],
+    )
+    def test_fields_must_be_integers(self, edit):
+        doc = edit(star_of_balls(1, 6, 2).params.to_json())
+        with pytest.raises(InputFormatError):
+            SchemeParams.from_json(doc)
 
 
 class TestColoringGuards:
