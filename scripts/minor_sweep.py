@@ -6,7 +6,8 @@ ct(3,1) in one seeded G(n, p) host per n.  Each host draws its edges with
 ``random.Random(seed)``, one draw per pair u < v in lexicographic order.
 Prints one row per (host, pattern) pair: host vertices and edges, the
 pattern, the answer (present, absent, or budget when the search stopped at
-``--budget`` nodes) and the wall time in seconds.
+``--budget`` nodes) and the wall time in seconds.  Exits 1 if any search
+stopped at the budget.
 
 Run with ``PYTHONPATH=src python scripts/minor_sweep.py``.
 """
@@ -48,6 +49,7 @@ def main() -> int:
     ap.add_argument("--budget", type=int, default=100_000, help="nodes per search")
     args = ap.parse_args()
 
+    stops = 0
     print(f"{'host':>12s} {'n':>3s} {'m':>4s} {'pattern':>8s} {'answer':>8s} {'s':>8s}")
     for n in range(args.min_n, args.max_n + 1):
         host = gnp(n, args.p, args.seed)
@@ -58,13 +60,14 @@ def main() -> int:
                 answer = "absent" if model is None else "present"
             except BudgetExceededError:
                 answer = "budget"
+                stops += 1
             dt = time.perf_counter() - t0
             print(
                 f"{f'G({n},{args.p})':>12s} {host.n:3d} {host.edge_count():4d} "
                 f"{name:>8s} {answer:>8s} {dt:8.3f}",
                 flush=True,
             )
-    return 0
+    return 1 if stops else 0
 
 
 if __name__ == "__main__":

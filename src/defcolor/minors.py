@@ -29,6 +29,19 @@ candidate sets are the raw ones without the removed vertices, in the same
 order; each candidate pool is a subsequence of the raw one and both cuts
 fire at least as often.  The first model is the same and the node count
 never grows.
+
+With δ >= 3, absence is decided first on the series-reduced kernel: each
+vertex of degree 2 is suppressed (deleted, its two neighbours joined) and
+each of degree <= 1 deleted until none is left (the series rule of the same
+authors), in O(n + m).  A degree-2 vertex v is never a whole branch set, as
+it has too few neighbours.  Either v is in no branch set, and the model lives
+in the host without v, a subgraph of the host with v suppressed; or v shares
+its set with a neighbour a, and contracting va maps the model onto the host
+with v suppressed.  That host is itself a minor of the host, so each step
+keeps exactly the δ >= 3 minors, and the reduced host is searched for
+absence only.  If its search finds no model, the answer is "absent".  If it
+finds one, that model is discarded and the kernel search above runs
+unchanged, so a "present" answer keeps its first model and node count.
 """
 
 from __future__ import annotations
@@ -167,7 +180,12 @@ def has_minor(
     The limits and the shortcuts apply to the raw host.  The search runs on
     the host's leaf-free kernel (see the module docstring); its model, mapped
     back to host ids and checked on the raw host, is the one the search
-    would find on the raw host, within the same node budget.
+    would find on the raw host, within the same node budget.  For patterns
+    of least degree >= 3 a search of the series-reduced kernel runs first
+    and can only answer "absent".  Each of the two searches is bounded by
+    ``node_budget`` (at most twice that many nodes in total); a stop of the
+    first is inconclusive and only the kernel search raises
+    BudgetExceededError.
     """
     if pattern.n == 0:
         return MinorModel({})
@@ -191,6 +209,16 @@ def has_minor(
             f"(got {host.n}, {pattern.n}); use heuristic mode"
         )
     kernel, survivors = host.subgraph(_kernel(host, pattern))
+    if min(pattern.degree(v) for v in range(pattern.n)) >= 3:
+        reduced = _series_reduced(kernel)
+        if reduced.n < kernel.n:
+            if reduced.n < pattern.n or reduced.edge_count() < pattern.edge_count():
+                return None
+            try:
+                if _exhaustive_search(reduced, pattern, node_budget) is None:
+                    return None
+            except BudgetExceededError:
+                pass  # inconclusive: the kernel search decides
     found = _exhaustive_search(kernel, pattern, node_budget)
     if found is None:
         return None
@@ -223,6 +251,34 @@ def _kernel(host: Graph, pattern: Graph) -> list[int]:
                     alive[u] = False
                     stack.append(u)
     return [v for v in range(host.n) if alive[v]]
+
+
+def _series_reduced(g: Graph) -> Graph:
+    """``g`` with each vertex of degree 2 suppressed (deleted, its two
+    neighbours joined) and each of degree <= 1 deleted, until none is left.
+
+    No step raises a degree, and each deleted vertex queues at most its two
+    neighbours, so the reduction is O(n + m).
+    """
+    adj = [set(s) for s in g.adj]
+    alive = [True] * g.n
+    stack = [v for v in range(g.n) if len(adj[v]) <= 2]
+    while stack:
+        v = stack.pop()
+        if not alive[v]:
+            continue
+        alive[v] = False
+        nbrs = adj[v]
+        for u in nbrs:
+            adj[u].discard(v)
+        if len(nbrs) == 2:
+            a, b = nbrs
+            adj[a].add(b)
+            adj[b].add(a)
+        stack += (u for u in nbrs if len(adj[u]) <= 2)
+    vs = [v for v in range(g.n) if alive[v]]
+    index = {v: i for i, v in enumerate(vs)}
+    return Graph(len(vs), [frozenset(index[u] for u in adj[v]) for v in vs])
 
 
 def _exhaustive_search(

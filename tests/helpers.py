@@ -362,6 +362,14 @@ def depth_oracle(g: Graph) -> tuple[int, int, list]:
 # minor oracle: raw partition enumeration (numpy-vectorized)
 
 
+# the G(14, 0.25) minor host of the benchmark's exact-mix workload
+EXACT_MIX_G14 = Graph.from_edges(14, [
+    (0, 10), (0, 11), (1, 7), (1, 11), (2, 4), (2, 6), (2, 7), (3, 7),
+    (3, 8), (4, 6), (4, 11), (4, 12), (4, 13), (5, 10), (5, 11), (5, 12),
+    (6, 9), (7, 8), (7, 10), (7, 12), (10, 12),
+])
+
+
 def minor_oracle(host: Graph, pattern: Graph) -> bool:
     import numpy as np
 

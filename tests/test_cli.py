@@ -6,9 +6,10 @@ import pytest
 
 from defcolor import cli
 from defcolor.cli import main
-from defcolor.graphs import ct, parse_graph6, to_edge_json, to_graph6
+from defcolor.graphs import complete_graph, ct, parse_graph6, to_edge_json, to_graph6
 from defcolor.scheme import build_scheme, scheme_from_json, scheme_to_json
 from defcolor.scheme.corpus import caterpillar, star_of_balls
+from helpers import EXACT_MIX_G14
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -134,6 +135,17 @@ class TestMinor:
         assert code == 3 and out == ""
         code, out = run(capsys, *argv, "1000")
         assert code == 0 and set(json.loads(out)) == {"0", "1", "2"}
+
+    def test_exact_mix_k5_absent_within_bench_budget(self, capsys, tmp_path):
+        host = tmp_path / "host.json"
+        host.write_text(to_edge_json(EXACT_MIX_G14))
+        pattern = tmp_path / "pattern.g6"
+        pattern.write_text(to_graph6(complete_graph(5)) + "\n")
+        code, out = run(
+            capsys, "minor", str(host), "--pattern", str(pattern),
+            "--budget-nodes", "40000",
+        )
+        assert code == 1 and json.loads(out) == {}
 
     def test_verify_rejects_bad_model(self, capsys, tmp_path):
         host = tmp_path / "host.g6"

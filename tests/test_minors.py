@@ -17,8 +17,20 @@ from defcolor.graphs import (
     path_graph,
     star_graph,
 )
-from defcolor.minors import MinorModel, _kernel, has_minor, verify_model
-from helpers import all_graphs, graphs_st, minor_dfs_oracle, minor_oracle
+from defcolor.minors import (
+    MinorModel,
+    _kernel,
+    _series_reduced,
+    has_minor,
+    verify_model,
+)
+from helpers import (
+    EXACT_MIX_G14,
+    all_graphs,
+    graphs_st,
+    minor_dfs_oracle,
+    minor_oracle,
+)
 
 
 class TestVerifyModel:
@@ -130,15 +142,25 @@ class TestHasMinor:
             gc.enable()
 
 
+def _cube3() -> Graph:
+    return Graph.from_edges(
+        8, [(u, u | 1 << i) for u in range(8) for i in range(3) if not u >> i & 1]
+    )
+
+
 class TestNodeBudget:
     def test_small_budget_raises(self):
-        # ct(3, 2) has tree-depth 3, so the K4 search must exhaust
-        for pattern, budget in ((complete_graph(4), 10), (ct(2, 2), 1)):
+        # the 3-cube has no vertex of degree 2, so the K5 search must exhaust
+        for host, pattern, budget in (
+            (_cube3(), complete_graph(5), 10), (ct(3, 2), ct(2, 2), 1),
+        ):
             with pytest.raises(BudgetExceededError) as exc:
-                has_minor(ct(3, 2), pattern, node_budget=budget)
+                has_minor(host, pattern, node_budget=budget)
             assert exc.value.size == budget + 1
-        assert has_minor(ct(3, 2), complete_graph(4)) is None
+        assert has_minor(_cube3(), complete_graph(5), node_budget=100_000) is None
         assert has_minor(ct(3, 2), ct(2, 2)) is not None
+        # ct(3, 2) series-reduces to the empty graph: K4 is absent in 0 nodes
+        assert has_minor(ct(3, 2), complete_graph(4), node_budget=10) is None
 
 
 class TestAgainstDfsOracle:
@@ -182,13 +204,9 @@ def _with_twigs(rng: random.Random, core_n: int, p: float, twigs: int, islets: i
 
 
 class TestKernel:
-    # the exact-mix host G(14, 0.25) of the benchmark: vertices 9 and 13 are
-    # twigs, so K4 and K2,3 are searched on a 12-vertex kernel
-    G14 = Graph.from_edges(14, [
-        (0, 10), (0, 11), (1, 7), (1, 11), (2, 4), (2, 6), (2, 7), (3, 7),
-        (3, 8), (4, 6), (4, 11), (4, 12), (4, 13), (5, 10), (5, 11), (5, 12),
-        (6, 9), (7, 8), (7, 10), (7, 12), (10, 12),
-    ])
+    # vertices 9 and 13 of the exact-mix host are twigs, so K4 and K2,3 are
+    # searched on a 12-vertex kernel
+    G14 = EXACT_MIX_G14
 
     def test_twigs_and_islets_same_model_within_oracle_nodes(self):
         rng = random.Random(8)
@@ -255,6 +273,53 @@ class TestKernel:
             assert model is not None
             assert verify_model(self.G14, pattern, model) == (True, None)
             assert model.branch_sets == {pv: frozenset(s) for pv, s in enumerate(sets)}
+        # the series-reduced kernel shows K5 absent
+        assert has_minor(self.G14, complete_graph(5), node_budget=40_000) is None
+
+
+def _subdivided(rng: random.Random, core_n: int, p: float, n: int) -> Graph:
+    """A G(core_n, p) core whose edges are subdivided at random (an edge made
+    by a subdivision may be subdivided again) until it has ``n`` vertices or
+    no edge, relabelled at random so the degree-2 vertices interleave."""
+    edges = [
+        (u, v) for u in range(core_n) for v in range(u + 1, core_n) if rng.random() < p
+    ]
+    size = core_n
+    while size < n and edges:
+        u, v = edges.pop(rng.randrange(len(edges)))
+        edges += [(u, size), (size, v)]
+        size += 1
+    perm = list(range(size))
+    rng.shuffle(perm)
+    return Graph.from_edges(size, [(perm[u], perm[v]) for u, v in edges])
+
+
+class TestSeriesRule:
+    def test_subdivided_hosts_match_both_oracles(self):
+        rng = random.Random(12)
+        outcomes = set()
+        reduced = 0
+        for _ in range(150):
+            core_n = rng.randint(4, 7)
+            # n <= 8: minor_oracle enumerates (pattern.n + 1) ** n assignments
+            host = _subdivided(
+                rng, core_n, rng.uniform(0.5, 1.0), rng.randint(core_n + 1, 8)
+            )
+            for pattern in (complete_graph(4), complete_graph(5)):
+                if pattern.n > host.n:
+                    continue
+                kernel = host.subgraph(_kernel(host, pattern))[0]
+                reduced += _series_reduced(kernel).n < kernel.n
+                got = has_minor(host, pattern)
+                assert (got is not None) == minor_oracle(host, pattern)
+                if got is not None:
+                    want, nodes = minor_dfs_oracle(host, pattern)
+                    model = has_minor(host, pattern, node_budget=nodes)
+                    assert model.branch_sets == want
+                outcomes.add((pattern.n, got is None))
+        assert outcomes == {(4, True), (4, False), (5, True), (5, False)}
+        # the reduction shrank the kernel in many of the pairs
+        assert reduced >= 100, reduced
 
 
 class TestCtMinor:
