@@ -239,6 +239,10 @@ def _run(args) -> int:
         if args.budget_nodes is not None:
             kwargs["node_budget"] = args.budget_nodes
         model = has_minor(host, pattern, mode=args.mode, seed=args.seed, **kwargs)
+        if model is None and args.mode == "heuristic":
+            # the heuristic is incomplete: no model found is no answer
+            print("defcolor: heuristic search found no model", file=sys.stderr)
+            return EXIT_BUDGET
         if model is None:
             _emit(json.dumps({}), args.output)
             return EXIT_NEGATIVE

@@ -46,10 +46,6 @@ class HypothesisViolationError(DefcolorError):
     """A scheme-step precondition does not hold; names the failed hypothesis."""
 
 
-class BranchMismatchError(DefcolorError):
-    """contract_step called where every ball has its full neighborhood in W."""
-
-
 class GeodesicTooShortError(DefcolorError):
     """No geodesic of the required length exists for the contraction step."""
 

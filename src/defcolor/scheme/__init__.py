@@ -8,7 +8,7 @@ from .homogeneous import HomogeneousTriple, find_homogeneous
 from .params import SchemeParams
 from .serialize import scheme_from_json, scheme_to_json
 from .split import SplitResult, geodesic_split
-from .steps import contract_step, del_step
+from .steps import step
 
 __all__ = [
     "build_scheme",
@@ -29,6 +29,5 @@ __all__ = [
     "scheme_to_json",
     "SplitResult",
     "geodesic_split",
-    "contract_step",
-    "del_step",
+    "step",
 ]

@@ -1,27 +1,24 @@
 """Driving loop: shrink a graph entry by entry until it freezes.
 
-Every produced pair is certified immediately; a dirty pair aborts the
-build with its report, so a returned scheme is certifier-clean by
-construction.
+Each round finds a homogeneous triple, hands it to ``step`` (which picks
+the deletion or the contraction branch) and certifies the produced pair
+at once; a dirty pair aborts the build with its report, so a returned
+scheme is certifier-clean by construction.
 """
 
 from __future__ import annotations
 
 from ..errors import CertificationError, SearchFailureError
-from ..graphs import Graph, ball
+from ..graphs import Graph
 from .certify import certify_entry
 from .entry import SchemeEntry, initial_entry
-from .homogeneous import boundary, find_homogeneous
+from .homogeneous import find_homogeneous
 from .params import SchemeParams
-from .steps import contract_step, del_step
+from .steps import step
 
 
 def build_scheme(g: Graph, params: SchemeParams) -> list[SchemeEntry]:
-    """Build a certifier-clean scheme for g, ending in a frozen entry.
-
-    Chooses the deletion step when every homogeneous ball has its full
-    neighborhood on the boundary set, the contraction step otherwise.
-    """
+    """Build a certifier-clean scheme for g, ending in a frozen entry."""
     entries = [initial_entry(g)]
     while entries[-1].graph.n > params.n_freeze:
         cur = entries[-1]
@@ -34,15 +31,7 @@ def build_scheme(g: Graph, params: SchemeParams) -> list[SchemeEntry]:
                 f"(t={params.t}, l0={params.l0}, d={params.d}, r={params.r})",
                 entries_built=len(entries),
             )
-        x, z, w = triple.x_set, triple.z_set, triple.w_set
-        full = all(
-            boundary(cur.graph, ball(cur.graph, [zi], params.l0 - 1, within=x)) <= w
-            for zi in z
-        )
-        if full:
-            nxt = del_step(cur, x, z, w, params, g)
-        else:
-            nxt = contract_step(cur, x, z, w, params, g)
+        nxt = step(cur, triple, params)
         report = certify_entry(cur, nxt, params, g)
         if not report.clean():
             raise CertificationError(report)

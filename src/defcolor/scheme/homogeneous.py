@@ -36,13 +36,11 @@ def check_homogeneous(
     length: int,
     d: int,
     r: int,
-    full_boundary: bool = False,
 ) -> Optional[str]:
     """Verify the four conditions; returns a failure description or None.
 
-    With ``full_boundary`` the entire ball boundary must equal W (the
-    deletion-step hypothesis); otherwise only its part outside X must.
-    Distances between distinct components of g[X] count as infinite.
+    The part outside X of every ball's boundary must equal W.  Distances
+    between distinct components of g[X] count as infinite.
     """
     x_set, z_set, w_set = triple.x_set, triple.z_set, triple.w_set
     if len(z_set) != t:
@@ -61,8 +59,7 @@ def check_homogeneous(
         if len(reach & z_set) > 1:  # reach always holds z itself
             return f"ball centers within distance {2 * length - 2} of {z} in g[X]"
         b = ball(g, [z], length - 1, within=x_set)
-        nb = boundary(g, b)
-        got = nb if full_boundary else nb - x_set
+        got = boundary(g, b) - x_set
         if got != w_set:
             return f"ball of {z} has boundary {sorted(got)} != W {sorted(w_set)}"
     return None

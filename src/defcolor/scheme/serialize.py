@@ -93,4 +93,17 @@ def scheme_from_json(text: str) -> list[SchemeEntry]:
         raise InputFormatError(f"invalid JSON: {exc.msg}", exc.pos) from exc
     if not isinstance(docs, list):
         raise InputFormatError("scheme document must be a JSON array of entries")
-    return [entry_from_json(d) for d in docs]
+    entries: list[SchemeEntry] = []
+    for i, doc in enumerate(docs):
+        # no entry outgrows the one before: checked before its graph is built
+        try:
+            n = doc["graph"]["n"]
+        except (KeyError, TypeError):
+            n = None
+        if entries and type(n) is int and n > entries[-1].graph.n:
+            raise InputFormatError(
+                f"entry {i} claims {n} vertices, more than entry {i - 1}'s "
+                f"{entries[-1].graph.n}"
+            )
+        entries.append(entry_from_json(doc))
+    return entries

@@ -1,16 +1,23 @@
-"""The two entry-extension steps.
+"""The entry-extension step.
 
-Both consume a homogeneous triple (X, Z, W): far-apart low-degree balls
-with identical outside boundaries.
+``step`` consumes a homogeneous triple (X, Z, W): far-apart low-degree
+balls with identical outside boundaries.  It checks the hypotheses,
+computes the ball of every center once and applies the one branch rule:
 
-``del_step`` applies when every ball's full neighborhood is W: it buckets
-ball centers by type vectors, contracts one ball of a uniform bucket of
-size k + h and deletes the rest.
+``del_step`` runs when no ball's boundary meets X, so every ball's full
+neighborhood is W: it buckets ball centers by type vectors, contracts one
+ball of a uniform bucket of size k + h and deletes the rest.
 
-``contract_step`` applies when some ball reaches further into X: it types
-the ball's vertices, splits a geodesic from the center into uniformly
-typed chunks, and contracts a neighborhood O of the split path, cutting
-the new vertex off from X.
+``contract_step`` runs from the least center whose ball reaches further
+into X: it types the ball's vertices, splits a geodesic from the center
+into uniformly typed chunks, and contracts a neighborhood O of the split
+path, cutting the new vertex off from X.
+
+Both branches read W-neighborhoods in the entry graph, and only at
+singletons: W itself and the non-sink hyperedge members, which are arc
+tails (D5) and so singletons (D4).  Between singletons D2 makes the entry
+graph's adjacency equal the original graph's, so the original graph is
+never read.
 
 Each step rebuilds arcs, hyperedges (the surviving, re-rooted and
 label-upgraded families) and their witness structures exactly as the
@@ -28,7 +35,6 @@ from typing import Optional
 
 from ..constants import split_path_budget
 from ..errors import (
-    BranchMismatchError,
     BucketTooSmallError,
     GeodesicTooShortError,
     HypothesisViolationError,
@@ -52,45 +58,6 @@ def _subsets(items: list[int]):
         yield from combinations(items, size)
 
 
-def _common_checks(
-    entry: SchemeEntry,
-    x: frozenset[int],
-    z: frozenset[int],
-    w: frozenset[int],
-    params: SchemeParams,
-    full_boundary: bool,
-) -> dict[int, int]:
-    """Validate the step hypotheses; returns W as {entry vertex: original}."""
-    if entry.graph.n <= params.n_freeze:
-        raise HypothesisViolationError(
-            f"entry has {entry.graph.n} <= N = {params.n_freeze} vertices; frozen"
-        )
-    problem = check_homogeneous(
-        entry.graph,
-        HomogeneousTriple(x, z, w),
-        params.t,
-        params.l0,
-        params.d,
-        params.r,
-        full_boundary=full_boundary,
-    )
-    if problem is not None:
-        raise HypothesisViolationError(problem)
-    w_orig = {}
-    for wv in sorted(w):
-        o = entry.orig_at.get(wv)
-        if o is None:
-            raise HypothesisViolationError(
-                f"boundary vertex {wv} has a multi-vertex model"
-            )
-        if wv in entry.heads or wv in entry.sinks:
-            raise HypothesisViolationError(
-                f"boundary vertex {wv} is an arc head or a hyperedge sink"
-            )
-        w_orig[wv] = o
-    return w_orig
-
-
 def _member_orig(entry: SchemeEntry, v: int) -> int:
     o = entry.orig_at.get(v)
     if o is None:
@@ -100,55 +67,36 @@ def _member_orig(entry: SchemeEntry, v: int) -> int:
     return o
 
 
-def _w_masker(
-    entry: SchemeEntry, w: frozenset[int], original: Graph, use_original: bool
-):
-    """The map v -> neighborhood of v inside W, as entry vertex ids.
-
-    ``use_original`` reads member neighborhoods in the original graph
-    (deletion branch) instead of the entry graph (contraction branch).
-    """
-    if not use_original:
-        return lambda v: frozenset(entry.graph.adj[v] & w)
-    w_vertex = {_member_orig(entry, wv): wv for wv in w}
-
-    def mask(v: int) -> frozenset[int]:
-        o = _member_orig(entry, v)
-        return frozenset(w_vertex[u] for u in original.adj[o] if u in w_vertex)
-
-    return mask
-
-
-def _edge_type(edge: Hyperedge, w: frozenset[int], mask) -> tuple:
+def _edge_type(g: Graph, edge: Hyperedge, w: frozenset[int]) -> tuple:
     """Type of a hyperedge relative to W: label, size, W-part, mask counts."""
     counts: dict[frozenset[int], int] = {}
     for v in edge.members - {edge.sink}:
-        m = mask(v)
+        m = g.adj[v] & w
         counts[m] = counts.get(m, 0) + 1
     canon = tuple(sorted((tuple(sorted(m)), c) for m, c in counts.items()))
     return (edge.label, len(edge.members), tuple(sorted(edge.members & w)), canon)
 
 
 def _same_type(
-    entry: SchemeEntry, edge: Hyperedge, region, w: frozenset[int], mask
+    entry: SchemeEntry, edge: Hyperedge, region, w: frozenset[int]
 ) -> Optional[int]:
     """Index of a hyperedge of the type of ``edge`` whose sink lies in region."""
-    wanted = _edge_type(edge, w, mask)
+    wanted = _edge_type(entry.graph, edge, w)
     for ej, other in enumerate(entry.hyperedges):
-        if other.sink in region and _edge_type(other, w, mask) == wanted:
+        if other.sink in region and _edge_type(entry.graph, other, w) == wanted:
             return ej
     return None
 
 
-def _mask_bijection(source, target, mask) -> dict[int, int]:
+def _mask_bijection(g: Graph, source, target, w: frozenset[int]) -> dict[int, int]:
     """Bijection source -> target matching W-neighborhood masks groupwise."""
     groups_s: dict[frozenset[int], list[int]] = {}
     groups_t: dict[frozenset[int], list[int]] = {}
     for vs, groups in ((source, groups_s), (target, groups_t)):
         for v in sorted(vs):
-            groups.setdefault(mask(v), []).append(v)
-    if {m: len(g) for m, g in groups_s.items()} != {
-        m: len(g) for m, g in groups_t.items()
+            groups.setdefault(g.adj[v] & w, []).append(v)
+    if {m: len(vs) for m, vs in groups_s.items()} != {
+        m: len(vs) for m, vs in groups_t.items()
     }:
         raise HypothesisViolationError(
             "type-equal hyperedges disagree on W-neighborhood mask counts"
@@ -387,37 +335,78 @@ def _next_entry(
 
 
 # ---------------------------------------------------------------------------
+# the step: hypotheses and the branch rule
+
+
+def step(
+    entry: SchemeEntry, triple: HomogeneousTriple, params: SchemeParams
+) -> SchemeEntry:
+    """The next entry of an unfrozen entry from a homogeneous triple.
+
+    Checks the hypotheses, then takes the deletion branch when no ball's
+    boundary meets X (every ball's full neighborhood is W) and otherwise
+    the contraction branch from the least center whose ball reaches X.
+    """
+    g = entry.graph
+    if g.n <= params.n_freeze:
+        raise HypothesisViolationError(
+            f"entry has {g.n} <= N = {params.n_freeze} vertices; frozen"
+        )
+    problem = check_homogeneous(g, triple, params.t, params.l0, params.d, params.r)
+    if problem is not None:
+        raise HypothesisViolationError(problem)
+    w_orig = {}
+    for wv in sorted(triple.w_set):
+        o = entry.orig_at.get(wv)
+        if o is None:
+            raise HypothesisViolationError(
+                f"boundary vertex {wv} has a multi-vertex model"
+            )
+        if wv in entry.heads or wv in entry.sinks:
+            raise HypothesisViolationError(
+                f"boundary vertex {wv} is an arc head or a hyperedge sink"
+            )
+        w_orig[wv] = o
+    # W-neighborhood masks are read at non-sink members; they must be singletons
+    for edge in entry.hyperedges:
+        for v in sorted(edge.members - {edge.sink}):
+            _member_orig(entry, v)
+    x = triple.x_set
+    balls = {zi: ball(g, [zi], params.l0 - 1, within=x) for zi in triple.z_set}
+    z_star = next((zi for zi in sorted(balls) if boundary(g, balls[zi]) & x), None)
+    if z_star is None:
+        return del_step(entry, triple, params, balls, w_orig)
+    return contract_step(entry, triple, params, balls, w_orig, z_star)
+
+
+# ---------------------------------------------------------------------------
 # deletion branch
 
 
 def del_step(
     entry: SchemeEntry,
-    x: frozenset[int],
-    z: frozenset[int],
-    w: frozenset[int],
+    triple: HomogeneousTriple,
     params: SchemeParams,
-    original: Graph,
+    balls: dict[int, frozenset[int]],
+    w_orig: dict[int, int],
 ) -> SchemeEntry:
     """Contract one ball of a uniform type bucket; delete the bucket's rest.
 
-    Requires the full-neighborhood form of the hypothesis: every ball's
-    entire boundary is exactly W.  The witnesses of the derived hyperedges
-    come from the deleted balls of the bucket.
+    The body of ``step`` when every ball's entire boundary is exactly W.
+    The witnesses of the derived hyperedges come from the deleted balls of
+    the bucket.
     """
-    w_orig = _common_checks(entry, x, z, w, params, full_boundary=True)
     g = entry.graph
-    balls = {zi: ball(g, [zi], params.l0 - 1, within=x) for zi in z}
-    mask = _w_masker(entry, w, original, use_original=True)
-
+    w = triple.w_set
     sig: dict[int, tuple] = {}
-    for zi in z:
+    for zi, b in balls.items():
         edge_sig = frozenset(
-            _edge_type(e, w, mask) for e in entry.hyperedges if e.sink in balls[zi]
+            _edge_type(g, e, w) for e in entry.hyperedges if e.sink in b
         )
-        vertex_sig = frozenset(mask(v) for v in balls[zi] if v in entry.orig_at)
+        vertex_sig = frozenset(g.adj[v] & w for v in b if v in entry.orig_at)
         sig[zi] = (edge_sig, vertex_sig)
     buckets: dict[tuple, list[int]] = {}
-    for zi in sorted(z):
+    for zi in sorted(balls):
         buckets.setdefault(sig[zi], []).append(zi)
     need = params.k + params.h
     eligible = [b for b in buckets.values() if len(b) >= need]
@@ -430,7 +419,7 @@ def del_step(
     rb = _Rebuild(entry, contracted=region, deleted=deleted, cut_x_edges=None)
 
     def correspond(edge: Hyperedge, zi: int):
-        ej = _same_type(entry, edge, balls[zi], w, mask)
+        ej = _same_type(entry, edge, balls[zi], w)
         if ej is None:
             raise HypothesisViolationError(
                 f"no type-equal hyperedge with sink in the ball of {zi}"
@@ -438,7 +427,7 @@ def del_step(
         other = entry.hyperedges[ej]
         src = (edge.members - {edge.sink}) & region
         tgt = (other.members - {other.sink}) & balls[zi]
-        return ej, _mask_bijection(src, tgt, mask)
+        return ej, _mask_bijection(g, src, tgt, w)
 
     sources = {zi: balls[zi] for zi in z_chosen[1:]}
     return _next_entry(
@@ -452,34 +441,26 @@ def del_step(
 
 def contract_step(
     entry: SchemeEntry,
-    x: frozenset[int],
-    z: frozenset[int],
-    w: frozenset[int],
+    triple: HomogeneousTriple,
     params: SchemeParams,
-    original: Graph,
+    balls: dict[int, frozenset[int]],
+    w_orig: dict[int, int],
+    z_star: int,
 ) -> SchemeEntry:
     """Contract a typed neighborhood of a split geodesic; cut it from X.
 
-    Requires some ball to reach X beyond W (otherwise the deletion branch
-    applies and BranchMismatchError is raised).  The witnesses of the
-    derived hyperedges come from the anchor balls around the split chunks.
+    The body of ``step`` when the ball of ``z_star`` reaches X.  The
+    witnesses of the derived hyperedges come from the anchor balls around
+    the split chunks.
     """
-    w_orig = _common_checks(entry, x, z, w, params, full_boundary=False)
     g = entry.graph
-    balls = {zi: ball(g, [zi], params.l0 - 1, within=x) for zi in z}
-    violating = [zi for zi in sorted(z) if boundary(g, balls[zi]) - w]
-    if not violating:
-        raise BranchMismatchError(
-            "every ball has its full neighborhood inside W; use del_step"
-        )
-    z_star = violating[0]
+    x, w = triple.x_set, triple.w_set
     region0 = balls[z_star]
-    mask = _w_masker(entry, w, original, use_original=False)
 
     # type every ball vertex by its W-neighborhood and hyperedge roles
     by_type: dict[tuple, list[Hyperedge]] = {}
     for e in entry.hyperedges:
-        by_type.setdefault(_edge_type(e, w, mask), []).append(e)
+        by_type.setdefault(_edge_type(g, e, w), []).append(e)
     types = sorted(by_type)
 
     def phi(v: int) -> tuple:
@@ -550,7 +531,7 @@ def contract_step(
     rb = _Rebuild(entry, contracted=region, deleted=frozenset(), cut_x_edges=x)
 
     def correspond(edge: Hyperedge, alpha: int):
-        ej = _same_type(entry, edge, anchor[alpha], w, mask)
+        ej = _same_type(entry, edge, anchor[alpha], w)
         if ej is None:
             raise HypothesisViolationError(
                 f"no type-equal hyperedge with sink in anchor ball {alpha}"
@@ -558,7 +539,7 @@ def contract_step(
         other = entry.hyperedges[ej]
         src = edge.members - {edge.sink} - u_plus_vertices
         tgt = other.members - {other.sink} - u_plus_vertices
-        iota = _mask_bijection(src, tgt, mask)
+        iota = _mask_bijection(g, src, tgt, w)
         for a, b in iota.items():
             if g.adj[a] & u_plus_vertices != g.adj[b] & u_plus_vertices:
                 raise HypothesisViolationError(

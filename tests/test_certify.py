@@ -17,11 +17,11 @@ from defcolor.scheme import (
     certify_entry,
     certify_scheme,
     color_from_scheme,
-    contract_step,
     find_homogeneous,
     initial_entry,
     scheme_from_json,
     scheme_to_json,
+    step,
 )
 from defcolor.scheme.certify import CONDITIONS
 from defcolor.scheme.corpus import caterpillar, star_of_balls
@@ -385,9 +385,7 @@ class TestUOutsideUPlus:
         # ids merged into q, next to members of the hyperedges D8i re-derives
         g, prev, params = typed_spine_fabric()
         triple = find_homogeneous(prev.graph, 1, params.l0, 4, 3)
-        nxt = contract_step(
-            prev, triple.x_set, triple.z_set, triple.w_set, params, g
-        )
+        nxt = step(prev, triple, params)
         meta = nxt.step_meta
         for o in sorted(nxt.model[meta.q])[:4]:
             bad = StepMeta(meta.q, meta.u_set | {o}, meta.u_plus)

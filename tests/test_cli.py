@@ -6,7 +6,14 @@ import pytest
 
 from defcolor import cli
 from defcolor.cli import main
-from defcolor.graphs import complete_graph, ct, parse_graph6, to_edge_json, to_graph6
+from defcolor.graphs import (
+    Graph,
+    complete_graph,
+    ct,
+    parse_graph6,
+    to_edge_json,
+    to_graph6,
+)
 from defcolor.scheme import build_scheme, scheme_from_json, scheme_to_json
 from defcolor.scheme.corpus import caterpillar, star_of_balls
 from helpers import EXACT_MIX_G14
@@ -146,6 +153,23 @@ class TestMinor:
             "--budget-nodes", "40000",
         )
         assert code == 1 and json.loads(out) == {}
+
+    def test_heuristic_miss_is_a_failed_search(self, capsys, tmp_path):
+        # the exhaustive search finds a ct(3,2) model that the heuristic
+        # misses; "no model found" is then no answer, not an absence
+        edges = [(0, 2), (0, 5), (0, 6), (0, 8), (1, 2), (1, 4), (1, 6),
+                 (1, 8), (2, 8), (3, 6), (3, 7), (4, 5), (5, 7), (6, 7)]
+        host = tmp_path / "host.json"
+        host.write_text(to_edge_json(Graph.from_edges(9, edges)))
+        pattern = tmp_path / "pattern.g6"
+        pattern.write_text(to_graph6(ct(3, 2)) + "\n")
+        argv = ["minor", str(host), "--pattern", str(pattern)]
+        code, out = run(capsys, *argv)
+        assert code == 0 and len(json.loads(out)) == 7
+        code = main(["--seed", "0", *argv, "--mode", "heuristic"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.count("\n") == 1
 
     def test_verify_rejects_bad_model(self, capsys, tmp_path):
         host = tmp_path / "host.g6"

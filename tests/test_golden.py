@@ -20,11 +20,10 @@ from defcolor.scheme import (
     build_scheme,
     certify_scheme,
     color_from_scheme,
-    contract_step,
-    del_step,
     find_homogeneous,
     scheme_from_json,
     scheme_to_json,
+    step,
 )
 from defcolor.scheme.corpus import caterpillar, star_of_balls
 from defcolor.scheme.params import SchemeParams
@@ -147,16 +146,16 @@ def test_pipeline_outputs(name):
 
 
 def _del_fixture():
-    g, entry, _ = paired_ball_fabric(pairs=6, h=4, k=1)
+    _, entry, _ = paired_ball_fabric(pairs=6, h=4, k=1)
     params = SchemeParams(h=4, k=1, r=3, d=3, n_freeze=10, l0=2, t=5)
     triple = find_homogeneous(entry.graph, 5, 2, 3, 3)
-    return del_step(entry, triple.x_set, triple.z_set, triple.w_set, params, g)
+    return step(entry, triple, params)
 
 
 def _contract_fixture():
-    g, entry, params = typed_spine_fabric()
+    _, entry, params = typed_spine_fabric()
     triple = find_homogeneous(entry.graph, 1, params.l0, 4, 3)
-    return contract_step(entry, triple.x_set, triple.z_set, triple.w_set, params, g)
+    return step(entry, triple, params)
 
 
 @pytest.mark.parametrize(

@@ -69,21 +69,6 @@ class TestFindHomogeneous:
             assert triple is not None, inst.name
             assert check_homogeneous(g, triple, p.t, p.l0, p.d, p.r) is None
 
-    def test_full_boundary_flag(self):
-        # single-vertex balls: the whole boundary is the apex set
-        g = star_graph(5)
-        triple = find_homogeneous(g, t=2, length=1, d=1, r=2)
-        assert triple is not None
-        assert check_homogeneous(g, triple, 2, 1, 1, 2, full_boundary=True) is None
-        # pendant paths of length 2 at radius 1 have more path ahead
-        g2 = pendant_paths(1, 3, 2)
-        triple2 = find_homogeneous(g2, t=3, length=1, d=3, r=2)
-        assert triple2 is not None
-        assert (
-            check_homogeneous(g2, triple2, 3, 1, 3, 2, full_boundary=True)
-            is not None
-        )
-
 
 class TestCheckHomogeneous:
     def test_rejects_wrong_center_count(self):

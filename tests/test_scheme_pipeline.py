@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from defcolor.coloring import verify_coloring
 from defcolor.errors import EmptyPaletteError, InputFormatError, SearchFailureError
-from defcolor.graphs import complete_graph, ct, path_graph
+from defcolor.graphs import complete_graph, ct, graph_from_doc, path_graph
 from defcolor.scheme import (
     SchemeParams,
     build_scheme,
@@ -13,6 +15,7 @@ from defcolor.scheme import (
     initial_entry,
     scheme_from_json,
     scheme_to_json,
+    serialize,
 )
 from defcolor.scheme.corpus import acceptance_corpus, caterpillar, star_of_balls
 
@@ -126,6 +129,23 @@ class TestSerialization:
         back = scheme_from_json(scheme_to_json(scheme))
         report = certify_scheme(back, inst.params, back[0].graph)
         assert report.clean()
+
+    def test_entry_larger_than_the_one_before_is_input_error(self, monkeypatch):
+        # a few bytes claiming a million vertices are refused before any
+        # graph of that size is built
+        inst = caterpillar(1, 14)
+        doc = json.loads(scheme_to_json(build_scheme(inst.graph, inst.params)))
+        doc[1]["graph"]["n"] = 10**6
+        sizes = []
+
+        def recording(graph_doc):
+            sizes.append(graph_doc["n"])
+            return graph_from_doc(graph_doc)
+
+        monkeypatch.setattr(serialize, "graph_from_doc", recording)
+        with pytest.raises(InputFormatError, match="entry 1 claims 1000000"):
+            scheme_from_json(json.dumps(doc))
+        assert sizes == [inst.graph.n]
 
 
 class TestParamsDocument:

@@ -1,25 +1,23 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from defcolor.constants import split_path_budget
-from defcolor.errors import (
-    BranchMismatchError,
-    BucketTooSmallError,
-    HypothesisViolationError,
-)
-from defcolor.graphs import Graph
+from defcolor.errors import BucketTooSmallError, HypothesisViolationError
+from defcolor.graphs import Graph, ball
 from defcolor.scheme import (
     Hyperedge,
     SchemeParams,
     certify_entry,
-    contract_step,
-    del_step,
     find_homogeneous,
     initial_entry,
+    step,
 )
-from defcolor.scheme.corpus import caterpillar, star_of_balls
+from defcolor.scheme.corpus import acceptance_corpus, caterpillar, star_of_balls
 from defcolor.scheme.entry import SchemeEntry
+from defcolor.scheme.homogeneous import boundary
 
 
 def run_homogeneous(inst):
@@ -35,9 +33,7 @@ class TestDelStep:
         inst = star_of_balls(1, 6, 2)
         triple = run_homogeneous(inst)
         entry = initial_entry(inst.graph)
-        out = del_step(
-            entry, triple.x_set, triple.z_set, triple.w_set, inst.params, inst.graph
-        )
+        out = step(entry, triple, inst.params)
         h, k, p = inst.params.h, inst.params.k, 2
         assert inst.graph.n - out.graph.n == (h + k) * p - 1
 
@@ -45,9 +41,7 @@ class TestDelStep:
         inst = star_of_balls(2, 5, 1)
         triple = run_homogeneous(inst)
         entry = initial_entry(inst.graph)
-        out = del_step(
-            entry, triple.x_set, triple.z_set, triple.w_set, inst.params, inst.graph
-        )
+        out = step(entry, triple, inst.params)
         meta = out.step_meta
         assert meta is not None and meta.u_plus == frozenset({0, 1})
         # with no prior hyperedges only the boundary edge appears
@@ -62,22 +56,13 @@ class TestDelStep:
         )
         triple = run_homogeneous(inst)
         with pytest.raises(HypothesisViolationError):
-            del_step(
-                initial_entry(inst.graph),
-                triple.x_set,
-                triple.z_set,
-                triple.w_set,
-                big_freeze,
-                inst.graph,
-            )
+            step(initial_entry(inst.graph), triple, big_freeze)
 
     def test_certifies_after_step(self):
         inst = star_of_balls(2, 7, 2)
         triple = run_homogeneous(inst)
         entry = initial_entry(inst.graph)
-        out = del_step(
-            entry, triple.x_set, triple.z_set, triple.w_set, inst.params, inst.graph
-        )
+        out = step(entry, triple, inst.params)
         report = certify_entry(entry, out, inst.params, inst.graph)
         assert report.clean() and not report.skipped(), report.to_json()
 
@@ -105,9 +90,7 @@ class TestDelStep:
         triple = find_homogeneous(g, 5, 2, 4, 3)
         assert triple is not None
         with pytest.raises(BucketTooSmallError) as err:
-            del_step(
-                initial_entry(g), triple.x_set, triple.z_set, triple.w_set, params, g
-            )
+            step(initial_entry(g), triple, params)
         assert err.value.largest == 3 and err.value.needed == 5
 
 
@@ -116,9 +99,7 @@ class TestContractStep:
         inst = caterpillar(1, 14)
         triple = run_homogeneous(inst)
         entry = initial_entry(inst.graph)
-        out = contract_step(
-            entry, triple.x_set, triple.z_set, triple.w_set, inst.params, inst.graph
-        )
+        out = step(entry, triple, inst.params)
         meta = out.step_meta
         assert meta is not None
         # the boundary hyperedge from the step is present with sink q
@@ -130,19 +111,6 @@ class TestContractStep:
         report = certify_entry(entry, out, inst.params, inst.graph)
         assert report.clean() and not report.skipped(), report.to_json()
 
-    def test_branch_mismatch_on_full_boundaries(self):
-        inst = star_of_balls(1, 5, 1)
-        triple = run_homogeneous(inst)
-        with pytest.raises(BranchMismatchError):
-            contract_step(
-                initial_entry(inst.graph),
-                triple.x_set,
-                triple.z_set,
-                triple.w_set,
-                inst.params,
-                inst.graph,
-            )
-
     def test_radius_must_match_type_count(self):
         inst = caterpillar(1, 14)
         wrong = SchemeParams(
@@ -151,15 +119,25 @@ class TestContractStep:
         triple = find_homogeneous(inst.graph, 1, wrong.l0, wrong.d, wrong.r)
         assert triple is not None
         with pytest.raises(HypothesisViolationError) as err:
-            contract_step(
-                initial_entry(inst.graph),
-                triple.x_set,
-                triple.z_set,
-                triple.w_set,
-                wrong,
-                inst.graph,
-            )
+            step(initial_entry(inst.graph), triple, wrong)
         assert "l0" in str(err.value)
+
+
+class TestBranchRule:
+    def test_originals_removed_exactly_when_no_ball_reaches_x(self):
+        # deletion drops whole balls from the cover; contraction keeps it
+        for inst in acceptance_corpus():
+            g, p = inst.graph, inst.params
+            triple = run_homogeneous(inst)
+            x = triple.x_set
+            reaches = any(
+                boundary(g, ball(g, [z], p.l0 - 1, within=x)) & x
+                for z in triple.z_set
+            )
+            entry = initial_entry(g)
+            nxt = step(entry, triple, p)
+            assert (nxt.cover != entry.cover) == (not reaches), inst.name
+            assert reaches == inst.name.startswith("caterpillar"), inst.name
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +211,7 @@ class TestDelLabelUpgrade:
         params = SchemeParams(h=h, k=k, r=3, d=3, n_freeze=10, l0=2, t=5)
         triple = find_homogeneous(entry.graph, 5, 2, 3, 3)
         assert triple is not None and triple.w_set == frozenset({remap[0]})
-        out = del_step(
-            entry, triple.x_set, triple.z_set, triple.w_set, params, g
-        )
+        out = step(entry, triple, params)
         meta = out.step_meta
         labels = {(tuple(sorted(e.members)), e.label) for e in out.hyperedges}
         apex_img = next(
@@ -301,9 +277,7 @@ class TestContractLabelUpgrade:
         g, entry, params = typed_spine_fabric()
         triple = find_homogeneous(entry.graph, 1, params.l0, 4, 3)
         assert triple is not None
-        out = contract_step(
-            entry, triple.x_set, triple.z_set, triple.w_set, params, g
-        )
+        out = step(entry, triple, params)
         meta = out.step_meta
         assert meta is not None and meta.u_plus == frozenset({apex})
         apex_img = next(
@@ -314,3 +288,29 @@ class TestContractLabelUpgrade:
         assert (tuple(sorted({meta.q, apex_img})), 1) in labels
         report = certify_entry(entry, out, params, g)
         assert report.clean() and not report.skipped(), report.to_json()
+
+
+def _merge_into_member(g: Graph, entry: SchemeEntry) -> SchemeEntry:
+    """The entry with one uncovered original merged into the model of the
+    first hyperedge's non-sink member other than the apex."""
+    edge = entry.hyperedges[0]
+    v = min(edge.members - {edge.sink, 0})
+    spare = min(set(range(g.n)) - entry.cover)
+    model = dict(entry.model)
+    model[v] = model[v] | {spare}
+    return replace(entry, model=model)
+
+
+@pytest.mark.parametrize("branch", ["del", "contract"])
+def test_multi_vertex_member_rejected(branch):
+    if branch == "del":
+        g, entry, _ = paired_ball_fabric(pairs=6, h=4, k=1)
+        params = SchemeParams(h=4, k=1, r=3, d=3, n_freeze=10, l0=2, t=5)
+        triple = find_homogeneous(entry.graph, 5, 2, 3, 3)
+    else:
+        g, entry, params = typed_spine_fabric()
+        triple = find_homogeneous(entry.graph, 1, params.l0, 4, 3)
+    assert triple is not None
+    with pytest.raises(HypothesisViolationError) as err:
+        step(_merge_into_member(g, entry), triple, params)
+    assert "multi-vertex model" in str(err.value)
