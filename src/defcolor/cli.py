@@ -29,7 +29,7 @@ from .errors import (
     SearchFailureError,
     SizeLimitError,
 )
-from .minors import MinorModel, has_minor, verify_model
+from .minors import MinorModel, has_minor, too_large, verify_model
 from .scheme import (
     SchemeParams,
     build_scheme,
@@ -239,8 +239,10 @@ def _run(args) -> int:
         if args.budget_nodes is not None:
             kwargs["node_budget"] = args.budget_nodes
         model = has_minor(host, pattern, mode=args.mode, seed=args.seed, **kwargs)
-        if model is None and args.mode == "heuristic":
-            # the heuristic is incomplete: no model found is no answer
+        heuristic_miss = model is None and args.mode == "heuristic"
+        if heuristic_miss and not too_large(host, pattern):
+            # the heuristic is incomplete: a miss is no answer, unlike a
+            # pattern too large for the host
             print("defcolor: heuristic search found no model", file=sys.stderr)
             return EXIT_BUDGET
         if model is None:

@@ -44,7 +44,14 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Sorted list of edges as (u, v) with u < v."""
-        return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
+        return list(self.iter_edges())
+
+    def iter_edges(self) -> Iterator[tuple[int, int]]:
+        """The edges of ``edges()``, in its order, without building the list."""
+        for u in range(self.n):
+            for v in sorted(self.adj[u]):
+                if u < v:
+                    yield u, v
 
     def edge_count(self) -> int:
         return sum(len(s) for s in self.adj) // 2
@@ -352,19 +359,43 @@ def ball(
             raise ValueError(f"vertex {v} out of range")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    adj = g.adj
+    return frozenset(grow_ball(g.adj, seen, radius, within))
+
+
+def grow_ball(
+    adj: Sequence[Container[int]],
+    seen: set[int],
+    radius: int,
+    within: Optional[Container[int]] = None,
+    exits: Optional[set[int]] = None,
+) -> set[int]:
+    """The BFS of ``ball``, unchecked: grows ``seen`` from the sources in it
+    to their ball in place and returns it.
+
+    With ``exits`` (and ``within``), the same pass also adds to ``exits``
+    every neighbour of the ball that lies outside it and outside ``within``.
+    """
     frontier = list(seen)
     for _ in range(radius):
         nxt = []
         for u in frontier:
             for v in adj[u]:
-                if v not in seen and (within is None or v in within):
-                    seen.add(v)
-                    nxt.append(v)
+                if v not in seen:
+                    if within is None or v in within:
+                        seen.add(v)
+                        nxt.append(v)
+                    elif exits is not None:
+                        exits.add(v)
         if not nxt:
-            break
+            return seen
         frontier = nxt
-    return frozenset(seen)
+    if exits is not None:
+        # the last layer's neighbours: only the exits are still wanted
+        for u in frontier:
+            for v in adj[u]:
+                if v not in within and v not in seen:
+                    exits.add(v)
+    return seen
 
 
 def induced_components(g: Graph, vs: Iterable[int]) -> list[frozenset[int]]:

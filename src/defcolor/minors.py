@@ -165,6 +165,13 @@ def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def too_large(host: Graph, pattern: Graph) -> bool:
+    """Whether size alone rules the pattern out: it has more vertices or
+    more edges than the host.  ``has_minor`` answers None then in every
+    mode, and that None is a decided absence."""
+    return pattern.n > host.n or pattern.edge_count() > host.edge_count()
+
+
 def has_minor(
     host: Graph,
     pattern: Graph,
@@ -189,15 +196,13 @@ def has_minor(
     """
     if pattern.n == 0:
         return MinorModel({})
+    if too_large(host, pattern):
+        return None
     if pattern.edge_count() == 0:
         # minors of edgeless patterns only need enough vertices
-        if host.n >= pattern.n:
-            return MinorModel({pv: frozenset([pv]) for pv in range(pattern.n)})
-        return None
+        return MinorModel({pv: frozenset([pv]) for pv in range(pattern.n)})
     if host == pattern:
         return MinorModel({v: frozenset([v]) for v in range(pattern.n)})
-    if pattern.n > host.n or pattern.edge_count() > host.edge_count():
-        return None
     if mode == "heuristic":
         return _heuristic_search(host, pattern, seed)
     if mode != "exhaustive":
@@ -212,7 +217,7 @@ def has_minor(
     if min(pattern.degree(v) for v in range(pattern.n)) >= 3:
         reduced = _series_reduced(kernel)
         if reduced.n < kernel.n:
-            if reduced.n < pattern.n or reduced.edge_count() < pattern.edge_count():
+            if too_large(reduced, pattern):
                 return None
             try:
                 if _exhaustive_search(reduced, pattern, node_budget) is None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..graphs import Graph, ball
+from ..graphs import Graph, ball, grow_ball
 
 
 @dataclass(frozen=True)
@@ -77,15 +77,18 @@ def find_homogeneous(
     """
     if min(t, length, d, r) < 1:
         raise ValueError("parameters must be positive")
-    x_set = frozenset(v for v in range(g.n) if g.degree(v) <= d)
-    if not x_set:
+    adj = g.adj
+    xs = [v for v in range(g.n) if len(adj[v]) <= d]
+    if not xs:
         return None
+    x_set = frozenset(xs)
     groups: dict[frozenset[int], list[int]] = {}
-    for z in sorted(x_set):
-        b = ball(g, [z], length - 1, within=x_set)
-        w = boundary(g, b) - x_set
+    for z in xs:
+        # W of z: the neighbours outside X of its ball, from the same BFS
+        w: set[int] = set()
+        grow_ball(adj, {z}, length - 1, x_set, w)
         if len(w) <= r - 1:
-            groups.setdefault(w, []).append(z)
+            groups.setdefault(frozenset(w), []).append(z)
     for w in sorted(groups, key=lambda w: min(groups[w])):
         centers = groups[w]
         if len(centers) < t:

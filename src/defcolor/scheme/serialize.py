@@ -14,8 +14,9 @@ from .entry import Hyperedge, SchemeEntry, StepMeta
 
 
 def entry_to_json(entry: SchemeEntry) -> dict:
+    g = entry.graph
     doc = {
-        "graph": {"n": entry.graph.n, "edges": [[u, v] for u, v in entry.graph.edges()]},
+        "graph": {"n": g.n, "edges": [[u, v] for u, v in g.iter_edges()]},
         "model": {str(v): sorted(m) for v, m in sorted(entry.model.items())},
         "arcs": sorted([a, b] for a, b in entry.arcs),
         "hyperedges": [

@@ -161,21 +161,26 @@ class _Rebuild:
         survivors = [v for v in range(g.n) if v not in removed]
         self.idx = {v: i for i, v in enumerate(survivors)}
         self.v_new = len(survivors)
-        edges = set()
-        for u, nbrs in enumerate(g.adj):
-            for v in nbrs:
-                if u > v:
-                    continue
-                iu, iv = self.idx.get(u), self.idx.get(v)
-                if iu is not None and iv is not None:
-                    edges.add((iu, iv))
-                elif iu is not None and v in contracted:
-                    if cut_x_edges is None or u not in cut_x_edges:
-                        edges.add((iu, self.v_new))
-                elif iv is not None and u in contracted:
-                    if cut_x_edges is None or v not in cut_x_edges:
-                        edges.add((iv, self.v_new))
-        self.graph = Graph.from_edges(self.v_new + 1, edges)
+        # one pass over the survivors' rows; the new vertex's row is the
+        # survivors next to the contracted set, less those cut off from it
+        get = self.idx.get
+        rows = []
+        new_row = []
+        for v in survivors:
+            nbrs = g.adj[v]
+            if nbrs.isdisjoint(removed):
+                rows.append(frozenset(map(get, nbrs)))
+                continue
+            row = set(map(get, nbrs))
+            row.discard(None)
+            if not nbrs.isdisjoint(contracted) and (
+                cut_x_edges is None or v not in cut_x_edges
+            ):
+                row.add(self.v_new)
+                new_row.append(len(rows))
+            rows.append(frozenset(row))
+        rows.append(frozenset(new_row))
+        self.graph = Graph(self.v_new + 1, rows)
         model = {self.idx[v]: entry.model[v] for v in survivors}
         model[self.v_new] = frozenset().union(*(entry.model[v] for v in contracted))
         self.model = model

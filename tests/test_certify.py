@@ -24,7 +24,7 @@ from defcolor.scheme import (
     step,
 )
 from defcolor.scheme.certify import CONDITIONS
-from defcolor.scheme.corpus import caterpillar, star_of_balls
+from defcolor.scheme.corpus import acceptance_corpus, caterpillar, star_of_balls
 from defcolor.scheme.entry import SchemeEntry, StepMeta
 from helpers import d2_oracle
 from test_steps import typed_spine_fabric
@@ -562,6 +562,54 @@ class TestSchemeLevel:
         params = SchemeParams(h=3, k=2, r=2, d=2, n_freeze=5, l0=1, t=1)
         report = certify_scheme([], params, ct(2, 2))
         assert not report.clean()
+
+
+def _tail_report(scheme, params, graph) -> dict:
+    """The frozen-tail report of ``certify_scheme``, checked against the
+    full self pair of ``certify_entry``."""
+    got = certify_scheme(scheme, params, graph).pair_reports[-1].to_json()
+    assert got == certify_entry(scheme[-1], scheme[-1], params, graph).to_json()
+    return got
+
+
+class TestFrozenTail:
+    # after a clean last pair the tail runs D3 alone; its report must be the
+    # full self pair's in every case
+
+    def test_acceptance_corpus(self):
+        for inst in acceptance_corpus():
+            scheme = build_scheme(inst.graph, inst.params)
+            tail = _tail_report(scheme, inst.params, inst.graph)
+            assert all(v == {"status": "pass"} for v in tail.values())
+
+    def test_unfrozen_last_entry(self):
+        # a clean last pair whose next entry has 13 > N = 12 vertices
+        inst = caterpillar(1, 16)
+        scheme = build_scheme(inst.graph, inst.params)[:-1]
+        assert scheme[-1].graph.n > inst.params.n_freeze
+        tail = _tail_report(scheme, inst.params, inst.graph)
+        assert tail["D3"]["witness"]["clause"] == "unfrozen-entry-unchanged"
+
+    def test_one_entry_scheme(self):
+        inst = star_of_balls(1, 6, 2)
+        tail = _tail_report([initial_entry(inst.graph)], inst.params, inst.graph)
+        assert tail["D3"]["witness"]["clause"] == "unfrozen-entry-unchanged"
+
+    def test_seeded_mutants(self):
+        # the draws of TestTotality.test_seeded_mutants_give_a_report_or_an_input_error
+        audit = _mutation_audit()
+        rng = random.Random(3)
+        for inst in audit.instances():
+            doc = json.loads(scheme_to_json(build_scheme(inst.graph, inst.params)))
+            for _ in range(150):
+                got = audit.mutate(doc, rng, inst.graph.n)
+                if got is None:
+                    continue
+                try:
+                    scheme = scheme_from_json(json.dumps(got[0]))
+                except DefcolorError:
+                    continue
+                _tail_report(scheme, inst.params, inst.graph)
 
 
 def _mutate(doc: list, rng: random.Random, n_orig: int) -> list:

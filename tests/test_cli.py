@@ -171,6 +171,18 @@ class TestMinor:
         assert code == 3 and captured.out == ""
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "heuristic"])
+    def test_too_large_pattern_is_an_absence(self, capsys, tmp_path, mode):
+        # ct(3,2) has more vertices than ct(2,2): absent in every mode
+        host = tmp_path / "host.g6"
+        host.write_text(to_graph6(ct(2, 2)) + "\n")
+        pattern = tmp_path / "pattern.g6"
+        pattern.write_text(to_graph6(ct(3, 2)) + "\n")
+        code, out = run(
+            capsys, "minor", str(host), "--pattern", str(pattern), "--mode", mode
+        )
+        assert code == 1 and json.loads(out) == {}
+
     def test_verify_rejects_bad_model(self, capsys, tmp_path):
         host = tmp_path / "host.g6"
         host.write_text(to_graph6(ct(3, 2)) + "\n")

@@ -92,13 +92,27 @@ class TestDecide:
             assert ok
 
     def test_oracle_agreement_full_sweep(self):
-        # every graph up to 6 vertices (up to isomorphism), k <= 3, d <= 2
+        # every graph up to 6 vertices (up to isomorphism), k <= 3, d <= 2;
+        # the closures among them go to the forest DP, the rest backtrack
+        closure_outcomes: set = set()
+        closures = 0
         for n in range(1, 7):
             for g in all_graphs(n):
+                closure = closure_forest(g) is not None
+                closures += closure
                 for k in (1, 2, 3):
                     for d in (0, 1, 2):
-                        got = decide_defective(g, k, d).feasible
-                        assert got == decide_defective_oracle(g, k, d), (g, k, d)
+                        report = decide_defective(g, k, d)
+                        assert report.feasible == decide_defective_oracle(g, k, d), (
+                            g.edges(), k, d,
+                        )
+                        if closure:
+                            closure_outcomes.add(report.feasible)
+                        if report.feasible:
+                            ok, _ = verify_coloring(g, report.coloring, d)
+                            assert ok and report.coloring.k == k
+        assert closure_outcomes == {True, False}
+        assert closures > 20
 
     @given(graphs_st(min_n=1, max_n=7), st.integers(1, 2), st.integers(0, 2))
     @settings(max_examples=40, deadline=None)
@@ -116,25 +130,6 @@ def small_closures():
 
 
 class TestForestDP:
-    def test_oracle_agreement_every_small_graph(self):
-        # every closure on <= 6 vertices goes to the forest DP
-        outcomes: set = set()
-        closures = 0
-        for g in small_closures():
-            closures += 1
-            for k in (1, 2, 3):
-                for d in (0, 1, 2):
-                    report = decide_defective(g, k, d)
-                    assert report.feasible == decide_defective_oracle(g, k, d), (
-                        g.edges(), k, d,
-                    )
-                    outcomes.add(report.feasible)
-                    if report.feasible:
-                        ok, _ = verify_coloring(g, report.coloring, d)
-                        assert ok and report.coloring.k == k
-        assert outcomes == {True, False}
-        assert closures > 20
-
     def test_pinned_colorings(self):
         # sha256 of every (feasible, coloring) answer of the forest DP on
         # these closures: pins its memo keys, its fold order and its rebuild

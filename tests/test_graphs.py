@@ -10,6 +10,7 @@ from defcolor.graphs import (
     RootedTree,
     balanced_tree,
     ball,
+    grow_ball,
     closure,
     closure_forest,
     complete_bipartite,
@@ -210,6 +211,21 @@ class TestBall:
             near |= {ids[i] for i in range(sub.n) if 0 <= dist[i] <= radius}
         want = frozenset(near)
         assert ball(g, s, radius, within=within) == want
+
+    @given(graphs_st(min_n=1, max_n=8), st.data())
+    @settings(max_examples=80)
+    def test_exits_are_the_neighbours_outside_within(self, g, data):
+        # the one-pass exits of the homogeneous search: the ball's
+        # neighbours outside it and outside ``within``
+        verts = st.integers(0, g.n - 1)
+        s = data.draw(st.frozensets(verts, min_size=1, max_size=3))
+        within = data.draw(st.frozensets(verts))
+        radius = data.draw(st.integers(0, 4))
+        exits: set = set()
+        got = grow_ball(g.adj, set(s), radius, within, exits)
+        assert got == ball(g, s, radius, within=within)
+        near = set().union(*(g.adj[v] for v in got))
+        assert exits == near - got - within
 
     def test_within_keeps_outside_sources(self):
         # a source outside ``within`` is in the ball and grows into it
