@@ -8,8 +8,8 @@ is either a plain Python int or the exact normal form
     coeff * base ** exp + addend
 
 with ``coeff >= 1``, ``base >= 2`` and ``exp >= 1`` (base, exp and addend
-again HugeInts).  Values that fit under a bit budget are materialized
-eagerly, so plain ints appear whenever possible.
+again HugeInts).  Values below ``PLAIN_LIMIT`` (the most ``str()`` of an
+int prints) are materialized eagerly; larger ones keep the power form.
 
 Comparison is exact: materialized compare, then structural normal forms,
 then certified interval log arithmetic at escalating precision.  A
@@ -26,6 +26,7 @@ from mpmath import iv
 from .errors import DefcolorError
 
 MATERIALIZE_BITS = 1 << 20
+PLAIN_LIMIT = 10**4300
 
 _PRECISIONS = (80, 160, 320, 640, 1280, 2560, 5120, 10240, 20480, 40960)
 
@@ -139,7 +140,7 @@ def hpow(base: IntLike, exp: IntLike, coeff: int = 1, addend: IntLike = 0) -> Hu
         return hadd(_as_huge(coeff * b_small), addend)
     out = HugeInt(coeff=coeff, base=base, exp=exp, addend=addend)
     got = out.materialize()
-    if got is not None:
+    if got is not None and got < PLAIN_LIMIT:
         return HugeInt(val=got)
     return out
 
@@ -147,7 +148,9 @@ def hpow(base: IntLike, exp: IntLike, coeff: int = 1, addend: IntLike = 0) -> Hu
 def hadd(x: IntLike, y: IntLike) -> HugeInt:
     x, y = _as_huge(x), _as_huge(y)
     if x.val is not None and y.val is not None:
-        return HugeInt(val=x.val + y.val)
+        if x.val + y.val < PLAIN_LIMIT:
+            return HugeInt(val=x.val + y.val)
+        return hpow(max(x.val, y.val), 1, addend=min(x.val, y.val))
     if x.val is not None:
         x, y = y, x
     # x symbolic: fold into its addend
@@ -162,7 +165,7 @@ def hmul(x: IntLike, c: int) -> HugeInt:
     if c == 0:
         return HugeInt(val=0)
     if x.val is not None:
-        return HugeInt(val=x.val * c)
+        return hpow(x, 1, coeff=c)  # c * x ** 1, plain below PLAIN_LIMIT
     return hpow(x.base, x.exp, x.coeff * c, hmul(x.addend, c))
 
 

@@ -19,18 +19,23 @@ to be exactly the initial one).  Either way D2-D12 are skipped with one
 reason, and D1's own clauses run unless the flaw is D1's.  q, U and U+ are
 not shape fields: D8 checks them.
 
-Each pair then maps every previous vertex to the next vertex that absorbs
-its model and to the one that keeps it exactly (``_pair_maps``); D2, D3,
-D4, D7 and D8 read these two maps and never recompute them.  D2 is set
+Each pair then builds its maps once (``_pair_maps``): absorb sends each
+previous vertex to the next vertex whose model contains its model, persist
+to the one with exactly its model, and the inverse of absorb lists the
+previous vertices inside each next vertex.  D2, D3, D4, D7 and D8 read
+absorb, D3, D7, D8a and D8h persist, and D2, D6a and D8e the inverse.
+Only D3's new-model clause still tests models for inclusion: it checks the
+relation absorb encodes, and absorb, which follows one holder per id,
+differs from it on overlapping next models (a D1 failure).  D2 is set
 algebra per next vertex u: the edges at u must lie in the absorb image of
 the previous edges, and when u is a singleton, its singleton neighbours must
 be exactly the holders of its original's neighbours.  That costs O(n + m)
 set work over the previous, next and original graphs.
 
 The conditions scan the entry graphs and the original graph in O(n + m)
-per pair, apart from the model scans of D3 and D6a, which take O(n) for
-each new or special vertex, and the minor clause of D10, which may search
-exhaustively within the size limits of ``minors``.
+per pair, apart from the model scan of D3, which takes O(n) for each new
+vertex, and the minor clause of D10, which may search exhaustively within
+the size limits of ``minors``.
 
 ``certify_scheme`` ends with the frozen tail, the last entry L paired with
 itself.  When the last real pair (P, L) is clean with nothing skipped, the
@@ -151,10 +156,14 @@ class CertReport:
 
 # previous vertex -> next vertex, or None
 Images = dict[int, Optional[int]]
+# the inverse of absorb: next vertex -> the least previous vertex absorbed
+# into it, and next vertex -> a list of any others
+Inverse = tuple[dict[int, int], dict[int, list[int]]]
 
 
-def _pair_maps(prev: SchemeEntry, nxt: SchemeEntry) -> tuple[Images, Images]:
-    """The absorb and persist images of every previous vertex.
+def _pair_maps(prev: SchemeEntry, nxt: SchemeEntry) -> tuple[Images, Images, Inverse]:
+    """The absorb and persist images of every previous vertex, and the
+    inverse of absorb.
 
     A vertex is absorbed into the next vertex whose model contains its whole
     model, and persists as the next vertex with exactly its model; None
@@ -167,7 +176,14 @@ def _pair_maps(prev: SchemeEntry, nxt: SchemeEntry) -> tuple[Images, Images]:
         w = nxt.holder.get(next(iter(m)))
         absorb[v] = w if w is not None and m <= nxt.model[w] else None
         persist[v] = nxt.by_model.get(m)
-    return absorb, persist
+    first: dict[int, int] = {}
+    more: dict[int, list[int]] = {}
+    for a, w in absorb.items():
+        if w in first:
+            more.setdefault(w, []).append(a)
+        elif w is not None:
+            first[w] = a
+    return absorb, persist, (first, more)
 
 
 def _same_state(prev: SchemeEntry, nxt: SchemeEntry) -> bool:
@@ -238,15 +254,15 @@ def certify_entry(
         for cond in CONDITIONS[1:]:
             report.skip(cond, reason)
         return report
-    absorb, persist = _pair_maps(prev, nxt)
-    _check_d2(report, prev, nxt, original, absorb)
+    absorb, persist, inverse = _pair_maps(prev, nxt)
+    _check_d2(report, prev, nxt, original, absorb, inverse)
     if _check_d3(report, prev, nxt, params):
         _check_d3_step(report, prev, nxt, absorb, persist)
     _check_d4(report, prev, nxt, absorb)
     _check_d5(report, nxt, params)
-    _check_d6(report, prev, nxt, params)
+    _check_d6(report, nxt, params, inverse)
     _check_d7(report, prev, nxt, absorb, persist)
-    _check_d8(report, prev, nxt, params, original, absorb, persist)
+    _check_d8(report, prev, nxt, params, original, absorb, persist, inverse)
     _check_d10(report, nxt, params, original)
     _check_d11(report, nxt)
     _check_d12(report, nxt, params)
@@ -278,19 +294,11 @@ def _check_d2(
     nv: SchemeEntry,
     original: Graph,
     absorb: Images,
+    inverse: Inverse,
 ):
     g = nv.graph
     prev_adj = pv.graph.adj
-    # the previous vertices absorbed into each next vertex w: the first in
-    # ``first``, any others in ``more``; each vertex's image below is a
-    # short-lived set, not one of n sets kept for the whole pass
-    first: dict[int, int] = {}
-    more: dict[int, list[int]] = {}
-    for a, w in absorb.items():
-        if w in first:
-            more.setdefault(w, []).append(a)
-        elif w is not None:
-            first[w] = a
+    first, more = inverse
     # the singletons holding each original id: one in ``by_orig``, the others
     # of a duplicated id in ``shared``
     single_id = {v: next(iter(m)) for v, m in nv.model.items() if len(m) == 1}
@@ -331,7 +339,8 @@ def _check_d2(
         if u in foreign:
             outside = outside | foreign[u]
         # where the previous neighbours of the vertices absorbed into u went:
-        # an edge (u, v) has a preimage iff v is in the image
+        # an edge (u, v) has a preimage iff v is in the image, a short-lived
+        # set, not one of n sets kept for the whole pass
         a = first.get(u)
         image = set() if a is None else set(map(absorb.get, prev_adj[a]))
         for b in more.get(u, ()):
@@ -400,20 +409,20 @@ def _check_d3_step(
 
 def _check_d4(report: CertReport, pv: SchemeEntry, nv: SchemeEntry, absorb: Images):
     g = nv.graph
-    arcs = nv.arcs
-    for a, b in sorted(arcs):
+    arcset = nv.arcs
+    arcs = sorted(arcset)
+    for a, b in arcs:
         if not g.has_edge(a, b):
             report.fail("D4", clause="arc-not-on-edge", arc=[a, b])
             return
-    arcset = set(arcs)
-    for a, b in sorted(arcs):
+    for a, b in arcs:
         if (b, a) in arcset:
             report.fail("D4", clause="two-cycle", arc=[a, b])
             return
     tails = {a for a, _ in arcs}
-    for a, b in sorted(arcs):
+    for a, b in arcs:
         if b in tails:
-            c = next(c for (x, c) in sorted(arcs) if x == b)
+            c = next(c for (x, c) in arcs if x == b)
             report.fail("D4", clause="directed-two-path", path=[a, b, c])
             return
     for a, b in sorted(pv.arcs):
@@ -424,7 +433,7 @@ def _check_d4(report: CertReport, pv: SchemeEntry, nv: SchemeEntry, absorb: Imag
                 return
     # arc tails are original vertices; hyperedge members and the greedy
     # coloring rely on it
-    for a, b in sorted(arcs):
+    for a, b in arcs:
         if len(nv.model[a]) != 1:
             report.fail("D4", clause="tail-not-original", arc=[a, b])
             return
@@ -454,14 +463,13 @@ def _check_d5(report: CertReport, nv: SchemeEntry, params: SchemeParams):
 
 
 def _check_d6(
-    report: CertReport, pv: SchemeEntry, nv: SchemeEntry, params: SchemeParams
+    report: CertReport, nv: SchemeEntry, params: SchemeParams, inverse: Inverse
 ):
+    first, more = inverse
     for v in range(nv.graph.n):
         if v not in nv.special:
             continue
-        count = sum(
-            1 for u in range(pv.graph.n) if pv.model[u] <= nv.model[v]
-        )
+        count = (v in first) + len(more.get(v, ()))
         if count > params.n_freeze:
             report.fail("D6a", vertex=v, absorbed=count, limit=params.n_freeze)
         for u in nv.graph.adj[v]:
@@ -506,6 +514,7 @@ def _check_d8(
     original: Graph,
     absorb: Images,
     persist: Images,
+    inverse: Inverse,
 ):
     if _same_state(pv, nv):
         return
@@ -552,12 +561,8 @@ def _check_d8(
                 report.fail("D8c", clause="hot-neighbor-outside-u", vertex=x)
                 break
 
-    absorbed_into_q = {
-        v for v in range(pv.graph.n) if pv.model[v] <= nv.model[q]
-    }
-
     for edge in pv.hyperedges:
-        if edge.sink not in absorbed_into_q:
+        if absorb[edge.sink] != q:
             continue
         for x in sorted(edge.members - {edge.sink}):
             if pv.graph.degree(x) > d:
@@ -566,26 +571,7 @@ def _check_d8(
                     report.fail("D8d", member=x, edge_members=edge.members)
                     break
 
-    # D8e
-    done_e = False
-    for vp in sorted(absorbed_into_q):
-        if done_e:
-            break
-        for v in sorted(pv.graph.adj[vp]):
-            o = pv.orig_at.get(v)
-            if o is None or o in u_plus or pv.graph.degree(v) > d:
-                continue
-            w_img = nv.by_orig.get(o)
-            if w_img is None:
-                continue
-            for x in sorted(nv.graph.adj[w_img]):
-                ox = nv.orig_at.get(x)
-                if ox is not None and nv.graph.degree(x) > d and ox not in u_set:
-                    report.fail("D8e", around=o, hot_neighbor=ox)
-                    done_e = True
-                    break
-            if done_e:
-                break
+    _check_d8e(report, pv, nv, d, q, u_set, u_plus, inverse)
 
     # an id of U that is not an original of the next entry fails D8b
     wanted = frozenset({q}) | frozenset(
@@ -598,23 +584,38 @@ def _check_d8(
         report.fail("D8f", expected_members=wanted)
 
     if pv.cover == nv.cover:
-        _check_d8g(report, pv, nv, params, original, q, u_plus, absorb)
+        _check_d8g(report, pv, nv, params, q, u_plus, absorb)
         # D8h vacuous on contraction-type steps
     else:
         _check_d8h(report, pv, nv, params, original, q, u_set, u_plus, absorb, persist)
         # D8g vacuous on deletion-type steps
 
-    _check_d8i(report, pv, nv, original, q, u_set, u_plus)
+    _check_d8i(report, pv, nv, original, q, u_set, u_plus, absorb)
 
 
-def _check_d8g(report, pv, nv, params, original, q, u_plus, absorb):
-    if any(pv.model[v] == nv.model[q] for v in range(pv.graph.n)):
+def _check_d8e(report, pv, nv, d, q, u_set, u_plus, inverse):
+    first, more = inverse
+    absorbed_into_q = [first[q], *more.get(q, ())] if q in first else []
+    for vp in absorbed_into_q:
+        for v in sorted(pv.graph.adj[vp]):
+            o = pv.orig_at.get(v)
+            if o is None or o in u_plus or pv.graph.degree(v) > d:
+                continue
+            w_img = nv.by_orig.get(o)
+            if w_img is None:
+                continue
+            for x in sorted(nv.graph.adj[w_img]):
+                ox = nv.orig_at.get(x)
+                if ox is not None and nv.graph.degree(x) > d and ox not in u_set:
+                    report.fail("D8e", around=o, hot_neighbor=ox)
+                    return
+
+
+def _check_d8g(report, pv, nv, params, q, u_plus, absorb):
+    if nv.model[q] in pv.by_model:
         report.fail("D8g", clause="ga-q-not-new", q=q)
     for v in range(pv.graph.n):
-        m = pv.model[v]
-        if m in nv.by_model:
-            continue
-        if not m <= nv.model[q]:
+        if pv.model[v] not in nv.by_model and absorb[v] != q:
             report.fail("D8g", clause="gb-model-lost", vertex=v)
             return
     for u, v in pv.graph.iter_edges():
@@ -638,7 +639,7 @@ def _check_d8g(report, pv, nv, params, original, q, u_plus, absorb):
     for edge in pv.hyperedges:
         if absorb[edge.sink] != q:
             continue
-        if not _find_gd_partner(pv, nv, original, edge, q, u_plus):
+        if not _find_gd_partner(pv, edge, q, u_plus, absorb):
             report.fail(
                 "D8g", clause="gd-no-partner-edge", members=edge.members
             )
@@ -654,7 +655,7 @@ def _sig_multiset(sigs) -> list[tuple[int, ...]]:
     return sorted(tuple(sorted(s)) for s in sigs)
 
 
-def _find_gd_partner(pv, nv, original, edge, q, u_plus) -> bool:
+def _find_gd_partner(pv, edge, q, u_plus, absorb) -> bool:
     rest = [
         v for v in sorted(edge.members - {edge.sink})
         if pv.orig_at.get(v) not in u_plus
@@ -673,11 +674,7 @@ def _find_gd_partner(pv, nv, original, edge, q, u_plus) -> bool:
         ]
         if _u_part(pv, cand.members, u_plus) != s_upart:
             continue
-        union_ok = all(
-            pv.model[v] <= nv.model[q]
-            for v in list(outside) + [cand.sink]
-        )
-        if not union_ok:
+        if not all(absorb[v] == q for v in [*outside, cand.sink]):
             continue
         got = _sig_multiset(_u_part(pv, pv.graph.adj[v], u_plus) for v in outside)
         if got == want:
@@ -689,7 +686,7 @@ def _check_d8h(report, pv, nv, params, original, q, u_set, u_plus, absorb, persi
     vanished = []
     for v in range(pv.graph.n):
         m = pv.model[v]
-        if m in nv.by_model or m <= nv.model[q]:
+        if m in nv.by_model or absorb[v] == q:
             continue
         if m & nv.cover:
             report.fail("D8h", clause="ha-model-partially-kept", vertex=v)
@@ -722,29 +719,25 @@ def _check_d8h(report, pv, nv, params, original, q, u_set, u_plus, absorb, persi
     gone = list(persist.values()).count(None)
     if gone > params.n_freeze:
         report.fail("D8h", clause="he-too-many-removed", removed=gone)
+    # the U-neighborhoods of the originals in q, once
+    twins = {original.adj[o] & u_set for o in nv.model[q] if o in pv.by_orig}
     for v in range(pv.graph.n):
         o = pv.orig_at.get(v)
         if o is None or o in nv.cover:
             continue
-        ok = False
-        sig = frozenset(original.adj[o] & u_set)
-        for o2 in sorted(nv.model[q]):
-            if o2 in pv.by_orig and frozenset(original.adj[o2] & u_set) == sig:
-                ok = True
-                break
-        if not ok:
+        if original.adj[o] & u_set not in twins:
             report.fail("D8h", clause="hf-no-twin-in-q", original=o)
             return
     for edge in pv.hyperedges:
         sink_model = pv.model[edge.sink]
         if sink_model & nv.cover:
             continue
-        if not _find_hg_partner(pv, nv, original, edge, q, u_set, persist):
+        if not _find_hg_partner(pv, original, edge, q, u_set, absorb, persist):
             report.fail("D8h", clause="hg-no-partner-edge", members=edge.members)
             return
 
 
-def _find_hg_partner(pv, nv, original, edge, q, u_set, persist) -> bool:
+def _find_hg_partner(pv, original, edge, q, u_set, absorb, persist) -> bool:
     surviving = frozenset(
         v for v in edge.members - {edge.sink} if persist[v] is not None
     )
@@ -757,7 +750,7 @@ def _find_hg_partner(pv, nv, original, edge, q, u_set, persist) -> bool:
     for cand in pv.hyperedges:
         if cand.label != edge.label or len(cand.members) != len(edge.members):
             continue
-        if not pv.model[cand.sink] <= nv.model[q]:
+        if absorb[cand.sink] != q:
             continue
         cand_surviving = frozenset(
             v for v in cand.members - {cand.sink} if persist[v] is not None
@@ -767,8 +760,7 @@ def _find_hg_partner(pv, nv, original, edge, q, u_set, persist) -> bool:
         in_q = [
             v
             for v in sorted(cand.members - {cand.sink})
-            if pv.orig_at.get(v) is not None
-            and pv.orig_at[v] in nv.model[q]
+            if v in pv.orig_at and absorb[v] == q
         ]
         if len(in_q) != len(gone):
             continue
@@ -780,24 +772,15 @@ def _find_hg_partner(pv, nv, original, edge, q, u_set, persist) -> bool:
     return False
 
 
-def _check_d8i(report, pv, nv, original, q, u_set, u_plus):
+def _check_d8i(report, pv, nv, original, q, u_set, u_plus, absorb):
     present = {(e.members, e.label) for e in nv.hyperedges}
     # an id of U that is not an original of the next entry fails D8b
     u_set = frozenset(o for o in u_set if o in nv.by_orig)
     for edge in pv.hyperedges:
-        sink_in = pv.model[edge.sink] <= nv.model[q]
-        if not sink_in:
+        rest = edge.members - {edge.sink}
+        if absorb[edge.sink] != q or all(absorb[v] != q for v in rest):
             continue
-        if not any(
-            pv.model[v] <= nv.model[q]
-            for v in edge.members - {edge.sink}
-        ):
-            continue
-        outside = [
-            v
-            for v in sorted(edge.members - {edge.sink})
-            if pv.orig_at.get(v) not in u_plus
-        ]
+        outside = [v for v in sorted(rest) if pv.orig_at.get(v) not in u_plus]
         u_part = frozenset(nv.by_orig[o] for o in _u_part(pv, edge.members, u_plus))
         zones = {}
         for v in outside:

@@ -5,13 +5,20 @@ identical outside boundaries.
 all conditions (the step that uses it verifies them with
 ``check_homogeneous``), while ``None`` only means this strategy failed,
 never that no triple exists.
+
+``check_homogeneous`` grows each center's radius-(l0 - 1) ball in g[X]
+with its neighbours outside X in one BFS and returns the balls.  They also
+decide packing: two centers lie within 2 l0 - 2 of each other in g[X]
+exactly when their balls meet.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
+from ..errors import HypothesisViolationError
 from ..graphs import Graph, ball, grow_ball
 
 
@@ -36,33 +43,45 @@ def check_homogeneous(
     length: int,
     d: int,
     r: int,
-) -> Optional[str]:
-    """Verify the four conditions; returns a failure description or None.
+) -> dict[int, frozenset[int]]:
+    """Verify the four conditions; returns {center: its ball in g[X]},
+    centers ascending.
 
     The part outside X of every ball's boundary must equal W.  Distances
-    between distinct components of g[X] count as infinite.
+    between distinct components of g[X] count as infinite.  Raises
+    ``HypothesisViolationError`` describing the first failure.
     """
     x_set, z_set, w_set = triple.x_set, triple.z_set, triple.w_set
     if len(z_set) != t:
-        return f"need exactly {t} ball centers, got {len(z_set)}"
+        raise HypothesisViolationError(
+            f"need exactly {t} ball centers, got {len(z_set)}"
+        )
     if not z_set <= x_set:
-        return "ball centers must lie inside X"
+        raise HypothesisViolationError("ball centers must lie inside X")
     if w_set & x_set:
-        return "W must avoid X"
+        raise HypothesisViolationError("W must avoid X")
     if len(w_set) > r - 1:
-        return f"|W| = {len(w_set)} exceeds r - 1 = {r - 1}"
+        raise HypothesisViolationError(f"|W| = {len(w_set)} exceeds r - 1 = {r - 1}")
     for v in x_set:
         if g.degree(v) > d:
-            return f"vertex {v} in X has degree {g.degree(v)} > {d}"
+            raise HypothesisViolationError(
+                f"vertex {v} in X has degree {g.degree(v)} > {d}"
+            )
+    balls, exits = {}, {}
     for z in sorted(z_set):
-        reach = ball(g, [z], 2 * length - 2, within=x_set)
-        if len(reach & z_set) > 1:  # reach always holds z itself
-            return f"ball centers within distance {2 * length - 2} of {z} in g[X]"
-        b = ball(g, [z], length - 1, within=x_set)
-        got = boundary(g, b) - x_set
-        if got != w_set:
-            return f"ball of {z} has boundary {sorted(got)} != W {sorted(w_set)}"
-    return None
+        exits[z] = set()
+        balls[z] = frozenset(grow_ball(g.adj, {z}, length - 1, x_set, exits[z]))
+    hits = Counter(v for b in balls.values() for v in b)  # balls holding each v
+    for z, b in balls.items():
+        if any(hits[v] > 1 for v in b):
+            raise HypothesisViolationError(
+                f"ball centers within distance {2 * length - 2} of {z} in g[X]"
+            )
+        if exits[z] != w_set:
+            raise HypothesisViolationError(
+                f"ball of {z} has boundary {sorted(exits[z])} != W {sorted(w_set)}"
+            )
+    return balls
 
 
 def find_homogeneous(

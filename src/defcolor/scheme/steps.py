@@ -1,8 +1,9 @@
 """The entry-extension step.
 
 ``step`` consumes a homogeneous triple (X, Z, W): far-apart low-degree
-balls with identical outside boundaries.  It checks the hypotheses,
-computes the ball of every center once and applies the one branch rule:
+balls with identical outside boundaries.  It checks the hypotheses with
+``check_homogeneous``, which computes the ball of every center once and
+hands the balls on, and applies the one branch rule:
 
 ``del_step`` runs when no ball's boundary meets X, so every ball's full
 neighborhood is W: it buckets ball centers by type vectors, contracts one
@@ -357,9 +358,7 @@ def step(
         raise HypothesisViolationError(
             f"entry has {g.n} <= N = {params.n_freeze} vertices; frozen"
         )
-    problem = check_homogeneous(g, triple, params.t, params.l0, params.d, params.r)
-    if problem is not None:
-        raise HypothesisViolationError(problem)
+    balls = check_homogeneous(g, triple, params.t, params.l0, params.d, params.r)
     w_orig = {}
     for wv in sorted(triple.w_set):
         o = entry.orig_at.get(wv)
@@ -377,8 +376,7 @@ def step(
         for v in sorted(edge.members - {edge.sink}):
             _member_orig(entry, v)
     x = triple.x_set
-    balls = {zi: ball(g, [zi], params.l0 - 1, within=x) for zi in triple.z_set}
-    z_star = next((zi for zi in sorted(balls) if boundary(g, balls[zi]) & x), None)
+    z_star = next((zi for zi, b in balls.items() if boundary(g, b) & x), None)
     if z_star is None:
         return del_step(entry, triple, params, balls, w_orig)
     return contract_step(entry, triple, params, balls, w_orig, z_star)
@@ -403,16 +401,13 @@ def del_step(
     """
     g = entry.graph
     w = triple.w_set
-    sig: dict[int, tuple] = {}
-    for zi, b in balls.items():
+    buckets: dict[tuple, list[int]] = {}
+    for zi, b in balls.items():  # centers ascending
         edge_sig = frozenset(
             _edge_type(g, e, w) for e in entry.hyperedges if e.sink in b
         )
         vertex_sig = frozenset(g.adj[v] & w for v in b if v in entry.orig_at)
-        sig[zi] = (edge_sig, vertex_sig)
-    buckets: dict[tuple, list[int]] = {}
-    for zi in sorted(balls):
-        buckets.setdefault(sig[zi], []).append(zi)
+        buckets.setdefault((edge_sig, vertex_sig), []).append(zi)
     need = params.k + params.h
     eligible = [b for b in buckets.values() if len(b) >= need]
     if not eligible:

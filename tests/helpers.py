@@ -3,9 +3,10 @@
 The oracles here deliberately avoid the algorithms they check: plain
 enumeration over labeled rooted trees, the unbounded depth recurrence
 without pruning, raw assignment enumeration and the plain unpruned
-branch-set search for minors, the split-path budget by its recurrence, and
-exhaustive coloring enumeration, and closures of rooted forests by their
-forbidden induced subgraphs.
+branch-set search for minors, the split-path budget by its recurrence,
+exhaustive coloring enumeration, closures of rooted forests by their
+forbidden induced subgraphs, and the packing of homogeneous balls by BFS
+distances in g[X].
 """
 
 from __future__ import annotations
@@ -546,6 +547,51 @@ def d2_oracle(prev, nxt, original: Graph) -> dict:
             if original.has_edge(min(mu), min(mv)):
                 return fail(clause="missing-edge-between-originals", pair=[u, v])
     return {"status": "pass"}
+
+
+# ---------------------------------------------------------------------------
+# scheme oracle: homogeneous triples by plain BFS distances in g[X]
+
+
+def homogeneous_oracle(
+    g: Graph,
+    x_set: frozenset[int],
+    z_set: frozenset[int],
+    w_set: frozenset[int],
+    t: int,
+    length: int,
+    d: int,
+    r: int,
+) -> Optional[str]:
+    """The first failed condition of a homogeneous triple, worded as the
+    step words it, or None.  Packing by its definition: no other center
+    within distance 2 * length - 2 of a center in g[X]."""
+    if len(z_set) != t:
+        return f"need exactly {t} ball centers, got {len(z_set)}"
+    if not z_set <= x_set:
+        return "ball centers must lie inside X"
+    if w_set & x_set:
+        return "W must avoid X"
+    if len(w_set) > r - 1:
+        return f"|W| = {len(w_set)} exceeds r - 1 = {r - 1}"
+    for v in x_set:
+        if g.degree(v) > d:
+            return f"vertex {v} in X has degree {g.degree(v)} > {d}"
+    for z in sorted(z_set):
+        dist = {z: 0}
+        queue = [z]
+        for u in queue:
+            for v in g.adj[u]:
+                if v in x_set and v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        if any(dist.get(y, 2 * length) <= 2 * length - 2 for y in z_set - {z}):
+            return f"ball centers within distance {2 * length - 2} of {z} in g[X]"
+        ball = {v for v, dv in dist.items() if dv <= length - 1}
+        got = {u for v in ball for u in g.adj[v]} - ball - x_set
+        if got != w_set:
+            return f"ball of {z} has boundary {sorted(got)} != W {sorted(w_set)}"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from defcolor.scheme import (
     scheme_to_json,
     step,
 )
-from defcolor.scheme.certify import CONDITIONS
+from defcolor.scheme.certify import CONDITIONS, _pair_maps, _shape
 from defcolor.scheme.corpus import acceptance_corpus, caterpillar, star_of_balls
 from defcolor.scheme.entry import SchemeEntry, StepMeta
 from helpers import d2_oracle
@@ -610,6 +610,53 @@ class TestFrozenTail:
                 except DefcolorError:
                     continue
                 _tail_report(scheme, inst.params, inst.graph)
+
+
+def _check_inverse(prev: SchemeEntry, nxt: SchemeEntry):
+    """The inverse of the absorb map against a scan of every model pair."""
+    _, _, (first, more) = _pair_maps(prev, nxt)
+    got = {w: [v, *more.get(w, ())] for w, v in first.items()}
+    want = {}
+    for w in range(nxt.graph.n):
+        inside = [v for v in range(prev.graph.n) if prev.model[v] <= nxt.model[w]]
+        if inside:
+            want[w] = inside
+    assert got == want
+    assert all(more.values())  # one absorbed vertex gets no list
+
+
+class TestAbsorbInverse:
+    def test_acceptance_corpus(self):
+        for inst in acceptance_corpus():
+            scheme = build_scheme(inst.graph, inst.params)
+            for prev, nxt in zip(scheme, scheme[1:]):
+                _check_inverse(prev, nxt)
+
+    def test_seeded_mutants(self):
+        # the draws of TestTotality.test_seeded_mutants_give_a_report_or_an_input_error,
+        # on every pair the certifier maps whose next models are disjoint
+        audit = _mutation_audit()
+        rng = random.Random(3)
+        checked = 0
+        for inst in audit.instances():
+            g, params = inst.graph, inst.params
+            doc = json.loads(scheme_to_json(build_scheme(g, params)))
+            for _ in range(150):
+                got = audit.mutate(doc, rng, g.n)
+                if got is None:
+                    continue
+                try:
+                    scheme = scheme_from_json(json.dumps(got[0]))
+                except DefcolorError:
+                    continue
+                for prev, nxt in zip(scheme, scheme[1:]):
+                    if _shape(prev, params, g) or _shape(nxt, params, g):
+                        continue
+                    if sum(map(len, nxt.model.values())) != len(nxt.cover):
+                        continue
+                    _check_inverse(prev, nxt)
+                    checked += 1
+        assert checked >= 200
 
 
 def _mutate(doc: list, rng: random.Random, n_orig: int) -> list:

@@ -545,6 +545,17 @@ class TestConstants:
         assert doc["t_extra_exponent"] == 2
         assert doc["practical"] is False
 
+    def test_values_past_the_printable_digits_stay_exact(self, capsys):
+        # t = 2^15626 has 4,704 digits, more than str() of an int allows
+        code, out = run(
+            capsys, "constants", "--h", "30", "--k", "1", "--r", "2",
+            "--d-homo", "2", "--n1", "7", "--n2", "7",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["t"] == {"coeff": "1", "base": "2", "exp": "15626", "addend": "0"}
+        assert doc["t0"] == "672"
+
     def test_bad_input_exit(self, capsys):
         code, _ = run(
             capsys, "constants", "--h", "2", "--k", "1", "--r", "2",

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
-from defcolor.graphs import Graph, complete_graph, star_graph
+import random
+
+import pytest
+
+from defcolor.errors import HypothesisViolationError
+from defcolor.graphs import Graph, ball, complete_graph, star_graph
 from defcolor.scheme.corpus import caterpillar, star_of_balls
 from defcolor.scheme.homogeneous import (
     HomogeneousTriple,
     check_homogeneous,
     find_homogeneous,
 )
+from helpers import homogeneous_oracle
 
 
 def pendant_paths(apex_count: int, paths: int, length: int) -> Graph:
@@ -39,9 +45,8 @@ class TestFindHomogeneous:
         triple = find_homogeneous(g, t=3, length=3, d=2, r=2)
         assert triple is not None
         assert triple.w_set == frozenset({0})
-        assert (
-            check_homogeneous(g, triple, t=3, length=3, d=2, r=2) is None
-        )
+        balls = check_homogeneous(g, triple, t=3, length=3, d=2, r=2)
+        assert set(balls) == triple.z_set
 
     def test_high_degree_everywhere(self):
         assert find_homogeneous(complete_graph(4), t=1, length=1, d=1, r=3) is None
@@ -55,7 +60,7 @@ class TestFindHomogeneous:
         g = pendant_paths(2, 5, 2)
         triple = find_homogeneous(g, t=4, length=2, d=4, r=3)
         assert triple is not None
-        assert check_homogeneous(g, triple, 4, 2, 4, 3) is None
+        assert set(check_homogeneous(g, triple, 4, 2, 4, 3)) == triple.z_set
 
     def test_corpus_triples_reverify(self):
         # the scheme-scale instances of the benchmark: every first triple
@@ -67,7 +72,8 @@ class TestFindHomogeneous:
             g, p = inst.graph, inst.params
             triple = find_homogeneous(g, p.t, p.l0, p.d, p.r)
             assert triple is not None, inst.name
-            assert check_homogeneous(g, triple, p.t, p.l0, p.d, p.r) is None
+            balls = check_homogeneous(g, triple, p.t, p.l0, p.d, p.r)
+            assert set(balls) == triple.z_set, inst.name
 
 
 class TestCheckHomogeneous:
@@ -76,20 +82,65 @@ class TestCheckHomogeneous:
         triple = HomogeneousTriple(
             frozenset({1, 2, 3, 4}), frozenset({1}), frozenset({0})
         )
-        assert check_homogeneous(g, triple, t=2, length=1, d=1, r=2) is not None
+        with pytest.raises(HypothesisViolationError, match="ball centers, got 1"):
+            check_homogeneous(g, triple, t=2, length=1, d=1, r=2)
 
     def test_rejects_centers_too_close(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         triple = HomogeneousTriple(
             frozenset({0, 1, 2, 3}), frozenset({0, 1}), frozenset()
         )
-        assert (
-            check_homogeneous(g, triple, t=2, length=2, d=2, r=2) is not None
-        )
+        with pytest.raises(HypothesisViolationError, match="within distance 2"):
+            check_homogeneous(g, triple, t=2, length=2, d=2, r=2)
 
     def test_infinite_distance_across_components(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         triple = HomogeneousTriple(
             frozenset({0, 1, 2, 3}), frozenset({0, 2}), frozenset()
         )
-        assert check_homogeneous(g, triple, t=2, length=5, d=2, r=2) is None
+        balls = check_homogeneous(g, triple, t=2, length=5, d=2, r=2)
+        assert balls == {0: frozenset({0, 1}), 2: frozenset({2, 3})}
+
+    def test_returns_the_balls_in_g_x(self):
+        # the ball of 1 stops at 3, which lies outside X
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        triple = HomogeneousTriple(
+            frozenset({0, 1, 2, 4}), frozenset({1}), frozenset({3})
+        )
+        balls = check_homogeneous(g, triple, t=1, length=3, d=2, r=2)
+        assert balls == {1: frozenset({0, 1, 2})}
+
+
+class TestPackingRule:
+    def test_seeded_triples_match_bfs_distances(self):
+        # random (X, Z, W) on small graphs: W is the outside boundary of the
+        # least center's ball, so the triple fails at packing, fails at a
+        # later ball's boundary, or passes
+        rng = random.Random(11)
+        kinds = {"pass": 0, "packing": 0, "boundary": 0}
+        for _ in range(600):
+            n = rng.randint(3, 14)
+            p = rng.choice([0.15, 0.25, 0.4])
+            pairs = [(u, v) for v in range(n) for u in range(v)]
+            g = Graph.from_edges(n, [e for e in pairs if rng.random() < p])
+            d = rng.randint(1, 4)
+            xs = [v for v in range(n) if g.degree(v) <= d]
+            if not xs:
+                continue
+            x = frozenset(xs)
+            length = rng.randint(1, 3)
+            z = frozenset(rng.sample(xs, rng.randint(1, min(4, len(xs)))))
+            b = ball(g, [min(z)], length - 1, within=x)
+            w = frozenset(u for v in b for u in g.adj[v]) - x
+            args = (len(z), length, d, len(w) + 1)
+            want = homogeneous_oracle(g, x, z, w, *args)
+            if want is None:
+                balls = check_homogeneous(g, HomogeneousTriple(x, z, w), *args)
+                assert set(balls) == z
+                kinds["pass"] += 1
+                continue
+            with pytest.raises(HypothesisViolationError) as err:
+                check_homogeneous(g, HomogeneousTriple(x, z, w), *args)
+            assert str(err.value) == want
+            kinds["packing" if "within distance" in want else "boundary"] += 1
+        assert min(kinds.values()) >= 100, kinds

@@ -30,6 +30,13 @@ class TestConstruction:
         with pytest.raises(OverflowError):
             x.exact_int()
 
+    def test_printable_values_only_are_plain(self):
+        below = hpow(10, 4299)
+        assert below.val == 10**4299
+        for x in (hpow(10, 4300), hadd(below, 9 * 10**4299), hmul(below, 10)):
+            assert x.val is None and x.exact_int() == 10**4300
+            to_json(x)
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             HugeInt.of(-1)
