@@ -5,7 +5,8 @@ Times ``connected_tree_depth`` on ct(4, 2), ct(3, 3) and one seeded
 G(n, p) per n.  Each G(n, p) draws its edges with ``random.Random(seed)``,
 one draw per pair u < v in lexicographic order.  Prints one row per graph:
 vertices, edges, td, ctd, the number of vertex sets the solver expanded
-and the wall time in seconds.
+and the wall time in seconds.  Each report's witness tree is checked with
+``verify_depth_witness``; the script exits 1 if any check fails.
 
 Run with ``PYTHONPATH=src python scripts/depth_sweep.py``.
 """
@@ -17,7 +18,7 @@ import random
 import sys
 import time
 
-from defcolor.depth import connected_tree_depth
+from defcolor.depth import connected_tree_depth, verify_depth_witness
 from defcolor.graphs import Graph, ct
 
 
@@ -40,6 +41,7 @@ def main() -> int:
         (f"G({n},{args.p})", gnp(n, args.p, args.seed))
         for n in range(args.min_n, args.max_n + 1)
     ]
+    failed = []
     print(f"{'graph':>12s} {'n':>3s} {'m':>4s} {'td':>3s} {'ctd':>3s} {'expanded':>9s} {'s':>8s}")
     for name, g in graphs:
         t0 = time.perf_counter()
@@ -50,6 +52,11 @@ def main() -> int:
             f"{report.expanded:9d} {dt:8.3f}",
             flush=True,
         )
+        if not verify_depth_witness(g, report):
+            failed.append(name)
+    if failed:
+        print(f"invalid depth witness: {', '.join(failed)}", file=sys.stderr)
+        return 1
     return 0
 
 

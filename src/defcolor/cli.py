@@ -18,7 +18,7 @@ import sys
 from . import coloring, depth, graphs
 from .constants import paper_constants
 from .coloring import Coloring, decide_defective
-from .depth import ClusteredBounds, connected_tree_depth
+from .depth import ClusteredBounds, connected_tree_depth, verify_depth_witness
 from .errors import (
     BucketTooSmallError,
     BudgetExceededError,
@@ -200,6 +200,8 @@ def _run(args) -> int:
         report = connected_tree_depth(
             g, limit=args.limit, node_budget=args.budget_nodes
         )
+        if not verify_depth_witness(g, report):
+            raise RuntimeError("search produced an invalid depth witness")
         doc = {
             "td": report.td,
             "ctd": report.ctd,

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .hugeint import HugeInt, hadd, hmul, hpow, to_json
+from .hugeint import PLAIN_LIMIT, HugeInt, hadd, hmul, hpow, int_to_json, to_json
 from .graphs import DEFAULT_VERTEX_BUDGET
 
 if TYPE_CHECKING:  # deferred: the scheme package itself imports this module
@@ -76,7 +76,11 @@ class ConstantsTable:
             "d": self.d,
             "t": to_json(self.t),
             "t_main_exponent": to_json(self.t_main_exponent),
-            "t_extra_exponent": self.t_extra_exponent,
+            "t_extra_exponent": (
+                self.t_extra_exponent
+                if self.t_extra_exponent < PLAIN_LIMIT
+                else int_to_json(self.t_extra_exponent)
+            ),
             "n_star": to_json(self.n_star),
             "n_total": to_json(self.n_total),
             "practical": self.practical,

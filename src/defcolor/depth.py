@@ -12,15 +12,20 @@ The solver is a branch and bound over the recurrence, for connected S,
     ctd(S) = 1 + min over v in S of max over components C of S - v of ctd(C).
 
 Vertex sets are int bitmasks and components come from bit-BFS over one
-neighbor mask per vertex.  Calls are bounded: ``ctd(S, ub)`` returns the
-exact value when it is below ``ub`` and otherwise a proven lower bound of
-at least ``ub``.  Two tables keyed on the mask of S hold the exact values
-and the proven lower bounds.  Each set starts from the lower bound
-degeneracy + 1 (td >= tw + 1 >= degeneracy + 1, which also covers the
-clique bound); a root v is dropped as soon as one component of S - v,
-visited largest first, reaches the best value found so far.  Every set
-whose roots are tried counts as expanded; ``node_budget`` caps that count
-and the search raises ``BudgetExceededError`` past it.
+neighbor mask per vertex.  Calls are bounded: ``ctd(S, ub)`` and
+``forest(S, ub)`` (the largest component ctd) return the exact value when
+it is below ``ub`` and otherwise a proven lower bound of at least ``ub``.
+Only connected masks reach ``ctd``, and their forest value is their ctd,
+so one pair of tables keyed on the mask holds the exact values and the
+proven lower bounds of both calls.  Each connected set starts from the
+lower bound degeneracy + 1 (td >= tw + 1 >= degeneracy + 1, which also
+covers the clique bound).  Degeneracy is peeled on the masks: a vertex of
+degree at most the largest recorded so far goes at once, since it cannot
+raise it, and a pass that finds none records and peels a minimum degree.
+A root v is dropped as soon as one component of S - v, visited largest
+first, reaches the best value found so far.  Every set whose roots are
+tried counts as expanded; ``node_budget`` caps that count and the search
+raises ``BudgetExceededError`` past it.
 """
 
 from __future__ import annotations
@@ -116,17 +121,23 @@ class _DepthSolver:
     def degeneracy_bound(self, s: int) -> int:
         """degeneracy(g[s]) + 1, a lower bound on td(g[s])."""
         nbr = self.nbr
-        deg = {v: (nbr[v] & s).bit_count() for v in _bits(s)}
         best = 0
         # the last best + 1 vertices cannot raise the maximum min-degree
-        while len(deg) > best + 1:
-            v = min(deg, key=deg.__getitem__)
-            d = deg.pop(v)
-            if d > best:
-                best = d
-            for u in self.g.adj[v]:
-                if u in deg:
-                    deg[u] -= 1
+        while s.bit_count() > best + 1:
+            rest, pick, low_deg, peeled = s, 0, s.bit_count(), False
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                d = (nbr[low.bit_length() - 1] & s).bit_count()
+                if d <= best:
+                    s ^= low  # it cannot raise the maximum
+                    peeled = True
+                elif d < low_deg:
+                    pick, low_deg = low, d
+            if not peeled:
+                # no degree changed during the pass: low_deg is the minimum
+                best = low_deg
+                s ^= pick
         return best + 1
 
     # -- bounded values --------------------------------------------------------
@@ -176,19 +187,23 @@ class _DepthSolver:
 
     def forest(self, s: int, ub: int) -> int:
         """Max component ctd of g[s]: exact if below ``ub``, else a lower bound >= ub."""
-        if not s:
-            return 0
-        comps = self.components(s)
-        comps.sort(key=int.bit_count, reverse=True)
+        got = self.exact.get(s)
+        if got is not None:
+            return got
+        lb = self.lower.get(s)
+        if lb is not None and lb >= ub:
+            return lb
         worst = 0
-        for c in comps:
+        for c in sorted(self.components(s), key=int.bit_count, reverse=True):
             if c.bit_count() <= worst:
                 break  # this and every later component has ctd <= its size
             val = self.ctd(c, ub)
             if val >= ub:
+                self.lower[s] = val
                 return val
             if val > worst:
                 worst = val
+        self.exact[s] = worst
         return worst
 
     # -- witness extraction ----------------------------------------------------
@@ -265,20 +280,3 @@ def verify_depth_witness(g: Graph, report: DepthReport) -> bool:
             return False
     return tree.height == report.ctd
 
-
-def tree_depth(g: Graph, limit: int = DEFAULT_EXACT_LIMIT) -> int:
-    return connected_tree_depth(g, limit=limit).td
-
-
-def omega_delta_excluded(h_pattern: Graph, limit: int = DEFAULT_EXACT_LIMIT) -> int:
-    """ctd(H) - 1: the defective chromatic number of the H-minor-free class."""
-    if h_pattern.n == 0:
-        raise ValueError("pattern must be nonempty")
-    return connected_tree_depth(h_pattern, limit=limit).ctd - 1
-
-
-def clustered_bounds(
-    h_pattern: Graph, limit: int = DEFAULT_EXACT_LIMIT
-) -> ClusteredBounds:
-    """Clustered-coloring bounds for the class excluding ``h_pattern``."""
-    return ClusteredBounds.from_ctd(connected_tree_depth(h_pattern, limit=limit).ctd)

@@ -377,12 +377,30 @@ HugeInt.__str__ = _fmt
 HugeInt.__repr__ = lambda self: f"HugeInt({_fmt(self)})"
 
 
-def to_json(x: HugeInt) -> object:
-    """JSON-able exact encoding: decimal string, or a nested power form."""
-    if x.val is not None:
-        return str(x.val)
+def int_to_json(n: int) -> object:
+    """Decimal string below ``PLAIN_LIMIT``; past it the exact power form
+    ``n = coeff * 2**exp + addend``, splitting off the trailing zero bits,
+    or half the bits when the odd part is still too long to print."""
+    if n < PLAIN_LIMIT:
+        return str(n)
+    exp = (n & -n).bit_length() - 1
+    if n >> exp >= PLAIN_LIMIT:
+        exp = n.bit_length() // 2
     return {
-        "coeff": str(x.coeff),
+        "coeff": int_to_json(n >> exp),
+        "base": "2",
+        "exp": str(exp),
+        "addend": int_to_json(n & ((1 << exp) - 1)),
+    }
+
+
+def to_json(x: HugeInt) -> object:
+    """JSON-able exact encoding: decimal string, or a nested power form
+    whose plain parts (the coefficient included) are ``int_to_json``'s."""
+    if x.val is not None:
+        return int_to_json(x.val)
+    return {
+        "coeff": int_to_json(x.coeff),
         "base": to_json(x.base),
         "exp": to_json(x.exp),
         "addend": to_json(x.addend),

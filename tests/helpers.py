@@ -5,8 +5,10 @@ enumeration over labeled rooted trees, the unbounded depth recurrence
 without pruning, raw assignment enumeration and the plain unpruned
 branch-set search for minors, the split-path budget by its recurrence,
 exhaustive coloring enumeration, closures of rooted forests by their
-forbidden induced subgraphs, and the packing of homogeneous balls by BFS
-distances in g[X].
+forbidden induced subgraphs, the packing of homogeneous balls by BFS
+distances in g[X], and degeneracy by min-degree peeling.  The depth
+translations at the end are not oracles: they are thin wrappers over the
+solver that only tests call.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Optional
 
 from hypothesis import strategies as st
 
+from defcolor.depth import ClusteredBounds, connected_tree_depth
 from defcolor.graphs import Graph, induced_components
 
 
@@ -359,6 +362,18 @@ def depth_oracle(g: Graph) -> tuple[int, int, list]:
     return vals[0], packed, parent
 
 
+def degeneracy_oracle(g: Graph, vs=None) -> int:
+    """Degeneracy of g[vs] (all of g by default): the largest degree met
+    while peeling a minimum-degree vertex at a time, on frozensets."""
+    rest = frozenset(range(g.n) if vs is None else vs)
+    best = 0
+    while rest:
+        v = min(rest, key=lambda u: len(g.adj[u] & rest))
+        best = max(best, len(g.adj[v] & rest))
+        rest = rest - {v}
+    return best
+
+
 # ---------------------------------------------------------------------------
 # minor oracle: raw partition enumeration (numpy-vectorized)
 
@@ -640,3 +655,23 @@ def forest_closure_oracle(g: Graph) -> bool:
         if degs in ([1, 1, 2, 2], [2, 2, 2, 2]):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# depth translations (wrappers over the solver, not oracles)
+
+
+def tree_depth(g: Graph) -> int:
+    return connected_tree_depth(g).td
+
+
+def omega_delta_excluded(h_pattern: Graph) -> int:
+    """ctd(H) - 1: the defective chromatic number of the H-minor-free class."""
+    if h_pattern.n == 0:
+        raise ValueError("pattern must be nonempty")
+    return connected_tree_depth(h_pattern).ctd - 1
+
+
+def clustered_bounds(h_pattern: Graph) -> ClusteredBounds:
+    """Clustered-coloring bounds for the class excluding ``h_pattern``."""
+    return ClusteredBounds.from_ctd(connected_tree_depth(h_pattern).ctd)

@@ -101,6 +101,27 @@ class TestDepth:
         code, out = run(capsys, "depth", str(p), "--budget-nodes", "100")
         assert code == 0 and json.loads(out)["ctd"] == 3
 
+    def test_bad_witness_is_an_internal_error(self, capsys, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        from defcolor.graphs import RootedTree
+
+        real = cli.connected_tree_depth
+
+        def star_witness(g, **kwargs):
+            # a star under vertex 0 misses the edges among the other vertices
+            report = real(g, **kwargs)
+            star = RootedTree.from_parents([None] + [0] * (g.n - 1))
+            return replace(report, witness=star)
+
+        monkeypatch.setattr(cli, "connected_tree_depth", star_witness)
+        p = tmp_path / "g.g6"
+        p.write_text(to_graph6(ct(3, 2)) + "\n")
+        code = main(["depth", str(p)])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert "invalid depth witness" in captured.err
+
 
 class TestMinor:
     def test_present_emits_model_document(self, capsys, tmp_path):
@@ -555,6 +576,20 @@ class TestConstants:
         doc = json.loads(out)
         assert doc["t"] == {"coeff": "1", "base": "2", "exp": "15626", "addend": "0"}
         assert doc["t0"] == "672"
+
+    def test_coefficients_past_the_printable_digits_stay_exact(self, capsys):
+        # t0's coefficient (r + 1) 2^(r - 1) passes 4,300 digits at r = 14,272
+        code, out = run(
+            capsys, "constants", "--h", "3", "--k", "1", "--r", "14272",
+            "--d-homo", "3", "--n1", "4", "--n2", "4",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["t0"]["coeff"] == {
+            "coeff": "14273", "base": "2", "exp": "14271", "addend": "0"
+        }
+        assert doc["t0"]["base"] == "14272"
+        assert doc["t_extra_exponent"] == 2**14271
 
     def test_bad_input_exit(self, capsys):
         code, _ = run(

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defcolor.depth import (
-    clustered_bounds,
+    _bits,
+    _DepthSolver,
+    _mask,
     connected_tree_depth,
-    omega_delta_excluded,
-    tree_depth,
     verify_depth_witness,
 )
 from defcolor.errors import BudgetExceededError, SizeLimitError
@@ -25,11 +25,21 @@ from defcolor.graphs import (
 )
 from helpers import (
     all_graphs,
+    clustered_bounds,
     connected_graphs_st,
     ctd_oracle,
+    degeneracy_oracle,
     depth_oracle,
     graphs_st,
+    omega_delta_excluded,
+    tree_depth,
 )
+
+
+def seeded_gnp(rng: random.Random, n: int, p: float) -> Graph:
+    return Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    )
 
 
 class TestConnectedTreeDepth:
@@ -106,8 +116,6 @@ class TestConnectedTreeDepth:
 class TestRecursionShape:
     def test_forest_recursion_on_small_connected(self):
         # for connected g, ctd = 1 + min over v of the forest value of g - v
-        from defcolor.depth import _DepthSolver, _mask
-
         for g in all_graphs(5, connected_only=True):
             if g.n < 2:
                 continue
@@ -130,16 +138,62 @@ class TestAgainstRecurrenceOracle:
         for n in range(7, 13):
             for p in (0.2, 0.35, 0.6):
                 for _ in range(3):
-                    edges = [
-                        (u, v)
-                        for u in range(n)
-                        for v in range(u + 1, n)
-                        if rng.random() < p
-                    ]
-                    g = Graph.from_edges(n, edges)
+                    g = seeded_gnp(rng, n, p)
                     report = connected_tree_depth(g)
                     got = (report.td, report.ctd, list(report.witness.parent))
-                    assert got == depth_oracle(g), (n, p, edges)
+                    assert got == depth_oracle(g), (n, p, g.edges())
+
+    def test_benchmark_hosts(self):
+        # the exact-mix depth hosts G(13, 0.25) and G(14, 0.25)
+        for n, value in ((13, 6), (14, 8)):
+            rng = random.Random(f"defcolor-bench-pool/depth/{n}/0.25")
+            g = seeded_gnp(rng, n, 0.25)
+            report = connected_tree_depth(g)
+            got = (report.td, report.ctd, list(report.witness.parent))
+            assert got == depth_oracle(g)
+            assert report.td == report.ctd == value
+
+
+class TestDegeneracyBound:
+    def test_every_subset_of_small_graphs(self):
+        for n in range(7):
+            for g in all_graphs(n):
+                solver = _DepthSolver(g)
+                for s in range(1, 1 << n):
+                    vs = [v for v in range(n) if s >> v & 1]
+                    assert solver.degeneracy_bound(s) == degeneracy_oracle(g, vs) + 1
+
+    def test_seeded_gnp(self):
+        rng = random.Random(5)
+        for n in range(7, 15):
+            for p in (0.15, 0.3, 0.5, 0.8):
+                g = seeded_gnp(rng, n, p)
+                solver = _DepthSolver(g)
+                full = (1 << n) - 1
+                for s in [full] + [rng.randrange(1, full + 1) for _ in range(20)]:
+                    vs = [v for v in range(n) if s >> v & 1]
+                    assert solver.degeneracy_bound(s) == degeneracy_oracle(g, vs) + 1
+
+
+class TestBoundedForest:
+    def test_rising_then_falling_bounds(self):
+        # one solver keeps its tables across calls, so later calls hit
+        # values and bounds that earlier calls stored
+        rng = random.Random(11)
+        for n in (6, 8, 9):
+            for p in (0.25, 0.5):
+                g = seeded_gnp(rng, n, p)
+                solver = _DepthSolver(g)
+                masks = [(1 << n) - 1] + [rng.randrange(1, 1 << n) for _ in range(8)]
+                truth = {s: depth_oracle(g.subgraph(_bits(s))[0])[0] for s in masks}
+                bounds = list(range(1, n + 2))
+                for ub in bounds + bounds[::-1]:
+                    for s in masks:
+                        got = solver.forest(s, ub)
+                        if truth[s] < ub:
+                            assert got == truth[s], (g.edges(), s, ub)
+                        else:
+                            assert got >= ub, (g.edges(), s, ub)
 
 
 class TestNodeBudget:

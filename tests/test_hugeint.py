@@ -5,12 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defcolor.hugeint import (
+    PLAIN_LIMIT,
     HugeInt,
     approx_log10,
     hadd,
     hcmp,
     hmul,
     hpow,
+    int_to_json,
     to_json,
 )
 
@@ -107,6 +109,24 @@ class TestPresentation:
         doc = to_json(hpow(3, hpow(10, 40), coeff=2, addend=9))
         assert doc["coeff"] == "2" and doc["addend"] == "9"
         assert doc["base"] == "3"
+
+    def test_plain_ints_past_the_limit_keep_a_power_form(self):
+        def value(doc):
+            if isinstance(doc, str):
+                return int(doc)
+            power = value(doc["base"]) ** value(doc["exp"])
+            return value(doc["coeff"]) * power + value(doc["addend"])
+
+        assert int_to_json(PLAIN_LIMIT - 1) == str(PLAIN_LIMIT - 1)
+        assert int_to_json(3 * 2**15000) == {
+            "coeff": "3", "base": "2", "exp": "15000", "addend": "0"
+        }
+        # an odd value has no trailing zeros to split off: halve its bits
+        for n in (PLAIN_LIMIT + 1, 7**12000 + 2**20001, 5**20000):
+            doc = int_to_json(n)
+            assert isinstance(doc, dict) and value(doc) == n
+        doc = to_json(hpow(3, hpow(10, 40), coeff=PLAIN_LIMIT + 1))
+        assert value(doc["coeff"]) == PLAIN_LIMIT + 1
 
     def test_str_forms(self):
         assert str(HugeInt.of(42)) == "42"
