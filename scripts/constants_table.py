@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from defcolor.constants import paper_constants
-from defcolor.hugeint import approx_log10
+from defcolor.hugeint import PLAIN_LIMIT, approx_log10, power_form
 
 
 def fmt(x) -> str:
@@ -47,7 +47,10 @@ def main() -> int:
         for k in args.k:
             for r in args.r:
                 tab = paper_constants(h, k, r, args.d_homo, args.n1, args.n2)
-                t_str = f"2^({fmt(tab.t_main_exponent)}+{tab.t_extra_exponent})"
+                extra = tab.t_extra_exponent
+                if extra >= PLAIN_LIMIT:  # past what str() of an int prints
+                    extra = power_form(extra)
+                t_str = f"2^({fmt(tab.t_main_exponent)}+{extra})"
                 print(
                     f"{h:2d} {k:2d} {r:2d} {fmt(tab.t0):>10s} {fmt(tab.t1):>12s} "
                     f"{fmt(tab.k0):>14s} {fmt(tab.l0):>14s} {t_str:>26s} "

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceededError, PartialColoringError, SizeLimitError
-from .graphs import Graph, RootedTree, closure_forest
+from .graphs import Graph, closure_forest
 
 DEFAULT_EXACT_LIMIT = 16
 
@@ -464,13 +464,3 @@ def min_defect(
         else:
             lo = mid + 1
     return lo
-
-
-def level_coloring(tree: RootedTree) -> Coloring:
-    """Color the closure of ``tree`` by depth: root color 1, children 2, ...
-
-    Uses height(tree) colors and has defect 0, because same-depth vertices
-    are never ancestor-related.
-    """
-    depths = tree.depths()
-    return Coloring(tree.height, tuple(d + 1 for d in depths))

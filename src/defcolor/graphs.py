@@ -101,19 +101,10 @@ def complete_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
-def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def star_graph(leaves: int) -> Graph:
-    """K_{1,leaves} with the center at vertex 0."""
-    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def complete_bipartite(a: int, b: int) -> Graph:

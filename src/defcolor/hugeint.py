@@ -352,13 +352,16 @@ HugeInt.__hash__ = None  # mutable-free but equality is semantic; not hashable
 
 def _fmt(x: HugeInt) -> str:
     if x.val is not None:
+        if x.val >= PLAIN_LIMIT:
+            return _fmt(power_form(x.val))
         s = str(x.val)
         if len(s) <= 40:
             return s
         return f"~10^{len(s) - 1} ({s[:8]}...)"
     parts = []
     if x.coeff != 1:
-        parts.append(str(x.coeff))
+        c = x.coeff
+        parts.append(str(c) if c < PLAIN_LIMIT else f"({_fmt(power_form(c))})")
     parts.append(f"{_fmt_atom(x.base)}^{_fmt_atom(x.exp)}")
     body = "*".join(parts)
     if not (x.addend.val == 0 if x.addend.val is not None else False):
@@ -368,30 +371,29 @@ def _fmt(x: HugeInt) -> str:
 
 def _fmt_atom(x: HugeInt) -> str:
     s = _fmt(x)
-    if x.val is None or " " in s or "*" in s:
-        return f"({s})"
-    return s
+    return s if s.isdigit() else f"({s})"
 
 
 HugeInt.__str__ = _fmt
 HugeInt.__repr__ = lambda self: f"HugeInt({_fmt(self)})"
 
 
-def int_to_json(n: int) -> object:
-    """Decimal string below ``PLAIN_LIMIT``; past it the exact power form
-    ``n = coeff * 2**exp + addend``, splitting off the trailing zero bits,
-    or half the bits when the odd part is still too long to print."""
-    if n < PLAIN_LIMIT:
-        return str(n)
+def power_form(n: int) -> HugeInt:
+    """A plain n past ``PLAIN_LIMIT`` as the exact power form
+    ``coeff * 2**exp + addend``, splitting off the trailing zero bits, or
+    half the bits when the odd part is still too long to print."""
     exp = (n & -n).bit_length() - 1
     if n >> exp >= PLAIN_LIMIT:
         exp = n.bit_length() // 2
-    return {
-        "coeff": int_to_json(n >> exp),
-        "base": "2",
-        "exp": str(exp),
-        "addend": int_to_json(n & ((1 << exp) - 1)),
-    }
+    return HugeInt(
+        coeff=n >> exp, base=HugeInt(val=2), exp=HugeInt(val=exp),
+        addend=HugeInt(val=n & ((1 << exp) - 1)),
+    )
+
+
+def int_to_json(n: int) -> object:
+    """Decimal string below ``PLAIN_LIMIT``; past it ``power_form``'s."""
+    return str(n) if n < PLAIN_LIMIT else to_json(power_form(n))
 
 
 def to_json(x: HugeInt) -> object:

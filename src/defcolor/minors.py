@@ -17,6 +17,16 @@ order is the answer, and the search never visits more nodes than the same
 search without the capacity cut: any budget under which that search answers
 gives the same model here.
 
+The candidate sets are grown one size class at a time, only as far as the
+search reads them.  A node's pool is filtered from its parent's and covers
+the classes grown when the node was made.  When it runs out while a later
+class could fit in its free vertices, it extends itself from its parent's
+extension, the parent first, up to the root, whose pool is the grown list
+and which grows the next class.  So each pool filters each class once.
+Nodes are counted as over the complete list (up to each tried candidate,
+and the whole pool of an exhausted node): node counts, budget stops and
+first models do not depend on how far the classes were grown.
+
 The search runs on a kernel of the host.  With δ the least pattern degree,
 δ >= 1 drops the isolated host vertices, and δ >= 2 also peels vertices of
 degree <= 1 until none is left (the islet and twig rules of Bodlaender,
@@ -50,6 +60,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+from .depth import _mask
 from .errors import BudgetExceededError, SizeLimitError
 from .graphs import Graph, induced_components
 
@@ -68,9 +79,6 @@ class MinorModel:
         object.__setattr__(
             self, "branch_sets", dict(sorted(self.branch_sets.items()))
         )
-
-    def __eq__(self, other):
-        return isinstance(other, MinorModel) and self.branch_sets == other.branch_sets
 
     def __hash__(self):
         return hash(tuple(sorted((k, v) for k, v in self.branch_sets.items())))
@@ -117,52 +125,35 @@ def verify_model(
     return True, None
 
 
-def _adj_masks(g: Graph) -> list[int]:
-    adj = [0] * g.n
-    for v in range(g.n):
-        for u in g.adj[v]:
-            adj[v] |= 1 << u
-    return adj
-
-
-def _connected_masks(g: Graph) -> list[int]:
-    """All nonempty vertex masks inducing a connected subgraph, small first.
-
-    Each set is grown once, from its least vertex v: a set S is extended by
-    one vertex of its frontier above v at a time, and a frontier vertex
-    passed over at one level is excluded from every set grown after it, so
-    no set is reached twice.  The cost is linear in the number of sets,
-    plus sorting each size class by mask.
-    """
-    adj = _adj_masks(g)
-    by_size: list[list[int]] = [[] for _ in range(g.n + 1)]
-    for v in range(g.n):
-        low = 1 << v
-        excl = (low << 1) - 1  # v and every vertex below it
-        stack = [(low, adj[v] & ~excl, excl)]
-        while stack:
-            s, ext, excl = stack.pop()
-            by_size[s.bit_count()].append(s)
+def _connected_classes(adj: list[int], nbhd: dict[int, int]):
+    """Yield the connected vertex masks of the graph with adjacency masks
+    ``adj`` one size class at a time, each sorted by mask, and record each
+    set's neighbourhood in ``nbhd``.  A set grown from its least vertex v
+    takes one frontier vertex above v at a time, and a frontier vertex passed
+    over is excluded from the later children, so each set is reached once."""
+    nbhd.update((1 << v, a) for v, a in enumerate(adj))
+    frontier = [
+        (1 << v, ext, (2 << v) - 1)
+        for v, a in enumerate(adj)
+        if (ext := a & ~((2 << v) - 1))
+    ]
+    yield [1 << v for v in range(len(adj))]
+    while frontier:
+        grown = []
+        last, frontier = frontier, []
+        for s, ext, excl in last:
+            s_adj = nbhd[s]
             while ext:
                 b = ext & -ext
                 ext ^= b
                 t = s | b
-                stack.append((t, (ext | adj[b.bit_length() - 1]) & ~(excl | t), excl))
+                grown.append(t)
+                nbhd[t] = t_adj = s_adj | adj[b.bit_length() - 1]
+                if t_ext := t_adj & ~(excl | t):
+                    frontier.append((t, t_ext, excl))
                 excl |= b
-    out = []
-    for masks in by_size:
-        masks.sort()
-        out += masks
-    return out
-
-
-def _mask_to_set(mask: int) -> frozenset[int]:
-    out = []
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        out.append(b.bit_length() - 1)
-    return frozenset(out)
+        grown.sort()
+        yield grown
 
 
 def too_large(host: Graph, pattern: Graph) -> bool:
@@ -227,9 +218,10 @@ def has_minor(
     found = _exhaustive_search(kernel, pattern, node_budget)
     if found is None:
         return None
-    model = MinorModel(
-        {pv: frozenset(survivors[v] for v in s) for pv, s in found.items()}
-    )
+    model = MinorModel({
+        pv: frozenset(v for i, v in enumerate(survivors) if mask >> i & 1)
+        for pv, mask in found.items()
+    })
     ok, violation = verify_model(host, pattern, model)
     if not ok:
         raise AssertionError(f"internal: search produced invalid model: {violation}")
@@ -288,7 +280,8 @@ def _series_reduced(g: Graph) -> Graph:
 
 def _exhaustive_search(
     host: Graph, pattern: Graph, node_budget: int
-) -> Optional[dict[int, frozenset[int]]]:
+) -> Optional[dict[int, int]]:
+    """The first model as pattern vertex -> branch-set mask, or None."""
     p = pattern.n
     order = sorted(range(p), key=lambda v: (-pattern.degree(v), v))
     pos = {v: i for i, v in enumerate(order)}
@@ -305,8 +298,35 @@ def _exhaustive_search(
         ]
         for i in range(p)
     ]
-    host_adj = _adj_masks(host)
+    host_adj = [_mask(s) for s in host.adj]
     full = (1 << host.n) - 1
+    nbhd: dict[int, int] = {}  # grown set -> its neighbourhood
+    classes = _connected_classes(host_adj, nbhd)
+    lattice = next(classes)  # the candidates grown so far, in order
+    size = 1  # of the last class grown
+    # extension record: [pool, parent's record, mask, parent pool read, covered]
+    root = [lattice, None, 0, 0, len(lattice)]
+
+    def extend(rec: list, room: int) -> bool:
+        # extend rec's pool, first growing the next class if it has all the
+        # grown ones; False when no class left fits in room free vertices
+        nonlocal size
+        if rec[4] == len(lattice):
+            if size >= room or (grown := next(classes, None)) is None:
+                return False
+            size += 1
+            lattice.extend(grown)
+            root[4] = len(lattice)
+        chain = []
+        while rec[4] < len(lattice):
+            chain.append(rec)
+            rec = rec[1]
+        for rec in reversed(chain):
+            above = rec[1][0]
+            rec[0] += [m for m in above[rec[3]:] if not m & rec[2]]
+            rec[3] = len(above)
+            rec[4] = len(lattice)
+        return True
 
     branch = [0] * p  # mask per order position
     branch_adj = [0] * p  # union of host adjacency over the branch
@@ -320,54 +340,51 @@ def _exhaustive_search(
                 f"minor search exceeded {node_budget} nodes", size=node_budget + 1
             )
 
-    def adj_union(mask: int) -> int:
-        out = 0
-        while mask:
-            b = mask & -mask
-            mask ^= b
-            out |= host_adj[b.bit_length() - 1]
-        return out
-
     def place(
-        i: int, used: int, pool: list[int]
-    ) -> Optional[dict[int, frozenset[int]]]:
-        # pool: the candidates disjoint from used, in candidate order; each
-        # is one node, counted in bulk up to the next candidate tried
+        i: int, used: int, pool: list[int], rec: Optional[list]
+    ) -> Optional[dict[int, int]]:
+        # pool: the candidates disjoint from used, in candidate order, as far
+        # as rec has extended it (None: complete); each is one node, counted
+        # in bulk up to the next candidate tried
         nbrs = placed_nbrs[i]
-        if nbrs:
-            first = branch_adj[nbrs[0]]
-            hits = [k for k, mask in enumerate(pool) if mask & first]
-            nbrs = nbrs[1:]
-        else:
-            hits = range(len(pool))
+        first = branch_adj[nbrs[0]] if nbrs else full
+        nbrs = nbrs[1:]
         free = full & ~used
         free_needed = p - i - 1
-        counted = 0
-        for k in hits:
-            count(k + 1 - counted)
-            counted = k + 1
-            mask = pool[k]
-            if not all(branch_adj[j] & mask for j in nbrs):
-                continue
-            rest = free & ~mask
-            if rest.bit_count() < free_needed:
-                continue
-            branch[i] = mask
-            branch_adj[i] = adj_union(mask)
-            if not free_needed:
-                return {order[j]: _mask_to_set(branch[j]) for j in range(p)}
-            # each unplaced neighbor of a placed x needs its own free vertex
-            # next to B_x, as their branch sets are disjoint
-            if any((branch_adj[j] & rest).bit_count() < c for j, c in demand[i]):
-                continue
-            got = place(i + 1, used | mask, [m for m in pool if not m & mask])
-            if got is not None:
-                return got
+        counted = start = 0
+        while start < len(pool) or rec is not None and extend(rec, free.bit_count()):
+            end = len(pool)
+            for k in [k for k, m in enumerate(pool[start:], start) if m & first]:
+                count(k + 1 - counted)
+                counted = k + 1
+                mask = pool[k]
+                if not all(branch_adj[j] & mask for j in nbrs):
+                    continue
+                rest = free & ~mask
+                room = rest.bit_count()
+                if room < free_needed:
+                    continue
+                branch[i] = mask
+                branch_adj[i] = nbhd[mask]
+                if not free_needed:
+                    return {order[j]: b for j, b in enumerate(branch)}
+                # each unplaced neighbor of a placed x needs its own free
+                # vertex next to B_x, as their branch sets are disjoint
+                if any((branch_adj[j] & rest).bit_count() < c for j, c in demand[i]):
+                    continue
+                sub = [m for m in pool if not m & mask]
+                # sub is complete when no class left fits in rest
+                grows = rec is not None and (rec[4] < len(lattice) or size < room)
+                sub_rec = [sub, rec, mask, len(pool), rec[4]] if grows else None
+                got = place(i + 1, used | mask, sub, sub_rec)
+                if got is not None:
+                    return got
+            start = end
         count(len(pool) - counted)
         return None
 
     try:
-        found = place(0, 0, _connected_masks(host))
+        found = place(0, 0, lattice, root)
     finally:
         # place reaches itself through its closure; break that cycle so the
         # candidate masks are freed on return, not at a later full collection

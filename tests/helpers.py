@@ -6,9 +6,9 @@ without pruning, raw assignment enumeration and the plain unpruned
 branch-set search for minors, the split-path budget by its recurrence,
 exhaustive coloring enumeration, closures of rooted forests by their
 forbidden induced subgraphs, the packing of homogeneous balls by BFS
-distances in g[X], and degeneracy by min-degree peeling.  The depth
-translations at the end are not oracles: they are thin wrappers over the
-solver that only tests call.
+distances in g[X], degeneracy by min-degree peeling, and connected vertex
+sets by testing every mask.  The path, star and level-coloring constructors
+and the depth translations at the end are not oracles: only tests call them.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from typing import Optional
 
 from hypothesis import strategies as st
 
+from defcolor.coloring import Coloring
 from defcolor.depth import ClusteredBounds, connected_tree_depth
-from defcolor.graphs import Graph, induced_components
+from defcolor.graphs import Graph, RootedTree, induced_components
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +52,24 @@ def connected_graphs_st(draw, min_n=1, max_n=8):
 
 # ---------------------------------------------------------------------------
 # small-graph utilities
+
+
+def path_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def star_graph(leaves: int) -> Graph:
+    """K_{1,leaves} with the center at vertex 0."""
+    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def level_coloring(tree: RootedTree) -> Coloring:
+    """Color the closure of ``tree`` by depth: root color 1, children 2, ...
+
+    Uses height(tree) colors and has defect 0, because same-depth vertices
+    are never ancestor-related.
+    """
+    return Coloring(tree.height, tuple(d + 1 for d in tree.depths()))
 
 
 def bfs_dist_oracle(g: Graph, source: int) -> list[int]:
@@ -470,6 +489,24 @@ def _branch_masks(n: int, p: int):
     return masks
 
 
+def connected_masks_oracle(g: Graph) -> list[int]:
+    """Every vertex mask of g inducing a connected subgraph, by plain
+    enumeration of all 2^n masks and a search from each mask's least
+    vertex, sorted by (popcount, mask)."""
+    out = []
+    for mask in range(1, 1 << g.n):
+        vs = frozenset(v for v in range(g.n) if mask >> v & 1)
+        seen, todo = set(), [min(vs)]
+        while todo:
+            v = todo.pop()
+            if v not in seen:
+                seen.add(v)
+                todo.extend(g.adj[v] & vs)
+        if seen == vs:
+            out.append(mask)
+    return sorted(out, key=lambda m: (m.bit_count(), m))
+
+
 def minor_dfs_oracle(host: Graph, pattern: Graph):
     """The plain branch-set DFS without pruning: ``(model, nodes)``.
 
@@ -482,18 +519,10 @@ def minor_dfs_oracle(host: Graph, pattern: Graph):
     counts every node the search visited up to that point.
     """
     n, p = host.n, pattern.n
-    candidates = []
-    for mask in range(1, 1 << n):
-        vs = frozenset(v for v in range(n) if mask >> v & 1)
-        seen, todo = set(), [min(vs)]
-        while todo:
-            v = todo.pop()
-            if v not in seen:
-                seen.add(v)
-                todo.extend(host.adj[v] & vs)
-        if seen == vs:
-            candidates.append((len(vs), mask, vs))
-    candidates = [vs for _, _, vs in sorted(candidates, key=lambda c: c[:2])]
+    candidates = [
+        frozenset(v for v in range(n) if mask >> v & 1)
+        for mask in connected_masks_oracle(host)
+    ]
     order = sorted(range(p), key=lambda v: (-pattern.degree(v), v))
     branch: dict[int, frozenset] = {}
     nodes = 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 import time
 
-from defcolor.coloring import decide_defective, level_coloring, min_defect, verify_coloring
+from defcolor.coloring import decide_defective, min_defect, verify_coloring
 from defcolor.constants import paper_constants
 from defcolor.depth import connected_tree_depth
 from defcolor.graphs import (
@@ -39,6 +39,7 @@ from defcolor.scheme.entry import SchemeEntry, StepMeta
 from helpers import (
     all_graphs,
     ctd_oracle,
+    level_coloring,
     max_clique_oracle,
     minor_oracle,
     split_path_budget_recurrence,

@@ -16,7 +16,7 @@ from defcolor.graphs import (
 )
 from defcolor.scheme import build_scheme, scheme_from_json, scheme_to_json
 from defcolor.scheme.corpus import caterpillar, star_of_balls
-from helpers import EXACT_MIX_G14
+from helpers import EXACT_MIX_G14, path_graph
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -146,8 +146,6 @@ class TestMinor:
         big = tmp_path / "big.g6"
         big.write_text(to_graph6(ct(3, 2)) + "\n")
         hostp = tmp_path / "path.g6"
-        from defcolor.graphs import path_graph
-
         hostp.write_text(to_graph6(path_graph(9)) + "\n")
         code, out = run(capsys, "minor", str(hostp), "--pattern", str(big))
         assert code == 1

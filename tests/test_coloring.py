@@ -10,7 +10,6 @@ from defcolor.coloring import (
     Coloring,
     class_degrees,
     decide_defective,
-    level_coloring,
     min_defect,
     verify_coloring,
 )
@@ -22,9 +21,14 @@ from defcolor.graphs import (
     complete_graph,
     ct,
     cycle_graph,
+)
+from helpers import (
+    all_graphs,
+    decide_defective_oracle,
+    graphs_st,
+    level_coloring,
     star_graph,
 )
-from helpers import all_graphs, decide_defective_oracle, graphs_st
 
 
 class TestVerify:

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import importlib.util
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from defcolor.constants import paper_constants, split_path_budget
-from defcolor.hugeint import hcmp
+from defcolor.hugeint import PLAIN_LIMIT, hcmp
 from helpers import split_path_budget_recurrence
 
 
@@ -84,3 +87,32 @@ class TestDerivedTable:
         doc = paper_constants(4, 2, 3, d_homo=3, n1=5, n2=9).to_json()
         text = json.dumps(doc)
         assert '"practical": false' in text
+
+
+def _constants_table():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "constants_table.py"
+    spec = importlib.util.spec_from_file_location("constants_table", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPastThePrintLimit:
+    # at h = 3, k = 1, t0's coefficient (h-2)(r+1) 2^(r-1) passes PLAIN_LIMIT
+    # (the most str() of an int prints) from r = 14,272 on, and
+    # t_extra_exponent = 2^(r-1) from r = 14,286 on
+
+    def test_str_of_t0(self):
+        below = paper_constants(3, 1, 14271, 3, 4, 4).t0
+        assert str(below) == f"{below.coeff}*14271^(~10^4295 (49892828...))"
+        t0 = paper_constants(3, 1, 14272, 3, 4, 4).t0
+        assert t0.coeff >= PLAIN_LIMIT
+        assert str(t0) == "(14273*2^14271)*14272^(~10^4295 (99785656...))"
+
+    def test_constants_table(self, capsys, monkeypatch):
+        argv = ["constants_table.py", "--h", "3", "--k", "1", "--r", "14285", "14286"]
+        monkeypatch.setattr(sys, "argv", argv)
+        assert _constants_table().main() == 0
+        plain, power = capsys.readouterr().out.splitlines()[1:]
+        assert plain.split()[7] == f"2^(~b^(~10^4300)+{2**14284})"
+        assert power.split()[7] == "2^(~b^(~10^4300)+2^14285)"

@@ -20,8 +20,6 @@ from defcolor.graphs import (
     ct,
     disjoint_copies,
     empty_graph,
-    path_graph,
-    star_graph,
 )
 from helpers import (
     all_graphs,
@@ -32,6 +30,8 @@ from helpers import (
     depth_oracle,
     graphs_st,
     omega_delta_excluded,
+    path_graph,
+    star_graph,
     tree_depth,
 )
 

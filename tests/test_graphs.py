@@ -25,8 +25,6 @@ from defcolor.graphs import (
     parse_edge_json,
     parse_graph,
     parse_graph6,
-    path_graph,
-    star_graph,
     to_edge_json,
     to_graph6,
 )
@@ -38,6 +36,8 @@ from helpers import (
     forest_closure_oracle,
     graphs_st,
     max_clique_oracle,
+    path_graph,
+    star_graph,
 )
 
 

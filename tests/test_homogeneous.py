@@ -5,14 +5,14 @@ import random
 import pytest
 
 from defcolor.errors import HypothesisViolationError
-from defcolor.graphs import Graph, ball, complete_graph, star_graph
+from defcolor.graphs import Graph, ball, complete_graph
 from defcolor.scheme.corpus import caterpillar, star_of_balls
 from defcolor.scheme.homogeneous import (
     HomogeneousTriple,
     check_homogeneous,
     find_homogeneous,
 )
-from helpers import homogeneous_oracle
+from helpers import homogeneous_oracle, star_graph
 
 
 def pendant_paths(apex_count: int, paths: int, length: int) -> Graph:

@@ -13,6 +13,7 @@ from defcolor.hugeint import (
     hmul,
     hpow,
     int_to_json,
+    power_form,
     to_json,
 )
 
@@ -131,6 +132,14 @@ class TestPresentation:
     def test_str_forms(self):
         assert str(HugeInt.of(42)) == "42"
         assert "^" in str(hpow(3, hpow(10, 40)))
+
+    def test_str_past_the_limit_prints_the_power_form(self):
+        assert str(HugeInt.of(2**15000)) == "2^15000"
+        assert str(hpow(3, 7, coeff=3 * 2**15000)) == "(3*2^15000)*3^7"
+        assert str(hpow(3, 2**15000)) == "3^(2^15000)"
+        for n in (PLAIN_LIMIT, 7**12000 + 2**20001, 5**20000):
+            assert power_form(n).materialize() == n
+            assert str(HugeInt.of(n)).count("*2^") >= 1
 
     def test_approx_log10(self):
         got = approx_log10(hpow(10, 1000))

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from defcolor import minors
 from defcolor.errors import BudgetExceededError, SizeLimitError
 from defcolor.graphs import (
     Graph,
@@ -14,11 +15,10 @@ from defcolor.graphs import (
     ct,
     cycle_graph,
     empty_graph,
-    path_graph,
-    star_graph,
 )
 from defcolor.minors import (
     MinorModel,
+    _connected_classes,
     _kernel,
     _series_reduced,
     has_minor,
@@ -27,9 +27,12 @@ from defcolor.minors import (
 from helpers import (
     EXACT_MIX_G14,
     all_graphs,
+    connected_masks_oracle,
     graphs_st,
     minor_dfs_oracle,
     minor_oracle,
+    path_graph,
+    star_graph,
 )
 
 
@@ -146,6 +149,54 @@ def _cube3() -> Graph:
     return Graph.from_edges(
         8, [(u, u | 1 << i) for u in range(8) for i in range(3) if not u >> i & 1]
     )
+
+
+class TestConnectedClasses:
+    def test_seeded_graphs_match_enumeration(self):
+        rng = random.Random(17)
+        for _ in range(150):
+            n = rng.randint(0, 10)
+            p = rng.uniform(0.1, 0.8)
+            g = Graph.from_edges(
+                n,
+                [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p],
+            )
+            adj = [sum(1 << u for u in s) for s in g.adj]
+            nbhd = {}
+            classes = list(_connected_classes(adj, nbhd))
+            # one class per size 1, 2, ...; only the empty graph has an
+            # empty one
+            for size, masks in enumerate(classes, 1):
+                assert masks or n == 0
+                assert all(m.bit_count() == size for m in masks)
+            lattice = [m for masks in classes for m in masks]
+            assert lattice == connected_masks_oracle(g)
+            assert sorted(nbhd) == sorted(lattice)
+            for mask, near in nbhd.items():
+                assert near == _union(adj, mask)
+
+    def test_early_answer_grows_only_the_singletons(self, monkeypatch):
+        drawn = []
+
+        def counted(adj, nbhd):
+            for masks in _connected_classes(adj, nbhd):
+                drawn.append(len(masks))
+                yield masks
+
+        monkeypatch.setattr(minors, "_connected_classes", counted)
+        assert has_minor(EXACT_MIX_G14, cycle_graph(6)) is not None
+        assert drawn == [12]  # the kernel's singletons
+        drawn.clear()
+        assert has_minor(EXACT_MIX_G14, complete_graph(4), node_budget=40_000)
+        assert len(drawn) > 1
+
+
+def _union(adj: list[int], mask: int) -> int:
+    out = 0
+    for v, a in enumerate(adj):
+        if mask >> v & 1:
+            out |= a
+    return out
 
 
 class TestNodeBudget:
@@ -275,6 +326,21 @@ class TestKernel:
             assert model.branch_sets == {pv: frozenset(s) for pv, s in enumerate(sets)}
         # the series-reduced kernel shows K5 absent
         assert has_minor(self.G14, complete_graph(5), node_budget=40_000) is None
+
+    def test_exact_mix_host_least_budgets(self):
+        # the least budget under which each search answers; one node less
+        # stops it.  The candidate sets are grown lazily, but nodes are
+        # counted as over the complete list, so these counts are fixed.
+        for pattern, least, present in (
+            (complete_graph(4), 16_175, True),
+            (complete_bipartite(2, 3), 25_330, True),
+            (complete_graph(5), 650, False),
+        ):
+            got = has_minor(self.G14, pattern, node_budget=least)
+            assert (got is not None) == present
+            with pytest.raises(BudgetExceededError) as exc:
+                has_minor(self.G14, pattern, node_budget=least - 1)
+            assert exc.value.size == least
 
 
 def _subdivided(rng: random.Random, core_n: int, p: float, n: int) -> Graph:

@@ -6,7 +6,7 @@ import pytest
 
 from defcolor.coloring import verify_coloring
 from defcolor.errors import EmptyPaletteError, InputFormatError, SearchFailureError
-from defcolor.graphs import complete_graph, ct, graph_from_doc, path_graph
+from defcolor.graphs import complete_graph, ct, graph_from_doc
 from defcolor.scheme import (
     SchemeParams,
     build_scheme,
@@ -18,6 +18,7 @@ from defcolor.scheme import (
     serialize,
 )
 from defcolor.scheme.corpus import acceptance_corpus, caterpillar, star_of_balls
+from helpers import path_graph
 
 
 SMALL = SchemeParams(h=3, k=2, r=3, d=2, n_freeze=12, l0=1, t=1)

@@ -6,8 +6,9 @@ import pytest
 
 from defcolor.constants import split_path_budget
 from defcolor.errors import HypothesisViolationError
-from defcolor.graphs import Graph, path_graph
+from defcolor.graphs import Graph
 from defcolor.scheme.split import SplitResult, geodesic_split
+from helpers import path_graph
 
 
 def check_conclusions_independently(g, f, t, k, length, result: SplitResult):
