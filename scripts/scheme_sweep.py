@@ -40,7 +40,7 @@ def main() -> int:
         t2 = time.perf_counter()
         color_from_scheme(scheme, inst.params, inst.graph)
         t3 = time.perf_counter()
-        clean = report.clean(ignore_skipped=False)
+        clean = report.clean()
         dirty += not clean
         print(
             f"{inst.graph.n:7d} {len(scheme):7d} {t1 - t0:8.2f} {t2 - t1:9.2f} "

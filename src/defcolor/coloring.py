@@ -38,12 +38,6 @@ class Coloring:
     k: int
     colors: tuple[int, ...]
 
-    def classes(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for v, c in enumerate(self.colors):
-            out.setdefault(c, []).append(v)
-        return out
-
 
 @dataclass(frozen=True)
 class DefectReport:

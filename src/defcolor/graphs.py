@@ -62,9 +62,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

@@ -1,11 +1,15 @@
 """Certification of scheme entries against the consistency conditions.
 
 ``certify_entry`` checks one consecutive pair of entries and returns a
-per-condition report with explicit witnesses for every failure.  All
-clauses are decided exactly except the minor clause of the witness-family
-condition, which is verified from the structured certificate when it
-parses, re-searched exhaustively when the contracted graph is small
-enough, and otherwise marked skipped with a reason.
+per-condition report with explicit witnesses for every failure.  Every
+clause is decided exactly from the document and the original graph; none
+searches.  The minor clause of D10 reads only the hyperedge's witness
+family: for label 1 the pattern ct(1, k) is a single vertex, so k + h - 1
+disjoint copies exist exactly when G with each (nonempty, connected,
+pairwise disjoint) family member contracted keeps at least k + h - 1
+vertices; for a higher label the family must parse into k + h - label
+groups that verify as an explicit model of disjoint ct(label, k) copies,
+and fails otherwise.  A verdict is skipped only after a shape flaw.
 
 One shape pass per entry (``_shape``) decides well-formedness before any
 clause reads the entry, so the clauses carry no range guards.  D1 reports
@@ -34,12 +38,11 @@ set work over the previous, next and original graphs.
 
 The conditions scan the entry graphs and the original graph in O(n + m)
 per pair, apart from the model scan of D3, which takes O(n) for each new
-vertex, and the minor clause of D10, which may search exhaustively within
-the size limits of ``minors``.
+vertex.
 
 ``certify_scheme`` ends with the frozen tail, the last entry L paired with
-itself.  When the last real pair (P, L) is clean with nothing skipped, the
-tail runs D3 alone, and its report equals the full ``certify_entry(L, L)``:
+itself.  When the last real pair (P, L) is clean, the tail runs D3 alone,
+and its report equals the full ``certify_entry(L, L)``:
 
 - the shape pass, the conditions that read only the next entry (D1, D5,
   D6b, D9-D12) and the clauses of D2 and D4 on L alone passed in (P, L);
@@ -63,14 +66,7 @@ from itertools import product
 from typing import Optional
 
 from ..graphs import Graph, ct, ct_order, disjoint_copies, induced_components
-from ..minors import (
-    EXHAUSTIVE_HOST_LIMIT,
-    EXHAUSTIVE_PATTERN_LIMIT,
-    MinorModel,
-    has_minor,
-    verify_model,
-)
-from ..errors import SizeLimitError, BudgetExceededError
+from ..minors import MinorModel, verify_model
 from .entry import SchemeEntry, initial_entry
 from .params import SchemeParams
 
@@ -136,13 +132,9 @@ class CertReport:
             v.status = "skipped"
             v.reason = reason
 
-    def clean(self, ignore_skipped: bool = True) -> bool:
-        for v in self.verdicts.values():
-            if v.status == "fail":
-                return False
-            if v.status == "skipped" and not ignore_skipped:
-                return False
-        return True
+    def clean(self) -> bool:
+        """True when every verdict passed: none failed or was skipped."""
+        return all(v.status == "pass" for v in self.verdicts.values())
 
     def failures(self) -> list[str]:
         return [c for c, v in self.verdicts.items() if v.status == "fail"]
@@ -872,57 +864,25 @@ def _check_d10(report, nv: SchemeEntry, params: SchemeParams, original: Graph):
                 if l & l2:
                     report.fail("D10", clause="link-overlap", edge=ei)
                     return
-        _check_minor_clause(report, nv, params, original, ei, edge, fam)
-        if report.verdicts["D10"].status == "fail":
+        if not _has_witnessed_minors(nv, params, original, ei, edge, fam):
+            report.fail("D10", clause="minor-missing", edge=ei)
             return
 
 
-def _quotient(original: Graph, fam) -> Graph:
-    """G with each family member contracted to one vertex (members first)."""
-    owner: dict[int, int] = {}
-    for i, a in enumerate(fam):
-        for v in a:
-            owner[v] = i
-    rest = [v for v in range(original.n) if v not in owner]
-    for i, v in enumerate(rest):
-        owner[v] = len(fam) + i
-    edges = set()
-    for u, v in original.iter_edges():
-        a, b = owner[u], owner[v]
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    return Graph.from_edges(len(fam) + len(rest), sorted(edges))
+def _has_witnessed_minors(nv, params, original, ei, edge, fam) -> bool:
+    """Whether G with each family member contracted has ``k + h - label``
+    disjoint ct(label, k) minors, read from the family alone.
 
-
-def _check_minor_clause(report, nv, params, original, ei, edge, fam):
-    copies = params.k + params.h - edge.label
-    groups = nv.groups_for(ei, params)
-    if groups is not None and _verify_groups(groups, edge.label, params.k, original):
-        return
+    Label 1 is a vertex count: the clauses before this one made the members
+    nonempty, connected and disjoint, all ``verify_model`` would check.
+    """
     if edge.label == 1:
-        # pattern is edgeless: only the vertex count matters, exact at any size
         contracted_n = original.n - sum(len(a) - 1 for a in fam)
-        if contracted_n < copies:
-            report.fail("D10", clause="minor-missing", edge=ei)
-        return
-    # fall back to an exhaustive search on the contracted graph
-    pattern_n = copies * ct_order(edge.label, params.k)
-    host = _quotient(original, fam)
-    if host.n > EXHAUSTIVE_HOST_LIMIT or pattern_n > EXHAUSTIVE_PATTERN_LIMIT:
-        report.skip(
-            "D10",
-            f"edge {ei}: minor clause needs host {host.n}/pattern {pattern_n}, "
-            f"beyond exhaustive limits; structure verified, minor unchecked",
-        )
-        return
-    pattern = _pattern(copies, edge.label, params.k)
-    try:
-        got = has_minor(host, pattern)
-    except (SizeLimitError, BudgetExceededError) as exc:
-        report.skip("D10", f"edge {ei}: minor search stopped: {exc}")
-        return
-    if got is None:
-        report.fail("D10", clause="minor-missing", edge=ei)
+        return contracted_n >= params.k + params.h - 1
+    groups = nv.groups_for(ei, params)
+    return groups is not None and _verify_groups(
+        groups, edge.label, params.k, original
+    )
 
 
 @lru_cache(maxsize=32)
@@ -1031,9 +991,9 @@ class SchemeReport:
     start: Verdict
     pair_reports: list[CertReport]
 
-    def clean(self, ignore_skipped: bool = True) -> bool:
+    def clean(self) -> bool:
         return self.start.status == "pass" and all(
-            r.clean(ignore_skipped) for r in self.pair_reports
+            r.clean() for r in self.pair_reports
         )
 
     def to_json(self):
@@ -1049,10 +1009,10 @@ def certify_scheme(
 ) -> SchemeReport:
     """Certify the start entry, all consecutive pairs, and the frozen tail.
 
-    The tail pairs the last entry with itself.  After a last pair that is
-    clean with nothing skipped it checks D3 alone, which gives the report
-    of the full pair (see the module docstring for each condition's
-    reason); otherwise, and for a one-entry scheme, it is certified in full.
+    The tail pairs the last entry with itself.  After a clean last pair it
+    checks D3 alone, which gives the report of the full pair (see the
+    module docstring for each condition's reason); otherwise, and for a
+    one-entry scheme, it is certified in full.
     """
     start = Verdict()
     if not scheme:
@@ -1066,7 +1026,7 @@ def certify_scheme(
     for prev, nxt in zip(scheme, scheme[1:]):
         reports.append(certify_entry(prev, nxt, params, original))
     last = scheme[-1]
-    if reports and reports[-1].clean(ignore_skipped=False):
+    if reports and reports[-1].clean():
         # the last pair passed every clause on ``last``: only D3 is left
         tail = CertReport()
         _check_d3(tail, last, last, params)

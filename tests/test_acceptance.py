@@ -122,7 +122,7 @@ def test_c06_frozen_schemes():
         scheme = build_scheme(g, params)
         assert len(scheme) == 1
         rep = certify_scheme(scheme, params, g)
-        assert rep.clean(ignore_skipped=False)
+        assert rep.clean()
         coloring = color_from_scheme(scheme, params, g)
         assert set(coloring.colors) == {1}
     assert time.time() - started < 1

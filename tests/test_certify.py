@@ -23,7 +23,7 @@ from defcolor.scheme import (
     scheme_to_json,
     step,
 )
-from defcolor.scheme.certify import CONDITIONS, _pair_maps, _shape
+from defcolor.scheme.certify import CONDITIONS, Verdict, _pair_maps, _shape
 from defcolor.scheme.corpus import acceptance_corpus, caterpillar, star_of_balls
 from defcolor.scheme.entry import SchemeEntry, StepMeta
 from helpers import d2_oracle
@@ -55,7 +55,7 @@ class TestPairwiseConditions:
     def test_clean_baseline(self, cat):
         inst, scheme = cat
         report = certify_entry(scheme[0], scheme[1], inst.params, inst.graph)
-        assert report.clean(ignore_skipped=False)
+        assert report.clean()
 
     def test_directed_two_path_fails_d4(self, cat):
         inst, scheme = cat
@@ -277,6 +277,7 @@ class TestOutOfRangeArcs:
         later = report.pair_reports[1]
         assert later.failures() == []
         assert later.skipped() == list(CONDITIONS[1:])
+        assert not later.clean()
         assert later.verdicts["D4"].reason == (
             "previous entry out of range, flagged by D4 of the pair before"
         )
@@ -541,6 +542,57 @@ class TestWitnessOverlapAcrossSinks:
         assert "D10" not in report.failures()
 
 
+def _one_edge_d10(label: int, family, n: int) -> Verdict:
+    """D10 of the entry pattern above with one hyperedge {apex 0, sink 1,
+    member 2} of ``label``, on an original graph of n vertices.
+
+    The link vertices 0 and 2 are adjacent to each of 3..8, which form the
+    path 3-4-...-8; vertex 1 is also adjacent to 3, and the rest is
+    isolated.  h = 4, k = 1: a label-2 edge needs 3 disjoint ct(2, 1)
+    minors (single edges) after contraction, a label-1 edge 4 vertices.
+    """
+    apex, s, m = 0, 1, 2
+    edges = [(apex, s), (apex, m), (s, m), (s, 3)]
+    edges += [(x, x + 1) for x in range(3, 8)]
+    edges += [(y, x) for x in range(3, 9) for y in (apex, m)]
+    entry = SchemeEntry(
+        graph=complete_graph(3),
+        model={v: frozenset({v}) for v in range(3)},
+        arcs=frozenset({(apex, s), (m, s)}),
+        hyperedges=(Hyperedge(frozenset({apex, s, m}), label, s),),
+        witnesses={0: tuple(frozenset(a) for a in family)},
+        witness_links={0: (frozenset({m}), frozenset({apex}))},
+        step_meta=None,
+    )
+    params = SchemeParams(h=4, k=1, r=3, d=3, n_freeze=3, l0=1, t=1)
+    g = Graph.from_edges(n, edges)
+    return certify_entry(entry, entry, params, g).verdicts["D10"]
+
+
+class TestMinorClause:
+    """D10 decides the minor from the witness family alone."""
+
+    UNGROUPED = ({3}, {4})  # 2 sets where 3 groups of ct(2, 1) need 6
+    GROUPED = ({3}, {4}, {5}, {6}, {7}, {8})  # (root, child) pairs on the path
+    MISSING = {"clause": "minor-missing", "edge": 0}
+
+    def test_small_host(self):
+        # 9 vertices, so a search of the contracted graph would find three
+        # disjoint edges (1-2 and two of the path); the family is no model
+        assert _one_edge_d10(2, self.UNGROUPED, 9).witness == self.MISSING
+        assert _one_edge_d10(2, self.GROUPED, 9).status == "pass"
+        # label 1: contracting 3..8 leaves exactly 4 vertices, also
+        # contracting the sink 1 leaves 3
+        assert _one_edge_d10(1, [range(3, 9)], 9).status == "pass"
+        assert _one_edge_d10(1, [{1, *range(3, 9)}], 9).witness == self.MISSING
+
+    def test_large_host(self):
+        # past 14 vertices no search ran and the clause was left unchecked
+        d10 = _one_edge_d10(2, self.UNGROUPED, 20)
+        assert d10.witness == self.MISSING and d10.reason is None
+        assert _one_edge_d10(2, self.GROUPED, 20).status == "pass"
+
+
 class TestSchemeLevel:
     def test_nonstandard_first_entry(self):
         g = complete_graph(3)
@@ -555,7 +607,7 @@ class TestSchemeLevel:
         inst = star_of_balls(1, 6, 2)
         scheme = build_scheme(inst.graph, inst.params)
         report = certify_scheme(scheme, inst.params, inst.graph)
-        assert report.clean(ignore_skipped=False)
+        assert report.clean()
         assert len(report.pair_reports) == len(scheme)
 
     def test_empty_scheme(self):

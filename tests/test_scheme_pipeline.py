@@ -35,7 +35,7 @@ class TestFrozen:
         g = complete_graph(4)
         scheme = build_scheme(g, SMALL)
         report = certify_scheme(scheme, SMALL, g)
-        assert report.clean(ignore_skipped=False)
+        assert report.clean()
 
     def test_frozen_coloring_is_monochromatic(self):
         g = path_graph(7)
@@ -105,7 +105,7 @@ class TestMultiStep:
         scheme = build_scheme(g, params)
         assert [e.graph.n for e in scheme] == [12, 8, 4]
         report = certify_scheme(scheme, params, g)
-        assert report.clean(ignore_skipped=False), report.to_json()
+        assert report.clean(), report.to_json()
         # both frozen hyperedges survive with their families intact
         final = scheme[-1]
         assert len(final.hyperedges) == 2
