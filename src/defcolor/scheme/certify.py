@@ -21,7 +21,10 @@ flaw of the next entry fails its condition; a flaw of the previous entry
 was reported by the pair before (the start check requires the first entry
 to be exactly the initial one).  Either way D2-D12 are skipped with one
 reason, and D1's own clauses run unless the flaw is D1's.  q, U and U+ are
-not shape fields: D8 checks them.
+not shape fields: D8 checks them.  Each entry is shaped once: the entry
+keeps the verdict (``shape_flaws``) for the pair that reads it as the
+previous entry, for a later certification of the same entry objects and
+for the colorer.
 
 Each pair then builds its maps once (``_pair_maps``): absorb sends each
 previous vertex to the next vertex whose model contains its model, persist
@@ -34,7 +37,12 @@ differs from it on overlapping next models (a D1 failure).  D2 is set
 algebra per next vertex u: the edges at u must lie in the absorb image of
 the previous edges, and when u is a singleton, its singleton neighbours must
 be exactly the holders of its original's neighbours.  That costs O(n + m)
-set work over the previous, next and original graphs.
+set work over the previous, next and original graphs.  The same image
+answers the question of D8g's gc and D8h's hd clauses, whether a previous
+edge is dropped (its ends absorbed into two distinct, non-adjacent next
+vertices): exactly when image(u) - adj(u) - {u, None} is nonempty for some
+u.  Those clauses scan the previous edges for their witness only when D2
+did not rule such an edge out, or failed before it saw every image.
 
 The conditions scan the entry graphs and the original graph in O(n + m)
 per pair, apart from the model scan of D3, which takes O(n) for each new
@@ -146,8 +154,8 @@ class CertReport:
         return {c: v.to_json() for c, v in self.verdicts.items()}
 
 
-# previous vertex -> next vertex, or None
-Images = dict[int, Optional[int]]
+# indexed by previous vertex: a next vertex, or None
+Images = list[Optional[int]]
 # the inverse of absorb: next vertex -> the least previous vertex absorbed
 # into it, and next vertex -> a list of any others
 Inverse = tuple[dict[int, int], dict[int, list[int]]]
@@ -161,16 +169,17 @@ def _pair_maps(prev: SchemeEntry, nxt: SchemeEntry) -> tuple[Images, Images, Inv
     model, and persists as the next vertex with exactly its model; None
     when there is none.
     """
-    absorb: Images = {}
-    persist: Images = {}
-    for v in range(prev.graph.n):
-        m = prev.model[v]
-        w = nxt.holder.get(next(iter(m)))
-        absorb[v] = w if w is not None and m <= nxt.model[w] else None
-        persist[v] = nxt.by_model.get(m)
+    # by vertex, not in model order: a parsed model is in key-string order
+    models = list(map(prev.model.__getitem__, range(prev.graph.n)))
+    holder, next_model = nxt.holder, nxt.model
+    absorb: Images = []
+    for m in models:
+        w = holder.get(next(iter(m)))
+        absorb.append(w if w is not None and m <= next_model[w] else None)
+    persist: Images = list(map(nxt.by_model.get, models))
     first: dict[int, int] = {}
     more: dict[int, list[int]] = {}
-    for a, w in absorb.items():
+    for a, w in enumerate(absorb):
         if w in first:
             more.setdefault(w, []).append(a)
         elif w is not None:
@@ -190,20 +199,30 @@ def _same_state(prev: SchemeEntry, nxt: SchemeEntry) -> bool:
 def _shape(
     entry: SchemeEntry, params: SchemeParams, original: Graph
 ) -> Optional[tuple[str, dict]]:
-    """The entry's first shape flaw as (condition, witness), or None."""
+    """The entry's first shape flaw as (condition, witness), or None,
+    found once per entry and (h, original order)."""
+    key = (params.h, original.n)
+    if key not in entry.shape_flaws:
+        entry.shape_flaws[key] = _first_flaw(entry, *key)
+    return entry.shape_flaws[key]
+
+
+def _first_flaw(
+    entry: SchemeEntry, h: int, original_n: int
+) -> Optional[tuple[str, dict]]:
     n = entry.graph.n
     model = entry.model
     if len(model) != n or (n and (min(model) < 0 or max(model) >= n)):
         return "D1", {"clause": "model-keys", "expected": n}
     cover = entry.cover
     if frozenset() in entry.by_model or (
-        cover and (min(cover) < 0 or max(cover) >= original.n)
+        cover and (min(cover) < 0 or max(cover) >= original_n)
     ):
         for v in range(n):
             if not model[v]:
                 return "D1", {"clause": "empty-model", "vertex": v}
             for o in model[v]:
-                if not 0 <= o < original.n:
+                if not 0 <= o < original_n:
                     return "D1", {"clause": "id-range", "vertex": v, "original": o}
     stray = [(a, b) for a, b in entry.arcs if not (0 <= a < n and 0 <= b < n)]
     if stray:
@@ -211,7 +230,7 @@ def _shape(
     for edge in entry.hyperedges:
         if not all(0 <= v < n for v in edge.members):
             return "D5", {"clause": "member-out-of-range", "members": edge.members}
-        if not 1 <= edge.label <= params.h - 2:
+        if not 1 <= edge.label <= h - 2:
             return "D5", {"clause": "label-out-of-range", "label": edge.label}
         if edge.sink not in edge.members:
             return "D5", {"clause": "sink-not-a-member", "sink": edge.sink}
@@ -247,14 +266,14 @@ def certify_entry(
             report.skip(cond, reason)
         return report
     absorb, persist, inverse = _pair_maps(prev, nxt)
-    _check_d2(report, prev, nxt, original, absorb, inverse)
+    dropped = _check_d2(report, prev, nxt, original, absorb, inverse)
     if _check_d3(report, prev, nxt, params):
         _check_d3_step(report, prev, nxt, absorb, persist)
     _check_d4(report, prev, nxt, absorb)
     _check_d5(report, nxt, params)
     _check_d6(report, nxt, params, inverse)
     _check_d7(report, prev, nxt, absorb, persist)
-    _check_d8(report, prev, nxt, params, original, absorb, persist, inverse)
+    _check_d8(report, prev, nxt, params, original, absorb, persist, inverse, dropped)
     _check_d10(report, nxt, params, original)
     _check_d11(report, nxt)
     _check_d12(report, nxt, params)
@@ -287,13 +306,19 @@ def _check_d2(
     original: Graph,
     absorb: Images,
     inverse: Inverse,
-):
+) -> Optional[bool]:
+    """Check D2 and answer whether some previous edge is dropped: its ends
+    are absorbed into two distinct next vertices that are not adjacent.
+
+    The answer is None when D2 fails before it has seen every image.
+    """
     g = nv.graph
     prev_adj = pv.graph.adj
+    image_of = absorb.__getitem__
     first, more = inverse
     # the singletons holding each original id: one in ``by_orig``, the others
     # of a duplicated id in ``shared``
-    single_id = {v: next(iter(m)) for v, m in nv.model.items() if len(m) == 1}
+    single_id = nv.singles
     singles = frozenset(single_id)
     by_orig = nv.by_orig
     shared: dict[int, list[int]] = {}
@@ -311,6 +336,7 @@ def _check_d2(
                     foreign.setdefault(w, set()).add(v)
                     foreign.setdefault(v, set()).add(w)
     missing_pair = None
+    dropped = False
     for u, adj in enumerate(g.adj):
         outside = near = frozenset()
         o = single_id.get(u)
@@ -334,9 +360,9 @@ def _check_d2(
         # an edge (u, v) has a preimage iff v is in the image, a short-lived
         # set, not one of n sets kept for the whole pass
         a = first.get(u)
-        image = set() if a is None else set(map(absorb.get, prev_adj[a]))
+        image = set() if a is None else set(map(image_of, prev_adj[a]))
         for b in more.get(u, ()):
-            image.update(map(absorb.get, prev_adj[b]))
+            image.update(map(image_of, prev_adj[b]))
         # both clauses are symmetric, so the first vertex with a failing edge
         # holds the least failing edge (u, v), with v > u
         if outside or not adj <= image:
@@ -345,9 +371,13 @@ def _check_d2(
                 "edge-not-in-contraction" if v in outside else "edge-without-preimage"
             )
             report.fail("D2", clause=clause, edge=[u, v])
-            return
+            return None
+        # adj lies in the image, so the image adds a vertex only when longer
+        if not dropped and len(image) > len(adj):
+            dropped = not (image - adj) <= {u, None}
     if missing_pair is not None:
         report.fail("D2", clause="missing-edge-between-originals", pair=missing_pair)
+    return dropped
 
 
 def _check_d3(
@@ -385,10 +415,9 @@ def _check_d3_step(
         if not kept and not pv.model[v].isdisjoint(nv.cover):
             report.fail("D3", clause="model-split-across-entries", vertex=v)
             return
-    prev_models = set(pv.by_model)
     for w in range(nv.graph.n):
         m = nv.model[w]
-        if m in prev_models:
+        if m in pv.by_model:
             continue
         parts = [v for v in range(pv.graph.n) if pv.model[v] <= m]
         if frozenset().union(*(pv.model[v] for v in parts)) != m:
@@ -507,6 +536,7 @@ def _check_d8(
     absorb: Images,
     persist: Images,
     inverse: Inverse,
+    dropped: Optional[bool],
 ):
     if _same_state(pv, nv):
         return
@@ -575,11 +605,16 @@ def _check_d8(
     ):
         report.fail("D8f", expected_members=wanted)
 
+    # gc and hd scan the previous edges only when D2 did not rule out a
+    # dropped one
     if pv.cover == nv.cover:
-        _check_d8g(report, pv, nv, params, q, u_plus, absorb)
+        _check_d8g(report, pv, nv, params, q, u_plus, absorb, dropped)
         # D8h vacuous on contraction-type steps
     else:
-        _check_d8h(report, pv, nv, params, original, q, u_set, u_plus, absorb, persist)
+        _check_d8h(
+            report, pv, nv, params, original, q, u_set, u_plus, absorb, persist,
+            dropped,
+        )
         # D8g vacuous on deletion-type steps
 
     _check_d8i(report, pv, nv, original, q, u_set, u_plus, absorb)
@@ -603,14 +638,14 @@ def _check_d8e(report, pv, nv, d, q, u_set, u_plus, inverse):
                     return
 
 
-def _check_d8g(report, pv, nv, params, q, u_plus, absorb):
+def _check_d8g(report, pv, nv, params, q, u_plus, absorb, dropped):
     if nv.model[q] in pv.by_model:
         report.fail("D8g", clause="ga-q-not-new", q=q)
     for v in range(pv.graph.n):
         if pv.model[v] not in nv.by_model and absorb[v] != q:
             report.fail("D8g", clause="gb-model-lost", vertex=v)
             return
-    for u, v in pv.graph.iter_edges():
+    for u, v in pv.graph.iter_edges() if dropped is not False else ():
         wu, wv = absorb[u], absorb[v]
         if wu is None or wv is None or wu == wv or nv.graph.has_edge(wu, wv):
             continue
@@ -674,13 +709,15 @@ def _find_gd_partner(pv, edge, q, u_plus, absorb) -> bool:
     return False
 
 
-def _check_d8h(report, pv, nv, params, original, q, u_set, u_plus, absorb, persist):
+def _check_d8h(
+    report, pv, nv, params, original, q, u_set, u_plus, absorb, persist, dropped
+):
     vanished = []
     for v in range(pv.graph.n):
         m = pv.model[v]
         if m in nv.by_model or absorb[v] == q:
             continue
-        if m & nv.cover:
+        if not m.isdisjoint(nv.cover):
             report.fail("D8h", clause="ha-model-partially-kept", vertex=v)
             return
         vanished.append(v)
@@ -702,13 +739,13 @@ def _check_d8h(report, pv, nv, params, original, q, u_set, u_plus, absorb, persi
         if pv.by_orig.get(o) in pv.heads:
             report.fail("D8h", clause="hc-neighbor-is-head", vertex=x)
             return
-    for u, v in pv.graph.iter_edges():
+    for u, v in pv.graph.iter_edges() if dropped is not False else ():
         wu, wv = absorb[u], absorb[v]
         if wu is not None and wv is not None and wu != wv:
             if not nv.graph.has_edge(wu, wv):
                 report.fail("D8h", clause="hd-edge-dropped", edge=[u, v])
                 return
-    gone = list(persist.values()).count(None)
+    gone = persist.count(None)
     if gone > params.n_freeze:
         report.fail("D8h", clause="he-too-many-removed", removed=gone)
     # the U-neighborhoods of the originals in q, once

@@ -118,8 +118,11 @@ class SchemeEntry:
     compete for one key (a shared id or model), the later in model order
     wins.
 
+    ``singles``
+        entry vertex -> original id, for every singleton model (a shared
+        id keeps every holder).
     ``by_orig``
-        original id -> entry vertex, over singleton models.
+        original id -> entry vertex, the inverse of ``singles``.
     ``orig_at``
         entry vertex -> original id, the inverse of ``by_orig``.
     ``holder``
@@ -132,6 +135,9 @@ class SchemeEntry:
         multi-vertex models, arc heads and hyperedge sinks.
     ``cover``
         the union of the models.
+    ``shape_flaws``
+        the certifier's shape verdicts on the entry, keyed by h and the
+        order of the original graph, the only other values they read.
     """
 
     graph: Graph
@@ -143,8 +149,12 @@ class SchemeEntry:
     step_meta: Optional[StepMeta] = None
 
     @cached_property
+    def singles(self) -> dict[int, int]:
+        return {v: next(iter(m)) for v, m in self.model.items() if len(m) == 1}
+
+    @cached_property
     def by_orig(self) -> dict[int, int]:
-        return {next(iter(m)): v for v, m in self.model.items() if len(m) == 1}
+        return {o: v for v, o in self.singles.items()}
 
     @cached_property
     def orig_at(self) -> dict[int, int]:
@@ -174,6 +184,10 @@ class SchemeEntry:
     @cached_property
     def cover(self) -> frozenset[int]:
         return frozenset().union(*self.model.values())
+
+    @cached_property
+    def shape_flaws(self) -> dict:
+        return {}
 
     def link_for(
         self, edge_index: int, member_orig: int

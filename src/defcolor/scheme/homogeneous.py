@@ -6,10 +6,18 @@ all conditions (the step that uses it verifies them with
 ``check_homogeneous``), while ``None`` only means this strategy failed,
 never that no triple exists.
 
+``find_homogeneous`` labels each component C of g[X] once.  When
+|C| <= l0, C is the radius-(l0 - 1) ball of each of its vertices (two
+vertices of a connected C are at most |C| - 1 apart), so they share one
+W = N(C) - X; when |C| <= 2 l0 - 1, C is likewise each center's
+radius-(2 l0 - 2) packing ball.  A vertex of a larger component keeps its
+own BFS.
+
 ``check_homogeneous`` grows each center's radius-(l0 - 1) ball in g[X]
 with its neighbours outside X in one BFS and returns the balls.  They also
 decide packing: two centers lie within 2 l0 - 2 of each other in g[X]
-exactly when their balls meet.
+exactly when their balls meet.  It stays independent of the search: it is
+the step's verification of the triple.
 """
 
 from __future__ import annotations
@@ -92,7 +100,10 @@ def find_homogeneous(
     X is the set of all vertices of degree at most d; centers are grouped
     by their ball boundary outside X and packed greedily at pairwise
     distance >= 2 * length - 1 in g[X].  Deterministic: groups are tried
-    by least center, centers ascending.
+    by least center, centers ascending, so with t = 1 the first center
+    with a small enough W is the answer.  Each component of g[X] is
+    labelled when its least vertex comes up (the small-component rule of
+    the module docstring).
     """
     if min(t, length, d, r) < 1:
         raise ValueError("parameters must be positive")
@@ -101,13 +112,29 @@ def find_homogeneous(
     if not xs:
         return None
     x_set = frozenset(xs)
+    comp_of: dict[int, Optional[frozenset[int]]] = {}
+    w_of: dict[int, frozenset[int]] = {}
     groups: dict[frozenset[int], list[int]] = {}
     for z in xs:
-        # W of z: the neighbours outside X of its ball, from the same BFS
-        w: set[int] = set()
-        grow_ball(adj, {z}, length - 1, x_set, w)
+        if z not in comp_of:
+            # z is the least vertex of its component C; one BFS gives C and
+            # N(C) - X
+            outside: set[int] = set()
+            comp = grow_ball(adj, {z}, len(xs), x_set, outside)
+            small = frozenset(comp) if len(comp) < 2 * length else None
+            comp_of.update(dict.fromkeys(comp, small))
+            if len(comp) <= length:
+                w_of.update(dict.fromkeys(comp, frozenset(outside)))
+        w = w_of.get(z)
+        if w is None:
+            # W of z: the neighbours outside X of its ball, from the same BFS
+            exits: set[int] = set()
+            grow_ball(adj, {z}, length - 1, x_set, exits)
+            w = frozenset(exits)
         if len(w) <= r - 1:
-            groups.setdefault(frozenset(w), []).append(z)
+            if t == 1:
+                return HomogeneousTriple(x_set, frozenset({z}), w)
+            groups.setdefault(w, []).append(z)
     for w in sorted(groups, key=lambda w: min(groups[w])):
         centers = groups[w]
         if len(centers) < t:
@@ -120,7 +147,7 @@ def find_homogeneous(
             chosen.append(z)
             if len(chosen) == t:
                 break
-            blocked |= ball(g, [z], 2 * length - 2, within=x_set)
+            blocked |= comp_of[z] or ball(g, [z], 2 * length - 2, within=x_set)
         if len(chosen) == t:
             return HomogeneousTriple(x_set, frozenset(chosen), w)
     return None

@@ -5,10 +5,11 @@ enumeration over labeled rooted trees, the unbounded depth recurrence
 without pruning, raw assignment enumeration and the plain unpruned
 branch-set search for minors, the split-path budget by its recurrence,
 exhaustive coloring enumeration, closures of rooted forests by their
-forbidden induced subgraphs, the packing of homogeneous balls by BFS
-distances in g[X], degeneracy by min-degree peeling, and connected vertex
-sets by testing every mask.  The path, star and level-coloring constructors
-and the depth translations at the end are not oracles: only tests call them.
+forbidden induced subgraphs, the packing of homogeneous balls and the
+homogeneous search by BFS distances in g[X], degeneracy by min-degree
+peeling, and connected vertex sets by testing every mask.  The path, star
+and level-coloring constructors and the depth translations at the end are
+not oracles: only tests call them.
 """
 
 from __future__ import annotations
@@ -635,6 +636,40 @@ def homogeneous_oracle(
         got = {u for v in ball for u in g.adj[v]} - ball - x_set
         if got != w_set:
             return f"ball of {z} has boundary {sorted(got)} != W {sorted(w_set)}"
+    return None
+
+
+def find_homogeneous_oracle(
+    g: Graph, t: int, length: int, d: int, r: int
+) -> Optional[tuple[frozenset[int], frozenset[int], frozenset[int]]]:
+    """The (X, Z, W) that ``find_homogeneous`` must return, or None: one
+    plain BFS per X vertex gives its distances in g[X], its W is the
+    outside boundary of its radius-(length - 1) ball, groups of equal W are
+    tried by least center, and each takes centers ascending while they lie
+    at distance at least 2 * length - 1 from every center taken."""
+    x_set = frozenset(v for v in range(g.n) if g.degree(v) <= d)
+    dist = {}
+    for z in sorted(x_set):
+        dist[z] = {z: 0}
+        queue = [z]
+        for u in queue:
+            for v in g.adj[u]:
+                if v in x_set and v not in dist[z]:
+                    dist[z][v] = dist[z][u] + 1
+                    queue.append(v)
+    groups: dict[frozenset[int], list[int]] = {}
+    for z, dz in dist.items():
+        ball = {v for v, dv in dz.items() if dv <= length - 1}
+        w = frozenset(u for v in ball for u in g.adj[v]) - x_set
+        if len(w) <= r - 1:
+            groups.setdefault(w, []).append(z)
+    for w in sorted(groups, key=lambda w: min(groups[w])):
+        chosen: list[int] = []
+        for z in groups[w]:
+            if all(dist[c].get(z, 2 * length) >= 2 * length - 1 for c in chosen):
+                chosen.append(z)
+            if len(chosen) == t:
+                return x_set, frozenset(chosen), w
     return None
 
 

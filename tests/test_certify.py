@@ -23,7 +23,14 @@ from defcolor.scheme import (
     scheme_to_json,
     step,
 )
-from defcolor.scheme.certify import CONDITIONS, Verdict, _pair_maps, _shape
+from defcolor.scheme.certify import (
+    CONDITIONS,
+    CertReport,
+    Verdict,
+    _check_d2,
+    _pair_maps,
+    _shape,
+)
 from defcolor.scheme.corpus import acceptance_corpus, caterpillar, star_of_balls
 from defcolor.scheme.entry import SchemeEntry, StepMeta
 from helpers import d2_oracle
@@ -764,3 +771,93 @@ class TestPinnedMutationReports:
                     line = "error:" + type(exc).__name__
                 digest.update(line.encode() + b"\n")
         assert digest.hexdigest() == self.DIGEST
+
+
+def _with_edges(entry: SchemeEntry, drop=(), add=()) -> SchemeEntry:
+    g = entry.graph
+    edges = set(g.edges()) - set(drop)
+    assert len(edges) == g.edge_count() - len(drop)
+    return swap(entry, graph=Graph.from_edges(g.n, sorted(edges | set(add))))
+
+
+def _dropped_edge_failures(inst, prev, nxt) -> dict:
+    report = certify_entry(prev, nxt, inst.params, inst.graph)
+    assert report.verdicts["D2"].status == "pass"
+    return {c: v.witness for c, v in report.verdicts.items() if v.status == "fail"}
+
+
+def _dropped_by_scan(prev: SchemeEntry, nxt: SchemeEntry, absorb) -> bool:
+    for u, v in prev.graph.edges():
+        wu, wv = absorb[u], absorb[v]
+        if wu is not None and wv is not None and wu != wv:
+            if not nxt.graph.has_edge(wu, wv):
+                return True
+    return False
+
+
+class TestDroppedEdgeClauses:
+    # a previous edge whose ends are absorbed into two distinct next vertices
+    # that are not adjacent; D2 passes on each pair, so D8g or D8h must catch it
+
+    def test_gc_endpoint_unqualified(self):
+        # caterpillar(1, 14): q = 10 holds spine vertices 1-5; without the
+        # edge (apex, q), the previous edge (0, 1) is dropped at q, and its
+        # other end, the apex, lies in U+
+        inst = caterpillar(1, 14)
+        prev, nxt = build_scheme(inst.graph, inst.params)
+        assert nxt.step_meta.q == 10 and 0 in nxt.step_meta.u_plus
+        got = _dropped_edge_failures(inst, prev, _with_edges(nxt, drop=[(0, 10)]))
+        assert got["D8g"] == {"clause": "gc-endpoint-unqualified", "edge": [0, 1]}
+
+    def test_gc_edge_dropped_away_from_q(self):
+        # caterpillar(1, 20), second step: vertex 16 of the previous entry
+        # (the first contraction) becomes 11, and q = 12; without the edge
+        # (apex, 11), the previous edge (0, 16) is dropped away from q
+        inst = caterpillar(1, 20)
+        scheme = build_scheme(inst.graph, inst.params)
+        prev, nxt = scheme[1], scheme[2]
+        assert nxt.step_meta.q == 12 and nxt.model[11] == prev.model[16]
+        got = _dropped_edge_failures(inst, prev, _with_edges(nxt, drop=[(0, 11)]))
+        assert got["D8g"] == {"clause": "gc-edge-dropped-away-from-q", "edge": [0, 16]}
+
+    def test_hd_edge_dropped(self):
+        # star_of_balls(1, 6, 2) deletes balls: q = 3 holds the ball {1, 2}
+        # and the ball {11, 12} survives; a previous edge (1, 11) has no
+        # next edge (3, 1)
+        inst = star_of_balls(1, 6, 2)
+        prev, nxt = build_scheme(inst.graph, inst.params)
+        assert nxt.step_meta.q == 3 and nxt.model[1] == frozenset({11})
+        got = _dropped_edge_failures(inst, _with_edges(prev, add=[(1, 11)]), nxt)
+        assert got == {"D8h": {"clause": "hd-edge-dropped", "edge": [1, 11]}}
+
+    def test_d2_answer_matches_scan_of_pair_maps(self):
+        # the pairs of TestPinnedMutationReports' mutants: whenever D2 has
+        # seen every image, its answer is whether some previous edge is dropped
+        rng = random.Random(7)
+        answers = {True: 0, False: 0, None: 0}
+        for inst in (
+            caterpillar(1, 14),
+            caterpillar(1, 20),
+            caterpillar(2, 14),
+            star_of_balls(1, 6, 2),
+            star_of_balls(2, 7, 2),
+        ):
+            g, params = inst.graph, inst.params
+            doc = json.loads(scheme_to_json(build_scheme(g, params)))
+            for _ in range(200):
+                try:
+                    scheme = scheme_from_json(json.dumps(_mutate(doc, rng, g.n)))
+                except DefcolorError:
+                    continue
+                for prev, nxt in zip(scheme, scheme[1:]):
+                    if _shape(prev, params, g) or _shape(nxt, params, g):
+                        continue
+                    absorb, _, inverse = _pair_maps(prev, nxt)
+                    report = CertReport()
+                    answer = _check_d2(report, prev, nxt, g, absorb, inverse)
+                    answers[answer] += 1
+                    if answer is None:
+                        assert report.verdicts["D2"].status == "fail"
+                        continue
+                    assert answer == _dropped_by_scan(prev, nxt, absorb)
+        assert min(answers.values()) >= 50, answers

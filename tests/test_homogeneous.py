@@ -3,16 +3,24 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from defcolor.errors import HypothesisViolationError
+from defcolor.errors import BucketTooSmallError, HypothesisViolationError
 from defcolor.graphs import Graph, ball, complete_graph
+from defcolor.scheme import initial_entry, step
 from defcolor.scheme.corpus import caterpillar, star_of_balls
 from defcolor.scheme.homogeneous import (
     HomogeneousTriple,
     check_homogeneous,
     find_homogeneous,
 )
-from helpers import homogeneous_oracle, star_graph
+from helpers import (
+    find_homogeneous_oracle,
+    graphs_st,
+    homogeneous_oracle,
+    star_graph,
+)
 
 
 def pendant_paths(apex_count: int, paths: int, length: int) -> Graph:
@@ -74,6 +82,75 @@ class TestFindHomogeneous:
             assert triple is not None, inst.name
             balls = check_homogeneous(g, triple, p.t, p.l0, p.d, p.r)
             assert set(balls) == triple.z_set, inst.name
+
+
+def _same_as_oracle(g: Graph, t: int, length: int, d: int, r: int):
+    triple = find_homogeneous(g, t, length, d, r)
+    got = None if triple is None else (triple.x_set, triple.z_set, triple.w_set)
+    assert got == find_homogeneous_oracle(g, t, length, d, r), (g, t, length, d, r)
+    return got
+
+
+def pendant_components(apex_count: int, sizes: list[int]) -> Graph:
+    """Paths of the given sizes, each the component of g[X] for
+    d = apex_count + 1: the first vertex of every path is joined to the
+    apexes 0 .. apex_count - 1 and the last to the vertex apex_count, so the
+    W of a vertex depends on which ends its ball reaches."""
+    edges = []
+    n = apex_count + 1
+    for size in sizes:
+        edges += [(a, n) for a in range(apex_count)]
+        edges += [(v, v + 1) for v in range(n, n + size - 1)]
+        edges.append((apex_count, n + size - 1))
+        n += size
+    return Graph.from_edges(n, edges)
+
+
+class TestAgainstOracle:
+    # one plain BFS per X vertex, groups by least center, greedy packing by
+    # BFS distance: the triple find_homogeneous must return
+
+    @given(graphs_st(max_n=12), st.integers(1, 4), st.integers(1, 4),
+           st.integers(1, 4), st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_random_graphs(self, g, t, length, d, r):
+        _same_as_oracle(g, t, length, d, r)
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4])
+    def test_component_sizes_around_both_thresholds(self, length):
+        # components of g[X] with length - 1, length, length + 1,
+        # 2 length - 1 and 2 length vertices, alone and mixed
+        sizes = sorted({max(1, s) for s in (
+            length - 1, length, length + 1, 2 * length - 1, 2 * length
+        )})
+        found = 0
+        for apexes in (1, 2):
+            mixes = [[s] * 4 for s in sizes] + [sizes * 2, sizes[::-1] * 3]
+            for mix in mixes:
+                g = pendant_components(apexes, mix)
+                for t in (1, 2, 3, 5):
+                    got = _same_as_oracle(g, t, length, apexes + 1, apexes + 2)
+                    found += got is not None
+        assert found >= 20
+
+    def test_scheme_scale_corpus(self):
+        # every search the builds of the benchmark's instances make
+        instances = [star_of_balls(1, m, 5) for m in [*range(20, 60), 400]]
+        instances += [star_of_balls(2, m, 3) for m in range(33, 93)]
+        instances += [caterpillar(w, s) for w in (1, 2) for s in range(12, 36)]
+        searches = 0
+        for inst in instances:
+            p = inst.params
+            entry = initial_entry(inst.graph)
+            while entry.graph.n > p.n_freeze:
+                triple = _same_as_oracle(entry.graph, p.t, p.l0, p.d, p.r)
+                assert triple is not None, inst.name
+                searches += 1
+                try:
+                    entry = step(entry, HomogeneousTriple(*triple), p)
+                except BucketTooSmallError:
+                    break
+        assert searches >= 270
 
 
 class TestCheckHomogeneous:

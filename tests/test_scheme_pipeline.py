@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -147,6 +148,29 @@ class TestSerialization:
         with pytest.raises(InputFormatError, match="entry 1 claims 1000000"):
             scheme_from_json(json.dumps(doc))
         assert sizes == [inst.graph.n]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_paused_inside_and_restored_after(self, monkeypatch, enabled):
+        inst = caterpillar(1, 14)
+        text = scheme_to_json(build_scheme(inst.graph, inst.params))
+        seen = []
+
+        def recording(graph_doc):
+            seen.append(gc.isenabled())
+            return graph_from_doc(graph_doc)
+
+        monkeypatch.setattr(serialize, "graph_from_doc", recording)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert scheme_to_json(scheme_from_json(text)) == text
+            assert gc.isenabled() is enabled
+            with pytest.raises(InputFormatError):
+                scheme_from_json(text[:-2])
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen and not any(seen)
 
 
 class TestParamsDocument:
