@@ -13,7 +13,11 @@ of two complete routes:
   either function.
 - **Backtracking** for every other graph: vertices by descending degree,
   colors ascending with symmetry breaking; a budget node is one color tried
-  at one vertex.
+  at one vertex.  It runs on adjacency bitmask rows, built once per call of
+  either function: one member mask per color, and one mask of the members
+  that already have d same-colored neighbors.  The masks decide the same
+  refusals as counting neighbors one by one, so the coloring found and the
+  node count are those of a search over neighbor sets.
 
 Either route reports infeasible only after exhausting its search space; a
 budget stop is a distinct error, never an answer.  Every feasible answer is
@@ -25,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
+from .depth import _mask
 from .errors import BudgetExceededError, PartialColoringError, SizeLimitError
 from .graphs import Graph, closure_forest
 
@@ -124,33 +129,46 @@ def decide_defective(
     """
     _check_args(k, d)
     _check_size(g, max_vertices)
-    return _decide(g, _closure_shapes(g), k, d, node_budget)
+    return _decide(g, _route(g), k, d, node_budget)
 
 
-def _closure_shapes(g: Graph) -> Optional["_Forest"]:
-    """The shaped forest whose closure is g, or None (then backtrack)."""
+class _Rows(NamedTuple):
+    order: list[int]  # vertices by descending degree, then id
+    nbr: list[int]  # adjacency mask per vertex
+
+
+def _rows(g: Graph) -> _Rows:
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    return _Rows(order, [_mask(s) for s in g.adj])
+
+
+def _route(g: Graph) -> "_Forest | _Rows":
+    """The shaped forest whose closure is g, else g's rows (then backtrack)."""
     parent = closure_forest(g)
-    return None if parent is None else _forest_shapes(parent)
+    return _rows(g) if parent is None else _forest_shapes(parent)
 
 
 def _decide(
     g: Graph,
-    forest: Optional["_Forest"],
+    route: "_Forest | _Rows",
     k: int,
     d: int,
     node_budget: Optional[int],
 ) -> DefectReport:
-    """The forest DP when a forest is given; otherwise backtracking.
+    """The forest DP when a forest is given; otherwise backtracking on the
+    given rows.
 
     Backtracking tries vertices by descending degree, colors ascending with
-    symmetry breaking (a vertex may open at most one fresh color); a branch
-    dies as soon as some class's internal degree exceeds d.
+    symmetry breaking (a vertex may open at most one fresh color).  Color c
+    is refused at v when a neighbor of color c already has d same-colored
+    neighbors, or v has more than d neighbors of color c.
     """
-    if forest is not None:
-        return _forest_dp(g, forest, k, d, node_budget)
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    color = [0] * g.n  # 0 = uncolored
-    same = [0] * g.n  # same-colored neighbor count, colored vertices only
+    if isinstance(route, _Forest):
+        return _forest_dp(g, route, k, d, node_budget)
+    order, nbr = route
+    color = [0] * g.n
+    cls = [0] * (k + 1)  # members per color
+    sat = [0] * (k + 1)  # members with d same-colored neighbors, per color
     nodes = 0
 
     def assign(i: int, used: int) -> bool:
@@ -158,34 +176,31 @@ def _decide(
         if i == g.n:
             return True
         v = order[i]
+        row = nbr[v]
         for c in range(1, min(used + 1, k) + 1):
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 raise BudgetExceededError(
                     f"coloring search exceeded {node_budget} nodes", size=nodes
                 )
-            cnt = 0
-            ok = True
-            for u in g.adj[v]:
-                if color[u] == c:
-                    if same[u] + 1 > d:
-                        ok = False
-                        break
-                    cnt += 1
-            if not ok or cnt > d:
+            hit = row & cls[c]
+            cnt = hit.bit_count()
+            if cnt > d or hit & sat[c]:
                 continue
+            was_cls, was_sat = cls[c], sat[c]
+            cls[c] = members = was_cls | 1 << v
+            # v and each neighbor in hit gain one; those reaching d saturate
+            full = was_sat | 1 << v if cnt == d else was_sat
+            while hit:
+                low = hit & -hit
+                hit ^= low
+                if (nbr[low.bit_length() - 1] & members).bit_count() == d:
+                    full |= low
+            sat[c] = full
             color[v] = c
-            for u in g.adj[v]:
-                if color[u] == c:
-                    same[u] += 1
-            same[v] = cnt
             if assign(i + 1, max(used, c)):
                 return True
-            color[v] = 0
-            same[v] = 0
-            for u in g.adj[v]:
-                if color[u] == c:
-                    same[u] -= 1
+            cls[c], sat[c] = was_cls, was_sat
         return False
 
     if assign(0, 0):
@@ -438,8 +453,8 @@ def min_defect(
 ) -> int:
     """Least d such that g has a k-coloring with defect d (binary search).
 
-    The route (forest DP or backtracking) is chosen, and the forest shaped,
-    once per call, not per probe.
+    The route is chosen, and the forest shaped or the rows built, once per
+    call, not per probe.
     """
     if g.n == 0:
         return 0
@@ -449,10 +464,10 @@ def min_defect(
         return 0
     _check_args(k, 0)
     _check_size(g, max_vertices)
-    forest = _closure_shapes(g)
+    route = _route(g)
     while lo < hi:
         mid = (lo + hi) // 2
-        report = _decide(g, forest, k, mid, node_budget)
+        report = _decide(g, route, k, mid, node_budget)
         if report.feasible:
             hi = mid
         else:

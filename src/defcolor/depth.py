@@ -19,9 +19,10 @@ Only connected masks reach ``ctd``, and their forest value is their ctd,
 so one pair of tables keyed on the mask holds the exact values and the
 proven lower bounds of both calls.  Each connected set starts from the
 lower bound degeneracy + 1 (td >= tw + 1 >= degeneracy + 1, which also
-covers the clique bound).  Degeneracy is peeled on the masks: a vertex of
-degree at most the largest recorded so far goes at once, since it cannot
-raise it, and a pass that finds none records and peels a minimum degree.
+covers the clique bound).  Degeneracy is peeled on the masks, starting
+from ceil(m / n), a lower bound on it: a vertex of degree at most the
+largest recorded so far goes at once, since it cannot raise it, and a pass
+that finds none records and peels a minimum degree.
 A root v is dropped as soon as one component of S - v, visited largest
 first, reaches the best value found so far.  Every set whose roots are
 tried counts as expanded; ``node_budget`` caps that count and the search
@@ -121,7 +122,14 @@ class _DepthSolver:
     def degeneracy_bound(self, s: int) -> int:
         """degeneracy(g[s]) + 1, a lower bound on td(g[s])."""
         nbr = self.nbr
-        best = 0
+        # peeling removes at most degeneracy edges per vertex, so the
+        # degeneracy is at least ceil(m / n); start the maximum there
+        rest, twice_m = s, 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            twice_m += (nbr[low.bit_length() - 1] & s).bit_count()
+        best = -(-twice_m // (2 * s.bit_count())) if s else 0
         # the last best + 1 vertices cannot raise the maximum min-degree
         while s.bit_count() > best + 1:
             rest, pick, low_deg, peeled = s, 0, s.bit_count(), False

@@ -17,6 +17,23 @@ order is the answer, and the search never visits more nodes than the same
 search without the capacity cut: any budget under which that search answers
 gives the same model here.
 
+Twins are broken by a lex-leader rule (Crawford, Ginsberg, Luks and Roy,
+KR 1996).  Pattern vertices u and v are twins when N(u) - v = N(v) - u,
+i.e. when swapping them is an automorphism of the pattern; transpositions
+compose, so twins fall into classes.  When positions i < j hold twins,
+position j only tries the sets after B_i in the candidate order.  Proof
+that this keeps the answer: the first model is the least one in the
+lexicographic order of (B_0, B_1, ...).  Swapping the branch sets of two
+twins gives another valid model, so if the least model had B_j before B_i,
+the swap would give a smaller one.  Hence the least model meets every twin
+constraint, and the search restricted to them finds it first: the first
+model, every verdict and the absence answers are unchanged, and the node
+count can only fall.  Within a class the sets then increase along the
+positions, so each position is bounded by the last earlier twin alone; the
+bound is one ``bisect_right`` on the node's pool, which holds the bound's
+whole size class.  Nodes are counted from the twin bound: the sets before
+it are skipped uncounted.
+
 The candidate sets are grown one size class at a time, only as far as the
 search reads them.  A node's pool is filtered from its parent's and covers
 the classes grown when the node was made.  When it runs out while a later
@@ -57,10 +74,11 @@ unchanged, so a "present" answer keeps its first model and node count.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .depth import _mask
+from .depth import _bits, _mask
 from .errors import BudgetExceededError, SizeLimitError
 from .graphs import Graph, induced_components
 
@@ -180,7 +198,9 @@ def has_minor(
     back to host ids and checked on the raw host, is the one the search
     would find on the raw host, within the same node budget.  For patterns
     of least degree >= 3 a search of the series-reduced kernel runs first
-    and can only answer "absent".  Each of the two searches is bounded by
+    and can only answer "absent".  The pattern's tables (order, placed
+    neighbors, demand and twins) are built once per call and shared by both
+    searches.  Each of the two searches is bounded by
     ``node_budget`` (at most twice that many nodes in total); a stop of the
     first is inconclusive and only the kernel search raises
     BudgetExceededError.
@@ -205,17 +225,18 @@ def has_minor(
             f"(got {host.n}, {pattern.n}); use heuristic mode"
         )
     kernel, survivors = host.subgraph(_kernel(host, pattern))
+    plan = _plan(pattern)
     if min(pattern.degree(v) for v in range(pattern.n)) >= 3:
         reduced = _series_reduced(kernel)
         if reduced.n < kernel.n:
             if too_large(reduced, pattern):
                 return None
             try:
-                if _exhaustive_search(reduced, pattern, node_budget) is None:
+                if _exhaustive_search(reduced, plan, node_budget) is None:
                     return None
             except BudgetExceededError:
                 pass  # inconclusive: the kernel search decides
-    found = _exhaustive_search(kernel, pattern, node_budget)
+    found = _exhaustive_search(kernel, plan, node_budget)
     if found is None:
         return None
     model = MinorModel({
@@ -278,26 +299,42 @@ def _series_reduced(g: Graph) -> Graph:
     return Graph(len(vs), [frozenset(index[u] for u in adj[v]) for v in vs])
 
 
-def _exhaustive_search(
-    host: Graph, pattern: Graph, node_budget: int
-) -> Optional[dict[int, int]]:
-    """The first model as pattern vertex -> branch-set mask, or None."""
+class _Plan(NamedTuple):
+    """The pattern's tables, by order position."""
+
+    order: list[int]  # pattern vertices by degree (descending), then id
+    placed_nbrs: list[list[int]]  # positions of the neighbors placed before
+    demand: list[list[tuple[int, int]]]  # after i: (placed j, its unplaced nbrs)
+    twin: list[Optional[int]]  # the last earlier position of a twin, or None
+
+
+def _plan(pattern: Graph) -> _Plan:
     p = pattern.n
     order = sorted(range(p), key=lambda v: (-pattern.degree(v), v))
-    pos = {v: i for i, v in enumerate(order)}
-    # positions of the pattern neighbors already placed when a vertex comes up
-    placed_nbrs = [
-        [pos[u] for u in pattern.adj[order[i]] if pos[u] < i] for i in range(p)
-    ]
-    # after position i is placed: (placed position, its unplaced neighbors)
+    pos = [0] * p
+    for i, v in enumerate(order):
+        pos[v] = i
+    # pattern adjacency by position, as masks over positions
+    nbr = [_mask(pos[u] for u in pattern.adj[v]) for v in order]
+    placed_nbrs = [_bits(nbr[i] & ((1 << i) - 1)) for i in range(p)]
     demand = [
-        [
-            (j, c)
-            for j in range(i + 1)
-            if (c := sum(pos[u] > i for u in pattern.adj[order[j]]))
-        ]
+        [(j, c) for j in range(i + 1) if (c := (nbr[j] >> (i + 1)).bit_count())]
         for i in range(p)
     ]
+    twin: list[Optional[int]] = [None] * p
+    for j in range(p):
+        for i in range(j):
+            if nbr[i] & ~(1 << j) == nbr[j] & ~(1 << i):
+                twin[j] = i
+    return _Plan(order, placed_nbrs, demand, twin)
+
+
+def _exhaustive_search(
+    host: Graph, plan: _Plan, node_budget: int
+) -> Optional[dict[int, int]]:
+    """The first model as pattern vertex -> branch-set mask, or None."""
+    order, placed_nbrs, demand, twin = plan
+    p = len(order)
     host_adj = [_mask(s) for s in host.adj]
     full = (1 << host.n) - 1
     nbhd: dict[int, int] = {}  # grown set -> its neighbourhood
@@ -328,6 +365,10 @@ def _exhaustive_search(
             rec[4] = len(lattice)
         return True
 
+    def rank(mask: int) -> int:
+        # the candidate order: size, then mask
+        return mask.bit_count() << host.n | mask
+
     branch = [0] * p  # mask per order position
     branch_adj = [0] * p  # union of host adjacency over the branch
     nodes = 0
@@ -351,7 +392,10 @@ def _exhaustive_search(
         nbrs = nbrs[1:]
         free = full & ~used
         free_needed = p - i - 1
-        counted = start = 0
+        # a twin's set comes after the set of the twin placed before it; the
+        # pool holds that set's whole class, so later extensions lie beyond
+        t = twin[i]
+        counted = start = 0 if t is None else bisect_right(pool, rank(branch[t]), key=rank)
         while start < len(pool) or rec is not None and extend(rec, free.bit_count()):
             end = len(pool)
             for k in [k for k, m in enumerate(pool[start:], start) if m & first]:

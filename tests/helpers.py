@@ -7,7 +7,8 @@ branch-set search for minors, the split-path budget by its recurrence,
 exhaustive coloring enumeration, closures of rooted forests by their
 forbidden induced subgraphs, the packing of homogeneous balls and the
 homogeneous search by BFS distances in g[X], degeneracy by min-degree
-peeling, and connected vertex sets by testing every mask.  The path, star
+peeling, connected vertex sets by testing every mask, and the plain
+backtracking coloring search over neighbor sets.  The path, star
 and level-coloring constructors and the depth translations at the end are
 not oracles: only tests call them.
 """
@@ -700,6 +701,46 @@ def decide_defective_oracle(g: Graph, k: int, d: int) -> bool:
         if ok:
             return True
     return False
+
+
+def backtrack_coloring_oracle(g: Graph, k: int, d: int):
+    """The backtracking search over neighbor sets: ``(colors, nodes)``.
+
+    Vertices by descending degree, then id; colors ascending, where a vertex
+    may open at most one fresh color.  A color is refused when a neighbor of
+    that color already has d same-colored neighbors, or the vertex would
+    have more than d.  Every color tried is one node.  ``colors`` is the
+    first complete coloring (a tuple of 1-based colors) or None; ``nodes``
+    counts every node visited up to that point.
+    """
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    color = [0] * g.n  # 0 = uncolored
+    same = [0] * g.n  # same-colored neighbor count, colored vertices only
+    nodes = 0
+
+    def assign(i: int, used: int) -> bool:
+        nonlocal nodes
+        if i == g.n:
+            return True
+        v = order[i]
+        for c in range(1, min(used + 1, k) + 1):
+            nodes += 1
+            peers = [u for u in g.adj[v] if color[u] == c]
+            if len(peers) > d or any(same[u] + 1 > d for u in peers):
+                continue
+            color[v] = c
+            same[v] = len(peers)
+            for u in peers:
+                same[u] += 1
+            if assign(i + 1, max(used, c)):
+                return True
+            color[v] = same[v] = 0
+            for u in peers:
+                same[u] -= 1
+        return False
+
+    found = assign(0, 0)
+    return (tuple(color) if found else None), nodes
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from defcolor.coloring import (
 )
 from defcolor.errors import BudgetExceededError, PartialColoringError, SizeLimitError
 from defcolor.graphs import (
+    Graph,
     balanced_tree,
     closure,
     closure_forest,
@@ -24,6 +26,7 @@ from defcolor.graphs import (
 )
 from helpers import (
     all_graphs,
+    backtrack_coloring_oracle,
     decide_defective_oracle,
     graphs_st,
     level_coloring,
@@ -118,6 +121,31 @@ class TestDecide:
         assert closure_outcomes == {True, False}
         assert closures > 20
 
+    def test_backtracking_matches_set_search(self):
+        # the bitmask backtracker finds the same coloring, or the same
+        # infeasibility, as the search over neighbor sets, and stops at the
+        # same node: the reference's count answers, one node less does not
+        rng = random.Random(20)
+        outcomes = set()
+        for _ in range(120):
+            n = rng.randint(2, 18)
+            p = rng.uniform(0.15, 0.55)
+            g = Graph.from_edges(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            )
+            if closure_forest(g) is not None:
+                continue  # the forest DP answers these
+            for k in (1, 2, 3):
+                for d in (0, 1, 2):
+                    want, nodes = backtrack_coloring_oracle(g, k, d)
+                    got = decide_defective(g, k, d, max_vertices=18, node_budget=nodes)
+                    assert (got.coloring and got.coloring.colors) == want, (g.edges(), k, d)
+                    with pytest.raises(BudgetExceededError) as info:
+                        decide_defective(g, k, d, max_vertices=18, node_budget=nodes - 1)
+                    assert info.value.size == nodes
+                    outcomes.add(want is None)
+        assert outcomes == {True, False}
+
     @given(graphs_st(min_n=1, max_n=7), st.integers(1, 2), st.integers(0, 2))
     @settings(max_examples=40, deadline=None)
     def test_monotone_in_k_and_d(self, g, k, d):
@@ -185,15 +213,15 @@ class TestForestDP:
 
     def test_closure_route_matches_backtracking(self):
         # decide_defective takes the DP on closures; the answers must agree
-        # with plain backtracking, which _decide runs when given no forest
-        from defcolor.coloring import _decide
+        # with plain backtracking, which _decide runs when given g's rows
+        from defcolor.coloring import _decide, _rows
 
         for h, k in ((2, 4), (3, 2), (3, 3), (4, 2)):
             g = ct(h, k)
             for colors in (h - 1, h):
                 for d in range(0, k + 1):
                     got = decide_defective(g, colors, d, max_vertices=64)
-                    assert got.feasible == _decide(g, None, colors, d, None).feasible
+                    assert got.feasible == _decide(g, _rows(g), colors, d, None).feasible
 
 
 class TestMinDefect:

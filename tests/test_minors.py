@@ -239,6 +239,36 @@ class TestAgainstDfsOracle:
             outcomes.add(want is None)
         assert outcomes == {True, False}
 
+    def test_twin_rich_patterns_same_model_within_oracle_nodes(self):
+        # every pattern here has twins, whose swapped branch sets the search
+        # skips; the first model must still be the unpruned search's
+        patterns = {
+            "K4": complete_graph(4),
+            "K5": complete_graph(5),
+            "K2,3": complete_bipartite(2, 3),
+            "K1,3": star_graph(3),
+            "C4": cycle_graph(4),
+            "K4-e": Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+            "ct(2,2)": ct(2, 2),
+            "ct(2,3)": ct(2, 3),
+        }
+        rng = random.Random(5)
+        outcomes = set()
+        for _ in range(24):
+            n = rng.randint(5, 10)
+            p = rng.uniform(0.25, 0.7)
+            host = Graph.from_edges(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            )
+            for name, pattern in patterns.items():
+                if pattern.n > host.n or host == pattern:
+                    continue
+                want, nodes = minor_dfs_oracle(host, pattern)
+                got = has_minor(host, pattern, node_budget=nodes)
+                assert (None if got is None else got.branch_sets) == want, (host.edges(), name)
+                outcomes.add((name, want is None))
+        assert outcomes == {(name, absent) for name in patterns for absent in (True, False)}
+
 
 def _with_twigs(rng: random.Random, core_n: int, p: float, twigs: int, islets: int) -> Graph:
     """A G(core_n, p) core with ``twigs`` pendant vertices grown onto it (each
@@ -330,11 +360,12 @@ class TestKernel:
     def test_exact_mix_host_least_budgets(self):
         # the least budget under which each search answers; one node less
         # stops it.  The candidate sets are grown lazily, but nodes are
-        # counted as over the complete list, so these counts are fixed.
+        # counted as over the complete list from each twin bound, so these
+        # counts are fixed.
         for pattern, least, present in (
-            (complete_graph(4), 16_175, True),
-            (complete_bipartite(2, 3), 25_330, True),
-            (complete_graph(5), 650, False),
+            (complete_graph(4), 2_620, True),
+            (complete_bipartite(2, 3), 7_495, True),
+            (complete_graph(5), 270, False),
         ):
             got = has_minor(self.G14, pattern, node_budget=least)
             assert (got is not None) == present
