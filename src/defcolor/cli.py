@@ -4,7 +4,8 @@ and the derived-constants table.
 Exit status: 0 success or a positive answer, 1 a computed negative answer
 (infeasible, no minor, dirty certificate), 2 usage or input errors
 (unreadable paths included), 3 exhausted budgets or failed searches, 4 an
-internal error (a bug: no answer was computed).
+internal error (a bug: no answer was computed), such as a depth witness,
+a minor model or a built scheme that fails its check before printing.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .depth import ClusteredBounds, connected_tree_depth, verify_depth_witness
 from .errors import (
     BucketTooSmallError,
     BudgetExceededError,
-    CertificationError,
     DefcolorError,
     GeodesicTooShortError,
     InputFormatError,
@@ -274,6 +274,8 @@ def _run(args) -> int:
         if args.action == "build":
             g = _load_graph(args.graph)
             scheme = build_scheme(g, params)
+            if not certify_scheme(scheme, params, g).clean():
+                raise RuntimeError("build produced a scheme that does not certify")
             _emit(scheme_to_json(scheme), args.output)
             return EXIT_OK
         scheme = scheme_from_json(_read(args.scheme))
@@ -320,7 +322,6 @@ def main(argv=None) -> int:
         SearchFailureError,
         BucketTooSmallError,
         GeodesicTooShortError,
-        CertificationError,
     ) as exc:
         print(f"defcolor: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -69,14 +69,6 @@ class SearchFailureError(DefcolorError):
         super().__init__(message)
 
 
-class CertificationError(DefcolorError):
-    """A freshly built scheme entry failed certification; carries the report."""
-
-    def __init__(self, report):
-        self.report = report
-        super().__init__(f"scheme entry failed certification: {report.failures()}")
-
-
 class EmptyPaletteError(DefcolorError):
     """Greedy scheme coloring found no available color.
 

@@ -13,15 +13,14 @@ int prints) are materialized eagerly; larger ones keep the power form.
 
 Comparison is exact: materialized compare, then structural normal forms,
 then certified interval log arithmetic at escalating precision.  A
-comparison that cannot be decided raises rather than guessing.
+comparison that cannot be decided raises rather than guessing.  Only the
+interval functions import ``mpmath``, so loading the package does not.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Optional, Union
-
-from mpmath import iv
 
 from .errors import DefcolorError
 
@@ -256,6 +255,8 @@ def _struct_cmp(x: HugeInt, y: HugeInt) -> Optional[int]:
 
 def _value_iv(x: HugeInt):
     """Certified interval containing the value (exponents may be huge ints)."""
+    from mpmath import iv
+
     if x.val is not None:
         return iv.mpf(x.val)
     l2 = _log2_iv(x)
@@ -265,6 +266,8 @@ def _value_iv(x: HugeInt):
 
 def _log2_iv(x: HugeInt):
     """Certified interval containing log2(value); requires value >= 1."""
+    from mpmath import iv
+
     if x.val is not None:
         if x.val <= 0:
             raise ValueError("log2 of nonpositive value")
@@ -303,6 +306,8 @@ def hcmp(x: IntLike, y: IntLike) -> int:
         if zero_x and zero_y:
             return 0
         return -1 if zero_x else 1
+    from mpmath import iv
+
     old = iv.prec
     try:
         for prec in _PRECISIONS:
@@ -413,6 +418,8 @@ def approx_log10(x: HugeInt) -> Optional[float]:
     """Floating-point log10 of the value when it fits a float, else None."""
     if x.val is not None and x.val == 0:
         return None
+    from mpmath import iv
+
     old = iv.prec
     try:
         iv.prec = 80

@@ -1,16 +1,16 @@
 """Driving loop: shrink a graph entry by entry until it freezes.
 
-Each round finds a homogeneous triple, hands it to ``step`` (which picks
-the deletion or the contraction branch) and certifies the produced pair
-at once; a dirty pair aborts the build with its report, so a returned
-scheme is certifier-clean by construction.
+Each round finds a homogeneous triple and hands it to ``step``, which
+picks the deletion or the contraction branch.  The builder only produces:
+it checks no pair it makes.  ``certify_scheme`` is the check, run by the
+consumer on the returned scheme (``defcolor scheme build`` runs it before
+printing).
 """
 
 from __future__ import annotations
 
-from ..errors import CertificationError, SearchFailureError
+from ..errors import SearchFailureError
 from ..graphs import Graph
-from .certify import certify_entry
 from .entry import SchemeEntry, initial_entry
 from .homogeneous import find_homogeneous
 from .params import SchemeParams
@@ -18,7 +18,8 @@ from .steps import step
 
 
 def build_scheme(g: Graph, params: SchemeParams) -> list[SchemeEntry]:
-    """Build a certifier-clean scheme for g, ending in a frozen entry."""
+    """Build a scheme for g, ending in a frozen entry; unchecked until
+    ``certify_scheme`` reads it."""
     entries = [initial_entry(g)]
     while entries[-1].graph.n > params.n_freeze:
         cur = entries[-1]
@@ -32,9 +33,6 @@ def build_scheme(g: Graph, params: SchemeParams) -> list[SchemeEntry]:
                 entries_built=len(entries),
             )
         nxt = step(cur, triple, params)
-        report = certify_entry(cur, nxt, params, g)
-        if not report.clean():
-            raise CertificationError(report)
         if nxt.graph.n >= cur.graph.n:
             raise SearchFailureError(
                 "step did not shrink the graph", entries_built=len(entries)

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -318,7 +323,7 @@ class TestScheme:
         assert len(scheme) == 2
         code, out = run(capsys, "scheme", "certify", str(spath), "--params", str(ppath))
         assert code == 0
-        assert json.loads(out)["clean"]
+        assert json.loads(out)["clean"] is True
         code, out = run(capsys, "scheme", "color", str(spath), "--params", str(ppath))
         assert code == 0
         doc = json.loads(out)
@@ -347,6 +352,31 @@ class TestScheme:
         code, out = run(capsys, "scheme", "certify", str(spath), "--params", str(ppath))
         assert code == 1
         assert not json.loads(out)["clean"]
+
+    def test_build_that_does_not_certify_is_internal_error(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        inst = caterpillar(1, 13)
+        real = cli.build_scheme
+
+        def dropped_arcs(g, params):
+            scheme = real(g, params)
+            scheme[1] = replace(scheme[1], arcs=frozenset())
+            return scheme
+
+        monkeypatch.setattr(cli, "build_scheme", dropped_arcs)
+        gpath = tmp_path / "g.json"
+        gpath.write_text(to_edge_json(inst.graph))
+        ppath = tmp_path / "params.json"
+        ppath.write_text(json.dumps(inst.params.to_json()))
+        spath = tmp_path / "scheme.json"
+        code = main([
+            "scheme", "build", str(gpath), "--params", str(ppath), "-o", str(spath)
+        ])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert "does not certify" in captured.err
+        assert not spath.exists()
 
     @pytest.mark.parametrize("field", ["sink", "member"])
     def test_certify_out_of_range_hyperedge_is_dirty(self, capsys, tmp_path, field):
@@ -595,3 +625,36 @@ class TestConstants:
             "--d-homo", "2", "--n1", "7", "--n2", "7",
         )
         assert code == 2
+
+
+_NO_MPMATH = """
+import sys
+from defcolor.cli import main
+host, pattern = sys.argv[1:]
+codes = [
+    main(["constants", "--h", "3", "--k", "1", "--r", "2",
+          "--d-homo", "2", "--n1", "7", "--n2", "7"]),
+    main(["depth", host]),
+    main(["minor", host, "--pattern", pattern]),
+]
+assert codes == [0, 0, 0], codes
+assert "mpmath" not in sys.modules
+"""
+
+
+class TestImports:
+    def test_verbs_without_interval_comparisons_leave_mpmath_unloaded(self, tmp_path):
+        host = tmp_path / "host.g6"
+        host.write_text(to_graph6(ct(3, 2)) + "\n")
+        pattern = tmp_path / "k3.g6"
+        pattern.write_text(to_graph6(complete_graph(3)) + "\n")
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", _NO_MPMATH, str(host), str(pattern)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
