@@ -6,7 +6,10 @@ their JSON documents: drop an element, duplicate one, renumber an integer
 in range, retype a value or a key, or move an integer out of range.  Each
 mutant goes through ``scheme_from_json`` and ``certify_scheme``; the
 outcome is an input error (exit 2 in the CLI), a dirty report, a clean
-report, or a crash (any other exception).
+report, or a crash (any other exception).  A second table does the same
+for one long document, caterpillar(2, 34): its 7 entries carry witness
+families that later entries inherit, up to 6 entries each.  It draws from
+its own seeded stream, so the first table does not move.
 
 Then every field of each scheme's params document is dropped, retyped to
 each value of ``RETYPED``, raised by 0.5 to a float, or set to each value
@@ -16,9 +19,9 @@ scheme with each mutant; exit 4 (an internal error) is a crash.
 
 Prints, per field and mutation, how many scheme mutants still certify
 clean (the certificate slack), then the exit statuses of the params
-mutants.  Exits 1 if any mutant crashed, or if more scheme mutants certify
-clean than ``CLEAN_CEILING``: the certifier may grow stricter, never
-looser.
+mutants.  Exits 1 if any mutant crashed, or if more scheme mutants of
+either table certify clean than its ceiling (``CLEAN_CEILING``,
+``LONG_CLEAN_CEILING``): the certifier may grow stricter, never looser.
 
     PYTHONPATH=src python3 scripts/mutation_audit.py
 """
@@ -62,6 +65,9 @@ EXITS = {0: "ok", 1: "negative", 2: "input-error", 3: "budget", 4: "crash"}
 # clean scheme mutants of the seeded run; lower it when the certifier
 # rejects more of them
 CLEAN_CEILING = 1168
+# the same for the long document's table
+LONG_SEED = 1
+LONG_CLEAN_CEILING = 289
 
 
 def instances():
@@ -142,12 +148,13 @@ def outcome(text: str, inst) -> str:
     return "clean" if report.clean() else "dirty"
 
 
-def audit(count: int, seed: int, out=sys.stdout) -> tuple[int, int]:
-    """Print the mutant table; return the crashes and the clean mutants."""
+def audit(count: int, seed: int, insts, out=sys.stdout) -> tuple[int, int]:
+    """Print the mutant table of ``insts``; return the crashes and the clean
+    mutants."""
     rng = random.Random(seed)
     table: dict[tuple[str, str], Counter] = {}
     crashes = 0
-    for inst in instances():
+    for inst in insts:
         doc = json.loads(scheme_to_json(build_scheme(inst.graph, inst.params)))
         done = 0
         while done < count:
@@ -223,12 +230,18 @@ def params_audit(out=sys.stdout) -> int:
 
 
 def main() -> int:
-    crashes, clean = audit(COUNT, SEED)
+    crashes, clean = audit(COUNT, SEED, instances())
     print()
     crashes += params_audit()
-    if clean > CLEAN_CEILING:
-        print(f"{clean} scheme mutants certify clean, more than {CLEAN_CEILING}")
-    return 1 if crashes or clean > CLEAN_CEILING else 0
+    print()
+    long_crashes, long_clean = audit(COUNT, LONG_SEED, [caterpillar(2, 34)])
+    crashes += long_crashes
+    loose = False
+    for got, ceiling in ((clean, CLEAN_CEILING), (long_clean, LONG_CLEAN_CEILING)):
+        if got > ceiling:
+            print(f"{got} scheme mutants certify clean, more than {ceiling}")
+            loose = True
+    return 1 if crashes or loose else 0
 
 
 if __name__ == "__main__":

@@ -46,7 +46,21 @@ did not rule such an edge out, or failed before it saw every image.
 
 The conditions scan the entry graphs and the original graph in O(n + m)
 per pair, apart from the model scan of D3, which takes O(n) for each new
-vertex.
+vertex.  A contracted model and a witness family persist unchanged across
+entries, so one certification decides what reads no entry once
+(``_Facts``): the connectivity of an id set in the original graph, which
+D1 asks of multi-vertex models and D10 of witness and link sets, and D10's
+family clauses, per (witnesses, links, label): nonempty, connected and
+disjoint witnesses; nonempty, connected and disjoint links that avoid and
+touch every witness; the minor clause.  Each entry then checks only its
+own clauses of D10: the sink and member zones, the link count and
+link-meets-members.  A family with an id outside the original graph is not
+clean, as the zone clause fails it before any clause reads the original
+adjacency.  D11 takes one pass over an owner map from each original id to
+the sinks of the hyperedges holding it.  When D10's family clauses or
+D11's owner map find a fault, the scan of the clauses in order runs and
+reports the first failure, so every report and witness is the one the
+scans alone give.  ``certify_entry`` decides its facts afresh.
 
 ``certify_scheme`` ends with the frozen tail, the last entry L paired with
 itself.  When the last real pair (P, L) is clean, the tail runs D3 alone,
@@ -75,7 +89,7 @@ from typing import Optional
 
 from ..graphs import Graph, ct, ct_order, disjoint_copies, induced_components
 from ..minors import MinorModel, verify_model
-from .entry import SchemeEntry, initial_entry
+from .entry import SchemeEntry, parse_groups
 from .params import SchemeParams
 
 CONDITIONS = (
@@ -244,11 +258,75 @@ def _first_flaw(
     return None
 
 
+class _Facts:
+    """The facts one certification decides once, whatever entry asks: the
+    connectivity of an id set in the original graph, and the clauses of D10
+    that read a witness family and its links but no entry."""
+
+    def __init__(self, params: SchemeParams, original: Graph):
+        self.params = params
+        self.original = original
+        self._connected: dict[frozenset[int], bool] = {}
+        self._families: dict[tuple, bool] = {}
+
+    def connected(self, ids: frozenset[int]) -> bool:
+        """Whether the original graph induces one component (or none) on
+        ``ids``, which must lie in its range."""
+        known = self._connected.get(ids)
+        if known is None:
+            known = len(induced_components(self.original, ids)) <= 1
+            self._connected[ids] = known
+        return known
+
+    def family_holds(self, fam, links, label: int) -> bool:
+        """Whether every clause of D10 that reads no entry holds for a
+        family, its links and its label."""
+        key = (fam, links, label)
+        known = self._families.get(key)
+        if known is None:
+            known = self._families[key] = self._decide_family(fam, links, label)
+        return known
+
+    def _decide_family(self, fam, links, label: int) -> bool:
+        n = self.original.n
+        sets = (*fam, *links)
+        # an id outside the original graph fails a zone clause, which the
+        # scan reports before any clause reads the original adjacency
+        if not all(s and min(s) >= 0 and max(s) < n for s in sets):
+            return False
+        if not all(map(self.connected, sets)):
+            return False
+        witness_ids = frozenset().union(*fam)
+        link_ids = frozenset().union(*links)
+        if (
+            sum(map(len, fam)) != len(witness_ids)
+            or sum(map(len, links)) != len(link_ids)
+            or not witness_ids.isdisjoint(link_ids)
+        ):
+            return False
+        adj = self.original.adj
+        for l in links:
+            reach = frozenset().union(*(adj[v] for v in l))
+            if any(reach.isdisjoint(a) for a in fam):
+                return False
+        return _has_witnessed_minors(fam, label, self.params, self.original)
+
+
 def certify_entry(
     prev: SchemeEntry,
     nxt: SchemeEntry,
     params: SchemeParams,
     original: Graph,
+) -> CertReport:
+    return _certify_pair(prev, nxt, params, original, _Facts(params, original))
+
+
+def _certify_pair(
+    prev: SchemeEntry,
+    nxt: SchemeEntry,
+    params: SchemeParams,
+    original: Graph,
+    facts: _Facts,
 ) -> CertReport:
     report = CertReport()
     flaw = _shape(nxt, params, original)
@@ -260,7 +338,7 @@ def certify_entry(
         reason = f"previous entry out of range, flagged by {flaw[0]} of the pair before"
     # after a D1 flaw the models are not one nonempty id set per vertex
     if report.verdicts["D1"].status == "pass":
-        _check_d1(report, nxt, original)
+        _check_d1(report, nxt, facts)
     if flaw is not None:
         for cond in CONDITIONS[1:]:
             report.skip(cond, reason)
@@ -274,7 +352,7 @@ def certify_entry(
     _check_d6(report, nxt, params, inverse)
     _check_d7(report, prev, nxt, absorb, persist)
     _check_d8(report, prev, nxt, params, original, absorb, persist, inverse, dropped)
-    _check_d10(report, nxt, params, original)
+    _check_d10(report, nxt, params, original, facts)
     _check_d11(report, nxt)
     _check_d12(report, nxt, params)
     return report
@@ -283,7 +361,7 @@ def certify_entry(
 # ---------------------------------------------------------------------------
 
 
-def _check_d1(report: CertReport, nv: SchemeEntry, original: Graph):
+def _check_d1(report: CertReport, nv: SchemeEntry, facts: _Facts):
     seen: dict[int, int] = {}
     for v in range(nv.graph.n):
         m = nv.model[v]
@@ -294,7 +372,7 @@ def _check_d1(report: CertReport, nv: SchemeEntry, original: Graph):
                 )
                 return
             seen[o] = v
-        if len(m) > 1 and len(induced_components(original, m)) > 1:
+        if len(m) > 1 and not facts.connected(m):
             report.fail("D1", clause="connectivity", vertex=v, model=m)
             return
 
@@ -841,17 +919,25 @@ def _check_d8i(report, pv, nv, original, q, u_set, u_plus, absorb):
                     return
 
 
-def _check_d10(report, nv: SchemeEntry, params: SchemeParams, original: Graph):
+def _check_d10(
+    report, nv: SchemeEntry, params: SchemeParams, original: Graph, facts: _Facts
+):
     leftover = frozenset(range(original.n)) - nv.cover
     for ei, edge in enumerate(nv.hyperedges):
         fam = nv.witnesses[ei]
         links = nv.witness_links[ei]
+        member_origs = frozenset(
+            nv.orig_at[v] for v in edge.members - {edge.sink} if v in nv.orig_at
+        )
+        # the scan below runs only when some clause fails, to report the
+        # first one
+        if facts.family_holds(fam, links, edge.label) and _zones_hold(
+            nv, edge, fam, links, member_origs
+        ):
+            continue
         sink_zone = nv.model[edge.sink] | leftover
         member_zone = leftover | frozenset().union(
             *(nv.model[v] for v in edge.members)
-        )
-        member_origs = frozenset(
-            nv.orig_at[v] for v in edge.members - {edge.sink} if v in nv.orig_at
         )
         for a in fam:
             if not a:
@@ -860,7 +946,7 @@ def _check_d10(report, nv: SchemeEntry, params: SchemeParams, original: Graph):
             if not a <= sink_zone:
                 report.fail("D10", clause="witness-outside-zone", edge=ei, bad=a)
                 return
-            if len(induced_components(original, a)) > 1:
+            if not facts.connected(a):
                 report.fail("D10", clause="witness-disconnected", edge=ei, bad=a)
                 return
         for i, a in enumerate(fam):
@@ -881,7 +967,7 @@ def _check_d10(report, nv: SchemeEntry, params: SchemeParams, original: Graph):
             if not l or not l <= member_zone:
                 report.fail("D10", clause="link-outside-zone", edge=ei, bad=l)
                 return
-            if len(induced_components(original, l)) > 1:
+            if not facts.connected(l):
                 report.fail("D10", clause="link-disconnected", edge=ei, bad=l)
                 return
             if not l & member_origs:
@@ -901,25 +987,41 @@ def _check_d10(report, nv: SchemeEntry, params: SchemeParams, original: Graph):
                 if l & l2:
                     report.fail("D10", clause="link-overlap", edge=ei)
                     return
-        if not _has_witnessed_minors(nv, params, original, ei, edge, fam):
+        if not _has_witnessed_minors(fam, edge.label, params, original):
             report.fail("D10", clause="minor-missing", edge=ei)
             return
 
 
-def _has_witnessed_minors(nv, params, original, ei, edge, fam) -> bool:
+def _zones_hold(nv: SchemeEntry, edge, fam, links, member_origs) -> bool:
+    """The clauses of D10 that read the entry, for a family whose ids lie in
+    the original graph: the link count, the sink and member zones, and
+    link-meets-members."""
+    if len(links) != len(edge.members) - 1:
+        return False
+    # a set lies in a zone when the ids it holds outside the zone's models
+    # are in no model
+    cover = nv.cover
+    sink_ids = nv.model[edge.sink]
+    if not all((a - sink_ids).isdisjoint(cover) for a in fam):
+        return False
+    member_ids = frozenset().union(*(nv.model[v] for v in edge.members))
+    return all(
+        (l & cover) <= member_ids and not l.isdisjoint(member_origs) for l in links
+    )
+
+
+def _has_witnessed_minors(fam, label: int, params: SchemeParams, original) -> bool:
     """Whether G with each family member contracted has ``k + h - label``
     disjoint ct(label, k) minors, read from the family alone.
 
     Label 1 is a vertex count: the clauses before this one made the members
     nonempty, connected and disjoint, all ``verify_model`` would check.
     """
-    if edge.label == 1:
+    if label == 1:
         contracted_n = original.n - sum(len(a) - 1 for a in fam)
         return contracted_n >= params.k + params.h - 1
-    groups = nv.groups_for(ei, params)
-    return groups is not None and _verify_groups(
-        groups, edge.label, params.k, original
-    )
+    groups = parse_groups(fam, label, params.k, params.k + params.h - label)
+    return groups is not None and _verify_groups(groups, label, params.k, original)
 
 
 @lru_cache(maxsize=32)
@@ -967,6 +1069,40 @@ def _preorder_ids(label, k):
 
 
 def _check_d11(report: CertReport, nv: SchemeEntry):
+    """D11 by an owner map; the pairwise scan runs only on a conflict.
+
+    Two hyperedges with distinct sinks conflict exactly at an original id
+    that both hold, where one holds it in a witness, or both in links and
+    the id's singleton is not a member of both.  So an id held under two
+    sinks is a conflict when a witness holds it, or when its singleton is
+    not a member of every hyperedge whose link holds it.
+    """
+    edges = nv.hyperedges
+    by_sink: dict[int, list[frozenset[int]]] = {}
+    for ei, edge in enumerate(edges):
+        by_sink.setdefault(edge.sink, []).extend(
+            (*nv.witnesses[ei], *nv.witness_links[ei])
+        )
+    seen: set[int] = set()
+    mixed: set[int] = set()
+    for sets in by_sink.values():
+        ids = frozenset().union(*sets)
+        mixed |= seen & ids
+        seen |= ids
+    if not mixed:
+        return
+    by_orig = nv.by_orig
+    for ei, edge in enumerate(edges):
+        if not all(mixed.isdisjoint(a) for a in nv.witnesses[ei]) or any(
+            by_orig.get(o) not in edge.members
+            for l in nv.witness_links[ei]
+            for o in mixed & l
+        ):
+            _scan_d11(report, nv)
+            return
+
+
+def _scan_d11(report: CertReport, nv: SchemeEntry):
     edges = nv.hyperedges
     for i in range(len(edges)):
         for j in range(i + 1, len(edges)):
@@ -1041,6 +1177,23 @@ class SchemeReport:
         }
 
 
+def _is_initial(entry: SchemeEntry, original: Graph) -> bool:
+    """``entry == initial_entry(original)``, field by field, without
+    building the n singleton models."""
+    n = original.n
+    return (
+        entry.graph == original
+        and entry.arcs == frozenset()
+        and entry.hyperedges == ()
+        and entry.witnesses == {}
+        and entry.witness_links == {}
+        and entry.step_meta is None
+        and len(entry.model) == n
+        and len(entry.singles) == n
+        and all(v == o and 0 <= v < n for v, o in entry.singles.items())
+    )
+
+
 def certify_scheme(
     scheme: list[SchemeEntry], params: SchemeParams, original: Graph
 ) -> SchemeReport:
@@ -1057,17 +1210,18 @@ def certify_scheme(
         return SchemeReport(start, [])
     # the pairs after a malformed entry read nothing past D1 of it, so the
     # first entry must be exactly the initial one
-    if scheme[0] != initial_entry(original):
+    if not _is_initial(scheme[0], original):
         start = Verdict("fail", witness={"clause": "nonstandard-first-entry"})
+    facts = _Facts(params, original)
     reports = []
     for prev, nxt in zip(scheme, scheme[1:]):
-        reports.append(certify_entry(prev, nxt, params, original))
+        reports.append(_certify_pair(prev, nxt, params, original, facts))
     last = scheme[-1]
     if reports and reports[-1].clean():
         # the last pair passed every clause on ``last``: only D3 is left
         tail = CertReport()
         _check_d3(tail, last, last, params)
     else:
-        tail = certify_entry(last, last, params, original)
+        tail = _certify_pair(last, last, params, original, facts)
     reports.append(tail)
     return SchemeReport(start, reports)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from defcolor.errors import DefcolorError
+from defcolor.errors import BucketTooSmallError, DefcolorError
 from defcolor.graphs import Graph, complete_graph, ct
 from defcolor.scheme import (
     Hyperedge,
@@ -26,6 +26,7 @@ from defcolor.scheme import (
 from defcolor.scheme.certify import (
     CONDITIONS,
     CertReport,
+    SchemeReport,
     Verdict,
     _check_d2,
     _pair_maps,
@@ -771,6 +772,160 @@ class TestPinnedMutationReports:
                     line = "error:" + type(exc).__name__
                 digest.update(line.encode() + b"\n")
         assert digest.hexdigest() == self.DIGEST
+
+
+def _prefix(inst) -> list[SchemeEntry]:
+    """The entries of ``inst``'s build up to its ``BucketTooSmallError``."""
+    params = inst.params
+    entries = [initial_entry(inst.graph)]
+    while True:
+        cur = entries[-1]
+        triple = find_homogeneous(cur.graph, params.t, params.l0, params.d, params.r)
+        try:
+            entries.append(step(cur, triple, params))
+        except BucketTooSmallError:
+            return entries
+
+
+def _with_family(entry: SchemeEntry, ei: int, witnesses=None, links=None):
+    """``entry`` with hyperedge ei's witness family or links replaced."""
+    changes = {}
+    if witnesses is not None:
+        changes["witnesses"] = {**entry.witnesses, ei: tuple(witnesses)}
+    if links is not None:
+        changes["witness_links"] = {**entry.witness_links, ei: tuple(links)}
+    return swap(entry, **changes)
+
+
+class TestLongScheme:
+    # a scheme whose witness families are inherited by up to 18 entries,
+    # where the certifier decides each family's own clauses once; the sha256
+    # of every report JSON was recorded before it did
+    DIGESTS = {
+        "clean": "88391fdb52db2700a374ec97fbcb8492918168a4cb0f8911840bcbf3824a02fc",
+        "disconnected-witness": "d9d5c76241a9080f0f2eb526bf7d31bad99c68e43923bfd60798874e621fb903",
+        "witnesses-outside-zone": "7cf1e479aad2fb5c6e4637f72ea7bce85b4240d9974f981cce7f80aa7c8f7a33",
+        "witness-shared-across-sinks": "8bc8e0932f1de8fb5592cdc7ee5aa88f3e990f4171e5d8bff0bc0f863ea14efb",
+        "link-shared-outside-members": "80b04d5c04c03bd736650f50426d660ec154ee08735b4b069f278afc83c68220",
+        "witness-id-past-n": "6d77b8d347cc581239aa48c5180218ee611733c22b0e0d2305c8d184840488b1",
+    }
+    MIDDLE = 10
+
+    @pytest.fixture(scope="class")
+    def long(self):
+        inst = caterpillar(1, 101)
+        with pytest.raises(BucketTooSmallError):
+            build_scheme(inst.graph, inst.params)
+        scheme = _prefix(inst)
+        assert len(scheme) == 20
+        return inst, scheme, self._mutants(scheme, inst.graph)
+
+    def _mutants(self, scheme, g: Graph) -> dict[str, list[SchemeEntry]]:
+        m = self.MIDDLE
+        entry, before = scheme[m], scheme[m - 1]
+        inherited = [
+            ei
+            for ei in range(len(entry.hyperedges))
+            if entry.witnesses[ei] in before.witnesses.values()
+        ]
+        ei, ej = random.Random(5).sample(inherited, 2)
+        fam_i, fam_j = entry.witnesses[ei], entry.witnesses[ej]
+        sink_ids = entry.model[entry.hyperedges[ei].sink]
+        held = frozenset().union(*fam_i)
+
+        def at_middle(new_entry):
+            return [*scheme[:m], new_entry, *scheme[m + 1 :]]
+
+        first = fam_i[0]
+        # an id of the sink's model in no witness and no neighbour of the
+        # first one: adding it leaves the family disjoint but disconnected
+        apart = min(
+            x for x in sink_ids - held if all(x not in g.adj[o] for o in first)
+        )
+        link_ids = frozenset({*entry.witness_links[ei][0], min(sink_ids - held)})
+
+        def past_n(e):
+            for k, fam in e.witnesses.items():
+                if fam == fam_i:
+                    return _with_family(e, k, witnesses=(first | {g.n + 5}, *fam[1:]))
+            return e
+
+        # the family is inherited up to the last entry
+        assert past_n(scheme[-1]) is not scheme[-1]
+        return {
+            "clean": scheme,
+            "disconnected-witness": at_middle(
+                _with_family(entry, ei, witnesses=(first | {apart}, *fam_i[1:]))
+            ),
+            "witnesses-outside-zone": at_middle(
+                _with_family(
+                    _with_family(entry, ei, witnesses=fam_j), ej, witnesses=fam_i
+                )
+            ),
+            "witness-shared-across-sinks": at_middle(
+                _with_family(entry, ej, witnesses=(fam_j[0] | first, *fam_j[1:]))
+            ),
+            "link-shared-outside-members": at_middle(
+                _with_family(
+                    _with_family(entry, ei, links=(link_ids,)), ej, links=(link_ids,)
+                )
+            ),
+            "witness-id-past-n": [*scheme[:m], *map(past_n, scheme[m:])],
+        }
+
+    def _reports(self, long) -> dict[str, SchemeReport]:
+        inst, _, mutants = long
+        return {
+            name: certify_scheme(scheme, inst.params, inst.graph)
+            for name, scheme in mutants.items()
+        }
+
+    def test_reports_keep_their_digests(self, long):
+        got = {
+            name: hashlib.sha256(json.dumps(r.to_json()).encode()).hexdigest()
+            for name, r in self._reports(long).items()
+        }
+        assert got == self.DIGESTS
+
+    def test_pair_reports_equal_standalone_pairs(self, long):
+        inst, _, mutants = long
+        for name, scheme in mutants.items():
+            report = certify_scheme(scheme, inst.params, inst.graph)
+            pairs = [*zip(scheme, scheme[1:]), (scheme[-1], scheme[-1])]
+            for (prev, nxt), got in zip(pairs, report.pair_reports, strict=True):
+                want = certify_entry(prev, nxt, inst.params, inst.graph)
+                assert got.to_json() == want.to_json(), name
+
+    def test_each_mutant_fails_where_it_was_made(self, long):
+        reports = self._reports(long)
+        m = self.MIDDLE
+
+        def failing(name, cond):
+            pairs = reports[name].pair_reports
+            return {i: pairs[i].verdicts[cond].witness["clause"]
+                    for i in range(len(pairs)) if cond in pairs[i].failures()}
+
+        clean = reports["clean"].pair_reports
+        assert all(r.clean() for r in clean[:-1])
+        assert clean[-1].failures() == ["D3"]
+        assert failing("disconnected-witness", "D10") == {
+            m - 1: "witness-disconnected"
+        }
+        # the family is clean in every entry but this one, where it is moved
+        assert failing("witnesses-outside-zone", "D10") == {
+            m - 1: "witness-outside-zone"
+        }
+        assert failing("witnesses-outside-zone", "D11") == {}
+        assert failing("witness-shared-across-sinks", "D11") == {
+            m - 1: "witness-overlap"
+        }
+        assert failing("link-shared-outside-members", "D11") == {
+            m - 1: "link-overlap-outside-shared-members"
+        }
+        # a report, not an IndexError: the zone clause fails the id first
+        past_n = failing("witness-id-past-n", "D10")
+        assert set(past_n.values()) == {"witness-outside-zone"}
+        assert min(past_n) == m - 1 and len(past_n) == len(clean) - m + 1
 
 
 def _with_edges(entry: SchemeEntry, drop=(), add=()) -> SchemeEntry:
