@@ -4,13 +4,20 @@ primitives (balls, geodesics) used by every other module.
 Graphs are immutable values: simple, undirected, vertex ids dense in
 ``range(n)``.  All operations return new graphs and are safe to share
 across workers.
+
+The compact, sorted-key JSON documents (edge lists here, schemes in
+``scheme.serialize``) go through one write/read pair, ``write_json`` and
+``read_json``.  They run ``orjson`` and fall back to the standard library
+exactly where the two would differ, so documents and reader outcomes are
+byte-identical to ``json``'s; their docstrings say why the rule is exact.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Container, Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, InputFormatError
@@ -44,7 +51,11 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Sorted list of edges as (u, v) with u < v."""
-        return list(self.iter_edges())
+        # one sort of the packed keys u * n + v, whose order is the pairs'
+        n = self.n
+        keys = [u * n + v for u, vs in enumerate(self.adj) for v in vs if v > u]
+        keys.sort()
+        return list(map(divmod, keys, repeat(n)))
 
     def iter_edges(self) -> Iterator[tuple[int, int]]:
         """The edges of ``edges()``, in its order, without building the list."""
@@ -536,16 +547,11 @@ def parse_graph6(text: str) -> Graph:
 
 def to_edge_json(g: Graph) -> str:
     """Byte-stable edge-list JSON document (sorted edges, newline-terminated)."""
-    doc = {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return write_json({"n": g.n, "edges": g.edges()}) + "\n"
 
 
 def parse_edge_json(text: str) -> Graph:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"invalid JSON: {exc.msg}", exc.pos) from exc
-    return graph_from_doc(doc)
+    return read_json(text, graph_from_doc)
 
 
 def graph_from_doc(doc) -> Graph:
@@ -612,3 +618,61 @@ def int_keyed(value, what: str, depth: int) -> Iterator[tuple[int, list]]:
                 int_lists(list(value.values()), what, depth)
                 return zip(keys, value.values())
     raise InputFormatError(f"{what} must be an object keyed by distinct integers")
+
+
+def write_json(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, separators=(",", ":"))``, written
+    by ``orjson``.
+
+    For a document of dicts, lists, tuples, ints, bools and None whose
+    only strings are printable ASCII keys, as every scheme and edge-list
+    document is, the two write the same bytes (they differ on floats and
+    on other strings).  orjson raises TypeError on an int outside
+    64 bits (and on a type it cannot write); then ``json`` writes the
+    document, or raises its own TypeError.
+    """
+    import orjson
+
+    try:
+        return orjson.dumps(doc, option=orjson.OPT_SORT_KEYS).decode()
+    except TypeError:
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def read_json(text: str, read):
+    """``read(json.loads(text))``, with invalid JSON an InputFormatError;
+    the text is parsed by ``orjson``.
+
+    ``read`` checks the type of every value it uses and raises
+    InputFormatError otherwise.  The result, or the error, is the same as
+    with ``json``:
+
+    - orjson rejects what ``json`` alone accepts (NaN, Infinity, a number
+      that overflows a float such as 1e400, a lone surrogate).  On any
+      orjson error ``json`` parses the text, so such documents, and bad
+      JSON with ``json``'s message and position, read as before.
+    - Otherwise the two parse to equal values, but for one difference:
+      orjson reads an integer literal outside [-2**63, 2**64) as a float.
+      Such a value fails ``read``'s int checks wherever it is used, and
+      its literal has at least 19 digits.  So only when ``read`` raises
+      InputFormatError on a text with a run of 19 digits does ``json``
+      parse it again for ``read``.
+    """
+    import orjson
+
+    try:
+        doc = orjson.loads(text)
+    except orjson.JSONDecodeError:
+        pass
+    else:
+        try:
+            return read(doc)
+        except InputFormatError:
+            if re.search("[0-9]{19}", text) is None:
+                raise
+        del doc
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"invalid JSON: {exc.msg}", exc.pos) from exc
+    return read(doc)

@@ -5,6 +5,14 @@ documents are byte-stable and round-trip to equal values.  Pairs (edges and
 arcs) are emitted as tuples, which JSON writes as arrays, and object keys
 are left to ``sort_keys``.
 
+The bytes are written and read by ``graphs.write_json`` and
+``graphs.read_json``: ``orjson``, with the standard library's ``json``
+only for the documents orjson writes or reads differently (an int
+outside 64 bits; NaN, Infinity, 1e400 or a lone surrogate; bad JSON, for
+json's message).  Documents, entries and errors are byte-identical to a
+``json`` round trip, because every integer field is type-checked on the
+way in: see ``read_json`` for why that makes the fallback rule exact.
+
 Both directions run with the cyclic garbage collector paused.  They only
 build acyclic containers, which reference counting frees, so a collection
 inside them finds nothing to free: it only traverses the document being
@@ -16,11 +24,10 @@ call.
 from __future__ import annotations
 
 import gc
-import json
 from contextlib import contextmanager
 
 from ..errors import InputFormatError
-from ..graphs import graph_from_doc, int_keyed, int_lists
+from ..graphs import graph_from_doc, int_keyed, int_lists, read_json, write_json
 from .entry import Hyperedge, SchemeEntry, StepMeta
 
 
@@ -108,19 +115,15 @@ def _collector_paused():
 def scheme_to_json(scheme: list[SchemeEntry]) -> str:
     with _collector_paused():
         docs = [entry_to_json(e) for e in scheme]
-        return json.dumps(docs, sort_keys=True, separators=(",", ":")) + "\n"
+        return write_json(docs) + "\n"
 
 
 def scheme_from_json(text: str) -> list[SchemeEntry]:
     with _collector_paused():
-        return _entries_from_json(text)
+        return read_json(text, _entries_from_docs)
 
 
-def _entries_from_json(text: str) -> list[SchemeEntry]:
-    try:
-        docs = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"invalid JSON: {exc.msg}", exc.pos) from exc
+def _entries_from_docs(docs) -> list[SchemeEntry]:
     if not isinstance(docs, list):
         raise InputFormatError("scheme document must be a JSON array of entries")
     entries: list[SchemeEntry] = []

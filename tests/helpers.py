@@ -422,7 +422,9 @@ def minor_oracle(host: Graph, pattern: Graph) -> bool:
     return bool(valid.any())
 
 
-@lru_cache(maxsize=8)
+# a result is reused only by the next calls on the same host and pattern
+# size, so one is kept: a (p, count) pair is up to 16 MB at n = 8, p = 5
+@lru_cache(maxsize=1)
 def _connected_assignments(adj: tuple[frozenset[int], ...], p: int):
     """The assignments of the host's vertices to p branch sets or to none
     in which every branch set is nonempty and connected: their branch-set

@@ -1,13 +1,25 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
+import hashlib
 import json
+import random
+import sys
+import types
 
+import orjson
 import pytest
 
 from defcolor.coloring import verify_coloring
 from defcolor.errors import EmptyPaletteError, InputFormatError, SearchFailureError
-from defcolor.graphs import complete_graph, ct, graph_from_doc
+from defcolor.graphs import (
+    complete_graph,
+    ct,
+    graph_from_doc,
+    parse_edge_json,
+    to_edge_json,
+)
 from defcolor.scheme import (
     SchemeParams,
     build_scheme,
@@ -20,6 +32,8 @@ from defcolor.scheme import (
 )
 from defcolor.scheme.corpus import acceptance_corpus, caterpillar, star_of_balls
 from helpers import path_graph
+from test_certify import _prefix
+from test_golden import INSTANCES
 
 
 SMALL = SchemeParams(h=3, k=2, r=3, d=2, n_freeze=12, l0=1, t=1)
@@ -171,6 +185,126 @@ class TestSerialization:
         finally:
             (gc.enable if was else gc.disable)()
         assert seen and not any(seen)
+
+
+def _stdlib_text(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestCodec:
+    """The documents are written and read by orjson; every outcome must be
+    the standard library's, to the byte."""
+
+    def test_documents_match_the_stdlib_encoder(self):
+        insts = [*acceptance_corpus(), *(make() for make in INSTANCES.values())]
+        schemes = [build_scheme(inst.graph, inst.params) for inst in insts]
+        schemes.append(_prefix(caterpillar(1, 101)))
+        assert len(schemes[-1]) == 20
+        for scheme in schemes:
+            text = scheme_to_json(scheme)
+            assert text == _stdlib_text([serialize.entry_to_json(e) for e in scheme])
+            assert scheme_from_json(text) == scheme
+            for g in (scheme[0].graph, scheme[-1].graph):
+                edge_text = to_edge_json(g)
+                assert edge_text == _stdlib_text({"n": g.n, "edges": g.edges()})
+                assert parse_edge_json(edge_text) == g
+
+    def test_id_past_64_bits_is_written_by_the_stdlib(self):
+        inst = star_of_balls(1, 6, 2)
+        scheme = build_scheme(inst.graph, inst.params)
+        entry = scheme[1]
+        v = min(entry.model)
+        big = dataclasses.replace(
+            entry, model={**entry.model, v: entry.model[v] | {2**64}}
+        )
+        text = scheme_to_json([scheme[0], big])
+        assert text == _stdlib_text([serialize.entry_to_json(e) for e in (scheme[0], big)])
+        assert "18446744073709551616" in text
+        assert scheme_from_json(text)[1] == big
+
+    # outcomes recorded with the standard library's json alone: the sha256
+    # of the certifier's report JSON, or the InputFormatError text
+    OUTCOMES = {
+        "model-id-2**64": "a12483bc5507bd7c96a12fd81c300b1f737ac3dcce7ad93a15dcf6a462e43825",
+        "model-id-below-int64": "75592ff6208cecda93a4beb5423814c3a9df37b71c7d83ab0bb08fefa5ca3390",
+        "sink-10**30": "9aaa44c259950c4fcd650ba2c31312c726b8801e616e08737a09e6e83457b90a",
+        "edge-endpoint-2**70": "error: malformed scheme entry: bad edge entry "
+        "[0, 1180591620717411303424] for n=13",
+        "label-nan": "error: malformed scheme entry: labels and sinks: expected "
+        "integers, got [nan, 3]",
+        "truncated": "error: invalid JSON: Expecting ',' delimiter (byte offset 603)",
+        "lone-surrogate-key": "error: malformed scheme entry: witnesses must be an "
+        "object keyed by distinct integers",
+    }
+    EDITS = {
+        "model-id-2**64": lambda d: d[1]["model"]["0"].append(2**64),
+        "model-id-below-int64": lambda d: d[1]["model"]["0"].append(-(2**63) - 1),
+        "sink-10**30": lambda d: d[1]["hyperedges"][0].update(sink=10**30),
+        "edge-endpoint-2**70": lambda d: d[0]["graph"]["edges"][0].__setitem__(1, 2**70),
+        "label-nan": lambda d: d[1]["hyperedges"][0].update(j=float("nan")),
+        "lone-surrogate-key": lambda d: d[1]["witnesses"].update({"\ud800": []}),
+    }
+
+    @staticmethod
+    def _outcome(text: str, inst) -> str:
+        try:
+            scheme = scheme_from_json(text)
+        except InputFormatError as exc:
+            return f"error: {exc}"
+        return _sha(json.dumps(certify_scheme(scheme, inst.params, inst.graph).to_json()))
+
+    @pytest.mark.parametrize("case", sorted(OUTCOMES))
+    def test_read_outcomes_pinned(self, case):
+        inst = star_of_balls(1, 6, 2)
+        text = scheme_to_json(build_scheme(inst.graph, inst.params))
+        if case == "truncated":
+            text = text[:-2]
+        else:
+            doc = json.loads(text)
+            self.EDITS[case](doc)
+            text = json.dumps(doc)
+        assert self._outcome(text, inst) == self.OUTCOMES[case]
+
+    def test_edge_list_endpoint_past_64_bits(self):
+        text = json.dumps({"n": 3, "edges": [[0, 1], [1, 2**70]]})
+        with pytest.raises(InputFormatError) as info:
+            parse_edge_json(text)
+        assert str(info.value) == "bad edge entry [1, 1180591620717411303424] for n=3"
+
+    def test_seeded_mutants_read_as_with_the_stdlib_alone(self, monkeypatch):
+        # an orjson that rejects every text leaves the standard library's path
+        inst = caterpillar(1, 16)
+        doc = json.loads(scheme_to_json(build_scheme(inst.graph, inst.params)))
+        slots = []
+
+        def collect(node):
+            for key in range(len(node)) if type(node) is list else node:
+                if type(node[key]) is int:
+                    slots.append((node, key))
+                elif type(node[key]) in (list, dict):
+                    collect(node[key])
+
+        collect(doc)
+        rng = random.Random(7)
+        values = (2**64, 2**64 - 1, -(2**63), -(2**63) - 1, 10**30, 1.5, float("inf"))
+        texts = []
+        for node, key in rng.sample(slots, 40):
+            old, node[key] = node[key], rng.choice(values)
+            texts.append(json.dumps(doc))
+            node[key] = old
+        fast = [self._outcome(t, inst) for t in texts]
+
+        def reject(text):
+            raise orjson.JSONDecodeError("rejected", "", 0)
+
+        stub = types.SimpleNamespace(loads=reject, JSONDecodeError=orjson.JSONDecodeError)
+        monkeypatch.setitem(sys.modules, "orjson", stub)
+        assert [self._outcome(t, inst) for t in texts] == fast
+        assert len(set(fast)) > 3
 
 
 class TestParamsDocument:
