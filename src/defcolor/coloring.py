@@ -29,9 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .depth import _mask
 from .errors import BudgetExceededError, PartialColoringError, SizeLimitError
-from .graphs import Graph, closure_forest
+from .graphs import Graph, _mask, closure_forest
 
 DEFAULT_EXACT_LIMIT = 16
 

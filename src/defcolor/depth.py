@@ -24,18 +24,36 @@ from ceil(m / n), a lower bound on it: a vertex of degree at most the
 largest recorded so far goes at once, since it cannot raise it, and a pass
 that finds none records and peels a minimum degree.
 A root v is dropped as soon as one component of S - v, visited largest
-first, reaches the best value found so far.  Every set whose roots are
-tried counts as expanded; ``node_budget`` caps that count and the search
-raises ``BudgetExceededError`` past it.
+first, reaches the best value found so far.
+
+Roots are tried by degree in S, largest first, then least id, and a
+dominated root is not tried at all.  For connected S, u dominates v when
+u != v and N_S(v) lies within N_S[u]; then td(S - u) <= td(S - v).  Take
+an elimination forest of g[S - v] and rename u to v: every neighbour of v
+other than u is a neighbour of u, so the result is an elimination forest
+of g[S - u] of the same height.  A root is skipped when a root before it
+in the order dominates it.  A dominator never has a smaller degree, so
+the tie rule is: the larger degree wins, then the smaller id.  Dominance
+is transitive and (degree, -id) strictly rises along a chain of skips, so
+every skipped root has a kept dominator.  Hence the least value over the
+kept roots is ctd(S), the ``best <= lb`` break stays sound, and when every
+kept root reaches ``ub`` the least of their bounds (``floor``) is still a
+proven lower bound on ctd(S).  A checker of such a bound needs no search
+for a skipped root v: given the kept dominator u, it recomputes that
+N(v) lies within N[u] in g[S].  The witness is built by trying every
+root in ascending order, so it does not depend on the rule.
+
+Every set whose roots are tried counts as expanded; ``node_budget`` caps
+that count and the search raises ``BudgetExceededError`` past it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterator, Optional
 
 from .errors import BudgetExceededError, SizeLimitError
-from .graphs import Graph, RootedTree
+from .graphs import Graph, RootedTree, _bits, _mask
 
 DEFAULT_EXACT_LIMIT = 20
 
@@ -72,22 +90,6 @@ class ClusteredBounds:
     @classmethod
     def from_ctd(cls, ctd: int) -> "ClusteredBounds":
         return cls(lower=ctd - 1, general=3 * ctd - 3, conditional_planar=2 * ctd - 2)
-
-
-def _mask(vs: Iterable[int]) -> int:
-    out = 0
-    for v in vs:
-        out |= 1 << v
-    return out
-
-
-def _bits(s: int) -> list[int]:
-    out = []
-    while s:
-        low = s & -s
-        out.append(low.bit_length() - 1)
-        s ^= low
-    return out
 
 
 class _DepthSolver:
@@ -174,11 +176,9 @@ class _DepthSolver:
                 f"depth search exceeded {self.node_budget} expanded sets",
                 size=self.expanded,
             )
-        nbr = self.nbr
-        order = sorted(_bits(s), key=lambda u: (-(nbr[u] & s).bit_count(), u))
         best = ub
         floor = size + 1
-        for v in order:
+        for v in self.roots(s):
             val = 1 + self.forest(s & ~(1 << v), best - 1)
             if val < best:
                 best = val
@@ -189,9 +189,27 @@ class _DepthSolver:
         if best < ub:
             self.exact[s] = best
             return best
-        # every root reached ub: the least of their bounds is proven
+        # every kept root reached ub: the least of their bounds is proven
         self.lower[s] = floor
         return floor
+
+    def roots(self, s: int) -> Iterator[int]:
+        """The roots of connected g[s] that no earlier root dominates, in
+        the search order: degree in s descending, then least id."""
+        nbr = self.nbr
+        ahead = 0  # the roots before v in the order, kept or not
+        # a stable sort, so equal degrees keep the ascending ids of _bits
+        for v in sorted(_bits(s), key=lambda u: (nbr[u] & s).bit_count(), reverse=True):
+            # the roots u ahead of v with N_S(v) within N_S[u]: each
+            # neighbour x of v in S is u or a neighbour of u
+            dom, rest = ahead, nbr[v] & s
+            while dom and rest:
+                low = rest & -rest
+                dom &= nbr[low.bit_length() - 1] | low
+                rest ^= low
+            ahead |= 1 << v
+            if not dom:
+                yield v
 
     def forest(self, s: int, ub: int) -> int:
         """Max component ctd of g[s]: exact if below ``ub``, else a lower bound >= ub."""

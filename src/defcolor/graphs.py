@@ -1,5 +1,6 @@
-"""Core graph representation, rooted trees and their closures, and metric
-primitives (balls, geodesics) used by every other module.
+"""Core graph representation, rooted trees and their closures, vertex-set
+bitmasks, and metric primitives (balls, geodesics) used by every other
+module.
 
 Graphs are immutable values: simple, undirected, vertex ids dense in
 ``range(n)``.  All operations return new graphs and are safe to share
@@ -95,6 +96,26 @@ class Graph:
         index = {v: i for i, v in enumerate(vs)}
         adj = [frozenset(index[u] for u in self.adj[v] if u in index) for v in vs]
         return Graph(len(vs), adj), vs
+
+
+# ---------------------------------------------------------------------------
+# Vertex sets as int bitmasks (bit v is vertex v)
+
+
+def _mask(vs: Iterable[int]) -> int:
+    out = 0
+    for v in vs:
+        out |= 1 << v
+    return out
+
+
+def _bits(s: int) -> list[int]:
+    out = []
+    while s:
+        low = s & -s
+        out.append(low.bit_length() - 1)
+        s ^= low
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -78,9 +78,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .depth import _bits, _mask
 from .errors import BudgetExceededError, SizeLimitError
-from .graphs import Graph, induced_components
+from .graphs import Graph, _bits, _mask, induced_components
 
 EXHAUSTIVE_HOST_LIMIT = 14
 EXHAUSTIVE_PATTERN_LIMIT = 8

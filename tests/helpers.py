@@ -482,13 +482,15 @@ def _branch_masks(n: int, p: int):
     import numpy as np
 
     total = (p + 1) ** n
-    codes = np.arange(total, dtype=np.int64)
     masks = np.zeros((p, total), dtype=np.int64)
-    rest = codes
+    # peel the base-(p + 1) digits of every code in place, so the only
+    # full-length temporaries are rest, digit and one boolean row
+    rest = np.arange(total, dtype=np.int64)
+    digit = np.empty_like(rest)
     for i in range(n):
-        rest, digit = np.divmod(rest, p + 1)
+        np.divmod(rest, p + 1, out=(rest, digit))
         for j in range(p):
-            masks[j] |= (digit == j).astype(np.int64) << i
+            masks[j][digit == j] |= 1 << i
     masks.flags.writeable = False
     return masks
 

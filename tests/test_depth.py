@@ -1,21 +1,19 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defcolor.depth import (
-    _bits,
-    _DepthSolver,
-    _mask,
-    connected_tree_depth,
-    verify_depth_witness,
-)
+from defcolor.depth import _DepthSolver, connected_tree_depth, verify_depth_witness
 from defcolor.errors import BudgetExceededError, SizeLimitError
 from defcolor.graphs import (
     Graph,
+    _bits,
+    _mask,
     complete_graph,
     ct,
     disjoint_copies,
@@ -25,6 +23,7 @@ from helpers import (
     all_graphs,
     clustered_bounds,
     connected_graphs_st,
+    connected_masks_oracle,
     ctd_oracle,
     degeneracy_oracle,
     depth_oracle,
@@ -152,6 +151,87 @@ class TestAgainstRecurrenceOracle:
             got = (report.td, report.ctd, list(report.witness.parent))
             assert got == depth_oracle(g)
             assert report.td == report.ctd == value
+
+
+class TestRootDominance:
+    def test_skipped_roots_have_kept_dominators(self):
+        # u dominates v when N_S(v) lies within N_S[u]; the search keeps v
+        # unless a dominator comes before it (larger degree in S, or the
+        # same degree and a smaller id), and every skipped root must have a
+        # kept dominator whose deletion leaves a tree-depth no larger
+        rng = random.Random(17)
+        for n in range(3, 9):
+            for p in (0.3, 0.5, 0.7):
+                g = seeded_gnp(rng, n, p)
+                solver = _DepthSolver(g)
+                td = {}
+
+                def td_without(vs, v):
+                    key = vs - {v}
+                    if key not in td:
+                        td[key] = depth_oracle(g.subgraph(sorted(key))[0])[0]
+                    return td[key]
+
+                for s in connected_masks_oracle(g):
+                    vs = frozenset(_bits(s))
+                    nbrs = {v: g.adj[v] & vs for v in vs}
+                    rank = {v: (len(nbrs[v]), -v) for v in vs}
+
+                    def dominates(u, v):
+                        return u != v and nbrs[v] <= nbrs[u] | {u}
+
+                    kept = list(solver.roots(s))
+                    assert kept == sorted(kept, key=rank.get, reverse=True)
+                    assert set(kept) == {
+                        v for v in vs
+                        if not any(dominates(u, v) and rank[u] > rank[v] for u in vs)
+                    }, (g.edges(), s)
+                    for v in vs - set(kept):
+                        assert any(
+                            dominates(u, v) and td_without(vs, u) <= td_without(vs, v)
+                            for u in kept
+                        ), (g.edges(), s, v)
+
+
+class TestHostsPinned:
+    # (host, expanded sets before the dominance rule, sha256 of the JSON list
+    # [td, ctd, witness parent]), all recorded before the rule: the exact-mix
+    # and cli-docs depth hosts and the depth_sweep.py graphs G(12..18, 0.25)
+    PINS = (
+        ("ct(4,2)", 7, "3c2e7ae18cdf60d0ded480f12e58656b752dafe460415dd5a82f76ac13070396"),
+        ("ct(3,3)", 4, "8608e7907601b57eec887af52044ded91ec3cf3dfd0c4f153d52d32f016a6e1d"),
+        ("ct(3,2)", 3, "d5af57b161c8526d2df558ac41301ed61edd123afdc3bffba0e903f626015855"),
+        ("depth/12", 25, "9f6dee5f68af6aa1481726ca89d9fc6fc3666515a977d96af81f4489faa94934"),
+        ("depth/13", 106, "f12f285b40964f913cd5bea2d7cf6336c16e796694a40c8e87fd1ce4b8b0608a"),
+        ("depth/14", 1230, "7accab099679452b62f140ec76098f6989e16f5987a0f514e1277afa772a883b"),
+        ("cli-depth/9", 14, "5069f8b34151ef241da735e1209a2b83ae3d6ebfffaa97fe22a1eba3a40e23fe"),
+        ("cli-depth/10", 7, "aefdb3b4d9509b3b9dfa7d0d4f35f3dbbff9eea907f5a660480942938fc34281"),
+        ("cli-depth/11", 2, "802be2c4e007a080afa6b779f0b3c83d2eb79293fc6344a94998c415b2404f2a"),
+        ("cli-depth/12", 112, "7e8be3ea91893056d894548480abb3cbe988a3bbfa0283c48da353c6bb45bc14"),
+        ("sweep/12", 38, "17f38a26456a38190a53d7a00b81807ad14e79bd2270150e653b4c6c6831ab6c"),
+        ("sweep/13", 14, "b19fac9bfc496f81241e7a60de9b27f20f16beaf8d0abb8542e35a6a6cf65e09"),
+        ("sweep/14", 110, "58aecda079ccea337d36231312e8ccbb9ee77f833fb80a77518d38ea50edd940"),
+        ("sweep/15", 559, "bbb8b6a9e76705e67eb2fe8780e0dda9a449ae4052daa6358acd8cf183f2844c"),
+        ("sweep/16", 513, "bdfb78ec1a982c102f350b42b889b958c2bfc5e0487ee15dff47d578dd024c85"),
+        ("sweep/17", 5341, "c43e613b7cdd219f37c7a6e650ca6ef812a12d299e8945f285e11a4ed4bc04f9"),
+        ("sweep/18", 12249, "e8c5ce85346b8258e1cccd347539b6fd83559fe9da110226c289174dda9f8005"),
+    )
+
+    @staticmethod
+    def host(name: str) -> Graph:
+        if name.startswith("ct("):
+            return ct(*map(int, name[3:-1].split(",")))
+        tag, n = name.split("/")
+        # perfbench draws its hosts from a tagged seed, depth_sweep.py from 1
+        seed = 1 if tag == "sweep" else f"defcolor-bench-pool/{tag}/{n}/0.25"
+        return seeded_gnp(random.Random(seed), int(n), 0.25)
+
+    @pytest.mark.parametrize("name,expanded,digest", PINS, ids=[p[0] for p in PINS])
+    def test_same_answer_no_more_expansions(self, name, expanded, digest):
+        report = connected_tree_depth(self.host(name))
+        doc = json.dumps([report.td, report.ctd, list(report.witness.parent)])
+        assert hashlib.sha256(doc.encode()).hexdigest() == digest
+        assert report.expanded <= expanded
 
 
 class TestDegeneracyBound:
