@@ -61,13 +61,14 @@ def _check_total(g: Graph, coloring: Coloring) -> None:
 
 
 def class_degrees(g: Graph, coloring: Coloring) -> dict[int, int]:
-    """Maximum induced degree per color class (0 for empty classes)."""
+    """Maximum induced degree per color class: each of colors 1..min(k, n),
+    0 for an empty class, then any other color in use."""
     _check_total(g, coloring)
-    out = {c: 0 for c in range(1, coloring.k + 1)}
+    out = dict.fromkeys(range(1, min(coloring.k, g.n) + 1), 0)
     for v in range(g.n):
         c = coloring.colors[v]
         deg = sum(1 for u in g.adj[v] if coloring.colors[u] == c)
-        out[c] = max(out[c], deg)
+        out[c] = max(out.get(c, 0), deg)
     return out
 
 
@@ -106,7 +107,7 @@ def _check_size(g: Graph, max_vertices: int) -> None:
 def _feasible(g: Graph, k: int, colors: Sequence[int], d: int) -> DefectReport:
     found = Coloring(k, tuple(colors))
     degrees = class_degrees(g, found)
-    if max(degrees.values()) > d:
+    if max(degrees.values(), default=0) > d:
         raise AssertionError("internal: search produced an invalid coloring")
     return DefectReport(True, found, degrees)
 
@@ -166,8 +167,10 @@ def _decide(
         return _forest_dp(g, route, k, d, node_budget)
     order, nbr = route
     color = [0] * g.n
-    cls = [0] * (k + 1)  # members per color
-    sat = [0] * (k + 1)  # members with d same-colored neighbors, per color
+    # a vertex opens at most one fresh color, so at most n are ever used
+    slots = min(k, g.n) + 1
+    cls = [0] * slots  # members per color
+    sat = [0] * slots  # members with d same-colored neighbors, per color
     nodes = 0
 
     def assign(i: int, used: int) -> bool:

@@ -128,15 +128,21 @@ def _entries_from_docs(docs) -> list[SchemeEntry]:
         raise InputFormatError("scheme document must be a JSON array of entries")
     entries: list[SchemeEntry] = []
     for i, doc in enumerate(docs):
-        # no entry outgrows the one before: checked before its graph is built
+        # no entry outgrows the one before, and the first has a singleton
+        # model per vertex: checked before its graph is built
         try:
             n = doc["graph"]["n"]
         except (KeyError, TypeError):
             n = None
-        if entries and type(n) is int and n > entries[-1].graph.n:
-            raise InputFormatError(
-                f"entry {i} claims {n} vertices, more than entry {i - 1}'s "
-                f"{entries[-1].graph.n}"
-            )
+        if type(n) is int:
+            if entries:
+                cap = entries[-1].graph.n
+                what = f"entry {i - 1}'s {cap}"
+            else:
+                model = doc.get("model")
+                cap = len(model) if type(model) is dict else 0
+                what = f"its {cap} model keys"
+            if n > cap:
+                raise InputFormatError(f"entry {i} claims {n} vertices, more than {what}")
         entries.append(entry_from_json(doc))
     return entries

@@ -9,8 +9,9 @@ forbidden induced subgraphs, the packing of homogeneous balls and the
 homogeneous search by BFS distances in g[X], degeneracy by min-degree
 peeling, connected vertex sets by testing every mask, and the plain
 backtracking coloring search over neighbor sets.  The path, star
-and level-coloring constructors and the depth translations at the end are
-not oracles: only tests call them.
+and level-coloring constructors, the slotwise order on HugeInt power forms
+and the depth translations at the end are not oracles: only tests call
+them.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 from defcolor.coloring import Coloring
 from defcolor.depth import ClusteredBounds, connected_tree_depth
 from defcolor.graphs import Graph, RootedTree, induced_components
+from defcolor.hugeint import PLAIN_LIMIT, HugeInt
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +690,26 @@ def split_path_budget_recurrence(t: int, k: int, length: int) -> int:
     for x in range(2, t + 1):
         val = k * (val - (x - 1) * length) + x * length
     return val
+
+
+def huge_slotwise_le(x, y) -> bool:
+    """A sufficient test for x <= y on HugeInts: True only when it holds.
+
+    coeff * base ** exp + addend is monotone in every slot, so a power form
+    whose coeff, base, exp and addend are each at most the other's (the last
+    three recursively) is at most the other.  A plain value below
+    ``PLAIN_LIMIT`` is below every power form, which is at least that
+    limit.  False means "not shown", not "greater".
+    """
+    x, y = HugeInt.of(x), HugeInt.of(y)
+    if y.val is not None:
+        return x.val is not None and x.val <= y.val
+    if x.val is not None:
+        return x.val < PLAIN_LIMIT
+    return x.coeff <= y.coeff and all(
+        huge_slotwise_le(a, b)
+        for a, b in ((x.base, y.base), (x.exp, y.exp), (x.addend, y.addend))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ import pytest
 
 from defcolor import cli
 from defcolor.cli import main
+from defcolor.coloring import decide_defective, min_defect
 from defcolor.graphs import (
     Graph,
     complete_graph,
     ct,
+    cycle_graph,
     parse_graph6,
     to_edge_json,
     to_graph6,
@@ -298,6 +300,27 @@ class TestColor:
         assert code == 0
         doc = json.loads(out)
         assert doc["k"] == 2 and len(doc["colors"]) == 7
+
+    def test_more_colors_than_vertices_answer_as_k_equals_n(self, capsys, tmp_path):
+        # K4 goes to the forest DP, C5 to backtracking; neither may cost O(k)
+        huge = 10**12
+        for g in (complete_graph(4), cycle_graph(5)):
+            p = tmp_path / "g.g6"
+            p.write_text(to_graph6(g) + "\n")
+            assert min_defect(g, huge) == min_defect(g, g.n)
+            for d in range(3):
+                got, want = decide_defective(g, huge, d), decide_defective(g, g.n, d)
+                assert got.feasible == want.feasible
+                if want.feasible:
+                    assert got.coloring.colors == want.coloring.colors
+                    assert got.max_class_degree == want.max_class_degree
+                argv = ["color", str(p), "--exact", "--d", str(d), "--k"]
+                code, out = run(capsys, *argv, str(huge))
+                want_code, want_out = run(capsys, *argv, str(g.n))
+                assert code == want_code
+                assert json.loads(out).get("colors") == json.loads(want_out).get("colors")
+        # a report lists the classes up to min(k, n): none on no vertices
+        assert decide_defective(Graph.from_edges(0, []), huge, 0).max_class_degree == {}
 
     def test_missing_flags(self, capsys, tmp_path):
         p = tmp_path / "g.g6"

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import importlib.util
+import math
 import sys
+import time
 from itertools import product
 from pathlib import Path
 
 import pytest
 
 from defcolor.constants import paper_constants, split_path_budget
-from defcolor.hugeint import PLAIN_LIMIT, hcmp
-from helpers import split_path_budget_recurrence
+from defcolor.hugeint import PLAIN_LIMIT, approx_log10, hpow, to_json
+from helpers import huge_slotwise_le, split_path_budget_recurrence
 
 
 class TestPathBudget:
@@ -36,7 +38,7 @@ class TestDerivedTable:
         # main exponent (h-2) (r+1)^(2^(r-1)) (k+h) 2^(r-1) = 1 * 9 * 4 * 2
         assert tab.t_main_exponent.exact_int() == 72
         assert tab.t_extra_exponent == 2
-        assert hcmp(tab.t, 2**72 * 2**2) == 0
+        assert tab.t.exact_int() == 2**72 * 2**2
         assert tab.t0.exact_int() == 24  # (h-2)(r+1) 2^(r-1) r^(2^(r-1)) = 3*2*4
         assert tab.t1.exact_int() == 3**26
         assert tab.k0.exact_int() == 1 + 3 * (6 * 3**26 + 1)
@@ -48,18 +50,15 @@ class TestDerivedTable:
         tab = paper_constants(3, 1, 2, d_homo=2, n1=7, n2=7)
         t1 = tab.t1.exact_int()
         k0 = tab.k0.exact_int()
-        # l0 = n(t1, k0, 3) + 1 = k0^t1 + 3 t1 + 1; compare structurally
-        from defcolor.hugeint import hpow
-
-        assert hcmp(tab.l0, hpow(k0, t1, addend=3 * t1 + 1)) == 0
+        # l0 = n(t1, k0, 3) + 1 = k0^t1 + 3 t1 + 1, as the same exact normal form
+        assert to_json(tab.l0) == to_json(hpow(k0, t1, addend=3 * t1 + 1))
 
     def test_termination_sizes(self):
         tab = paper_constants(3, 1, 2, d_homo=2, n1=7, n2=7)
-        from defcolor.hugeint import hpow
-
-        assert hcmp(tab.n_star, hpow(3, tab.l0, coeff=4)) == 0
-        assert hcmp(tab.n_total, hpow(3, tab.l0, addend=14)) == 0
-        assert hcmp(tab.n_star, tab.n_total) == 1  # (k+h) d^l0 > d^l0 + 14
+        assert to_json(tab.n_star) == to_json(hpow(3, tab.l0, coeff=4))
+        assert to_json(tab.n_total) == to_json(hpow(3, tab.l0, addend=14))
+        # (k+h) d^l0 > d^l0 + 14, since 3 * 3^l0 > 14 once l0 >= 2
+        assert huge_slotwise_le(2, tab.l0)
 
     def test_monotone_grid(self):
         grid = {}
@@ -70,10 +69,17 @@ class TestDerivedTable:
                 other = grid.get((h + dh, k + dk, r + dr))
                 if other is None:
                     continue
-                assert hcmp(tab.t, other.t) <= 0
-                assert hcmp(tab.n_total, other.n_total) <= 0
-                assert hcmp(tab.n_star, other.n_star) <= 0
-                assert hcmp(tab.l0, other.l0) <= 0
+                assert huge_slotwise_le(tab.t, other.t)
+                assert huge_slotwise_le(tab.n_total, other.n_total)
+                assert huge_slotwise_le(tab.n_star, other.n_star)
+                assert huge_slotwise_le(tab.l0, other.l0)
+
+    def test_log10_estimate_of_a_tall_tower(self):
+        # N = 3^l0 + 14 with l0 past any float: the estimate is inf at once
+        n_total = paper_constants(3, 1, 5, 2, 7, 7).n_total
+        started = time.perf_counter()
+        assert approx_log10(n_total) == math.inf
+        assert time.perf_counter() - started < 1
 
     def test_validation(self):
         with pytest.raises(ValueError):

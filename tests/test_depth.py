@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from defcolor.depth import _DepthSolver, connected_tree_depth, verify_depth_witn
 from defcolor.errors import BudgetExceededError, SizeLimitError
 from defcolor.graphs import (
     Graph,
+    RootedTree,
     _bits,
     _mask,
     complete_graph,
@@ -82,6 +84,23 @@ class TestConnectedTreeDepth:
         report = connected_tree_depth(g)
         assert verify_depth_witness(g, report)
         assert report.ctd - 1 <= report.td <= report.ctd
+
+    def test_witness_check_rejects_each_defect(self):
+        g = path_graph(5)
+        report = connected_tree_depth(g)
+        assert verify_depth_witness(g, report)
+        # a star rooted at 2 covers no edge among 0, 1 or among 3, 4
+        star = RootedTree.from_parents((2, 2, None, 2, 2))
+        assert not verify_depth_witness(g, replace(report, witness=star, ctd=star.height))
+        for ctd in (report.ctd - 1, report.ctd + 1):
+            assert not verify_depth_witness(g, replace(report, ctd=ctd))
+        tree = report.witness
+        grown = RootedTree.from_parents(tree.parent + (tree.root,))
+        assert not verify_depth_witness(g, replace(report, witness=grown, ctd=grown.height))
+        shrunk = connected_tree_depth(path_graph(4))
+        assert not verify_depth_witness(g, replace(shrunk, embedding=tuple(range(g.n))))
+        mirrored = replace(report, embedding=tuple(reversed(range(g.n))))
+        assert not verify_depth_witness(g, mirrored)
 
     @given(connected_graphs_st(max_n=6))
     @settings(max_examples=60, deadline=None)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,13 +11,16 @@ from defcolor.hugeint import (
     HugeInt,
     approx_log10,
     hadd,
-    hcmp,
     hmul,
     hpow,
     int_to_json,
     power_form,
     to_json,
 )
+from helpers import huge_slotwise_le
+
+# an exponent past PLAIN_LIMIT for base 2 whose powers still materialize
+_E = 15_000
 
 
 class TestConstruction:
@@ -59,50 +64,72 @@ class TestArithmetic:
 
 
 class TestComparison:
+    """HugeInt has no ordering; the tests compare power forms slotwise
+    (``huge_slotwise_le``), which is sound but shows only what the slots
+    show."""
+
     def test_plain(self):
-        assert hcmp(HugeInt.of(5), 7) == -1
-        assert hcmp(HugeInt.of(7), 7) == 0
+        assert huge_slotwise_le(HugeInt.of(5), 7)
+        assert huge_slotwise_le(HugeInt.of(7), 7)
+        assert not huge_slotwise_le(HugeInt.of(8), 7)
 
     def test_mixed_plain_symbolic(self):
         big = hpow(2, hpow(10, 40))
-        assert hcmp(big, 10**100) == 1
-        assert hcmp(HugeInt.of(0), big) == -1
+        assert huge_slotwise_le(10**100, big)
+        assert huge_slotwise_le(HugeInt.of(0), big)
+        assert not huge_slotwise_le(big, 10**100)
 
     def test_same_value_different_shape(self):
-        x = hpow(2, hpow(10, 50, coeff=2))  # 2^(2*10^50)
-        y = hpow(4, hpow(10, 50))  # 4^(10^50)
-        assert hcmp(x, y) == 0
-        assert hcmp(hpow(8, hpow(10, 50)), hpow(2, hpow(10, 50, coeff=3))) == 0
+        # 2^(2 E) and 4^E are one value in two normal forms: exact, not canonical
+        x, y = hpow(2, 2 * _E), hpow(4, _E)
+        assert x.exact_int() == y.exact_int()
+        assert to_json(x) != to_json(y)
+        assert not huge_slotwise_le(x, y) and not huge_slotwise_le(y, x)
 
     def test_coefficient_folds_into_exponent(self):
-        assert hcmp(hpow(2, hpow(10, 50), coeff=2), hpow(2, hadd(hpow(10, 50), 1))) == 0
+        x, y = hpow(2, _E, coeff=2), hpow(2, _E + 1)
+        assert x.exact_int() == y.exact_int()
+        assert not huge_slotwise_le(x, y) and not huge_slotwise_le(y, x)
 
     def test_addend_breaks_ties(self):
         x = hpow(3, hpow(10, 50), addend=5)
         y = hpow(3, hpow(10, 50), addend=7)
-        assert hcmp(x, y) == -1
-        assert hcmp(y, x) == 1
+        assert huge_slotwise_le(x, y)
+        assert not huge_slotwise_le(y, x)
 
     def test_interval_separation(self):
         x = hpow(3, hpow(10, 50))
         y = hpow(5, hpow(10, 50))
-        assert hcmp(x, y) == -1
+        assert huge_slotwise_le(x, y) and not huge_slotwise_le(y, x)
+        assert approx_log10(x) < approx_log10(y)
 
     def test_towers_of_towers(self):
         a = hpow(3, hpow(7, hpow(10, 30)))
         b = hpow(3, hpow(7, hpow(10, 30), addend=1))
-        assert hcmp(a, b) == -1
-        assert hcmp(a, a) == 0
+        assert huge_slotwise_le(a, b)
+        assert not huge_slotwise_le(b, a)
+        assert huge_slotwise_le(a, a)
 
-    @given(st.integers(2, 6), st.integers(2, 6), st.integers(1, 30), st.integers(1, 30))
+    @given(
+        st.integers(2, 6), st.integers(0, 30), st.integers(1, 9), st.integers(0, 50),
+        st.integers(0, 2), st.integers(0, 30), st.integers(0, 3), st.integers(0, 50),
+    )
     @settings(max_examples=60)
-    def test_matches_int_comparison(self, b1, b2, e1, e2):
-        x, y = b1**e1, b2**e2
-        assert hcmp(hpow(b1, e1), hpow(b2, e2)) == (x > y) - (x < y)
+    def test_matches_int_comparison(self, b, e, c, a, db, de, dc, da):
+        # power forms that still materialize, each slot of y at least x's
+        x = hpow(b, _E + e, coeff=c, addend=a)
+        y = hpow(b + db, _E + e + de, coeff=c + dc, addend=a + da)
+        assert x.val is None and y.val is None
+        assert huge_slotwise_le(x, y) and x.exact_int() <= y.exact_int()
+        assert huge_slotwise_le(y, x) == (x.exact_int() == y.exact_int())
 
     def test_operator_sugar(self):
-        assert hpow(2, hpow(10, 40)) > hpow(2, 100)
-        assert HugeInt.of(5) == 5
+        # no value comparison: equality is identity, ordering is undefined
+        x = hpow(2, hpow(10, 40))
+        assert x == x and x != hpow(2, hpow(10, 40))
+        assert HugeInt.of(5) != 5
+        with pytest.raises(TypeError):
+            x < hpow(2, 100)
 
 
 class TestPresentation:
@@ -145,3 +172,18 @@ class TestPresentation:
         got = approx_log10(hpow(10, 1000))
         assert got == pytest.approx(1000, rel=1e-6)
         assert approx_log10(HugeInt.of(0)) is None
+        assert approx_log10(hpow(3, hpow(10, 400))) == math.inf
+        assert approx_log10(hpow(3, hpow(10, 300))) == pytest.approx(10**300 * math.log10(3))
+
+    @given(
+        st.integers(2, 9), st.integers(0, 20_000), st.integers(1, 10**6),
+        st.integers(0, 10**20), st.integers(0, 1),
+    )
+    @settings(max_examples=60)
+    def test_approx_log10_matches_exact(self, b, e, c, a, big_addend):
+        # the addend may rival the term: hadd keeps a plain sum past the
+        # limit as max ** 1 + min
+        x = hpow(b, e, coeff=c, addend=a)
+        if big_addend:
+            x = hadd(x, b**e)
+        assert approx_log10(x) == pytest.approx(math.log10(x.exact_int()), rel=1e-12)

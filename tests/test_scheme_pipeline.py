@@ -163,6 +163,34 @@ class TestSerialization:
             scheme_from_json(json.dumps(doc))
         assert sizes == [inst.graph.n]
 
+    def test_first_entry_with_more_vertices_than_models_is_input_error(
+        self, monkeypatch
+    ):
+        # a valid first entry has one singleton model per vertex, so a short
+        # document claiming a million vertices is refused before any graph
+        doc = [{
+            "graph": {"n": 10**6, "edges": []}, "model": {"0": [0]}, "arcs": [],
+            "hyperedges": [], "witnesses": {}, "witness_links": {}, "step_meta": None,
+        }]
+        sizes = []
+
+        def recording(graph_doc):
+            sizes.append(graph_doc["n"])
+            return graph_from_doc(graph_doc)
+
+        monkeypatch.setattr(serialize, "graph_from_doc", recording)
+        with pytest.raises(
+            InputFormatError, match="entry 0 claims 1000000 vertices, more than its 1 model keys"
+        ):
+            scheme_from_json(json.dumps(doc))
+        doc[0]["model"] = 7
+        with pytest.raises(InputFormatError, match="more than its 0 model keys"):
+            scheme_from_json(json.dumps(doc))
+        assert sizes == []
+        doc[0]["graph"]["n"], doc[0]["model"] = 1, {"0": [0]}
+        assert scheme_from_json(json.dumps(doc))[0].graph.n == 1
+        assert sizes == [1]
+
     @pytest.mark.parametrize("enabled", [True, False])
     def test_collector_paused_inside_and_restored_after(self, monkeypatch, enabled):
         inst = caterpillar(1, 14)
