@@ -3,7 +3,8 @@ and the derived-constants table.
 
 Exit status: 0 success or a positive answer, 1 a computed negative answer
 (infeasible, no minor, dirty certificate), 2 usage or input errors
-(unreadable paths included), 3 exhausted budgets or failed searches, 4 an
+(unreadable paths included), 3 exhausted budgets or failed searches (a
+minor search past the exhaustive limits that finds no model included), 4 an
 internal error (a bug: no answer was computed), such as a depth witness,
 a minor model or a built scheme that fails its check before printing.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from . import coloring, depth, graphs
@@ -29,7 +29,7 @@ from .errors import (
     SearchFailureError,
     SizeLimitError,
 )
-from .minors import MinorModel, has_minor, too_large, verify_model
+from .minors import MinorModel, has_minor, verify_model
 from .scheme import (
     SchemeParams,
     build_scheme,
@@ -99,12 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="defective-coloring toolkit: generators, depth, minors, "
         "exact coloring, elimination schemes",
     )
-    ap.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed for randomized subroutines (default: env DEFCOLOR_SEED, else 0)",
-    )
     sub = ap.add_subparsers(dest="verb", required=True)
 
     gen = sub.add_parser("gen", help="generate graphs")
@@ -134,7 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mi = sub.add_parser("minor", help="minor containment with certificate")
     mi.add_argument("host")
     mi.add_argument("--pattern", required=True)
-    mi.add_argument("--mode", choices=("exhaustive", "heuristic"), default="exhaustive")
     mi.add_argument(
         "--verify",
         default=None,
@@ -240,13 +233,7 @@ def _run(args) -> int:
         kwargs = {}
         if args.budget_nodes is not None:
             kwargs["node_budget"] = args.budget_nodes
-        model = has_minor(host, pattern, mode=args.mode, seed=args.seed, **kwargs)
-        heuristic_miss = model is None and args.mode == "heuristic"
-        if heuristic_miss and not too_large(host, pattern):
-            # the heuristic is incomplete: a miss is no answer, unlike a
-            # pattern too large for the host
-            print("defcolor: heuristic search found no model", file=sys.stderr)
-            return EXIT_BUDGET
+        model = has_minor(host, pattern, **kwargs)
         if model is None:
             _emit(json.dumps({}), args.output)
             return EXIT_NEGATIVE
@@ -298,14 +285,6 @@ def _run(args) -> int:
     raise InputFormatError(f"unknown verb {args.verb!r}")
 
 
-def _env_seed() -> int:
-    raw = os.environ.get("DEFCOLOR_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputFormatError(f"DEFCOLOR_SEED must be an integer, got {raw!r}") from None
-
-
 def main(argv=None) -> int:
     ap = _build_parser()
     try:
@@ -313,8 +292,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        if args.seed is None:
-            args.seed = _env_seed()
         return _run(args)
     except (
         BudgetExceededError,

@@ -458,13 +458,13 @@ def min_defect(
     The route is chosen, and the forest shaped or the rows built, once per
     call, not per probe.
     """
+    _check_args(k, 0)
     if g.n == 0:
         return 0
     lo, hi = 0, max(g.degree(v) for v in range(g.n))
     # defect Delta(g) is always feasible: a single class realizes it
     if lo == hi:
         return 0
-    _check_args(k, 0)
     _check_size(g, max_vertices)
     route = _route(g)
     while lo < hi:

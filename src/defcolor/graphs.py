@@ -29,12 +29,11 @@ DEFAULT_VERTEX_BUDGET = 10**6
 class Graph:
     """Simple undirected graph with dense vertex ids 0..n-1."""
 
-    __slots__ = ("n", "adj", "_hash")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: Sequence[frozenset[int]]):
         self.n = n
         self.adj = tuple(adj)
-        self._hash = None
         if len(self.adj) != n:
             raise ValueError("adjacency length does not match n")
 
@@ -78,11 +77,6 @@ class Graph:
         if not isinstance(other, Graph):
             return NotImplemented
         return self.n == other.n and self.adj == other.adj
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.n, self.adj))
-        return self._hash
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count()})"

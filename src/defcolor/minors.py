@@ -1,8 +1,11 @@
 """Minor containment with explicit branch-set certificates.
 
-``has_minor`` is complete in exhaustive mode within documented size limits;
-heuristic mode is sound for presence and never reports a false absence
-(``None`` means unknown there).
+``has_minor`` picks its search from the input size.  Within the exhaustive
+limits (host <= 14, pattern <= 8 vertices) the exhaustive search below is
+complete: ``None`` means the pattern is not a minor.  Past them a greedy
+heuristic with a fixed seed runs: it returns a verified model or raises
+SizeLimitError, as it never decides an absence.  ``None`` is therefore always
+a decided absence.
 
 The exhaustive search places the pattern vertices by degree (descending),
 then id.  Each takes the host's connected vertex sets in order of size, then
@@ -97,9 +100,6 @@ class MinorModel:
             self, "branch_sets", dict(sorted(self.branch_sets.items()))
         )
 
-    def __hash__(self):
-        return hash(tuple(sorted((k, v) for k, v in self.branch_sets.items())))
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -175,34 +175,31 @@ def _connected_classes(adj: list[int], nbhd: dict[int, int]):
 
 def too_large(host: Graph, pattern: Graph) -> bool:
     """Whether size alone rules the pattern out: it has more vertices or
-    more edges than the host.  ``has_minor`` answers None then in every
-    mode, and that None is a decided absence."""
+    more edges than the host.  ``has_minor`` answers None then at every
+    size, and that None is a decided absence."""
     return pattern.n > host.n or pattern.edge_count() > host.edge_count()
 
 
 def has_minor(
     host: Graph,
     pattern: Graph,
-    mode: str = "exhaustive",
-    seed: int = 0,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Optional[MinorModel]:
     """Search for a branch-set model of ``pattern`` in ``host``.
 
-    Exhaustive mode is complete: ``None`` means the pattern is not a minor.
-    Inputs beyond the documented limits raise SizeLimitError there; callers
-    must opt into ``mode="heuristic"`` (sound, incomplete) for larger inputs.
-    The limits and the shortcuts apply to the raw host.  The search runs on
-    the host's leaf-free kernel (see the module docstring); its model, mapped
-    back to host ids and checked on the raw host, is the one the search
-    would find on the raw host, within the same node budget.  For patterns
-    of least degree >= 3 a search of the series-reduced kernel runs first
-    and can only answer "absent".  The pattern's tables (order, placed
-    neighbors, demand and twins) are built once per call and shared by both
-    searches.  Each of the two searches is bounded by
-    ``node_budget`` (at most twice that many nodes in total); a stop of the
-    first is inconclusive and only the kernel search raises
-    BudgetExceededError.
+    ``None`` means the pattern is not a minor.  The limits and the shortcuts
+    apply to the raw host.  Within the limits the search is exhaustive; past
+    them the heuristic runs, and a miss raises SizeLimitError (absence
+    undecided).  The exhaustive search runs on the host's leaf-free kernel
+    (see the module docstring); its model, mapped back to host ids and
+    checked on the raw host, is the one the search would find on the raw
+    host, within the same node budget.  For patterns of least degree >= 3 a
+    search of the series-reduced kernel runs first and can only answer
+    "absent".  The pattern's tables (order, placed neighbors, demand and
+    twins) are built once per call and shared by both searches.  Each of the
+    two searches is bounded by ``node_budget`` (at most twice that many nodes
+    in total); a stop of the first is inconclusive and only the kernel search
+    raises BudgetExceededError.
     """
     if pattern.n == 0:
         return MinorModel({})
@@ -213,16 +210,15 @@ def has_minor(
         return MinorModel({pv: frozenset([pv]) for pv in range(pattern.n)})
     if host == pattern:
         return MinorModel({v: frozenset([v]) for v in range(pattern.n)})
-    if mode == "heuristic":
-        return _heuristic_search(host, pattern, seed)
-    if mode != "exhaustive":
-        raise ValueError(f"unknown mode {mode!r}")
     if host.n > EXHAUSTIVE_HOST_LIMIT or pattern.n > EXHAUSTIVE_PATTERN_LIMIT:
-        raise SizeLimitError(
-            f"exhaustive mode supports host<={EXHAUSTIVE_HOST_LIMIT}, "
-            f"pattern<={EXHAUSTIVE_PATTERN_LIMIT} vertices "
-            f"(got {host.n}, {pattern.n}); use heuristic mode"
-        )
+        model = _heuristic_search(host, pattern)
+        if model is None:
+            raise SizeLimitError(
+                f"no model found; absence undecided past the exhaustive limits "
+                f"host<={EXHAUSTIVE_HOST_LIMIT}, pattern<={EXHAUSTIVE_PATTERN_LIMIT} "
+                f"vertices (got {host.n}, {pattern.n})"
+            )
+        return model
     kernel, survivors = host.subgraph(_kernel(host, pattern))
     plan = _plan(pattern)
     if min(pattern.degree(v) for v in range(pattern.n)) >= 3:
@@ -435,9 +431,10 @@ def _exhaustive_search(
     return found
 
 
-def _heuristic_search(host: Graph, pattern: Graph, seed: int) -> Optional[MinorModel]:
-    """Greedy BFS-grown branch sets with randomized restarts; sound only."""
-    rng = random.Random(seed)
+def _heuristic_search(host: Graph, pattern: Graph) -> Optional[MinorModel]:
+    """Greedy BFS-grown branch sets with restarts from a fixed seed; a model
+    it returns is verified, and None decides nothing."""
+    rng = random.Random(0)
     attempts = 64
     for _ in range(attempts):
         verts = list(range(host.n))

@@ -21,6 +21,7 @@ from defcolor.graphs import (
     to_edge_json,
     to_graph6,
 )
+from defcolor.minors import MinorModel, verify_model
 from defcolor.scheme import build_scheme, scheme_from_json, scheme_to_json
 from defcolor.scheme.corpus import caterpillar, star_of_balls
 from helpers import EXACT_MIX_G14, path_graph
@@ -181,32 +182,38 @@ class TestMinor:
         assert code == 1 and json.loads(out) == {}
 
     def test_heuristic_miss_is_a_failed_search(self, capsys, tmp_path):
-        # the exhaustive search finds a ct(3,2) model that the heuristic
-        # misses; "no model found" is then no answer, not an absence
-        edges = [(0, 2), (0, 5), (0, 6), (0, 8), (1, 2), (1, 4), (1, 6),
-                 (1, 8), (2, 8), (3, 6), (3, 7), (4, 5), (5, 7), (6, 7)]
-        host = tmp_path / "host.json"
-        host.write_text(to_edge_json(Graph.from_edges(9, edges)))
-        pattern = tmp_path / "pattern.g6"
-        pattern.write_text(to_graph6(ct(3, 2)) + "\n")
-        argv = ["minor", str(host), "--pattern", str(pattern)]
-        code, out = run(capsys, *argv)
-        assert code == 0 and len(json.loads(out)) == 7
-        code = main(["--seed", "0", *argv, "--mode", "heuristic"])
+        # past the exhaustive limits the heuristic runs: a model it finds is
+        # an answer, and "no model found" is no answer, not an absence
+        k3 = tmp_path / "k3.g6"
+        k3.write_text(to_graph6(complete_graph(3)) + "\n")
+        k4 = tmp_path / "k4.g6"
+        k4.write_text(to_graph6(complete_graph(4)) + "\n")
+        ct42 = tmp_path / "ct42.g6"
+        ct42.write_text(to_graph6(ct(4, 2)) + "\n")
+        code, out = run(capsys, "minor", str(ct42), "--pattern", str(k4))
+        model = {int(pv): frozenset(s) for pv, s in json.loads(out).items()}
+        assert code == 0
+        assert verify_model(ct(4, 2), complete_graph(4), MinorModel(model))[0]
+        p20 = tmp_path / "p20.g6"
+        p20.write_text(to_graph6(path_graph(20)) + "\n")
+        code = main(["minor", str(p20), "--pattern", str(k3)])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("mode", ["exhaustive", "heuristic"])
-    def test_too_large_pattern_is_an_absence(self, capsys, tmp_path, mode):
-        # ct(3,2) has more vertices than ct(2,2): absent in every mode
-        host = tmp_path / "host.g6"
-        host.write_text(to_graph6(ct(2, 2)) + "\n")
-        pattern = tmp_path / "pattern.g6"
-        pattern.write_text(to_graph6(ct(3, 2)) + "\n")
-        code, out = run(
-            capsys, "minor", str(host), "--pattern", str(pattern), "--mode", mode
-        )
+    @pytest.mark.parametrize(
+        "host, pattern",
+        [(ct(2, 2), ct(3, 2)), (cycle_graph(20), complete_graph(7))],
+        ids=["exhaustive", "heuristic"],
+    )
+    def test_too_large_pattern_is_an_absence(self, capsys, tmp_path, host, pattern):
+        # more vertices (ct(3,2) in ct(2,2)) or more edges (K7 in C20) than
+        # the host: absent within the exhaustive limits and past them
+        hostp = tmp_path / "host.g6"
+        hostp.write_text(to_graph6(host) + "\n")
+        patternp = tmp_path / "pattern.g6"
+        patternp.write_text(to_graph6(pattern) + "\n")
+        code, out = run(capsys, "minor", str(hostp), "--pattern", str(patternp))
         assert code == 1 and json.loads(out) == {}
 
     def test_verify_rejects_bad_model(self, capsys, tmp_path):
@@ -249,18 +256,7 @@ class TestParserAndSeed:
         host.write_text(to_graph6(ct(3, 2)) + "\n")
         pattern = tmp_path / "pattern.g6"
         pattern.write_text(to_graph6(ct(2, 2)) + "\n")
-        return ["minor", str(host), "--pattern", str(pattern), "--mode", "heuristic"]
-
-    def _record_seeds(self, monkeypatch) -> list:
-        seeds = []
-        real = cli.has_minor
-
-        def recording(*args, **kwargs):
-            seeds.append(kwargs["seed"])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "has_minor", recording)
-        return seeds
+        return ["minor", str(host), "--pattern", str(pattern)]
 
     def test_one_parser_per_process(self, capsys, tmp_path):
         parser = cli._build_parser()
@@ -269,24 +265,20 @@ class TestParserAndSeed:
         assert run(capsys, "gen", "ct", "--h", "2", "--k", "2")[0] == 0
         assert cli._build_parser() is parser
 
-    def test_each_call_reads_its_own_env_seed(self, capsys, tmp_path, monkeypatch):
-        seeds = self._record_seeds(monkeypatch)
+    def test_mode_and_seed_are_usage_errors(self, capsys, tmp_path):
+        # the input size picks the minor search, which takes no seed
         argv = self._minor_argv(tmp_path)
-        for value in ("5", "9"):
-            monkeypatch.setenv("DEFCOLOR_SEED", value)
-            assert run(capsys, *argv)[0] == 0
-        # the flag wins over the environment, and no variable means 0
-        assert run(capsys, "--seed", "3", *argv)[0] == 0
-        monkeypatch.delenv("DEFCOLOR_SEED")
-        assert run(capsys, *argv)[0] == 0
-        assert seeds == [5, 9, 3, 0]
+        for extra in (["--mode", "heuristic"], ["--mode", "exhaustive"]):
+            assert run(capsys, *argv, *extra) == (2, "")
+        assert run(capsys, "--seed", "3", *argv) == (2, "")
 
-    def test_bad_env_seed_exits_2(self, capsys, tmp_path, monkeypatch):
-        seeds = self._record_seeds(monkeypatch)
-        monkeypatch.setenv("DEFCOLOR_SEED", "x7")
-        code = main(self._minor_argv(tmp_path))
-        err = capsys.readouterr().err
-        assert code == 2 and "DEFCOLOR_SEED" in err and seeds == []
+    def test_env_seed_is_not_read(self, capsys, tmp_path, monkeypatch):
+        argv = self._minor_argv(tmp_path)
+        want = run(capsys, *argv)
+        for value in ("5", "x7"):
+            monkeypatch.setenv("DEFCOLOR_SEED", value)
+            assert run(capsys, *argv) == want
+        assert want[0] == 0
 
 
 class TestColor:

@@ -234,6 +234,16 @@ class TestMinDefect:
     def test_closed_tree_two_classes(self):
         assert min_defect(ct(3, 2), 2) == 2
 
+    @pytest.mark.parametrize("n", [0, 3], ids=["no-vertices", "no-edges"])
+    def test_no_colors_is_an_error_before_the_shortcuts(self, n):
+        # no 0-coloring exists, even where every defect is 0
+        g = Graph(n, [frozenset()] * n)
+        with pytest.raises(ValueError, match="k must be positive"):
+            min_defect(g, 0)
+        with pytest.raises(ValueError, match="k must be positive"):
+            decide_defective(g, 0, 0)
+        assert min_defect(g, 1) == 0
+
     @given(graphs_st(max_n=6), st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
     def test_min_defect_is_least_feasible(self, g, k):
