@@ -40,8 +40,10 @@ kept roots is ctd(S), the ``best <= lb`` break stays sound, and when every
 kept root reaches ``ub`` the least of their bounds (``floor``) is still a
 proven lower bound on ctd(S).  A checker of such a bound needs no search
 for a skipped root v: given the kept dominator u, it recomputes that
-N(v) lies within N[u] in g[S].  The witness is built by trying every
-root in ascending order, so it does not depend on the rule.
+N(v) lies within N[u] in g[S].  The witness takes the least root, in
+ascending id, whose forest value is ctd(S) - 1.  It skips a root v that a
+failed root u before it dominates: td(S - v) >= td(S - u) >= ctd(S), so v
+fails too, and the chosen root is the same as when every root is tried.
 
 Every set whose roots are tried counts as expanded; ``node_budget`` caps
 that count and the search raises ``BudgetExceededError`` past it.
@@ -90,6 +92,17 @@ class ClusteredBounds:
     @classmethod
     def from_ctd(cls, ctd: int) -> "ClusteredBounds":
         return cls(lower=ctd - 1, general=3 * ctd - 3, conditional_planar=2 * ctd - 2)
+
+
+def _dominators(nbr: list[int], s: int, v: int, among: int) -> int:
+    """The vertices u of the mask ``among`` with N_S(v) within N_S[u], as a
+    mask: each neighbour x of v in S is u or a neighbour of u."""
+    rest = nbr[v] & s
+    while among and rest:
+        low = rest & -rest
+        among &= nbr[low.bit_length() - 1] | low
+        rest ^= low
+    return among
 
 
 class _DepthSolver:
@@ -200,16 +213,9 @@ class _DepthSolver:
         ahead = 0  # the roots before v in the order, kept or not
         # a stable sort, so equal degrees keep the ascending ids of _bits
         for v in sorted(_bits(s), key=lambda u: (nbr[u] & s).bit_count(), reverse=True):
-            # the roots u ahead of v with N_S(v) within N_S[u]: each
-            # neighbour x of v in S is u or a neighbour of u
-            dom, rest = ahead, nbr[v] & s
-            while dom and rest:
-                low = rest & -rest
-                dom &= nbr[low.bit_length() - 1] | low
-                rest ^= low
-            ahead |= 1 << v
-            if not dom:
+            if not _dominators(nbr, s, v, ahead):
                 yield v
+            ahead |= 1 << v
 
     def forest(self, s: int, ub: int) -> int:
         """Max component ctd of g[s]: exact if below ``ub``, else a lower bound >= ub."""
@@ -251,16 +257,21 @@ class _DepthSolver:
         return top
 
     def connected_tree(self, s: int, parent: list) -> int:
-        # the least root whose forest value is ctd - 1, as a bounded call
+        # the least root whose forest value is ctd - 1, as a bounded call; a
+        # root that a failed root dominates fails too, and is not tried
         value = self.exact_ctd(s)
+        failed = 0
         for v in _bits(s):
             rest = s & ~(1 << v)
             if not rest:
                 return v
+            if _dominators(self.nbr, s, v, failed):
+                continue
             if self.forest(rest, value) < value:
                 for comp in self.components(rest):
                     parent[self.connected_tree(comp, parent)] = v
                 return v
+            failed |= 1 << v
         raise AssertionError("internal: no root attains the memoized value")
 
 

@@ -5,7 +5,10 @@ limits (host <= 14, pattern <= 8 vertices) the exhaustive search below is
 complete: ``None`` means the pattern is not a minor.  Past them a greedy
 heuristic with a fixed seed runs: it returns a verified model or raises
 SizeLimitError, as it never decides an absence.  ``None`` is therefore always
-a decided absence.
+a decided absence.  ``node_budget`` bounds both searches, and either raises
+BudgetExceededError past it: the exhaustive search counts the candidate sets
+it passes, the heuristic each vertex that its path searches take off a
+frontier, over all its restarts.
 
 The exhaustive search places the pattern vertices by degree (descending),
 then id.  Each takes the host's connected vertex sets in order of size, then
@@ -37,12 +40,25 @@ bound is one ``bisect_right`` on the node's pool, which holds the bound's
 whole size class.  Nodes are counted from the twin bound: the sets before
 it are skipped uncounted.
 
+When every position j > i has a twin bound at a position t >= i
+(``_Plan.after``), the subtree below B_i reads only sets after B_i.  Proof,
+by induction on j: the bound B_t of position j is B_i (t = i) or a set
+placed in the subtree (t > i), which is after B_i, and j tries only sets
+after its bound.  So the child's pool is filtered from the sets after B_i
+in the parent's pool, not from the whole pool, and the child at i + 1,
+whose bound is B_i, needs no bisect.  A node's pool then lacks only sets
+before its own twin bound, which it skips uncounted anyway: node counts,
+budget stops and first models are unchanged.  A child whose pool is empty
+and complete holds no node and is not made.
+
 The candidate sets are grown one size class at a time, only as far as the
 search reads them.  A node's pool is filtered from its parent's and covers
 the classes grown when the node was made.  When it runs out while a later
 class could fit in its free vertices, it extends itself from its parent's
 extension, the parent first, up to the root, whose pool is the grown list
-and which grows the next class.  So each pool filters each class once.
+and which grows the next class.  So each pool filters each class once.  A
+pool cut after B_i extends itself the same way: the classes grown later
+hold larger sets, which all come after B_i.
 Nodes are counted as over the complete list (up to each tried candidate,
 and the whole pool of an exhausted node): node counts, budget stops and
 first models do not depend on how far the classes were grown.
@@ -199,7 +215,9 @@ def has_minor(
     twins) are built once per call and shared by both searches.  Each of the
     two searches is bounded by ``node_budget`` (at most twice that many nodes
     in total); a stop of the first is inconclusive and only the kernel search
-    raises BudgetExceededError.
+    raises BudgetExceededError.  Past the limits the heuristic charges one
+    node for each vertex taken off a path search's frontier, over all its
+    restarts, and raises BudgetExceededError past ``node_budget``.
     """
     if pattern.n == 0:
         return MinorModel({})
@@ -211,7 +229,7 @@ def has_minor(
     if host == pattern:
         return MinorModel({v: frozenset([v]) for v in range(pattern.n)})
     if host.n > EXHAUSTIVE_HOST_LIMIT or pattern.n > EXHAUSTIVE_PATTERN_LIMIT:
-        model = _heuristic_search(host, pattern)
+        model = _heuristic_search(host, pattern, node_budget)
         if model is None:
             raise SizeLimitError(
                 f"no model found; absence undecided past the exhaustive limits "
@@ -301,6 +319,7 @@ class _Plan(NamedTuple):
     placed_nbrs: list[list[int]]  # positions of the neighbors placed before
     demand: list[list[tuple[int, int]]]  # after i: (placed j, its unplaced nbrs)
     twin: list[Optional[int]]  # the last earlier position of a twin, or None
+    after: list[bool]  # every later position has a twin at i or later
 
 
 def _plan(pattern: Graph) -> _Plan:
@@ -321,14 +340,31 @@ def _plan(pattern: Graph) -> _Plan:
         for i in range(j):
             if nbr[i] & ~(1 << j) == nbr[j] & ~(1 << i):
                 twin[j] = i
-    return _Plan(order, placed_nbrs, demand, twin)
+    after = [all(t is not None and t >= i for t in twin[i + 1:]) for i in range(p)]
+    return _Plan(order, placed_nbrs, demand, twin, after)
+
+
+def _counter(node_budget: int):
+    """A function that charges k nodes and raises BudgetExceededError once
+    more than ``node_budget`` are charged in all."""
+    nodes = 0
+
+    def count(k: int) -> None:
+        nonlocal nodes
+        nodes += k
+        if nodes > node_budget:
+            raise BudgetExceededError(
+                f"minor search exceeded {node_budget} nodes", size=node_budget + 1
+            )
+
+    return count
 
 
 def _exhaustive_search(
     host: Graph, plan: _Plan, node_budget: int
 ) -> Optional[dict[int, int]]:
     """The first model as pattern vertex -> branch-set mask, or None."""
-    order, placed_nbrs, demand, twin = plan
+    order, placed_nbrs, demand, twin, after = plan
     p = len(order)
     host_adj = [_mask(s) for s in host.adj]
     full = (1 << host.n) - 1
@@ -366,15 +402,7 @@ def _exhaustive_search(
 
     branch = [0] * p  # mask per order position
     branch_adj = [0] * p  # union of host adjacency over the branch
-    nodes = 0
-
-    def count(k: int) -> None:
-        nonlocal nodes
-        nodes += k
-        if nodes > node_budget:
-            raise BudgetExceededError(
-                f"minor search exceeded {node_budget} nodes", size=node_budget + 1
-            )
+    count = _counter(node_budget)
 
     def place(
         i: int, used: int, pool: list[int], rec: Optional[list]
@@ -388,16 +416,26 @@ def _exhaustive_search(
         free = full & ~used
         free_needed = p - i - 1
         # a twin's set comes after the set of the twin placed before it; the
-        # pool holds that set's whole class, so later extensions lie beyond
+        # pool holds that set's whole class, so later extensions lie beyond.
+        # A pool cut after B_{i-1} holds only such sets already.
         t = twin[i]
-        counted = start = 0 if t is None else bisect_right(pool, rank(branch[t]), key=rank)
+        if t is None or after[i - 1]:
+            counted = start = 0
+        else:
+            counted = start = bisect_right(pool, rank(branch[t]), key=rank)
+        cut = after[i]
         while start < len(pool) or rec is not None and extend(rec, free.bit_count()):
             end = len(pool)
             for k in [k for k, m in enumerate(pool[start:], start) if m & first]:
                 count(k + 1 - counted)
                 counted = k + 1
                 mask = pool[k]
-                if not all(branch_adj[j] & mask for j in nbrs):
+                touches = True
+                for j in nbrs:
+                    if not branch_adj[j] & mask:
+                        touches = False
+                        break
+                if not touches:
                     continue
                 rest = free & ~mask
                 room = rest.bit_count()
@@ -409,12 +447,21 @@ def _exhaustive_search(
                     return {order[j]: b for j, b in enumerate(branch)}
                 # each unplaced neighbor of a placed x needs its own free
                 # vertex next to B_x, as their branch sets are disjoint
-                if any((branch_adj[j] & rest).bit_count() < c for j, c in demand[i]):
+                short = False
+                for j, c in demand[i]:
+                    if (branch_adj[j] & rest).bit_count() < c:
+                        short = True
+                        break
+                if short:
                     continue
-                sub = [m for m in pool if not m & mask]
+                # the subtree reads only sets after B_i when every later
+                # position is bounded by a twin at i or later
+                sub = [m for m in (pool[k + 1:] if cut else pool) if not m & mask]
                 # sub is complete when no class left fits in rest
                 grows = rec is not None and (rec[4] < len(lattice) or size < room)
                 sub_rec = [sub, rec, mask, len(pool), rec[4]] if grows else None
+                if not sub and sub_rec is None:
+                    continue  # an empty complete pool holds no node
                 got = place(i + 1, used | mask, sub, sub_rec)
                 if got is not None:
                     return got
@@ -431,10 +478,15 @@ def _exhaustive_search(
     return found
 
 
-def _heuristic_search(host: Graph, pattern: Graph) -> Optional[MinorModel]:
+def _heuristic_search(
+    host: Graph, pattern: Graph, node_budget: int
+) -> Optional[MinorModel]:
     """Greedy BFS-grown branch sets with restarts from a fixed seed; a model
-    it returns is verified, and None decides nothing."""
+    it returns is verified, and None decides nothing.  Each vertex a path
+    search takes off its frontier is one node, over all restarts, and
+    BudgetExceededError is raised past ``node_budget`` of them."""
     rng = random.Random(0)
+    count = _counter(node_budget)
     attempts = 64
     for _ in range(attempts):
         verts = list(range(host.n))
@@ -447,7 +499,7 @@ def _heuristic_search(host: Graph, pattern: Graph) -> Optional[MinorModel]:
             if any(host.adj[v] & branch[pv] for v in branch[pu]):
                 continue
             # absorb a connecting path into pu's branch set
-            path = _connect(host, branch[pu], branch[pv], owner)
+            path = _connect(host, branch[pu], branch[pv], owner, count)
             if path is None:
                 ok = False
                 break
@@ -463,13 +515,17 @@ def _heuristic_search(host: Graph, pattern: Graph) -> Optional[MinorModel]:
     return None
 
 
-def _connect(host: Graph, src: set[int], dst: set[int], owner: dict[int, int]):
-    """Interior of a shortest path from src to dst through unowned vertices."""
+def _connect(
+    host: Graph, src: set[int], dst: set[int], owner: dict[int, int], count
+):
+    """Interior of a shortest path from src to dst through unowned vertices;
+    ``count(1)`` charges each vertex taken off the frontier."""
     prev: dict[int, Optional[int]] = {v: None for v in src}
     frontier = list(src)
     while frontier:
         nxt = []
         for u in frontier:
+            count(1)
             for w in host.adj[u]:
                 if w in prev:
                     continue

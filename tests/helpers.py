@@ -401,11 +401,29 @@ def degeneracy_oracle(g: Graph, vs=None) -> int:
 # minor oracle: raw partition enumeration (numpy-vectorized)
 
 
-# the G(14, 0.25) minor host of the benchmark's exact-mix workload
+# the minor hosts of the benchmark's exact-mix workload: G(12, 0.25),
+# G(12, 0.35), G(14, 0.25) and G(14, 0.35)
+EXACT_MIX_G12 = Graph.from_edges(12, [
+    (0, 3), (0, 11), (1, 5), (1, 8), (1, 11), (2, 3), (2, 7), (3, 4),
+    (4, 5), (5, 10), (7, 8), (7, 11), (8, 11),
+])
+EXACT_MIX_G12_DENSE = Graph.from_edges(12, [
+    (0, 2), (0, 3), (0, 4), (0, 5), (0, 8), (0, 10), (0, 11), (1, 2),
+    (1, 6), (1, 7), (1, 10), (1, 11), (2, 5), (2, 8), (2, 11), (3, 6),
+    (3, 9), (4, 6), (4, 8), (4, 9), (5, 6), (5, 8), (5, 10), (6, 7),
+    (6, 8), (6, 9), (7, 8), (8, 11), (9, 10),
+])
 EXACT_MIX_G14 = Graph.from_edges(14, [
     (0, 10), (0, 11), (1, 7), (1, 11), (2, 4), (2, 6), (2, 7), (3, 7),
     (3, 8), (4, 6), (4, 11), (4, 12), (4, 13), (5, 10), (5, 11), (5, 12),
     (6, 9), (7, 8), (7, 10), (7, 12), (10, 12),
+])
+EXACT_MIX_G14_DENSE = Graph.from_edges(14, [
+    (0, 1), (0, 5), (0, 9), (0, 11), (0, 13), (1, 2), (1, 3), (1, 5),
+    (1, 6), (1, 7), (1, 9), (1, 10), (2, 5), (2, 7), (2, 8), (2, 9),
+    (2, 12), (3, 4), (3, 5), (3, 6), (3, 9), (4, 7), (4, 12), (5, 6),
+    (5, 9), (5, 12), (5, 13), (6, 8), (6, 12), (7, 8), (7, 10), (7, 12),
+    (8, 12), (8, 13), (12, 13),
 ])
 
 

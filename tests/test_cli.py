@@ -170,6 +170,17 @@ class TestMinor:
         code, out = run(capsys, *argv, "1000")
         assert code == 0 and set(json.loads(out)) == {"0", "1", "2"}
 
+    def test_budget_bounds_the_heuristic(self, capsys, tmp_path):
+        # past the exhaustive limits --budget-nodes bounds the heuristic too
+        host = tmp_path / "path.json"
+        host.write_text(to_edge_json(path_graph(10_000)))
+        pattern = tmp_path / "k3.g6"
+        pattern.write_text(to_graph6(complete_graph(3)) + "\n")
+        code = main(["minor", str(host), "--pattern", str(pattern), "--budget-nodes", "10"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "exceeded 10 nodes" in captured.err
+
     def test_exact_mix_k5_absent_within_bench_budget(self, capsys, tmp_path):
         host = tmp_path / "host.json"
         host.write_text(to_edge_json(EXACT_MIX_G14))

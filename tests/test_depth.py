@@ -252,6 +252,17 @@ class TestHostsPinned:
         assert hashlib.sha256(doc.encode()).hexdigest() == digest
         assert report.expanded <= expanded
 
+    def test_witness_skips_roots_a_failed_root_dominates(self):
+        # G(17, 0.25) of depth_sweep.py expands 2,979 sets when the witness
+        # phase tries every root; skipping each root that a failed root
+        # dominates saves 495 of them and keeps the witness
+        name, _, digest = self.PINS[15]
+        assert name == "sweep/17"
+        report = connected_tree_depth(self.host(name))
+        doc = json.dumps([report.td, report.ctd, list(report.witness.parent)])
+        assert hashlib.sha256(doc.encode()).hexdigest() == digest
+        assert report.expanded <= 2_484
+
 
 class TestDegeneracyBound:
     def test_every_subset_of_small_graphs(self):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,10 @@ from defcolor.minors import (
     verify_model,
 )
 from helpers import (
+    EXACT_MIX_G12,
+    EXACT_MIX_G12_DENSE,
     EXACT_MIX_G14,
+    EXACT_MIX_G14_DENSE,
     all_graphs,
     connected_masks_oracle,
     graphs_st,
@@ -120,6 +124,20 @@ class TestHasMinor:
         host = ct(4, 2)
         model = has_minor(host, complete_graph(4))
         assert verify_model(host, complete_graph(4), model) == (True, None)
+        assert model.branch_sets == {
+            0: frozenset({1, 10}), 1: frozenset({4}), 2: frozenset({0, 3}),
+            3: frozenset({9}),
+        }
+
+    def test_heuristic_honours_the_budget(self):
+        # each vertex a path search takes off its frontier is one node, over
+        # all restarts, so a small budget stops the search at once
+        host = path_graph(10_000)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as exc:
+            has_minor(host, complete_graph(3), node_budget=10)
+        assert time.perf_counter() - start < 0.05
+        assert exc.value.size == 11
 
     def test_reflexivity_small(self):
         for g in all_graphs(4):
@@ -365,16 +383,26 @@ class TestKernel:
         # stops it.  The candidate sets are grown lazily, but nodes are
         # counted as over the complete list from each twin bound, so these
         # counts are fixed.
-        for pattern, least, present in (
-            (complete_graph(4), 2_620, True),
-            (complete_bipartite(2, 3), 7_495, True),
-            (complete_graph(5), 270, False),
-        ):
-            got = has_minor(self.G14, pattern, node_budget=least)
-            assert (got is not None) == present
-            with pytest.raises(BudgetExceededError) as exc:
-                has_minor(self.G14, pattern, node_budget=least - 1)
-            assert exc.value.size == least
+        k5 = complete_graph(5)
+        patterns = (
+            complete_graph(4), k5, cycle_graph(6),
+            complete_bipartite(2, 3), ct(2, 2), ct(2, 3), ct(3, 1),
+        )
+        # (host, least budgets in the order of patterns, whether K5 is a minor)
+        table = (
+            (EXACT_MIX_G12, (27, 0, 18, 16, 10, 11, 24), False),
+            (EXACT_MIX_G12_DENSE, (9, 24, 20, 12, 4, 5, 6), True),
+            (EXACT_MIX_G14, (2_620, 270, 35, 7_495, 12, 10, 23), False),
+            (EXACT_MIX_G14_DENSE, (10, 53, 12, 53, 6, 10, 6), True),
+        )
+        for host, budgets, has_k5 in table:
+            for pattern, least in zip(patterns, budgets):
+                got = has_minor(host, pattern, node_budget=least)
+                assert (got is not None) == (has_k5 or pattern != k5)
+                if least:
+                    with pytest.raises(BudgetExceededError) as exc:
+                        has_minor(host, pattern, node_budget=least - 1)
+                    assert exc.value.size == least
 
 
 def _subdivided(rng: random.Random, core_n: int, p: float, n: int) -> Graph:
