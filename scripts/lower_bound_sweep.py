@@ -5,9 +5,11 @@ For each (h, k) in range, compute the least defect of an (h-1)-coloring of
 ct(h, k) by complete search.  The threshold always lands at k, never k-1:
 the family realizes the lower bound that the elimination-scheme pipeline is
 built around.  ct(h, k) is the closure of its tree, so ``min_defect`` runs
-the forest DP; the defaults (h <= 6, k <= 4, up to ct(6,4) with 1,365
-vertices) finish in well under a second.  Exits 1 if any threshold differs
-from k.
+the forest DP, descending from a local-search coloring to one refuted
+probe at k - 1.  The defaults (h <= 6, k <= 4, up to ct(6,4) with 1,365
+vertices) take about 0.04 s on a 2-vCPU VM; ``--max-h 7 --max-vertices
+5461`` adds ct(7, 1..4), up to 5,461 vertices, in about 0.2 s in all.
+Exits 1 if any threshold differs from k.
 """
 
 from __future__ import annotations

@@ -17,11 +17,16 @@ of two complete routes:
   either function: one member mask per color, and one mask of the members
   that already have d same-colored neighbors.  The masks decide the same
   refusals as counting neighbors one by one, so the coloring found and the
-  node count are those of a search over neighbor sets.
+  node count are those of a search over neighbor sets.  The search is one
+  loop over an explicit stack: per depth, the highest color the vertex may
+  try, its color, and that color's masks from before it was taken.
 
 Either route reports infeasible only after exhausting its search space; a
 budget stop is a distinct error, never an answer.  Every feasible answer is
 rechecked: its class degrees are recounted and must not exceed d.
+``min_defect`` starts from a local-search coloring of defect at most
+floor(Delta / k) (Lovász 1966) and asks the route for one less until it
+refutes: one infeasible probe, at the least defect minus one.
 """
 
 from __future__ import annotations
@@ -96,10 +101,10 @@ def _check_args(k: int, d: int) -> None:
         raise ValueError("d must be nonnegative")
 
 
-def _check_size(g: Graph, max_vertices: int) -> None:
+def _check_size(g: Graph, max_vertices: int, caller: str) -> None:
     if g.n > max_vertices:
         raise SizeLimitError(
-            f"decide_defective limited to {max_vertices} vertices (got {g.n}); "
+            f"{caller} limited to {max_vertices} vertices (got {g.n}); "
             "raise max_vertices to extend"
         )
 
@@ -128,7 +133,7 @@ def decide_defective(
     backtracking (see the module docstring).
     """
     _check_args(k, d)
-    _check_size(g, max_vertices)
+    _check_size(g, max_vertices, "decide_defective")
     return _decide(g, _route(g), k, d, node_budget)
 
 
@@ -166,48 +171,50 @@ def _decide(
     if isinstance(route, _Forest):
         return _forest_dp(g, route, k, d, node_budget)
     order, nbr = route
-    color = [0] * g.n
+    n = g.n
+    rows = [nbr[v] for v in order]  # per depth i, of vertex order[i]
+    bits = [1 << v for v in order]
+    top = [1] * (n + 1)  # one above the highest color in use, at most k
+    cur, saved = [0] * n, [(0, 0)] * n  # color, and its masks from before
     # a vertex opens at most one fresh color, so at most n are ever used
-    slots = min(k, g.n) + 1
+    slots = min(k, n) + 1
     cls = [0] * slots  # members per color
     sat = [0] * slots  # members with d same-colored neighbors, per color
-    nodes = 0
-
-    def assign(i: int, used: int) -> bool:
-        nonlocal nodes
-        if i == g.n:
-            return True
-        v = order[i]
-        row = nbr[v]
-        for c in range(1, min(used + 1, k) + 1):
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                raise BudgetExceededError(
-                    f"coloring search exceeded {node_budget} nodes", size=nodes
-                )
-            hit = row & cls[c]
-            cnt = hit.bit_count()
-            if cnt > d or hit & sat[c]:
-                continue
-            was_cls, was_sat = cls[c], sat[c]
-            cls[c] = members = was_cls | 1 << v
-            # v and each neighbor in hit gain one; those reaching d saturate
-            full = was_sat | 1 << v if cnt == d else was_sat
-            while hit:
-                low = hit & -hit
-                hit ^= low
-                if (nbr[low.bit_length() - 1] & members).bit_count() == d:
-                    full |= low
-            sat[c] = full
-            color[v] = c
-            if assign(i + 1, max(used, c)):
-                return True
-            cls[c], sat[c] = was_cls, was_sat
-        return False
-
-    if assign(0, 0):
-        return _feasible(g, k, color, d)
-    return _INFEASIBLE
+    limit = float("inf") if node_budget is None else node_budget
+    nodes = i = c = 0  # c: the last color tried at depth i
+    while i < n:
+        if c == top[i]:
+            if not i:
+                return _INFEASIBLE
+            i -= 1
+            c = cur[i]
+            cls[c], sat[c] = saved[i]
+            continue
+        c += 1
+        nodes += 1
+        if nodes > limit:
+            raise BudgetExceededError(
+                f"coloring search exceeded {node_budget} nodes", size=nodes
+            )
+        hit = rows[i] & cls[c]
+        cnt = hit.bit_count()
+        if cnt > d or hit & sat[c]:
+            continue
+        was_cls, was_sat = saved[i] = cls[c], sat[c]
+        cls[c] = members = was_cls | bits[i]
+        # v and each neighbor in hit gain one; those reaching d saturate
+        full = was_sat | bits[i] if cnt == d else was_sat
+        while hit:
+            low = hit & -hit
+            hit ^= low
+            if (nbr[low.bit_length() - 1] & members).bit_count() == d:
+                full |= low
+        sat[c] = full
+        cur[i] = c
+        top[i + 1] = top[i] + (c == top[i] < k)
+        i += 1
+        c = 0
+    return _feasible(g, k, [c for _, c in sorted(zip(order, cur))], d)
 
 
 # ---------------------------------------------------------------------------
@@ -447,31 +454,64 @@ def _forest_dp(
     return _feasible(g, k, colors, d)
 
 
+def _lovasz(nbr: Sequence[int], order: Sequence[int], k: int) -> list[int]:
+    """Colors 1..min(k, n) where no class holds fewer neighbors of a vertex
+    than its own, so the defect is at most floor(Delta / k) (Lovász 1966).
+
+    Vertices in ``order`` take the class with the fewest colored neighbors;
+    then sweeps by ascending id move a vertex to its least-loaded class when
+    that is strictly less loaded than its own, until a sweep moves none.
+    Ties go to the least color.  Each move drops the monochromatic edges.
+    """
+    members = [0] * min(k, len(nbr))  # class c + 1 as a vertex mask
+    colors = [0] * len(nbr)
+    for v in order:
+        row = nbr[v]
+        cnts = [(row & m).bit_count() for m in members]
+        colors[v] = c = cnts.index(min(cnts))
+        members[c] |= 1 << v
+    moved = True
+    while moved:
+        moved = False
+        for v, row in enumerate(nbr):
+            cnts = [(row & m).bit_count() for m in members]
+            least = min(cnts)
+            own = colors[v]
+            if least < cnts[own]:
+                colors[v] = c = cnts.index(least)
+                members[own] ^= 1 << v
+                members[c] |= 1 << v
+                moved = True
+    return [c + 1 for c in colors]
+
+
 def min_defect(
     g: Graph,
     k: int,
     max_vertices: int = DEFAULT_EXACT_LIMIT,
     node_budget: Optional[int] = None,
 ) -> int:
-    """Least d such that g has a k-coloring with defect d (binary search).
+    """Least d such that g has a k-coloring with defect d.
 
-    The route is chosen, and the forest shaped or the rows built, once per
-    call, not per probe.
+    Descends from the local search's coloring: ``hi`` is its recounted
+    defect, and while the exact route finds a coloring of defect hi - 1,
+    ``hi`` becomes that coloring's recounted defect.  So ``hi`` is always
+    the defect of a concrete coloring, and the loop ends on a refuted
+    hi - 1 (or at 0): exactly one probe is infeasible.  ``node_budget``
+    bounds each probe.  The route is chosen, and the forest shaped or the
+    rows built, once per call, not per probe.
     """
     _check_args(k, 0)
-    if g.n == 0:
-        return 0
-    lo, hi = 0, max(g.degree(v) for v in range(g.n))
-    # defect Delta(g) is always feasible: a single class realizes it
-    if lo == hi:
-        return 0
-    _check_size(g, max_vertices)
+    if not any(g.adj):
+        return 0  # no edges: every coloring has defect 0
+    _check_size(g, max_vertices, "min_defect")
     route = _route(g)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        report = _decide(g, route, k, mid, node_budget)
-        if report.feasible:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    order, nbr = route if isinstance(route, _Rows) else _rows(g)
+    start = Coloring(k, tuple(_lovasz(nbr, order, k)))
+    hi = max(class_degrees(g, start).values())
+    while hi:
+        report = _decide(g, route, k, hi - 1, node_budget)
+        if not report.feasible:
+            break
+        hi = max(report.max_class_degree.values())
+    return hi

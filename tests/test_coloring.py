@@ -2,13 +2,18 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defcolor import coloring
 from defcolor.coloring import (
     Coloring,
+    _decide,
+    _lovasz,
+    _rows,
     class_degrees,
     decide_defective,
     min_defect,
@@ -32,6 +37,13 @@ from helpers import (
     level_coloring,
     star_graph,
 )
+
+
+def gnp(n: int, p: float, seed: int) -> Graph:
+    rng = random.Random(seed)
+    return Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    )
 
 
 class TestVerify:
@@ -146,6 +158,21 @@ class TestDecide:
                     outcomes.add(want is None)
         assert outcomes == {True, False}
 
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("k", [1, 10**12])
+    def test_backtracking_boundaries(self, n, k):
+        # no vertex, or one, with far more colors than vertices, at defect 0
+        g = Graph(n, [frozenset()] * n)
+        got = _decide(g, _rows(g), k, 0, None)
+        assert got.feasible and got.coloring == Coloring(k, (1,) * n)
+        assert got.max_class_degree == ({1: 0} if n else {})
+        if n:
+            with pytest.raises(BudgetExceededError) as info:
+                _decide(g, _rows(g), k, 0, 0)
+            assert info.value.size == 1
+        else:
+            assert _decide(g, _rows(g), k, 0, 0).feasible
+
     @given(graphs_st(min_n=1, max_n=7), st.integers(1, 2), st.integers(0, 2))
     @settings(max_examples=40, deadline=None)
     def test_monotone_in_k_and_d(self, g, k, d):
@@ -214,8 +241,6 @@ class TestForestDP:
     def test_closure_route_matches_backtracking(self):
         # decide_defective takes the DP on closures; the answers must agree
         # with plain backtracking, which _decide runs when given g's rows
-        from defcolor.coloring import _decide, _rows
-
         for h, k in ((2, 4), (3, 2), (3, 3), (4, 2)):
             g = ct(h, k)
             for colors in (h - 1, h):
@@ -251,6 +276,102 @@ class TestMinDefect:
         assert decide_defective(g, k, d).feasible
         if d > 0:
             assert not decide_defective(g, k, d - 1).feasible
+
+    def test_equals_least_oracle_feasible_defect(self):
+        # seeded graphs and closures of random forests up to 9 vertices, and
+        # every k up to n + 1; the least feasible d can only fall as k grows,
+        # so the oracle is asked only below the previous k's answer
+        rng = random.Random(28)
+        kinds = set()
+        for trial in range(60):
+            n = rng.randint(1, 9)
+            if trial % 3:
+                p = rng.uniform(0.15, 0.7)
+                pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            else:
+                parent = [None] + [rng.choice([None, *range(v)]) for v in range(1, n)]
+                pairs = []
+                for v in range(n):
+                    a = parent[v]
+                    while a is not None:
+                        pairs.append((a, v))
+                        a = parent[a]
+            g = Graph.from_edges(n, pairs)
+            kinds.add(closure_forest(g) is not None)
+            want = max(map(g.degree, range(n)))
+            for k in range(1, n + 2):
+                want = next((d for d in range(want) if decide_defective_oracle(g, k, d)), want)
+                assert min_defect(g, k) == want, (g.edges(), k)
+        assert kinds == {True, False}
+
+    def test_local_search_meets_lovasz_bound(self):
+        # no vertex has fewer neighbors in another class than in its own, so
+        # the defect is at most floor(Delta / k); the same input gives the
+        # same coloring
+        rng = random.Random(66)
+        for _ in range(60):
+            n = rng.randint(1, 30)
+            p = rng.uniform(0.1, 0.6)
+            g = Graph.from_edges(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            )
+            order, nbr = _rows(g)
+            delta = max(map(g.degree, range(n)))
+            for k in range(1, 6):
+                colors = _lovasz(nbr, order, k)
+                assert colors == _lovasz(nbr, order, k)
+                assert set(colors) <= set(range(1, min(k, n) + 1))
+                ok, _ = verify_coloring(g, Coloring(k, tuple(colors)), delta // k)
+                assert ok, (g.edges(), k)
+                for v in range(n):
+                    load = Counter(colors[u] for u in g.adj[v])
+                    assert all(load[colors[v]] <= load[c] for c in range(1, min(k, n) + 1))
+
+    def test_budget_stop_is_not_an_answer(self):
+        g = ct(4, 3)
+        for budget in (0, 1, 6):
+            with pytest.raises(BudgetExceededError):
+                min_defect(g, 3, max_vertices=64, node_budget=budget)
+        host = gnp(14, 0.4, 5)
+        want = min_defect(host, 3)
+        for budget in range(40):
+            try:
+                got = min_defect(host, 3, node_budget=budget)
+            except BudgetExceededError:
+                continue
+            assert got == want
+        with pytest.raises(BudgetExceededError):
+            min_defect(host, 3, node_budget=3)
+
+    @pytest.mark.parametrize(
+        "host, k", [(gnp(24, 0.35, 1), 3), (ct(4, 3), 2)], ids=["backtracking", "forest-dp"]
+    )
+    def test_one_infeasible_probe_at_least_defect_minus_one(self, monkeypatch, host, k):
+        # on ct(4, 3) the local search reaches defect 12, and the DP's
+        # coloring at defect 11 already has defect 3
+        probes = []
+
+        def counting(g, route, k, d, node_budget):
+            report = _decide(g, route, k, d, node_budget)
+            probes.append((d, report))
+            return report
+
+        monkeypatch.setattr(coloring, "_decide", counting)
+        got = min_defect(host, k, max_vertices=64)
+        assert got > 0
+        assert [(d, r.feasible) for d, r in probes][-1] == (got - 1, False)
+        # each later probe asks one below the recounted defect of the last
+        # coloring found
+        for (_, report), (d, _) in zip(probes, probes[1:]):
+            assert d == max(report.max_class_degree.values()) - 1
+
+    def test_size_limit_names_the_caller(self):
+        g = cycle_graph(17)
+        with pytest.raises(SizeLimitError, match="^decide_defective limited to 16 vertices"):
+            decide_defective(g, 2, 0)
+        with pytest.raises(SizeLimitError, match="^min_defect limited to 16 vertices"):
+            min_defect(g, 2)
+        assert min_defect(g, 2, max_vertices=17) == 1
 
 
 class TestLevelColoring:
