@@ -6,9 +6,11 @@ ct(h, k) by complete search.  The threshold always lands at k, never k-1:
 the family realizes the lower bound that the elimination-scheme pipeline is
 built around.  ct(h, k) is the closure of its tree, so ``min_defect`` runs
 the forest DP, descending from a local-search coloring to one refuted
-probe at k - 1.  The defaults (h <= 6, k <= 4, up to ct(6,4) with 1,365
-vertices) take about 0.04 s on a 2-vCPU VM; ``--max-h 7 --max-vertices
-5461`` adds ct(7, 1..4), up to 5,461 vertices, in about 0.2 s in all.
+probe at k - 1.  The ``s`` column and the total time ``min_defect``
+alone: each ct(h, k) is built before its timer starts.  The defaults
+(h <= 6, k <= 4, up to ct(6,4) with 1,365 vertices) take about 0.02 s on
+a 2-vCPU VM; ``--max-h 7 --max-vertices 5461`` adds ct(7, 1..4), up to
+5,461 vertices, in about 0.1 s in all (ct(7, 4) 0.05-0.09 s).
 Exits 1 if any threshold differs from k.
 """
 
@@ -31,20 +33,22 @@ def main() -> int:
 
     print(f"{'h':>2s} {'k':>2s} {'n':>5s} {'min defect of (h-1)-coloring':>30s} {'s':>6s}")
     wrong = 0
-    started = time.perf_counter()
+    spent = 0.0
     for h in range(2, args.max_h + 1):
         for k in range(1, args.max_k + 1):
             n = ct_order(h, k)
             if n > args.max_vertices:
                 print(f"{h:2d} {k:2d} {n:5d} {'skipped (raise --max-vertices)':>30s}")
                 continue
+            g = ct(h, k)
             t0 = time.perf_counter()
-            got = min_defect(ct(h, k), h - 1, max_vertices=args.max_vertices)
+            got = min_defect(g, h - 1, max_vertices=args.max_vertices)
             dt = time.perf_counter() - t0
+            spent += dt
             marker = "= k" if got == k else f"!= k ({got})"
             wrong += got != k
             print(f"{h:2d} {k:2d} {n:5d} {f'{got}  {marker}':>30s} {dt:6.2f}")
-    print(f"total {time.perf_counter() - started:.2f} s; {wrong} threshold(s) != k")
+    print(f"total {spent:.2f} s in min_defect; {wrong} threshold(s) != k")
     return 1 if wrong else 0
 
 

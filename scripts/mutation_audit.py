@@ -19,9 +19,15 @@ scheme with each mutant; exit 4 (an internal error) is a crash.
 
 Prints, per field and mutation, how many scheme mutants still certify
 clean (the certificate slack), then the exit statuses of the params
-mutants.  Exits 1 if any mutant crashed, or if more scheme mutants of
-either table certify clean than its ceiling (``CLEAN_CEILING``,
-``LONG_CLEAN_CEILING``): the certifier may grow stricter, never looser.
+mutants.  Each scheme-mutant table also prints the sha256 over one line
+per mutant, in draw order: its report JSON, or the token ``input-error``
+for a document that does not parse.  Exits 1 if any mutant crashed, if
+more scheme mutants of either table certify clean than its ceiling
+(``CLEAN_CEILING``, ``LONG_CLEAN_CEILING``): the certifier may grow
+stricter, never looser, or if a table's sha256 differs from its pinned
+value (``DIGEST``, ``LONG_DIGEST``): every report must stay byte-identical.
+A change to a clause's verdicts or witnesses records the new values with
+its reason.
 
     PYTHONPATH=src python3 scripts/mutation_audit.py
 """
@@ -29,6 +35,7 @@ either table certify clean than its ceiling (``CLEAN_CEILING``,
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -68,6 +75,9 @@ CLEAN_CEILING = 1168
 # the same for the long document's table
 LONG_SEED = 1
 LONG_CLEAN_CEILING = 289
+# sha256 of the report lines of each table
+DIGEST = "0e018862c46353ec98d176f1821f83e137d3324844bb147e73e623d72df12f2a"
+LONG_DIGEST = "ef146dfb555e1fa4ba0cf02f02707686a1b596a20d09877d5ac0b9e1bb64e6fa"
 
 
 def instances():
@@ -138,21 +148,23 @@ def mutate(doc: list, rng: random.Random, bound: int):
     return d, name, kind
 
 
-def outcome(text: str, inst) -> str:
-    """input-error, dirty or clean; other exceptions propagate."""
+def outcome(text: str, inst) -> tuple[str, str]:
+    """input-error, dirty or clean, and the line the table's sha256 reads:
+    the report JSON, or ``input-error``; other exceptions propagate."""
     try:
         scheme = scheme_from_json(text)
     except InputFormatError:
-        return "input-error"
+        return "input-error", "input-error"
     report = certify_scheme(scheme, inst.params, inst.graph)
-    return "clean" if report.clean() else "dirty"
+    return "clean" if report.clean() else "dirty", json.dumps(report.to_json())
 
 
-def audit(count: int, seed: int, insts, out=sys.stdout) -> tuple[int, int]:
-    """Print the mutant table of ``insts``; return the crashes and the clean
-    mutants."""
+def audit(count: int, seed: int, insts, out=sys.stdout) -> tuple[int, int, str]:
+    """Print the mutant table of ``insts`` and its sha256; return the
+    crashes, the clean mutants and the sha256."""
     rng = random.Random(seed)
     table: dict[tuple[str, str], Counter] = {}
+    digest = hashlib.sha256()
     crashes = 0
     for inst in insts:
         doc = json.loads(scheme_to_json(build_scheme(inst.graph, inst.params)))
@@ -164,20 +176,22 @@ def audit(count: int, seed: int, insts, out=sys.stdout) -> tuple[int, int]:
             done += 1
             mutant, name, kind = got
             try:
-                result = outcome(json.dumps(mutant), inst)
+                result, line = outcome(json.dumps(mutant), inst)
             except Exception:
-                result = "crash"
+                result = line = "crash"
                 crashes += 1
                 print(f"crash: {inst.name} {name} {kind}", file=out)
                 traceback.print_exc(limit=3, file=out)
             table.setdefault((name, kind), Counter())[result] += 1
+            digest.update(line.encode() + b"\n")
     rows = sorted(table.items()) + [(("all", ""), sum(table.values(), Counter()))]
     print(f"{'field':<16s} {'mutation':<13s}" + "".join(f"{o:>12s}" for o in OUTCOMES),
           file=out)
     for (name, kind), counts in rows:
         cells = "".join(f"{counts[o]:>12d}" for o in OUTCOMES)
         print(f"{name:<16s} {kind:<13s}{cells}", file=out)
-    return crashes, rows[-1][1]["clean"]
+    print(f"sha256 of the reports: {digest.hexdigest()}", file=out)
+    return crashes, rows[-1][1]["clean"], digest.hexdigest()
 
 
 def params_mutants(params: dict):
@@ -230,18 +244,24 @@ def params_audit(out=sys.stdout) -> int:
 
 
 def main() -> int:
-    crashes, clean = audit(COUNT, SEED, instances())
+    crashes, clean, digest = audit(COUNT, SEED, instances())
     print()
     crashes += params_audit()
     print()
-    long_crashes, long_clean = audit(COUNT, LONG_SEED, [caterpillar(2, 34)])
+    long_crashes, long_clean, long_digest = audit(
+        COUNT, LONG_SEED, [caterpillar(2, 34)]
+    )
     crashes += long_crashes
-    loose = False
+    bad = False
     for got, ceiling in ((clean, CLEAN_CEILING), (long_clean, LONG_CLEAN_CEILING)):
         if got > ceiling:
             print(f"{got} scheme mutants certify clean, more than {ceiling}")
-            loose = True
-    return 1 if crashes or loose else 0
+            bad = True
+    for got, pinned in ((digest, DIGEST), (long_digest, LONG_DIGEST)):
+        if got != pinned:
+            print(f"reports hash to {got}, pinned {pinned}")
+            bad = True
+    return 1 if crashes or bad else 0
 
 
 if __name__ == "__main__":

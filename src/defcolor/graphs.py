@@ -57,13 +57,6 @@ class Graph:
         keys.sort()
         return list(map(divmod, keys, repeat(n)))
 
-    def iter_edges(self) -> Iterator[tuple[int, int]]:
-        """The edges of ``edges()``, in its order, without building the list."""
-        for u in range(self.n):
-            for v in sorted(self.adj[u]):
-                if u < v:
-                    yield u, v
-
     def edge_count(self) -> int:
         return sum(len(s) for s in self.adj) // 2
 

@@ -23,6 +23,7 @@ from defcolor.scheme import (
     scheme_to_json,
     step,
 )
+from defcolor.scheme import certify
 from defcolor.scheme.certify import (
     CONDITIONS,
     CertReport,
@@ -335,7 +336,7 @@ class TestTotality:
                 got = audit.mutate(doc, rng, inst.graph.n)
                 if got is not None:
                     # a report or InputFormatError; anything else raises
-                    outcome = audit.outcome(json.dumps(got[0]), inst)
+                    outcome = audit.outcome(json.dumps(got[0]), inst)[0]
                     assert outcome in ("input-error", "dirty", "clean")
 
     def test_seeded_mutants_color_or_raise_a_toolkit_error(self):
@@ -559,22 +560,35 @@ def _one_edge_d10(label: int, family, n: int) -> Verdict:
     isolated.  h = 4, k = 1: a label-2 edge needs 3 disjoint ct(2, 1)
     minors (single edges) after contraction, a label-1 edge 4 vertices.
     """
+    entry = _one_edge_entry(label, family, [{2}, {0}])
+    g = _one_edge_graph(n)
+    return certify_entry(entry, entry, ONE_EDGE_PARAMS, g).verdicts["D10"]
+
+
+ONE_EDGE_PARAMS = SchemeParams(h=4, k=1, r=3, d=3, n_freeze=3, l0=1, t=1)
+
+
+def _one_edge_graph(n: int) -> Graph:
     apex, s, m = 0, 1, 2
     edges = [(apex, s), (apex, m), (s, m), (s, 3)]
     edges += [(x, x + 1) for x in range(3, 8)]
     edges += [(y, x) for x in range(3, 9) for y in (apex, m)]
-    entry = SchemeEntry(
+    return Graph.from_edges(n, edges)
+
+
+def _one_edge_entry(label: int, family, links) -> SchemeEntry:
+    """The entry of ``_one_edge_d10`` with the given witnesses and links,
+    each id set built afresh."""
+    apex, s, m = 0, 1, 2
+    return SchemeEntry(
         graph=complete_graph(3),
         model={v: frozenset({v}) for v in range(3)},
         arcs=frozenset({(apex, s), (m, s)}),
         hyperedges=(Hyperedge(frozenset({apex, s, m}), label, s),),
         witnesses={0: tuple(frozenset(a) for a in family)},
-        witness_links={0: (frozenset({m}), frozenset({apex}))},
+        witness_links={0: tuple(frozenset(l) for l in links)},
         step_meta=None,
     )
-    params = SchemeParams(h=4, k=1, r=3, d=3, n_freeze=3, l0=1, t=1)
-    g = Graph.from_edges(n, edges)
-    return certify_entry(entry, entry, params, g).verdicts["D10"]
 
 
 class TestMinorClause:
@@ -599,6 +613,77 @@ class TestMinorClause:
         d10 = _one_edge_d10(2, self.UNGROUPED, 20)
         assert d10.witness == self.MISSING and d10.reason is None
         assert _one_edge_d10(2, self.GROUPED, 20).status == "pass"
+
+
+class TestD10Clauses:
+    """One hand-built failure for each of the twelve clauses of D10, on the
+    entry of ``_one_edge_d10`` over 10 vertices (9 is isolated), each a
+    change to the clean label-1 family 3..8 with links {2} and {0}."""
+
+    FAMILY = [range(3, 9)]
+    LINKS = [{2}, {0}]
+    # clause: (label, witnesses, links), in the scan's order
+    CASES = {
+        "empty-witness": (1, [set()], LINKS),
+        "witness-outside-zone": (1, [{2}], LINKS),  # the member's model
+        "witness-disconnected": (1, [{3, 5}], LINKS),
+        "witness-overlap": (1, [{3, 4}, {4, 5}], LINKS),
+        "link-count": (1, FAMILY, [{2}]),
+        "link-outside-zone": (1, FAMILY, [{2}, {0, 25}]),  # 25 is no vertex
+        "link-disconnected": (1, FAMILY, [{2}, {0, 9}]),
+        "link-misses-members": (1, FAMILY, [{2}, {3}]),
+        "link-meets-witness": (1, FAMILY, [{2}, {0, 3}]),
+        "link-not-adjacent-to-witness": (1, [{9}], LINKS),
+        "link-overlap": (1, FAMILY, [{2}, {0, 2}]),
+        # 2 sets where 3 groups of ct(2, 1) need 6
+        "minor-missing": (2, [{3}, {4}], LINKS),
+    }
+
+    def test_clean_family(self):
+        entry = _one_edge_entry(1, self.FAMILY, self.LINKS)
+        report = certify_entry(entry, entry, ONE_EDGE_PARAMS, _one_edge_graph(10))
+        assert report.verdicts["D10"].status == "pass"
+
+    @pytest.mark.parametrize("clause", list(CASES))
+    def test_fresh_facts(self, clause):
+        label, family, links = self.CASES[clause]
+        entry = _one_edge_entry(label, family, links)
+        report = certify_entry(entry, entry, ONE_EDGE_PARAMS, _one_edge_graph(10))
+        assert report.verdicts["D10"].witness["clause"] == clause
+
+    @pytest.mark.parametrize("clause", list(CASES))
+    def test_memoized_facts(self, clause, monkeypatch):
+        # three entries with equal, separately built families: the pairs
+        # after the first read the facts the first one decided (the first
+        # two clauses fail before any fact is asked), and no fact is
+        # decided twice
+        tables = []
+        init = certify._Facts.__init__
+
+        def write_once_init(facts, *args):
+            init(facts, *args)
+            facts._known = _WriteOnce()
+            tables.append(facts._known)
+
+        monkeypatch.setattr(certify._Facts, "__init__", write_once_init)
+        label, family, links = self.CASES[clause]
+        g = _one_edge_graph(10)
+        scheme = [_one_edge_entry(label, family, links) for _ in range(3)]
+        want = certify_entry(scheme[0], scheme[0], ONE_EDGE_PARAMS, g)
+        tables.clear()
+        report = certify_scheme(scheme, ONE_EDGE_PARAMS, g)
+        assert len(tables) == 1
+        for pair in report.pair_reports:
+            assert pair.verdicts["D10"].to_json() == want.verdicts["D10"].to_json()
+            assert pair.verdicts["D10"].witness["clause"] == clause
+
+
+class _WriteOnce(dict):
+    """A fact table that refuses to decide a key twice."""
+
+    def __setitem__(self, key, value):
+        assert key not in self, key
+        super().__setitem__(key, value)
 
 
 class TestSchemeLevel:
