@@ -18,7 +18,8 @@ import random
 import sys
 import time
 
-from defcolor.depth import connected_tree_depth, verify_depth_witness
+from defcolor.check import verify_depth_witness
+from defcolor.depth import connected_tree_depth
 from defcolor.graphs import Graph, ct
 
 

@@ -4,9 +4,11 @@
 Builds four small schemes, then applies seeded single-field mutations to
 their JSON documents: drop an element, duplicate one, renumber an integer
 in range, retype a value or a key, or move an integer out of range.  Each
-mutant goes through ``scheme_from_json`` and ``certify_scheme``; the
-outcome is an input error (exit 2 in the CLI), a dirty report, a clean
-report, or a crash (any other exception).  A second table does the same
+mutant goes through ``scheme_from_json`` and ``certify_scheme``, and one
+that parses also through ``color_from_scheme``, which may refuse it with a
+toolkit error (``DefcolorError``); the outcome is an input error (exit 2 in
+the CLI), a dirty report, a clean report, or a crash (any other exception,
+from the certifier or the colorer).  A second table does the same
 for one long document, caterpillar(2, 34): its 7 entries carry witness
 families that later entries inherit, up to 6 entries each.  It draws from
 its own seeded stream, so the first table does not move.
@@ -46,10 +48,11 @@ import traceback
 from collections import Counter
 
 from defcolor.cli import main as cli_main
-from defcolor.errors import InputFormatError
+from defcolor.errors import DefcolorError, InputFormatError
 from defcolor.scheme import (
     build_scheme,
     certify_scheme,
+    color_from_scheme,
     scheme_from_json,
     scheme_to_json,
 )
@@ -150,13 +153,20 @@ def mutate(doc: list, rng: random.Random, bound: int):
 
 def outcome(text: str, inst) -> tuple[str, str]:
     """input-error, dirty or clean, and the line the table's sha256 reads:
-    the report JSON, or ``input-error``; other exceptions propagate."""
+    the report JSON, or ``input-error``.  A document that parses is also
+    colored, and the colorer may only succeed or raise a DefcolorError;
+    other exceptions propagate."""
     try:
         scheme = scheme_from_json(text)
     except InputFormatError:
         return "input-error", "input-error"
     report = certify_scheme(scheme, inst.params, inst.graph)
-    return "clean" if report.clean() else "dirty", json.dumps(report.to_json())
+    line = json.dumps(report.to_json())
+    try:
+        color_from_scheme(scheme, inst.params, inst.graph)
+    except DefcolorError:
+        pass
+    return "clean" if report.clean() else "dirty", line
 
 
 def audit(count: int, seed: int, insts, out=sys.stdout) -> tuple[int, int, str]:

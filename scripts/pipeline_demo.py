@@ -12,7 +12,7 @@ import argparse
 import sys
 import time
 
-from defcolor.coloring import verify_coloring
+from defcolor.check import verify_coloring
 from defcolor.scheme import build_scheme, certify_scheme, color_from_scheme
 from defcolor.scheme.corpus import acceptance_corpus
 

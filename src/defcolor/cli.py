@@ -17,9 +17,10 @@ import json
 import sys
 
 from . import coloring, depth, graphs
+from .check import Coloring, MinorModel, verify_depth_witness, verify_model
 from .constants import paper_constants
-from .coloring import Coloring, decide_defective
-from .depth import ClusteredBounds, connected_tree_depth, verify_depth_witness
+from .coloring import decide_defective
+from .depth import ClusteredBounds, connected_tree_depth
 from .errors import (
     BucketTooSmallError,
     BudgetExceededError,
@@ -29,7 +30,7 @@ from .errors import (
     SearchFailureError,
     SizeLimitError,
 )
-from .minors import MinorModel, has_minor, verify_model
+from .minors import has_minor
 from .scheme import (
     SchemeParams,
     build_scheme,

@@ -23,7 +23,8 @@ of two complete routes:
 
 Either route reports infeasible only after exhausting its search space; a
 budget stop is a distinct error, never an answer.  Every feasible answer is
-rechecked: its class degrees are recounted and must not exceed d.
+rechecked: ``check.class_degrees`` recounts its class degrees, which
+must not exceed d.
 ``min_defect`` starts from a local-search coloring of defect at most
 floor(Delta / k) (Lovász 1966) and asks the route for one less until it
 refutes: one infeasible probe, at the least defect minus one.
@@ -34,18 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import BudgetExceededError, PartialColoringError, SizeLimitError
+from .check import Coloring, class_degrees
+from .errors import BudgetExceededError, SizeLimitError
 from .graphs import Graph, _mask, closure_forest
 
 DEFAULT_EXACT_LIMIT = 16
-
-
-@dataclass(frozen=True)
-class Coloring:
-    """Total assignment of 1-based colors in [k] to vertices 0..n-1."""
-
-    k: int
-    colors: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -53,45 +47,6 @@ class DefectReport:
     feasible: bool
     coloring: Optional[Coloring]
     max_class_degree: Optional[dict[int, int]]
-
-
-def _check_total(g: Graph, coloring: Coloring) -> None:
-    if len(coloring.colors) != g.n:
-        raise PartialColoringError(
-            f"coloring covers {len(coloring.colors)} of {g.n} vertices"
-        )
-    for v, c in enumerate(coloring.colors):
-        if not 1 <= c <= coloring.k:
-            raise PartialColoringError(f"vertex {v} has color {c} outside [1,{coloring.k}]")
-
-
-def class_degrees(g: Graph, coloring: Coloring) -> dict[int, int]:
-    """Maximum induced degree per color class: each of colors 1..min(k, n),
-    0 for an empty class, then any other color in use."""
-    _check_total(g, coloring)
-    out = dict.fromkeys(range(1, min(coloring.k, g.n) + 1), 0)
-    for v in range(g.n):
-        c = coloring.colors[v]
-        deg = sum(1 for u in g.adj[v] if coloring.colors[u] == c)
-        out[c] = max(out.get(c, 0), deg)
-    return out
-
-
-def verify_coloring(
-    g: Graph, coloring: Coloring, d: int
-) -> tuple[bool, Optional[int]]:
-    """True iff every color class induces maximum degree <= d.
-
-    On failure returns the least vertex with more than d same-colored
-    neighbors.
-    """
-    _check_total(g, coloring)
-    for v in range(g.n):
-        c = coloring.colors[v]
-        deg = sum(1 for u in g.adj[v] if coloring.colors[u] == c)
-        if deg > d:
-            return False, v
-    return True, None
 
 
 def _check_args(k: int, d: int) -> None:

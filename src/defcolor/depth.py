@@ -302,18 +302,3 @@ def connected_tree_depth(
     if witness.height != ctd:
         raise AssertionError("internal: witness height disagrees with ctd")
     return DepthReport(td, ctd, witness, tuple(range(g.n)), solver.expanded)
-
-
-def verify_depth_witness(g: Graph, report: DepthReport) -> bool:
-    """Every input edge must map to an ancestor pair of the witness tree."""
-    tree = report.witness
-    if tree.n != g.n or report.embedding != tuple(range(g.n)):
-        return False
-    depth = tree.depths()
-    anc = [set(tree.ancestors(v)) for v in range(tree.n)]
-    for u, v in g.edges():
-        lo, hi = (u, v) if depth[u] <= depth[v] else (v, u)
-        if lo not in anc[hi]:
-            return False
-    return tree.height == report.ctd
-

@@ -94,68 +94,15 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+from .check import MinorModel, verify_model
 from .errors import BudgetExceededError, SizeLimitError
-from .graphs import Graph, _bits, _mask, induced_components
+from .graphs import Graph, _bits, _mask
 
 EXHAUSTIVE_HOST_LIMIT = 14
 EXHAUSTIVE_PATTERN_LIMIT = 8
 DEFAULT_NODE_BUDGET = 5_000_000
-
-
-@dataclass(frozen=True)
-class MinorModel:
-    """Map pattern vertex -> disjoint connected branch set in the host."""
-
-    branch_sets: dict[int, frozenset[int]]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "branch_sets", dict(sorted(self.branch_sets.items()))
-        )
-
-
-@dataclass(frozen=True)
-class Violation:
-    """First violated model clause plus witness vertices."""
-
-    clause: str
-    witness: tuple
-
-
-def verify_model(
-    host: Graph, pattern: Graph, model: MinorModel
-) -> tuple[bool, Optional[Violation]]:
-    """Check all MinorModel invariants; on failure return the first violation.
-
-    Clause order: missing-branch-set, disjointness, connectivity,
-    edge-coverage.  Ids out of range raise ValueError.
-    """
-    bs = model.branch_sets
-    for pv, s in bs.items():
-        if not 0 <= pv < pattern.n:
-            raise ValueError(f"pattern vertex {pv} out of range")
-        for v in s:
-            if not 0 <= v < host.n:
-                raise ValueError(f"host vertex {v} out of range")
-    for pv in range(pattern.n):
-        if pv not in bs or not bs[pv]:
-            return False, Violation("missing-branch-set", (pv,))
-    for pu in range(pattern.n):
-        for pv in range(pu + 1, pattern.n):
-            shared = bs[pu] & bs[pv]
-            if shared:
-                return False, Violation("disjointness", (pu, pv, min(shared)))
-    for pv in range(pattern.n):
-        comps = induced_components(host, bs[pv])
-        if len(comps) > 1:
-            return False, Violation("connectivity", (pv, min(comps[0]), min(comps[1])))
-    for pu, pv in pattern.edges():
-        if not any(host.adj[v] & bs[pv] for v in bs[pu]):
-            return False, Violation("edge-coverage", (pu, pv))
-    return True, None
 
 
 def _connected_classes(adj: list[int], nbhd: dict[int, int]):

@@ -3,13 +3,14 @@
 ``certify_entry`` checks one consecutive pair of entries and returns a
 per-condition report with explicit witnesses for every failure.  Every
 clause is decided exactly from the document and the original graph; none
-searches.  The minor clause of D10 reads only the hyperedge's witness
-family: for label 1 the pattern ct(1, k) is a single vertex, so k + h - 1
-disjoint copies exist exactly when G with each (nonempty, connected,
-pairwise disjoint) family member contracted keeps at least k + h - 1
-vertices; for a higher label the family must parse into k + h - label
-groups that verify as an explicit model of disjoint ct(label, k) copies,
-and fails otherwise.  A verdict is skipped only after a shape flaw.
+searches, and the module imports no search.  The minor clause of D10
+reads only the hyperedge's witness family, whose members the clauses
+before it made nonempty, connected and disjoint: for label 1 the pattern
+ct(1, k) is a single vertex, so k + h - 1 disjoint copies exist exactly
+when G with each member contracted keeps at least k + h - 1 vertices; for
+a higher label the family must parse into k + h - label witness trees,
+each set adjacent in G to every set below it, and fails otherwise.  A
+verdict is skipped only after a shape flaw.
 
 One shape pass per entry (``_shape``) decides well-formedness before any
 clause reads the entry, so the clauses carry no range guards.  D1 reports
@@ -86,12 +87,11 @@ After any other last pair, and for a one-entry scheme, the tail runs
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 from typing import Optional
 
-from ..graphs import Graph, ct, ct_order, disjoint_copies, induced_components
-from ..minors import MinorModel, verify_model
+from ..graphs import Graph, induced_components
 from .entry import SchemeEntry, parse_groups
 from .params import SchemeParams
 
@@ -996,58 +996,26 @@ def _has_witnessed_minors(fam, label: int, params: SchemeParams, original) -> bo
     """Whether G with each family member contracted has ``k + h - label``
     disjoint ct(label, k) minors, read from the family alone.
 
-    Label 1 is a vertex count: the clauses before this one made the members
-    nonempty, connected and disjoint, all ``verify_model`` would check.
+    The clauses before this one made the members nonempty, connected and
+    disjoint.  Label 1 is then a vertex count.  A higher label needs the
+    family to parse into ``k + h - label`` witness trees in which each set
+    is adjacent to every set below it: contracting a tree's sets gives
+    ct(label, k), whose edges are exactly its ancestor pairs.
     """
     if label == 1:
         contracted_n = original.n - sum(len(a) - 1 for a in fam)
         return contracted_n >= params.k + params.h - 1
     groups = parse_groups(fam, label, params.k, params.k + params.h - label)
-    return groups is not None and _verify_groups(groups, label, params.k, original)
+    return groups is not None and all(_reaches_below(t, (), original) for t in groups)
 
 
-@lru_cache(maxsize=32)
-def _pattern(copies: int, label: int, k: int) -> Graph:
-    """``copies`` disjoint copies of ct(label, k), built once (graphs are
-    immutable)."""
-    return disjoint_copies(copies, ct(label, k))
-
-
-def _verify_groups(groups, label, k, original) -> bool:
-    """Interpret the grouped witness order as an explicit minor model."""
-    copies = len(groups)
-    pattern = _pattern(copies, label, k)
-    size = ct_order(label, k)
-    branch: dict[int, frozenset[int]] = {}
-    # ct ids are BFS-ordered (k-ary heap) while witness trees serialize in
-    # pre-order; align the two traversals
-    order = _preorder_ids(label, k)
-    for c, node in enumerate(groups):
-        sets = list(node.sets())
-        if len(sets) != size:
-            return False
-        for pos, s in zip(order, sets):
-            branch[c * size + pos] = s
-    try:
-        ok, _ = verify_model(original, pattern, MinorModel(branch))
-    except ValueError:
+def _reaches_below(node, above: tuple, g: Graph) -> bool:
+    """Whether ``node``'s set meets each neighbourhood in ``above`` (those
+    of its ancestors' sets), and the same holds below each child."""
+    if any(reach.isdisjoint(node.root) for reach in above):
         return False
-    return ok
-
-
-def _preorder_ids(label, k):
-    """BFS ids of the balanced tree listed in pre-order."""
-    # BFS layout: root 0; children of i at k*i + 1 .. k*i + k (k-ary heap)
-    out = []
-
-    def rec(i, depth):
-        out.append(i)
-        if depth < label:
-            for c in range(k * i + 1, k * i + k + 1):
-                rec(c, depth + 1)
-
-    rec(0, 1)
-    return out
+    above += (frozenset().union(*(g.adj[v] for v in node.root)),)
+    return all(_reaches_below(child, above, g) for child in node.children)
 
 
 def _check_d11(report: CertReport, nv: SchemeEntry):

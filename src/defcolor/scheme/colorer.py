@@ -12,7 +12,7 @@ hyperedges and witness keys in range); the first flaw raises
 
 from __future__ import annotations
 
-from ..coloring import Coloring, verify_coloring
+from ..check import Coloring, verify_coloring
 from ..errors import DefcolorError, EmptyPaletteError, HypothesisViolationError
 from ..graphs import Graph
 from .certify import _shape

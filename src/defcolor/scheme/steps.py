@@ -416,6 +416,13 @@ def del_step(
     z_chosen = group[:need]
     region = balls[z_chosen[0]]
     deleted = frozenset().union(*(balls[zi] for zi in z_chosen[1:]))
+    # D8h(e): the deleted vertices and a contracted region of two or more
+    # lose their models, and at most N may
+    removed = len(deleted) + (len(region) if len(region) > 1 else 0)
+    if removed > params.n_freeze:
+        raise HypothesisViolationError(
+            f"deletion step removes {removed} > N = {params.n_freeze} vertices' models"
+        )
     rb = _Rebuild(entry, contracted=region, deleted=deleted, cut_x_edges=None)
 
     def correspond(edge: Hyperedge, zi: int):

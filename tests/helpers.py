@@ -22,7 +22,7 @@ from typing import Optional
 
 from hypothesis import strategies as st
 
-from defcolor.coloring import Coloring
+from defcolor.check import Coloring
 from defcolor.depth import ClusteredBounds, connected_tree_depth
 from defcolor.graphs import Graph, RootedTree, induced_components
 from defcolor.hugeint import PLAIN_LIMIT, HugeInt

@@ -10,7 +10,8 @@ from __future__ import annotations
 import random
 import time
 
-from defcolor.coloring import decide_defective, min_defect, verify_coloring
+from defcolor.check import verify_coloring
+from defcolor.coloring import decide_defective, min_defect
 from defcolor.constants import paper_constants
 from defcolor.depth import connected_tree_depth
 from defcolor.graphs import (

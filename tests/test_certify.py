@@ -596,6 +596,7 @@ class TestMinorClause:
 
     UNGROUPED = ({3}, {4})  # 2 sets where 3 groups of ct(2, 1) need 6
     GROUPED = ({3}, {4}, {5}, {6}, {7}, {8})  # (root, child) pairs on the path
+    UNLINKED = ({3}, {5}, {4}, {6}, {7}, {8})  # parses, but 3 and 5 are not adjacent
     MISSING = {"clause": "minor-missing", "edge": 0}
 
     def test_small_host(self):
@@ -603,6 +604,7 @@ class TestMinorClause:
         # disjoint edges (1-2 and two of the path); the family is no model
         assert _one_edge_d10(2, self.UNGROUPED, 9).witness == self.MISSING
         assert _one_edge_d10(2, self.GROUPED, 9).status == "pass"
+        assert _one_edge_d10(2, self.UNLINKED, 9).witness == self.MISSING
         # label 1: contracting 3..8 leaves exactly 4 vertices, also
         # contracting the sink 1 leaves 3
         assert _one_edge_d10(1, [range(3, 9)], 9).status == "pass"

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from defcolor import cli
+from defcolor.check import MinorModel, verify_model
 from defcolor.cli import main
 from defcolor.coloring import decide_defective, min_defect
 from defcolor.graphs import (
@@ -21,10 +22,10 @@ from defcolor.graphs import (
     to_edge_json,
     to_graph6,
 )
-from defcolor.minors import MinorModel, verify_model
 from defcolor.scheme import build_scheme, scheme_from_json, scheme_to_json
 from defcolor.scheme.corpus import caterpillar, star_of_balls
 from helpers import EXACT_MIX_G14, path_graph
+from test_steps import over_deleting_inputs
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -403,6 +404,20 @@ class TestScheme:
         assert code == 4 and captured.out == ""
         assert "does not certify" in captured.err
         assert not spath.exists()
+
+    @pytest.mark.parametrize("case", range(2))
+    def test_over_deleting_build_is_an_input_error(self, capsys, tmp_path, case):
+        # such a build used to print nothing and exit 4: its scheme failed
+        # D8h he-too-many-removed
+        g, params = over_deleting_inputs()[case]
+        gpath = tmp_path / "g.json"
+        gpath.write_text(to_edge_json(g))
+        ppath = tmp_path / "params.json"
+        ppath.write_text(json.dumps(params.to_json()))
+        code = main(["scheme", "build", str(gpath), "--params", str(ppath)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "> N = 5" in captured.err
 
     @pytest.mark.parametrize("field", ["sink", "member"])
     def test_certify_out_of_range_hyperedge_is_dirty(self, capsys, tmp_path, field):

@@ -9,16 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defcolor import coloring
-from defcolor.coloring import (
-    Coloring,
-    _decide,
-    _lovasz,
-    _rows,
-    class_degrees,
-    decide_defective,
-    min_defect,
-    verify_coloring,
-)
+from defcolor.check import Coloring, class_degrees, verify_coloring
+from defcolor.coloring import _decide, _lovasz, _rows, decide_defective, min_defect
 from defcolor.errors import BudgetExceededError, PartialColoringError, SizeLimitError
 from defcolor.graphs import (
     Graph,

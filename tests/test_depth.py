@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defcolor.depth import _DepthSolver, connected_tree_depth, verify_depth_witness
+from defcolor.check import verify_depth_witness
+from defcolor.depth import _DepthSolver, connected_tree_depth
 from defcolor.errors import BudgetExceededError, SizeLimitError
 from defcolor.graphs import (
     Graph,

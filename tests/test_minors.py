@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from defcolor import minors
+from defcolor.check import MinorModel, verify_model
 from defcolor.errors import BudgetExceededError, SizeLimitError
 from defcolor.graphs import (
     Graph,
@@ -17,14 +18,7 @@ from defcolor.graphs import (
     cycle_graph,
     empty_graph,
 )
-from defcolor.minors import (
-    MinorModel,
-    _connected_classes,
-    _kernel,
-    _series_reduced,
-    has_minor,
-    verify_model,
-)
+from defcolor.minors import _connected_classes, _kernel, _series_reduced, has_minor
 from helpers import (
     EXACT_MIX_G12,
     EXACT_MIX_G12_DENSE,

@@ -11,7 +11,7 @@ import types
 import orjson
 import pytest
 
-from defcolor.coloring import verify_coloring
+from defcolor.check import verify_coloring
 from defcolor.errors import EmptyPaletteError, InputFormatError, SearchFailureError
 from defcolor.graphs import (
     complete_graph,

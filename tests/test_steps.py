@@ -10,6 +10,7 @@ from defcolor.graphs import Graph, ball
 from defcolor.scheme import (
     Hyperedge,
     SchemeParams,
+    build_scheme,
     certify_entry,
     find_homogeneous,
     initial_entry,
@@ -92,6 +93,28 @@ class TestDelStep:
         with pytest.raises(BucketTooSmallError) as err:
             step(initial_entry(g), triple, params)
         assert err.value.largest == 3 and err.value.needed == 5
+
+
+def over_deleting_inputs():
+    """Graphs and params whose first deletion step would remove more than
+    N = 5 vertices' models, failing D8h he-too-many-removed."""
+    triangle = Graph.from_edges(8, [(0, 5), (0, 7), (5, 7)])
+    forest = Graph.from_edges(
+        14, [(0, 5), (0, 13), (1, 2), (1, 6), (2, 8), (4, 12), (6, 8), (10, 12)]
+    )
+    return [
+        # the triangle's ball is contracted and three singleton balls deleted
+        (triangle, SchemeParams(h=3, k=1, r=3, d=3, n_freeze=5, l0=3, t=6)),
+        (forest, SchemeParams(h=4, k=1, r=5, d=2, n_freeze=5, l0=3, t=6)),
+    ]
+
+
+class TestDeletionBound:
+    @pytest.mark.parametrize("case", range(2))
+    def test_over_deleting_build_is_refused(self, case):
+        g, params = over_deleting_inputs()[case]
+        with pytest.raises(HypothesisViolationError, match="> N = 5"):
+            build_scheme(g, params)
 
 
 class TestContractStep:
