@@ -76,17 +76,17 @@ def _load_graph(path: str) -> graphs.Graph:
 
 
 def _load_params(path: str) -> SchemeParams:
-    try:
-        return SchemeParams.from_json(json.loads(_read(path)))
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"bad params file: {exc}") from exc
+    return graphs.read_json(_read(path), SchemeParams.from_json)
 
 
-def _load_model(path: str) -> MinorModel:
-    doc = json.loads(_read(path))
+def _model_from_doc(doc) -> MinorModel:
     return MinorModel(
         {pv: frozenset(s) for pv, s in graphs.int_keyed(doc, "model document", 2)}
     )
+
+
+def _load_model(path: str) -> MinorModel:
+    return graphs.read_json(_read(path), _model_from_doc)
 
 
 def _coloring_json(c: Coloring) -> str:
@@ -169,7 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cn.add_argument("--d-homo", type=int, required=True)
     cn.add_argument("--n1", type=int, required=True)
     cn.add_argument("--n2", type=int, required=True)
-    cn.add_argument("--budget-vertices", type=int, default=graphs.DEFAULT_VERTEX_BUDGET)
     cn.add_argument("-o", "--output", default=None)
     return ap
 
@@ -277,8 +276,7 @@ def _run(args) -> int:
 
     if args.verb == "constants":
         table = paper_constants(
-            args.height, args.arity, args.r, args.d_homo, args.n1, args.n2,
-            budget=args.budget_vertices,
+            args.height, args.arity, args.r, args.d_homo, args.n1, args.n2
         )
         _emit(json.dumps(table.to_json()), args.output)
         return EXIT_OK

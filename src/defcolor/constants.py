@@ -15,13 +15,8 @@ external existence result and are caller-supplied configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
 
 from .hugeint import PLAIN_LIMIT, HugeInt, hadd, hmul, hpow, int_to_json, to_json
-from .graphs import DEFAULT_VERTEX_BUDGET
-
-if TYPE_CHECKING:  # deferred: the scheme package itself imports this module
-    from .scheme.params import SchemeParams
 
 
 def split_path_budget(t: int, k: int, length: int) -> int:
@@ -56,8 +51,6 @@ class ConstantsTable:
     t_extra_exponent: int
     n_star: HugeInt
     n_total: HugeInt
-    practical: bool
-    params: Optional[SchemeParams]
 
     def to_json(self) -> dict:
         return {
@@ -83,8 +76,9 @@ class ConstantsTable:
             ),
             "n_star": to_json(self.n_star),
             "n_total": to_json(self.n_total),
-            "practical": self.practical,
-            "params": self.params.to_json() if self.params else None,
+            # no input materializes the chain (see paper_constants)
+            "practical": False,
+            "params": None,
         }
 
 
@@ -95,7 +89,6 @@ def paper_constants(
     d_homo: int,
     n1: int,
     n2: int,
-    budget: int = DEFAULT_VERTEX_BUDGET,
 ) -> ConstantsTable:
     """Exact derivation chain for the scheme constants.
 
@@ -108,8 +101,11 @@ def paper_constants(
     N*  = (k+h) d^l0                           deletion-step floor
     N   = d^l0 + n1 + n2                       termination size
 
-    ``practical`` reports whether every value materializes within the
-    vertex budget, in which case a runnable SchemeParams is included.
+    No admissible input gives runnable scheme parameters: r >= 1 and
+    h >= 3 give t0 >= 2, so t1 >= 3^3 = 27 and k0 >= 1 + 3 (6 * 27 + 1)
+    = 490; then l0 > 490^27 > 10^72, and N > d^l0 >= 2^(10^72) has more
+    than the 2^20 bits ``materialize`` allows.  The JSON form still
+    reports ``"practical": false`` and ``"params": null``.
     """
     if h < 3:
         raise ValueError("h must be at least 3")
@@ -118,7 +114,7 @@ def paper_constants(
             raise ValueError(f"{name} must be positive")
 
     two = 2 ** (r - 1)  # recurring exponent; always a plain int
-    t0 = hmul(hpow(r, two) if r >= 2 else HugeInt.of(1), (h - 2) * (r + 1) * two)
+    t0 = hmul(hpow(r, two) if r >= 2 else 1, (h - 2) * (r + 1) * two)
     t1 = hpow(3, hadd(t0, r))
     k0 = hadd(hmul(t1, 6 * (h + k - 1)), (h + k - 1) + 1)
     l0 = hpow(k0, t1, addend=hadd(hmul(t1, 3), 1))
@@ -129,24 +125,6 @@ def paper_constants(
 
     n_star = hpow(d, l0, coeff=k + h)
     n_total = hpow(d, l0, addend=n1 + n2)
-
-    practical = all(
-        v.materialize() is not None and v.exact_int() <= budget
-        for v in (t0, t1, k0, l0, t_value, n_star, n_total)
-    )
-    params = None
-    if practical:
-        from .scheme.params import SchemeParams
-
-        params = SchemeParams(
-            h=h,
-            k=k,
-            r=r,
-            d=d,
-            n_freeze=n_total.exact_int(),
-            l0=l0.exact_int(),
-            t=t_value.exact_int(),
-        )
     return ConstantsTable(
         h=h,
         k=k,
@@ -164,6 +142,4 @@ def paper_constants(
         t_extra_exponent=two,
         n_star=n_star,
         n_total=n_total,
-        practical=practical,
-        params=params,
     )

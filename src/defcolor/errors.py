@@ -62,11 +62,7 @@ class BucketTooSmallError(DefcolorError):
 
 
 class SearchFailureError(DefcolorError):
-    """The homogeneous-structure search failed; reports progress made."""
-
-    def __init__(self, message: str, entries_built: int = 0):
-        self.entries_built = entries_built
-        super().__init__(message)
+    """The homogeneous-structure search failed."""
 
 
 class EmptyPaletteError(DefcolorError):

@@ -71,9 +71,6 @@ class Graph:
             return NotImplemented
         return self.n == other.n and self.adj == other.adj
 
-    def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={self.edge_count()})"
-
     def subgraph(self, vertices: Iterable[int]) -> tuple["Graph", list[int]]:
         """Induced subgraph on ``vertices``; returns (graph, old-id list).
 

@@ -48,12 +48,6 @@ class HugeInt:
         self.exp = exp
         self.addend = addend
 
-    # -- construction --------------------------------------------------
-
-    @staticmethod
-    def of(x: IntLike) -> "HugeInt":
-        return _as_huge(x)
-
     def materialize(self, max_bits: int = MATERIALIZE_BITS) -> Optional[int]:
         """Plain int value if its size fits in max_bits, else None."""
         if self.val is not None:
@@ -66,12 +60,6 @@ class HugeInt:
         if e * max(b.bit_length() - 1, 1) + self.coeff.bit_length() > max_bits:
             return None
         return self.coeff * b**e + a
-
-    def exact_int(self) -> int:
-        got = self.materialize()
-        if got is None:
-            raise OverflowError("HugeInt too large to materialize")
-        return got
 
 
 def hpow(base: IntLike, exp: IntLike, coeff: int = 1, addend: IntLike = 0) -> HugeInt:
@@ -148,7 +136,6 @@ def _fmt_atom(x: HugeInt) -> str:
 
 
 HugeInt.__str__ = _fmt
-HugeInt.__repr__ = lambda self: f"HugeInt({_fmt(self)})"
 
 
 def power_form(n: int) -> HugeInt:

@@ -1,7 +1,7 @@
 """Elimination-scheme machinery: state, search, steps, certifier, colorer."""
 
 from .build import build_scheme
-from .certify import CertReport, SchemeReport, certify_entry, certify_scheme
+from .certify import CertReport, SchemeReport, certify_scheme
 from .colorer import color_from_scheme
 from .entry import Hyperedge, SchemeEntry, StepMeta, WitnessNode, initial_entry
 from .homogeneous import HomogeneousTriple, find_homogeneous
@@ -14,7 +14,6 @@ __all__ = [
     "build_scheme",
     "CertReport",
     "SchemeReport",
-    "certify_entry",
     "certify_scheme",
     "color_from_scheme",
     "Hyperedge",

@@ -29,13 +29,10 @@ def build_scheme(g: Graph, params: SchemeParams) -> list[SchemeEntry]:
         if triple is None:
             raise SearchFailureError(
                 f"no homogeneous structure at {cur.graph.n} vertices "
-                f"(t={params.t}, l0={params.l0}, d={params.d}, r={params.r})",
-                entries_built=len(entries),
+                f"(t={params.t}, l0={params.l0}, d={params.d}, r={params.r})"
             )
         nxt = step(cur, triple, params)
         if nxt.graph.n >= cur.graph.n:
-            raise SearchFailureError(
-                "step did not shrink the graph", entries_built=len(entries)
-            )
+            raise SearchFailureError("step did not shrink the graph")
         entries.append(nxt)
     return entries

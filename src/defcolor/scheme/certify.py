@@ -1,16 +1,16 @@
 """Certification of scheme entries against the consistency conditions.
 
-``certify_entry`` checks one consecutive pair of entries and returns a
-per-condition report with explicit witnesses for every failure.  Every
-clause is decided exactly from the document and the original graph; none
-searches, and the module imports no search.  The minor clause of D10
-reads only the hyperedge's witness family, whose members the clauses
-before it made nonempty, connected and disjoint: for label 1 the pattern
-ct(1, k) is a single vertex, so k + h - 1 disjoint copies exist exactly
-when G with each member contracted keeps at least k + h - 1 vertices; for
-a higher label the family must parse into k + h - label witness trees,
-each set adjacent in G to every set below it, and fails otherwise.  A
-verdict is skipped only after a shape flaw.
+``certify_scheme`` checks each consecutive pair of entries and returns,
+per pair, a per-condition report with explicit witnesses for every
+failure.  Every clause is decided exactly from the document and the
+original graph; none searches, and the module imports no search.  The
+minor clause of D10 reads only the hyperedge's witness family, whose
+members the clauses before it made nonempty, connected and disjoint: for
+label 1 the pattern ct(1, k) is a single vertex, so k + h - 1 disjoint
+copies exist exactly when G with each member contracted keeps at least
+k + h - 1 vertices; for a higher label the family must parse into
+k + h - label witness trees, each set adjacent in G to every set below
+it, and fails otherwise.  A verdict is skipped only after a shape flaw.
 
 One shape pass per entry (``_shape``) decides well-formedness before any
 clause reads the entry, so the clauses carry no range guards.  D1 reports
@@ -63,12 +63,17 @@ its ids are in the graph and those in some model lie in the sink's
 before any clause reads the original adjacency.  D11 takes one pass over
 an owner map from each original id to the sinks of the hyperedges holding
 it, and scans the pairs of hyperedges in order for the first failure only
-when that map finds a conflict.  ``certify_entry`` decides its facts
-afresh.
+when that map finds a conflict.
+
+D8g's gd clause and D8h's hg clause search the previous hyperedges for a
+partner (``_find_gd_partner``, ``_find_hg_partner``) only for a hyperedge
+whose sink the step absorbs into q (gd) or deletes (hg).  No scheme the
+builder makes does either, so only the hand-built pairs of
+``TestPartnerClauses`` in ``tests/test_certify.py`` reach them.
 
 ``certify_scheme`` ends with the frozen tail, the last entry L paired with
 itself.  When the last real pair (P, L) is clean, the tail runs D3 alone,
-and its report equals the full ``certify_entry(L, L)``:
+and its report equals that of the full pair (L, L):
 
 - the shape pass, the conditions that read only the next entry (D1, D5,
   D6b, D9-D12) and the clauses of D2 and D4 on L alone passed in (P, L);
@@ -80,8 +85,8 @@ and its report equals the full ``certify_entry(L, L)``:
 - D8 returns early on an unchanged state;
 - so only D3's frozen clause can fail: L must be frozen.
 
-After any other last pair, and for a one-entry scheme, the tail runs
-``certify_entry`` in full.
+After any other last pair, and for a one-entry scheme, the tail certifies
+the pair (L, L) in full.
 """
 
 from __future__ import annotations
@@ -163,9 +168,6 @@ class CertReport:
 
     def failures(self) -> list[str]:
         return [c for c, v in self.verdicts.items() if v.status == "fail"]
-
-    def skipped(self) -> list[str]:
-        return [c for c, v in self.verdicts.items() if v.status == "skipped"]
 
     def to_json(self):
         return {c: v.to_json() for c, v in self.verdicts.items()}
@@ -323,15 +325,6 @@ def _link_flaw(g: Graph, link: frozenset[int], fam) -> str:
         if reach.isdisjoint(a):
             return "link-not-adjacent-to-witness"
     return ""
-
-
-def certify_entry(
-    prev: SchemeEntry,
-    nxt: SchemeEntry,
-    params: SchemeParams,
-    original: Graph,
-) -> CertReport:
-    return _certify_pair(prev, nxt, params, original, _Facts(params, original))
 
 
 def _certify_pair(

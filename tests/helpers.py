@@ -9,9 +9,9 @@ forbidden induced subgraphs, the packing of homogeneous balls and the
 homogeneous search by BFS distances in g[X], degeneracy by min-degree
 peeling, connected vertex sets by testing every mask, and the plain
 backtracking coloring search over neighbor sets.  The path, star
-and level-coloring constructors, the slotwise order on HugeInt power forms
-and the depth translations at the end are not oracles: only tests call
-them.
+and level-coloring constructors, the slotwise order on HugeInt power forms,
+the one-pair certification and the depth translations at the end are not
+oracles: only tests call them.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from defcolor.check import Coloring
 from defcolor.depth import ClusteredBounds, connected_tree_depth
 from defcolor.graphs import Graph, RootedTree, induced_components
 from defcolor.hugeint import PLAIN_LIMIT, HugeInt
+from defcolor.scheme import CertReport, SchemeEntry, SchemeParams, certify_scheme
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +624,19 @@ def d2_oracle(prev, nxt, original: Graph) -> dict:
 # scheme oracle: homogeneous triples by plain BFS distances in g[X]
 
 
+def certify_entry(
+    prev: SchemeEntry, nxt: SchemeEntry, params: SchemeParams, original: Graph
+) -> CertReport:
+    """The report of the one pair (prev, nxt): ``certify_scheme`` decides
+    each pair's facts once, so its first pair report is the pair's own."""
+    return certify_scheme([prev, nxt], params, original).pair_reports[0]
+
+
+def skipped(report: CertReport) -> list[str]:
+    """The conditions a pair report skipped, in order."""
+    return [c for c, v in report.verdicts.items() if v.status == "skipped"]
+
+
 def homogeneous_oracle(
     g: Graph,
     x_set: frozenset[int],
@@ -719,7 +733,7 @@ def huge_slotwise_le(x, y) -> bool:
     ``PLAIN_LIMIT`` is below every power form, which is at least that
     limit.  False means "not shown", not "greater".
     """
-    x, y = HugeInt.of(x), HugeInt.of(y)
+    x, y = (v if isinstance(v, HugeInt) else HugeInt(val=v) for v in (x, y))
     if y.val is not None:
         return x.val is not None and x.val <= y.val
     if x.val is not None:

@@ -14,7 +14,6 @@ from defcolor.scheme import (
     Hyperedge,
     SchemeParams,
     build_scheme,
-    certify_entry,
     certify_scheme,
     color_from_scheme,
     find_homogeneous,
@@ -35,7 +34,7 @@ from defcolor.scheme.certify import (
 )
 from defcolor.scheme.corpus import acceptance_corpus, caterpillar, star_of_balls
 from defcolor.scheme.entry import SchemeEntry, StepMeta
-from helpers import d2_oracle
+from helpers import certify_entry, d2_oracle, skipped
 from test_steps import typed_spine_fabric
 
 
@@ -246,10 +245,10 @@ class TestOutOfRangeModelIds:
                 "witness": {"clause": "model-keys", "expected": nxt.graph.n},
             }
             # the conditions after D1 read one model per vertex
-            assert pair.skipped() == list(CONDITIONS[1:])
+            assert skipped(pair) == list(CONDITIONS[1:])
         later = certify_entry(gap, nxt, inst.params, inst.graph)
         assert later.verdicts["D1"].status == "pass"
-        assert later.skipped() == list(CONDITIONS[1:])
+        assert skipped(later) == list(CONDITIONS[1:])
         assert "previous entry" in later.verdicts["D2"].reason
 
     def test_shifted_id_in_earlier_entry_gives_report(self):
@@ -285,7 +284,7 @@ class TestOutOfRangeArcs:
         # the pair after reads no field of the malformed previous entry
         later = report.pair_reports[1]
         assert later.failures() == []
-        assert later.skipped() == list(CONDITIONS[1:])
+        assert skipped(later) == list(CONDITIONS[1:])
         assert not later.clean()
         assert later.verdicts["D4"].reason == (
             "previous entry out of range, flagged by D4 of the pair before"
@@ -303,7 +302,7 @@ class TestShapePass:
         )
         assert report.failures() == ["D9"]
         assert report.verdicts["D1"].status == "pass"
-        assert report.skipped() == [c for c in CONDITIONS[1:] if c != "D9"]
+        assert skipped(report) == [c for c in CONDITIONS[1:] if c != "D9"]
         assert report.verdicts["D2"].reason.endswith("flagged by D9")
 
     @pytest.mark.parametrize("field", ["witnesses", "witness_links"])
@@ -1103,3 +1102,98 @@ class TestDroppedEdgeClauses:
                         continue
                     assert answer == _dropped_by_scan(prev, nxt, absorb)
         assert min(answers.values()) >= 50, answers
+
+
+def _singletons(g: Graph, hyperedges, arcs) -> SchemeEntry:
+    """g itself as an entry of singleton models, with the given hyperedges
+    (each with an empty witness family) and arcs."""
+    keys = range(len(hyperedges))
+    return SchemeEntry(
+        graph=g,
+        model={v: frozenset({v}) for v in range(g.n)},
+        arcs=frozenset(arcs),
+        hyperedges=tuple(hyperedges),
+        witnesses={i: () for i in keys},
+        witness_links={i: () for i in keys},
+        step_meta=None,
+    )
+
+
+class TestPartnerClauses:
+    """D8g's gd and D8h's hg clauses on hand-built pairs: no built scheme
+    absorbs or deletes an earlier sink, so nothing else reaches the partner
+    searches.  Each passing case asserts that its search ran."""
+
+    GD_PARAMS = SchemeParams(h=4, k=1, r=3, d=3, n_freeze=3, l0=1, t=1)
+    HG_PARAMS = SchemeParams(h=4, k=1, r=3, d=2, n_freeze=4, l0=1, t=1)
+
+    @staticmethod
+    def _spy(monkeypatch, name: str) -> list:
+        calls = []
+        real = getattr(certify, name)
+
+        def spy(*args):
+            calls.append(real(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(certify, name, spy)
+        return calls
+
+    def _gd_pair(self, u_plus):
+        # the sink 1 of {1, 2} is contracted with 3 into q = 3; the
+        # survivors 0, 2 and 4 become 0, 1 and 2
+        g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 3), (3, 4), (0, 3), (0, 4)])
+        prev = _singletons(g, [Hyperedge(frozenset({1, 2}), 1, 1)], [(2, 1)])
+        nxt = SchemeEntry(
+            graph=Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]),
+            model={0: frozenset({0}), 1: frozenset({2}), 2: frozenset({4}), 3: frozenset({1, 3})},
+            arcs=frozenset(),
+            hyperedges=(),
+            witnesses={},
+            witness_links={},
+            step_meta=StepMeta(q=3, u_set=frozenset(), u_plus=frozenset(u_plus)),
+        )
+        return certify_entry(prev, nxt, self.GD_PARAMS, g).verdicts["D8g"]
+
+    def test_gd_partner_found(self, monkeypatch):
+        # 2 lies in U+, so the edge is its own partner
+        calls = self._spy(monkeypatch, "_find_gd_partner")
+        assert self._gd_pair({0, 2, 4}).status == "pass"
+        assert calls == [True]
+
+    def test_gd_no_partner(self):
+        # 2 outside U+ must be absorbed into q too, and it is not
+        got = self._gd_pair({0, 4})
+        assert got.status == "fail"
+        assert got.witness == {"clause": "gd-no-partner-edge", "members": frozenset({1, 2})}
+
+    def _hg_pair(self, with_partner: bool):
+        # apex 0 over 1-4; the step keeps 0, contracts {1, 2} into q = 1 and
+        # deletes the sink 3 of {3, 4}, whose partner is {1, 2}
+        g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)])
+        edges = [Hyperedge(frozenset({3, 4}), 1, 3)]
+        arcs = [(4, 3)]
+        if with_partner:
+            edges.append(Hyperedge(frozenset({1, 2}), 1, 1))
+            arcs.append((2, 1))
+        prev = _singletons(g, edges, arcs)
+        nxt = SchemeEntry(
+            graph=Graph.from_edges(2, [(0, 1)]),
+            model={0: frozenset({0}), 1: frozenset({1, 2})},
+            arcs=frozenset(),
+            hyperedges=(),
+            witnesses={},
+            witness_links={},
+            step_meta=StepMeta(q=1, u_set=frozenset({0}), u_plus=frozenset({0})),
+        )
+        return certify_entry(prev, nxt, self.HG_PARAMS, g).verdicts["D8h"]
+
+    def test_hg_partner_found(self, monkeypatch):
+        calls = self._spy(monkeypatch, "_find_hg_partner")
+        assert self._hg_pair(with_partner=True).status == "pass"
+        assert calls == [True]
+
+    def test_hg_no_partner(self):
+        got = self._hg_pair(with_partner=False)
+        assert got.status == "fail"
+        assert got.witness == {"clause": "hg-no-partner-edge", "members": frozenset({3, 4})}

@@ -36,20 +36,18 @@ class TestDerivedTable:
     def test_smallest_admissible_arguments(self):
         tab = paper_constants(3, 1, 2, d_homo=2, n1=7, n2=7)
         # main exponent (h-2) (r+1)^(2^(r-1)) (k+h) 2^(r-1) = 1 * 9 * 4 * 2
-        assert tab.t_main_exponent.exact_int() == 72
+        assert tab.t_main_exponent.materialize() == 72
         assert tab.t_extra_exponent == 2
-        assert tab.t.exact_int() == 2**72 * 2**2
-        assert tab.t0.exact_int() == 24  # (h-2)(r+1) 2^(r-1) r^(2^(r-1)) = 3*2*4
-        assert tab.t1.exact_int() == 3**26
-        assert tab.k0.exact_int() == 1 + 3 * (6 * 3**26 + 1)
+        assert tab.t.materialize() == 2**72 * 2**2
+        assert tab.t0.materialize() == 24  # (h-2)(r+1) 2^(r-1) r^(2^(r-1)) = 3*2*4
+        assert tab.t1.materialize() == 3**26
+        assert tab.k0.materialize() == 1 + 3 * (6 * 3**26 + 1)
         assert tab.d == 3
-        assert not tab.practical
-        assert tab.params is None
 
     def test_l0_is_path_budget_plus_one(self):
         tab = paper_constants(3, 1, 2, d_homo=2, n1=7, n2=7)
-        t1 = tab.t1.exact_int()
-        k0 = tab.k0.exact_int()
+        t1 = tab.t1.materialize()
+        k0 = tab.k0.materialize()
         # l0 = n(t1, k0, 3) + 1 = k0^t1 + 3 t1 + 1, as the same exact normal form
         assert to_json(tab.l0) == to_json(hpow(k0, t1, addend=3 * t1 + 1))
 

@@ -25,42 +25,40 @@ _E = 15_000
 
 class TestConstruction:
     def test_small_powers_materialize(self):
-        assert hpow(2, 10).exact_int() == 1024
-        assert hpow(3, 4, coeff=2, addend=5).exact_int() == 167
+        assert hpow(2, 10).materialize() == 1024
+        assert hpow(3, 4, coeff=2, addend=5).materialize() == 167
 
     def test_exponent_zero_and_base_one(self):
-        assert hpow(7, 0, coeff=3, addend=1).exact_int() == 4
-        assert hpow(1, hpow(10, 100), coeff=5, addend=2).exact_int() == 7
+        assert hpow(7, 0, coeff=3, addend=1).materialize() == 4
+        assert hpow(1, hpow(10, 100), coeff=5, addend=2).materialize() == 7
 
     def test_huge_powers_stay_symbolic(self):
         x = hpow(3, hpow(10, 30))
         assert x.materialize() is None
-        with pytest.raises(OverflowError):
-            x.exact_int()
 
     def test_printable_values_only_are_plain(self):
         below = hpow(10, 4299)
         assert below.val == 10**4299
         for x in (hpow(10, 4300), hadd(below, 9 * 10**4299), hmul(below, 10)):
-            assert x.val is None and x.exact_int() == 10**4300
+            assert x.val is None and x.materialize() == 10**4300
             to_json(x)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            HugeInt.of(-1)
+            hadd(-1, 0)
 
 
 class TestArithmetic:
     @given(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 1000))
     @settings(max_examples=60)
     def test_add_mul_match_ints(self, a, b, c):
-        assert hadd(a, b).exact_int() == a + b
-        assert hmul(HugeInt.of(a), c).exact_int() == a * c
+        assert hadd(a, b).materialize() == a + b
+        assert hmul(HugeInt(val=a), c).materialize() == a * c
 
     @given(st.integers(2, 12), st.integers(0, 40), st.integers(1, 9), st.integers(0, 50))
     @settings(max_examples=60)
     def test_pow_matches_ints(self, b, e, coeff, add):
-        assert hpow(b, e, coeff=coeff, addend=add).exact_int() == coeff * b**e + add
+        assert hpow(b, e, coeff=coeff, addend=add).materialize() == coeff * b**e + add
 
 
 class TestComparison:
@@ -69,26 +67,26 @@ class TestComparison:
     show."""
 
     def test_plain(self):
-        assert huge_slotwise_le(HugeInt.of(5), 7)
-        assert huge_slotwise_le(HugeInt.of(7), 7)
-        assert not huge_slotwise_le(HugeInt.of(8), 7)
+        assert huge_slotwise_le(HugeInt(val=5), 7)
+        assert huge_slotwise_le(HugeInt(val=7), 7)
+        assert not huge_slotwise_le(HugeInt(val=8), 7)
 
     def test_mixed_plain_symbolic(self):
         big = hpow(2, hpow(10, 40))
         assert huge_slotwise_le(10**100, big)
-        assert huge_slotwise_le(HugeInt.of(0), big)
+        assert huge_slotwise_le(HugeInt(val=0), big)
         assert not huge_slotwise_le(big, 10**100)
 
     def test_same_value_different_shape(self):
         # 2^(2 E) and 4^E are one value in two normal forms: exact, not canonical
         x, y = hpow(2, 2 * _E), hpow(4, _E)
-        assert x.exact_int() == y.exact_int()
+        assert x.materialize() == y.materialize() == 2 ** (2 * _E)
         assert to_json(x) != to_json(y)
         assert not huge_slotwise_le(x, y) and not huge_slotwise_le(y, x)
 
     def test_coefficient_folds_into_exponent(self):
         x, y = hpow(2, _E, coeff=2), hpow(2, _E + 1)
-        assert x.exact_int() == y.exact_int()
+        assert x.materialize() == y.materialize() == 2 ** (_E + 1)
         assert not huge_slotwise_le(x, y) and not huge_slotwise_le(y, x)
 
     def test_addend_breaks_ties(self):
@@ -120,14 +118,14 @@ class TestComparison:
         x = hpow(b, _E + e, coeff=c, addend=a)
         y = hpow(b + db, _E + e + de, coeff=c + dc, addend=a + da)
         assert x.val is None and y.val is None
-        assert huge_slotwise_le(x, y) and x.exact_int() <= y.exact_int()
-        assert huge_slotwise_le(y, x) == (x.exact_int() == y.exact_int())
+        assert huge_slotwise_le(x, y) and x.materialize() <= y.materialize()
+        assert huge_slotwise_le(y, x) == (x.materialize() == y.materialize())
 
     def test_operator_sugar(self):
         # no value comparison: equality is identity, ordering is undefined
         x = hpow(2, hpow(10, 40))
         assert x == x and x != hpow(2, hpow(10, 40))
-        assert HugeInt.of(5) != 5
+        assert HugeInt(val=5) != 5
         with pytest.raises(TypeError):
             x < hpow(2, 100)
 
@@ -157,21 +155,21 @@ class TestPresentation:
         assert value(doc["coeff"]) == PLAIN_LIMIT + 1
 
     def test_str_forms(self):
-        assert str(HugeInt.of(42)) == "42"
+        assert str(HugeInt(val=42)) == "42"
         assert "^" in str(hpow(3, hpow(10, 40)))
 
     def test_str_past_the_limit_prints_the_power_form(self):
-        assert str(HugeInt.of(2**15000)) == "2^15000"
+        assert str(HugeInt(val=2**15000)) == "2^15000"
         assert str(hpow(3, 7, coeff=3 * 2**15000)) == "(3*2^15000)*3^7"
         assert str(hpow(3, 2**15000)) == "3^(2^15000)"
         for n in (PLAIN_LIMIT, 7**12000 + 2**20001, 5**20000):
             assert power_form(n).materialize() == n
-            assert str(HugeInt.of(n)).count("*2^") >= 1
+            assert str(HugeInt(val=n)).count("*2^") >= 1
 
     def test_approx_log10(self):
         got = approx_log10(hpow(10, 1000))
         assert got == pytest.approx(1000, rel=1e-6)
-        assert approx_log10(HugeInt.of(0)) is None
+        assert approx_log10(HugeInt(val=0)) is None
         assert approx_log10(hpow(3, hpow(10, 400))) == math.inf
         assert approx_log10(hpow(3, hpow(10, 300))) == pytest.approx(10**300 * math.log10(3))
 
@@ -186,4 +184,4 @@ class TestPresentation:
         x = hpow(b, e, coeff=c, addend=a)
         if big_addend:
             x = hadd(x, b**e)
-        assert approx_log10(x) == pytest.approx(math.log10(x.exact_int()), rel=1e-12)
+        assert approx_log10(x) == pytest.approx(math.log10(x.materialize()), rel=1e-12)
