@@ -93,6 +93,15 @@ def _coloring_json(c: Coloring) -> str:
     return json.dumps({"k": c.k, "colors": list(c.colors)}) + "\n"
 
 
+def nonnegative_int(text: str) -> int:
+    """An argparse type for budgets and size limits: a negative one is a
+    usage error (exit 2), not a budget stop or an answer.  0 is valid."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -107,23 +116,24 @@ def _build_parser() -> argparse.ArgumentParser:
     g_ct = gen_sub.add_parser("ct", help="closure of a balanced tree")
     g_ct.add_argument("--h", type=int, required=True, dest="height")
     g_ct.add_argument("--k", type=int, required=True, dest="arity")
-    g_ct.add_argument("--budget-vertices", type=int, default=graphs.DEFAULT_VERTEX_BUDGET)
     g_join = gen_sub.add_parser("join", help="join of two graphs")
     g_join.add_argument("a")
     g_join.add_argument("b")
-    g_join.add_argument("--budget-vertices", type=int, default=graphs.DEFAULT_VERTEX_BUDGET)
     g_cp = gen_sub.add_parser("copies", help="disjoint copies of a graph")
     g_cp.add_argument("--count", type=int, required=True)
     g_cp.add_argument("graph")
-    g_cp.add_argument("--budget-vertices", type=int, default=graphs.DEFAULT_VERTEX_BUDGET)
     for p in (g_ct, g_join, g_cp):
+        p.add_argument(
+            "--budget-vertices", type=nonnegative_int,
+            default=graphs.DEFAULT_VERTEX_BUDGET,
+        )
         p.add_argument("--format", choices=("g6", "json"), default="g6")
         p.add_argument("-o", "--output", default=None)
 
     dp = sub.add_parser("depth", help="tree-depth report")
     dp.add_argument("graph")
-    dp.add_argument("--limit", type=int, default=depth.DEFAULT_EXACT_LIMIT)
-    dp.add_argument("--budget-nodes", type=int, default=None)
+    dp.add_argument("--limit", type=nonnegative_int, default=depth.DEFAULT_EXACT_LIMIT)
+    dp.add_argument("--budget-nodes", type=nonnegative_int, default=None)
     dp.add_argument("-o", "--output", default=None)
 
     mi = sub.add_parser("minor", help="minor containment with certificate")
@@ -134,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="verify a branch-set model document instead of searching",
     )
-    mi.add_argument("--budget-nodes", type=int, default=None)
+    mi.add_argument("--budget-nodes", type=nonnegative_int, default=None)
     mi.add_argument("-o", "--output", default=None)
 
     co = sub.add_parser("color", help="exact defect-bounded coloring")
@@ -142,9 +152,11 @@ def _build_parser() -> argparse.ArgumentParser:
     co.add_argument("--exact", action="store_true", required=True)
     co.add_argument("--k", type=int, required=True)
     co.add_argument("--d", type=int, required=True)
-    co.add_argument("--max-vertices", type=int, default=coloring.DEFAULT_EXACT_LIMIT)
     co.add_argument(
-        "--budget-nodes", type=int, default=None,
+        "--max-vertices", type=nonnegative_int, default=coloring.DEFAULT_EXACT_LIMIT
+    )
+    co.add_argument(
+        "--budget-nodes", type=nonnegative_int, default=None,
         help="memo entries of the forest DP on closures of rooted forests, "
         "colors tried by backtracking on other graphs",
     )

@@ -15,13 +15,13 @@ then id.  Each takes the host's connected vertex sets in order of size, then
 bitmask value, as its branch set; a node is one such set that is disjoint
 from the sets already placed, and ``node_budget`` bounds the nodes visited.
 A set is tried when it touches the set of every placed pattern neighbor and
-leaves enough free vertices, and its subtree is cut when some placed vertex
-x has fewer free host vertices next to B_x than unplaced pattern neighbors
-(their branch sets are disjoint and each needs its own vertex next to B_x).
-The cuts remove only subtrees without a model, so the first model in this
-order is the answer, and the search never visits more nodes than the same
-search without the capacity cut: any budget under which that search answers
-gives the same model here.
+is no larger than the size bound below, and its subtree is cut when some
+placed vertex x has fewer free host vertices next to B_x than unplaced
+pattern neighbors (their branch sets are disjoint and each needs its own
+vertex next to B_x).  The cuts remove only subtrees without a model, so the
+first model in this order is the answer, and the search never visits more
+nodes than the same search without these cuts: any budget under which that
+search answers gives the same model here.
 
 Twins are broken by a lex-leader rule (Crawford, Ginsberg, Luks and Roy,
 KR 1996).  Pattern vertices u and v are twins when N(u) - v = N(v) - u,
@@ -40,6 +40,28 @@ bound is one ``bisect_right`` on the node's pool, which holds the bound's
 whole size class.  Nodes are counted from the twin bound: the sets before
 it are skipped uncounted.
 
+The twin rule also bounds the size of B_i.  For a later position j > i let
+t_j be the last twin of j at or before i, if there is one.  B_j comes after
+B_{t_j}, and the candidate order ranks by size first, so |B_j| >= |B_{t_j}|;
+without t_j, |B_j| >= 1.  The later sets are disjoint from B_i and from each
+other, inside the free vertices (those in no earlier set).  With c the
+number of later positions whose t_j is i, and F the sum of |B_{t_j}| over
+those whose t_j is earlier plus 1 for each without one,
+
+    (1 + c) |B_i| + F <= free,  so  |B_i| <= s_max = (free - F) // (1 + c).
+
+The least model meets every twin constraint, so each of its sets meets this
+bound: the bound cuts only subtrees without that model, the first model,
+every verdict and the absence answers are unchanged, and the node count can
+only fall.  Without twins c = 0 and F is the number of later positions, the
+test that each of them keeps a free vertex.  ``_Plan.share`` holds (1 + c,
+the earlier t_j, the count of 1s) per position, and a node adds the sizes of
+its earlier t_j.  The pool is sorted by size, so a node stops at its first
+candidate past s_max and grows no class past it.  A node counts its
+candidates over the complete candidate list, from its twin bound up to its
+size limit: up to each candidate it tries, and the whole range when it is
+exhausted.
+
 When every position j > i has a twin bound at a position t >= i
 (``_Plan.after``), the subtree below B_i reads only sets after B_i.  Proof,
 by induction on j: the bound B_t of position j is B_i (t = i) or a set
@@ -54,14 +76,15 @@ and complete holds no node and is not made.
 The candidate sets are grown one size class at a time, only as far as the
 search reads them.  A node's pool is filtered from its parent's and covers
 the classes grown when the node was made.  When it runs out while a later
-class could fit in its free vertices, it extends itself from its parent's
-extension, the parent first, up to the root, whose pool is the grown list
-and which grows the next class.  So each pool filters each class once.  A
-pool cut after B_i extends itself the same way: the classes grown later
-hold larger sets, which all come after B_i.
-Nodes are counted as over the complete list (up to each tried candidate,
-and the whole pool of an exhausted node): node counts, budget stops and
-first models do not depend on how far the classes were grown.
+class has sets of at most s_max vertices, it extends itself from its
+parent's extension, the parent first, up to the root, whose pool is the
+grown list and which grows the next class.  So each pool filters each class
+once.  A pool cut after B_i extends itself the same way: the classes grown
+later hold larger sets, which all come after B_i.  A node that reaches a
+set past s_max holds every smaller one already, and one that runs out
+extends its pool until no class within s_max is left, so the range up to
+its size limit is complete when it is counted: node counts, budget stops
+and first models do not depend on how far the classes were grown.
 
 The search runs on a kernel of the host.  With δ the least pattern degree,
 δ >= 1 drops the isolated host vertices, and δ >= 2 also peels vertices of
@@ -93,7 +116,7 @@ unchanged, so a "present" answer keeps its first model and node count.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Optional
 
 from .check import MinorModel, verify_model
@@ -154,6 +177,7 @@ def has_minor(
     apply to the raw host.  Within the limits the search is exhaustive; past
     them the heuristic runs, and a miss raises SizeLimitError (absence
     undecided).  The exhaustive search runs on the host's leaf-free kernel
+    and caps each branch set at the size its later twins leave room for
     (see the module docstring); its model, mapped back to host ids and
     checked on the raw host, is the one the search would find on the raw
     host, within the same node budget.  For patterns of least degree >= 3 a
@@ -267,6 +291,7 @@ class _Plan(NamedTuple):
     demand: list[list[tuple[int, int]]]  # after i: (placed j, its unplaced nbrs)
     twin: list[Optional[int]]  # the last earlier position of a twin, or None
     after: list[bool]  # every later position has a twin at i or later
+    share: list[tuple[int, tuple[int, ...], int]]  # size bound: (1 + c, ts, ones)
 
 
 def _plan(pattern: Graph) -> _Plan:
@@ -287,8 +312,23 @@ def _plan(pattern: Graph) -> _Plan:
         for i in range(j):
             if nbr[i] & ~(1 << j) == nbr[j] & ~(1 << i):
                 twin[j] = i
-    after = [all(t is not None and t >= i for t in twin[i + 1:]) for i in range(p)]
-    return _Plan(order, placed_nbrs, demand, twin, after)
+    # the size bound's terms at i, from each later position's last twin at
+    # or before i (None: no such twin), updated from i + 1
+    share = [(1, (), 0)] * p
+    last: list[Optional[int]] = []
+    for i in range(p - 2, -1, -1):
+        t = twin[i + 1]
+        last = [t if x == i + 1 else x for x in last]
+        last.append(t)
+        c, ones = last.count(i), last.count(None)
+        earlier = () if c + ones == len(last) else tuple(
+            x for x in last if x is not None and x < i
+        )
+        share[i] = (1 + c, earlier, ones)
+    # every twin bound after i is at i or later exactly when every later set
+    # is bounded by B_i
+    after = [ways + i == p for i, (ways, _, _) in enumerate(share)]
+    return _Plan(order, placed_nbrs, demand, twin, after, share)
 
 
 def _counter(node_budget: int):
@@ -311,10 +351,11 @@ def _exhaustive_search(
     host: Graph, plan: _Plan, node_budget: int
 ) -> Optional[dict[int, int]]:
     """The first model as pattern vertex -> branch-set mask, or None."""
-    order, placed_nbrs, demand, twin, after = plan
+    order, placed_nbrs, demand, twin, after, share = plan
     p = len(order)
+    n = host.n
     host_adj = [_mask(s) for s in host.adj]
-    full = (1 << host.n) - 1
+    full = (1 << n) - 1
     nbhd: dict[int, int] = {}  # grown set -> its neighbourhood
     classes = _connected_classes(host_adj, nbhd)
     lattice = next(classes)  # the candidates grown so far, in order
@@ -322,12 +363,12 @@ def _exhaustive_search(
     # extension record: [pool, parent's record, mask, parent pool read, covered]
     root = [lattice, None, 0, 0, len(lattice)]
 
-    def extend(rec: list, room: int) -> bool:
+    def extend(rec: list, limit: int) -> bool:
         # extend rec's pool, first growing the next class if it has all the
-        # grown ones; False when no class left fits in room free vertices
+        # grown ones; False when no class left has sets of at most limit
         nonlocal size
         if rec[4] == len(lattice):
-            if size >= room or (grown := next(classes, None)) is None:
+            if size >= limit or (grown := next(classes, None)) is None:
                 return False
             size += 1
             lattice.extend(grown)
@@ -345,10 +386,11 @@ def _exhaustive_search(
 
     def rank(mask: int) -> int:
         # the candidate order: size, then mask
-        return mask.bit_count() << host.n | mask
+        return mask.bit_count() << n | mask
 
     branch = [0] * p  # mask per order position
     branch_adj = [0] * p  # union of host adjacency over the branch
+    branch_size = [0] * p  # |B_i|
     count = _counter(node_budget)
 
     def place(
@@ -361,7 +403,13 @@ def _exhaustive_search(
         first = branch_adj[nbrs[0]] if nbrs else full
         nbrs = nbrs[1:]
         free = full & ~used
-        free_needed = p - i - 1
+        last = i + 1 == p
+        # the later positions' sets fit beside B_i in the free vertices, and
+        # a later twin's set is no smaller than its earlier twin's
+        ways, earlier, ones = share[i]
+        for t in earlier:
+            ones += branch_size[t]
+        s_max = (free.bit_count() - ones) // ways
         # a twin's set comes after the set of the twin placed before it; the
         # pool holds that set's whole class, so later extensions lie beyond.
         # A pool cut after B_{i-1} holds only such sets already.
@@ -371,9 +419,13 @@ def _exhaustive_search(
         else:
             counted = start = bisect_right(pool, rank(branch[t]), key=rank)
         cut = after[i]
-        while start < len(pool) or rec is not None and extend(rec, free.bit_count()):
+        while True:
             end = len(pool)
-            for k in [k for k, m in enumerate(pool[start:], start) if m & first]:
+            capped = end > start and pool[-1].bit_count() > s_max
+            if capped:
+                # (s_max + 1) << n is the least rank of a set past s_max
+                end = bisect_left(pool, (s_max + 1) << n, start, end, key=rank)
+            for k in [k for k, m in enumerate(pool[start:end], start) if m & first]:
                 count(k + 1 - counted)
                 counted = k + 1
                 mask = pool[k]
@@ -384,16 +436,14 @@ def _exhaustive_search(
                         break
                 if not touches:
                     continue
-                rest = free & ~mask
-                room = rest.bit_count()
-                if room < free_needed:
-                    continue
                 branch[i] = mask
                 branch_adj[i] = nbhd[mask]
-                if not free_needed:
+                if last:
                     return {order[j]: b for j, b in enumerate(branch)}
+                branch_size[i] = mask.bit_count()
                 # each unplaced neighbor of a placed x needs its own free
                 # vertex next to B_x, as their branch sets are disjoint
+                rest = free & ~mask
                 short = False
                 for j, c in demand[i]:
                     if (branch_adj[j] & rest).bit_count() < c:
@@ -405,7 +455,9 @@ def _exhaustive_search(
                 # position is bounded by a twin at i or later
                 sub = [m for m in (pool[k + 1:] if cut else pool) if not m & mask]
                 # sub is complete when no class left fits in rest
-                grows = rec is not None and (rec[4] < len(lattice) or size < room)
+                grows = rec is not None and (
+                    rec[4] < len(lattice) or size < rest.bit_count()
+                )
                 sub_rec = [sub, rec, mask, len(pool), rec[4]] if grows else None
                 if not sub and sub_rec is None:
                     continue  # an empty complete pool holds no node
@@ -413,7 +465,13 @@ def _exhaustive_search(
                 if got is not None:
                     return got
             start = end
-        count(len(pool) - counted)
+            if capped:
+                break  # the sets left are all past s_max
+            # the pool holds every set of at most s_max vertices once rec
+            # cannot extend it
+            if start == len(pool) and (rec is None or not extend(rec, s_max)):
+                break
+        count(end - counted)
         return None
 
     try:

@@ -293,6 +293,33 @@ class TestParserAndSeed:
         assert want[0] == 0
 
 
+class TestNegativeLimits:
+    # a negative budget or size limit is a usage error, not a budget stop
+    # (3) or an answer (1); 0 stays a valid limit.  K4 is absent from
+    # ct(3, 2) in 0 nodes, and each other input needs more than 0.
+    @pytest.mark.parametrize(
+        "argv, at_zero",
+        [
+            (["minor", "{g}", "--pattern", "{k4}", "--budget-nodes"], 1),
+            (["depth", "{g}", "--limit"], 3),
+            (["color", "{g}", "--exact", "--k", "2", "--d", "1", "--max-vertices"], 3),
+            (["gen", "ct", "--h", "3", "--k", "2", "--budget-vertices"], 3),
+        ],
+        ids=["budget-nodes", "limit", "max-vertices", "budget-vertices"],
+    )
+    def test_negative_is_usage_error(self, capsys, tmp_path, argv, at_zero):
+        g = tmp_path / "g.g6"
+        g.write_text(to_graph6(ct(3, 2)) + "\n")
+        k4 = tmp_path / "k4.g6"
+        k4.write_text(to_graph6(complete_graph(4)) + "\n")
+        argv = [a.format(g=g, k4=k4) for a in argv]
+        code = main([*argv, "-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "must be >= 0, got -1" in captured.err
+        assert run(capsys, *argv, "0")[0] == at_zero
+
+
 class TestColor:
     def test_exact_feasible_and_not(self, capsys, tmp_path):
         p = tmp_path / "g.g6"

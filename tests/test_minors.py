@@ -216,17 +216,43 @@ def _union(adj: list[int], mask: int) -> int:
 
 class TestNodeBudget:
     def test_small_budget_raises(self):
-        # the 3-cube has no vertex of degree 2, so the K5 search must exhaust
-        for host, pattern, budget in (
-            (_cube3(), complete_graph(5), 10), (ct(3, 2), ct(2, 2), 1),
+        # the least budget under which each search answers; one node less
+        # stops it.  The 3-cube has no vertex of degree 2, so the K5 search
+        # must exhaust.  Its size bound at the root is 8 // 5 = 1, and no
+        # singleton has the four free neighbours the demand cut asks for
+        for host, pattern, least in (
+            (_cube3(), complete_graph(5), 8), (ct(3, 2), ct(2, 2), 3),
         ):
             with pytest.raises(BudgetExceededError) as exc:
-                has_minor(host, pattern, node_budget=budget)
-            assert exc.value.size == budget + 1
-        assert has_minor(_cube3(), complete_graph(5), node_budget=100_000) is None
-        assert has_minor(ct(3, 2), ct(2, 2)) is not None
+                has_minor(host, pattern, node_budget=least - 1)
+            assert exc.value.size == least
+        assert has_minor(_cube3(), complete_graph(5), node_budget=8) is None
+        assert has_minor(ct(3, 2), ct(2, 2), node_budget=3) is not None
         # ct(3, 2) series-reduces to the empty graph: K4 is absent in 0 nodes
         assert has_minor(ct(3, 2), complete_graph(4), node_budget=10) is None
+
+    def test_earlier_twin_sets_bound_later_ones(self):
+        # the wheel W4 places its hub, then the rim 0, 1, 2, 3, whose twin
+        # pairs {0, 2} and {1, 3} interleave.  So the size bound of the set
+        # at position 2 (rim vertex 1) counts |B_1| for position 3: with 1
+        # in its place this search needs 294 nodes, and 437 with only the
+        # test that each later position keeps a free vertex
+        wheel = Graph.from_edges(
+            5, [(0, 1), (1, 2), (2, 3), (3, 0)] + [(4, v) for v in range(4)]
+        )
+        host = Graph.from_edges(7, [
+            (0, 1), (0, 4), (0, 6), (1, 2), (1, 3), (1, 4), (1, 6),
+            (2, 4), (2, 5), (3, 4), (3, 5), (4, 5), (4, 6),
+        ])
+        with pytest.raises(BudgetExceededError) as exc:
+            has_minor(host, wheel, node_budget=273)
+        assert exc.value.size == 274
+        got = has_minor(host, wheel, node_budget=274)
+        assert got is not None
+        assert got.branch_sets == {
+            0: frozenset({1}), 1: frozenset({2}), 2: frozenset({5}),
+            3: frozenset({3}), 4: frozenset({4}),
+        }
 
 
 class TestAgainstDfsOracle:
@@ -268,13 +294,24 @@ class TestAgainstDfsOracle:
             "ct(2,3)": ct(2, 3),
         }
         rng = random.Random(5)
-        outcomes = set()
+        hosts = []
         for _ in range(24):
             n = rng.randint(5, 10)
             p = rng.uniform(0.25, 0.7)
-            host = Graph.from_edges(
+            hosts.append(Graph.from_edges(
                 n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-            )
+            ))
+        # sparse subdivided hosts, whose models need branch sets of three or
+        # more vertices, so the size bound cuts where it matters
+        rng = random.Random(13)
+        for _ in range(12):
+            core_n = rng.randint(4, 6)
+            hosts.append(_subdivided(
+                rng, core_n, rng.uniform(0.6, 1.0), rng.randint(core_n + 2, 8)
+            ))
+        outcomes = set()
+        large = 0
+        for host in hosts:
             for name, pattern in patterns.items():
                 if pattern.n > host.n or host == pattern:
                     continue
@@ -282,7 +319,9 @@ class TestAgainstDfsOracle:
                 got = has_minor(host, pattern, node_budget=nodes)
                 assert (None if got is None else got.branch_sets) == want, (host.edges(), name)
                 outcomes.add((name, want is None))
+                large += want is not None and max(map(len, want.values())) >= 3
         assert outcomes == {(name, absent) for name in patterns for absent in (True, False)}
+        assert large >= 10, large
 
 
 def _with_twigs(rng: random.Random, core_n: int, p: float, twigs: int, islets: int) -> Graph:
@@ -372,31 +411,55 @@ class TestKernel:
         # the series-reduced kernel shows K5 absent
         assert has_minor(self.G14, complete_graph(5), node_budget=40_000) is None
 
+    # the exact-mix minor queries: (host, least budgets in the order of
+    # PATTERNS, whether K5 is a minor)
+    PATTERNS = (
+        complete_graph(4), complete_graph(5), cycle_graph(6),
+        complete_bipartite(2, 3), ct(2, 2), ct(2, 3), ct(3, 1),
+    )
+    LEAST = (
+        (EXACT_MIX_G12, (27, 0, 18, 16, 10, 11, 24), False),
+        (EXACT_MIX_G12_DENSE, (9, 24, 20, 12, 4, 5, 6), True),
+        (EXACT_MIX_G14, (1_072, 17, 35, 3_692, 12, 10, 23), False),
+        (EXACT_MIX_G14_DENSE, (10, 53, 12, 53, 6, 10, 6), True),
+    )
+
+    def _answers_at_least(self, host, pattern, least):
+        # answers under ``least`` nodes; one node less stops the search
+        if least:
+            with pytest.raises(BudgetExceededError) as exc:
+                has_minor(host, pattern, node_budget=least - 1)
+            assert exc.value.size == least
+        got = has_minor(host, pattern, node_budget=least)
+        return None if got is None else got.branch_sets
+
     def test_exact_mix_host_least_budgets(self):
-        # the least budget under which each search answers; one node less
-        # stops it.  The candidate sets are grown lazily, but nodes are
-        # counted as over the complete list from each twin bound, so these
-        # counts are fixed.
-        k5 = complete_graph(5)
-        patterns = (
-            complete_graph(4), k5, cycle_graph(6),
-            complete_bipartite(2, 3), ct(2, 2), ct(2, 3), ct(3, 1),
-        )
-        # (host, least budgets in the order of patterns, whether K5 is a minor)
-        table = (
-            (EXACT_MIX_G12, (27, 0, 18, 16, 10, 11, 24), False),
-            (EXACT_MIX_G12_DENSE, (9, 24, 20, 12, 4, 5, 6), True),
-            (EXACT_MIX_G14, (2_620, 270, 35, 7_495, 12, 10, 23), False),
-            (EXACT_MIX_G14_DENSE, (10, 53, 12, 53, 6, 10, 6), True),
-        )
-        for host, budgets, has_k5 in table:
-            for pattern, least in zip(patterns, budgets):
-                got = has_minor(host, pattern, node_budget=least)
-                assert (got is not None) == (has_k5 or pattern != k5)
-                if least:
-                    with pytest.raises(BudgetExceededError) as exc:
-                        has_minor(host, pattern, node_budget=least - 1)
-                    assert exc.value.size == least
+        # the least budget under which each search answers.  The candidate
+        # sets are grown lazily, but nodes are counted over the complete list
+        # from each twin bound up to each size limit, so these counts are
+        # fixed.
+        k5 = self.PATTERNS[1]
+        for host, budgets, has_k5 in self.LEAST:
+            for pattern, least in zip(self.PATTERNS, budgets):
+                got = self._answers_at_least(host, pattern, least)
+                assert (got is not None) == (has_k5 or pattern is not k5)
+
+    def test_least_budgets_do_not_depend_on_lazy_growth(self, monkeypatch):
+        # with every candidate set grown up front, each pool holds the sets
+        # past its node's size limit too: the counts and first models stay
+        want = [
+            [has_minor(host, pattern) for pattern in self.PATTERNS]
+            for host, _, _ in self.LEAST
+        ]
+
+        def grown_up_front(adj, nbhd):
+            yield [m for masks in _connected_classes(adj, nbhd) for m in masks]
+
+        monkeypatch.setattr(minors, "_connected_classes", grown_up_front)
+        for (host, budgets, _), models in zip(self.LEAST, want):
+            for pattern, least, model in zip(self.PATTERNS, budgets, models):
+                got = self._answers_at_least(host, pattern, least)
+                assert got == (None if model is None else model.branch_sets)
 
 
 def _subdivided(rng: random.Random, core_n: int, p: float, n: int) -> Graph:
