@@ -5,12 +5,13 @@ For each (h, k) in range, compute the least defect of an (h-1)-coloring of
 ct(h, k) by complete search.  The threshold always lands at k, never k-1:
 the family realizes the lower bound that the elimination-scheme pipeline is
 built around.  ct(h, k) is the closure of its tree, so ``min_defect`` runs
-the forest DP, descending from a local-search coloring to one refuted
-probe at k - 1.  The ``s`` column and the total time ``min_defect``
+the forest DP.  Its start colors the tree's levels, the two deepest
+sharing the last color, which has defect k already, so the one probe is
+the refuted one at k - 1.  The ``s`` column and the total time ``min_defect``
 alone: each ct(h, k) is built before its timer starts.  The defaults
 (h <= 6, k <= 4, up to ct(6,4) with 1,365 vertices) take about 0.02 s on
 a 2-vCPU VM; ``--max-h 7 --max-vertices 5461`` adds ct(7, 1..4), up to
-5,461 vertices, in about 0.1 s in all (ct(7, 4) 0.05-0.09 s).
+5,461 vertices, in about 0.05 s in all (ct(7, 4) 0.02-0.04 s).
 Exits 1 if any threshold differs from k.
 """
 

@@ -14,10 +14,20 @@ of two complete routes:
 - **Backtracking** for every other graph: vertices by descending degree,
   colors ascending with symmetry breaking; a budget node is one color tried
   at one vertex.  It runs on adjacency bitmask rows, built once per call of
-  either function: one member mask per color, and one mask of the members
-  that already have d same-colored neighbors.  The masks decide the same
-  refusals as counting neighbors one by one, so the coloring found and the
-  node count are those of a search over neighbor sets.  The search is one
+  either function, and two masks per color: its members, and the vertices
+  it blocks, the neighbors of members that already have d same-colored
+  neighbors.  A vertex is refused a color that blocks it or of which it has
+  more than d neighbors.  Once all k colors may be used, a color is also
+  refused when taking it leaves a later vertex blocked in every color
+  (forward checking, Haralick and Elliott 1980).  No block is lifted below
+  a node, so that vertex could never be colored: the cut drops only
+  subtrees without a coloring.  The first coloring, or the infeasibility,
+  is that of the search without the cut, and the nodes visited a subset of
+  its nodes (a cut color still counts as one), so a budget that sufficed
+  without the cut still does.  A cut needs no search to recheck: the later
+  vertex and, per color, one neighbor of that color with d same-colored
+  neighbors.  The coloring found and the node count are those of the
+  search over neighbor sets in ``tests/helpers.py``.  The search is one
   loop over an explicit stack: per depth, the highest color the vertex may
   try, its color, and that color's masks from before it was taken.
 
@@ -25,9 +35,14 @@ Either route reports infeasible only after exhausting its search space; a
 budget stop is a distinct error, never an answer.  Every feasible answer is
 rechecked: ``check.class_degrees`` recounts its class degrees, which
 must not exceed d.
-``min_defect`` starts from a local-search coloring of defect at most
-floor(Delta / k) (Lovász 1966) and asks the route for one less until it
-refutes: one infeasible probe, at the least defect minus one.
+``min_defect`` starts from a coloring, asks the route for one less than its
+defect, and repeats from each coloring found until the route refutes: one
+infeasible probe, at the least defect minus one.  On the backtracking route
+the start is a local-search coloring of defect at most floor(Delta / k)
+(Lovász 1966).  On closures, which have no rows, it colors the forest's
+levels 1, 2, ..., with every level from the k-th down in color k: for
+ct(h, k') with h - 1 colors that is defect k', the least, so the one probe
+is the refutation.
 """
 
 from __future__ import annotations
@@ -121,7 +136,14 @@ def _decide(
     Backtracking tries vertices by descending degree, colors ascending with
     symmetry breaking (a vertex may open at most one fresh color).  Color c
     is refused at v when a neighbor of color c already has d same-colored
-    neighbors, or v has more than d neighbors of color c.
+    neighbors, or v has more than d neighbors of color c.  Once all k colors
+    may be used, c is also refused when taking it leaves a later vertex u
+    next to such a saturated neighbor in every color.  Saturation is never
+    undone below the node, so u can take no color there: the cut drops only
+    subtrees without a coloring, so it keeps the first coloring and never
+    adds a node, and no budget needs to grow.  Its certificate is u with
+    one saturated neighbor per color, each recountable from the partial
+    coloring.
     """
     if isinstance(route, _Forest):
         return _forest_dp(g, route, k, d, node_budget)
@@ -129,12 +151,15 @@ def _decide(
     n = g.n
     rows = [nbr[v] for v in order]  # per depth i, of vertex order[i]
     bits = [1 << v for v in order]
+    later = [0] * n  # per depth i, the vertices at the depths after i
+    for i in range(n - 1, 0, -1):
+        later[i - 1] = later[i] | bits[i]
     top = [1] * (n + 1)  # one above the highest color in use, at most k
     cur, saved = [0] * n, [(0, 0)] * n  # color, and its masks from before
     # a vertex opens at most one fresh color, so at most n are ever used
     slots = min(k, n) + 1
     cls = [0] * slots  # members per color
-    sat = [0] * slots  # members with d same-colored neighbors, per color
+    blk = [0] * slots  # neighbors of members with d same-colored neighbors
     limit = float("inf") if node_budget is None else node_budget
     nodes = i = c = 0  # c: the last color tried at depth i
     while i < n:
@@ -143,7 +168,7 @@ def _decide(
                 return _INFEASIBLE
             i -= 1
             c = cur[i]
-            cls[c], sat[c] = saved[i]
+            cls[c], blk[c] = saved[i]
             continue
         c += 1
         nodes += 1
@@ -153,18 +178,30 @@ def _decide(
             )
         hit = rows[i] & cls[c]
         cnt = hit.bit_count()
-        if cnt > d or hit & sat[c]:
+        if cnt > d or blk[c] & bits[i]:
             continue
-        was_cls, was_sat = saved[i] = cls[c], sat[c]
+        saved[i] = was_cls, was_blk = cls[c], blk[c]
         cls[c] = members = was_cls | bits[i]
-        # v and each neighbor in hit gain one; those reaching d saturate
-        full = was_sat | bits[i] if cnt == d else was_sat
+        # v and each neighbor in hit gain one; those reaching d block their
+        # neighbors
+        blocked = was_blk | rows[i] if cnt == d else was_blk
         while hit:
             low = hit & -hit
             hit ^= low
-            if (nbr[low.bit_length() - 1] & members).bit_count() == d:
-                full |= low
-        sat[c] = full
+            row = nbr[low.bit_length() - 1]
+            if (row & members).bit_count() == d:
+                blocked |= row
+        if blocked != was_blk:
+            blk[c] = blocked
+            if top[i] == k:
+                # all k colors may be used: a later vertex blocked in every
+                # one (a color nobody holds blocks nobody) stays so below
+                rest = later[i]
+                for m in blk[1:]:
+                    rest &= m
+                if rest:
+                    cls[c], blk[c] = was_cls, was_blk
+                    continue
         cur[i] = c
         top[i + 1] = top[i] + (c == top[i] < k)
         i += 1
@@ -448,22 +485,30 @@ def min_defect(
 ) -> int:
     """Least d such that g has a k-coloring with defect d.
 
-    Descends from the local search's coloring: ``hi`` is its recounted
-    defect, and while the exact route finds a coloring of defect hi - 1,
-    ``hi`` becomes that coloring's recounted defect.  So ``hi`` is always
-    the defect of a concrete coloring, and the loop ends on a refuted
-    hi - 1 (or at 0): exactly one probe is infeasible.  ``node_budget``
-    bounds each probe.  The route is chosen, and the forest shaped or the
-    rows built, once per call, not per probe.
+    Descends from a start coloring: Lovász's local search on the
+    backtracking route, and the forest's levels on closures, where the
+    deepest levels share the last color and no rows are built.  ``hi``
+    is the start's recounted defect, and while the exact route finds a
+    coloring of defect hi - 1, ``hi`` becomes that coloring's recounted
+    defect.  So ``hi`` is always the defect of a concrete coloring, and the
+    loop ends on a refuted hi - 1 (or at 0): exactly one probe is
+    infeasible.  ``node_budget`` bounds each probe.  The route is chosen,
+    and the forest shaped or the rows built, once per call, not per probe.
     """
     _check_args(k, 0)
     if not any(g.adj):
         return 0  # no edges: every coloring has defect 0
     _check_size(g, max_vertices, "min_defect")
     route = _route(g)
-    order, nbr = route if isinstance(route, _Rows) else _rows(g)
-    start = Coloring(k, tuple(_lovasz(nbr, order, k)))
-    hi = max(class_degrees(g, start).values())
+    if isinstance(route, _Rows):
+        start = _lovasz(route.nbr, route.order, k)
+    else:  # levels from the roots down, the deepest sharing color k
+        depth = [0] * g.n
+        for v in route.order:
+            for c in route.children[v]:
+                depth[c] = depth[v] + 1
+        start = [min(t, k - 1) + 1 for t in depth]
+    hi = max(class_degrees(g, Coloring(k, tuple(start))).values())
     while hi:
         report = _decide(g, route, k, hi - 1, node_budget)
         if not report.feasible:

@@ -761,20 +761,29 @@ def decide_defective_oracle(g: Graph, k: int, d: int) -> bool:
     return False
 
 
-def backtrack_coloring_oracle(g: Graph, k: int, d: int):
+def backtrack_coloring_oracle(g: Graph, k: int, d: int, forward: bool = True):
     """The backtracking search over neighbor sets: ``(colors, nodes)``.
 
     Vertices by descending degree, then id; colors ascending, where a vertex
     may open at most one fresh color.  A color is refused when a neighbor of
     that color already has d same-colored neighbors, or the vertex would
-    have more than d.  Every color tried is one node.  ``colors`` is the
-    first complete coloring (a tuple of 1-based colors) or None; ``nodes``
-    counts every node visited up to that point.
+    have more than d.  With ``forward``, a color is also refused when, once
+    taken, it leaves some uncolored vertex with a neighbor of every color
+    1..k that has d same-colored neighbors.  Every color tried is one node.
+    ``colors`` is the first complete coloring (a tuple of 1-based colors) or
+    None; ``nodes`` counts every node visited up to that point.
     """
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     color = [0] * g.n  # 0 = uncolored
     same = [0] * g.n  # same-colored neighbor count, colored vertices only
     nodes = 0
+
+    def dead_end(i: int) -> bool:
+        # a later vertex has a saturated neighbor of every color
+        return any(
+            len({color[w] for w in g.adj[u] if color[w] and same[w] == d}) == k
+            for u in order[i + 1 :]
+        )
 
     def assign(i: int, used: int) -> bool:
         nonlocal nodes
@@ -790,7 +799,7 @@ def backtrack_coloring_oracle(g: Graph, k: int, d: int):
             same[v] = len(peers)
             for u in peers:
                 same[u] += 1
-            if assign(i + 1, max(used, c)):
+            if not (forward and dead_end(i)) and assign(i + 1, max(used, c)):
                 return True
             color[v] = same[v] = 0
             for u in peers:

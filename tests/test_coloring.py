@@ -128,9 +128,12 @@ class TestDecide:
     def test_backtracking_matches_set_search(self):
         # the bitmask backtracker finds the same coloring, or the same
         # infeasibility, as the search over neighbor sets, and stops at the
-        # same node: the reference's count answers, one node less does not
+        # same node: the reference's count answers, one node less does not.
+        # Without the blocked-vertex rule the reference finds the same
+        # answer in no fewer nodes.
         rng = random.Random(20)
         outcomes = set()
+        cut = 0
         for _ in range(120):
             n = rng.randint(2, 18)
             p = rng.uniform(0.15, 0.55)
@@ -139,7 +142,7 @@ class TestDecide:
             )
             if closure_forest(g) is not None:
                 continue  # the forest DP answers these
-            for k in (1, 2, 3):
+            for k in (1, 2, 3, 4):
                 for d in (0, 1, 2):
                     want, nodes = backtrack_coloring_oracle(g, k, d)
                     got = decide_defective(g, k, d, max_vertices=18, node_budget=nodes)
@@ -147,8 +150,24 @@ class TestDecide:
                     with pytest.raises(BudgetExceededError) as info:
                         decide_defective(g, k, d, max_vertices=18, node_budget=nodes - 1)
                     assert info.value.size == nodes
+                    plain, plain_nodes = backtrack_coloring_oracle(g, k, d, forward=False)
+                    assert plain == want and plain_nodes >= nodes, (g.edges(), k, d)
+                    cut += plain_nodes > nodes
                     outcomes.add(want is None)
         assert outcomes == {True, False}
+        assert cut >= 400, cut  # 473 of the 948 cases
+
+    def test_blocked_vertex_rule_on_c5(self):
+        # C5 with 2 colors at defect 0: once 0, 1, 2, 3 hold 1, 2, 1, 2,
+        # vertex 4 is next to a member of both colors, so color 2 at 3 is
+        # refused without trying 4's two colors
+        g = cycle_graph(5)
+        assert backtrack_coloring_oracle(g, 2, 0) == (None, 7)
+        assert backtrack_coloring_oracle(g, 2, 0, forward=False) == (None, 9)
+        assert not decide_defective(g, 2, 0, node_budget=7).feasible
+        with pytest.raises(BudgetExceededError) as info:
+            decide_defective(g, 2, 0, node_budget=6)
+        assert info.value.size == 7
 
     @pytest.mark.parametrize("n", [0, 1])
     @pytest.mark.parametrize("k", [1, 10**12])
@@ -336,11 +355,13 @@ class TestMinDefect:
             min_defect(host, 3, node_budget=3)
 
     @pytest.mark.parametrize(
-        "host, k", [(gnp(24, 0.35, 1), 3), (ct(4, 3), 2)], ids=["backtracking", "forest-dp"]
+        "host, k, asked",
+        [(gnp(24, 0.35, 1), 3, [2, 1]), (ct(4, 3), 2, [11, 2])],
+        ids=["backtracking", "forest-dp"],
     )
-    def test_one_infeasible_probe_at_least_defect_minus_one(self, monkeypatch, host, k):
-        # on ct(4, 3) the local search reaches defect 12, and the DP's
-        # coloring at defect 11 already has defect 3
+    def test_one_infeasible_probe_at_least_defect_minus_one(self, monkeypatch, host, k, asked):
+        # on ct(4, 3) the level start (root alone, the rest in color 2) has
+        # defect 12, and the DP's coloring at defect 11 already has defect 3
         probes = []
 
         def counting(g, route, k, d, node_budget):
@@ -351,11 +372,107 @@ class TestMinDefect:
         monkeypatch.setattr(coloring, "_decide", counting)
         got = min_defect(host, k, max_vertices=64)
         assert got > 0
+        assert [d for d, _ in probes] == asked
         assert [(d, r.feasible) for d, r in probes][-1] == (got - 1, False)
         # each later probe asks one below the recounted defect of the last
         # coloring found
         for (_, report), (d, _) in zip(probes, probes[1:]):
             assert d == max(report.max_class_degree.values()) - 1
+
+    def test_closures_start_from_levels_without_rows(self, monkeypatch):
+        # the levels, the deepest sharing the last color, need no rows and
+        # no local search; on ct(h, k) with h - 1 colors they have defect k
+        def unused(*args):
+            raise AssertionError("rows built for a closure")
+
+        monkeypatch.setattr(coloring, "_rows", unused)
+        monkeypatch.setattr(coloring, "_lovasz", unused)
+        assert min_defect(ct(5, 3), 4, max_vertices=128) == 3
+        assert min_defect(complete_graph(7), 6) == 1
+
+    # the exact-mix min_defect queries: G(n, p) drawn as perfbench draws
+    # graph i, k colors, the least defect, the least budget of the
+    # infeasible probe at the least defect minus one, and that probe's
+    # nodes without the blocked-vertex rule (0 and 0 at least defect 0,
+    # where no probe is infeasible).  Totals 15,539 and 28,149.
+    EXACT_MIX = (
+        (16, 0.25, 0, 2, 2, 21, 45),
+        (16, 0.25, 0, 3, 0, 0, 0),
+        (16, 0.25, 1, 2, 2, 37, 47),
+        (16, 0.25, 1, 3, 0, 0, 0),
+        (16, 0.25, 2, 2, 2, 25, 33),
+        (16, 0.25, 2, 3, 1, 17, 41),
+        (16, 0.35, 0, 2, 2, 17, 29),
+        (16, 0.35, 0, 3, 1, 9, 66),
+        (16, 0.35, 1, 2, 3, 113, 191),
+        (16, 0.35, 1, 3, 1, 6, 9),
+        (16, 0.35, 2, 2, 3, 113, 201),
+        (16, 0.35, 2, 3, 1, 9, 21),
+        (18, 0.25, 0, 2, 2, 25, 41),
+        (18, 0.25, 0, 3, 1, 15, 45),
+        (18, 0.25, 1, 2, 2, 25, 35),
+        (18, 0.25, 1, 3, 1, 12, 42),
+        (18, 0.25, 2, 2, 2, 29, 43),
+        (18, 0.25, 2, 3, 0, 0, 0),
+        (18, 0.35, 0, 2, 3, 63, 125),
+        (18, 0.35, 0, 3, 1, 9, 18),
+        (18, 0.35, 1, 2, 2, 37, 57),
+        (18, 0.35, 1, 3, 1, 26, 71),
+        (18, 0.35, 2, 2, 3, 217, 465),
+        (18, 0.35, 2, 3, 1, 14, 26),
+        (20, 0.25, 0, 2, 3, 255, 465),
+        (20, 0.25, 0, 3, 1, 12, 75),
+        (20, 0.25, 1, 2, 2, 27, 41),
+        (20, 0.25, 1, 3, 1, 14, 47),
+        (20, 0.25, 2, 2, 2, 17, 31),
+        (20, 0.25, 2, 3, 1, 27, 48),
+        (20, 0.35, 0, 2, 3, 171, 289),
+        (20, 0.35, 0, 3, 2, 1_313, 2_120),
+        (20, 0.35, 1, 2, 3, 67, 107),
+        (20, 0.35, 1, 3, 1, 6, 12),
+        (20, 0.35, 2, 2, 4, 795, 1_385),
+        (20, 0.35, 2, 3, 1, 9, 60),
+        (22, 0.25, 0, 2, 3, 213, 425),
+        (22, 0.25, 0, 3, 1, 26, 104),
+        (22, 0.25, 1, 2, 2, 51, 81),
+        (22, 0.25, 1, 3, 1, 32, 143),
+        (22, 0.25, 2, 2, 3, 249, 509),
+        (22, 0.25, 2, 3, 1, 24, 78),
+        (22, 0.35, 0, 2, 3, 183, 437),
+        (22, 0.35, 0, 3, 1, 6, 9),
+        (22, 0.35, 1, 2, 4, 849, 1_631),
+        (22, 0.35, 1, 3, 2, 727, 1_327),
+        (22, 0.35, 2, 2, 4, 871, 1_467),
+        (22, 0.35, 2, 3, 2, 662, 974),
+        (24, 0.25, 0, 2, 3, 501, 1_323),
+        (24, 0.25, 0, 3, 1, 26, 140),
+        (24, 0.25, 1, 2, 3, 213, 401),
+        (24, 0.25, 1, 3, 1, 18, 69),
+        (24, 0.25, 2, 2, 2, 41, 67),
+        (24, 0.25, 2, 3, 1, 135, 315),
+        (24, 0.35, 0, 2, 4, 1_047, 1_911),
+        (24, 0.35, 0, 3, 2, 677, 1_340),
+        (24, 0.35, 1, 2, 4, 791, 1_303),
+        (24, 0.35, 1, 3, 2, 515, 968),
+        (24, 0.35, 2, 2, 4, 1_819, 3_387),
+        (24, 0.35, 2, 3, 2, 2_311, 3_409),
+    )
+
+    def test_exact_mix_least_budgets(self):
+        for n, p, i, k, least_d, least, plain in self.EXACT_MIX:
+            g = gnp(n, p, f"defcolor-bench-pool/defect{i}/{n}/{p}")
+            assert min_defect(g, k, max_vertices=24) == least_d, (n, p, i, k)
+            if not least_d:
+                continue
+            d = least_d - 1
+            assert not decide_defective(g, k, d, max_vertices=24, node_budget=least).feasible
+            with pytest.raises(BudgetExceededError) as info:
+                decide_defective(g, k, d, max_vertices=24, node_budget=least - 1)
+            assert info.value.size == least
+            assert backtrack_coloring_oracle(g, k, d, forward=False) == (None, plain)
+            assert least <= plain
+        assert len(self.EXACT_MIX) == 60
+        assert sum(row[5] for row in self.EXACT_MIX) == 15_539
 
     def test_size_limit_names_the_caller(self):
         g = cycle_graph(17)
