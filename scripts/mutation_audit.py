@@ -79,8 +79,8 @@ CLEAN_CEILING = 1168
 LONG_SEED = 1
 LONG_CLEAN_CEILING = 289
 # sha256 of the report lines of each table
-DIGEST = "0e018862c46353ec98d176f1821f83e137d3324844bb147e73e623d72df12f2a"
-LONG_DIGEST = "ef146dfb555e1fa4ba0cf02f02707686a1b596a20d09877d5ac0b9e1bb64e6fa"
+DIGEST = "40f2c657f5181a976712da79266b007f41181cefd340d213eee469e6bdbc1cbe"
+LONG_DIGEST = "73aa1ddbc78e064e4d1f8fb83de03fb08c967a59ab982e639b9a2dbc24a92b1a"
 
 
 def instances():

@@ -69,7 +69,11 @@ def entry_from_json(doc: dict) -> SchemeEntry:
     """One entry; every integer field must be a JSON integer, not a boolean."""
     try:
         graph = graph_from_doc(doc["graph"])
-        model = {v: frozenset(m) for v, m in int_keyed(doc["model"], "model", 2)}
+        # in vertex order, as built entries are: a shared id goes to its
+        # later holder whatever the text's key order
+        model = {
+            v: frozenset(m) for v, m in sorted(int_keyed(doc["model"], "model", 2))
+        }
         arcs = frozenset((a, b) for a, b in int_lists(doc["arcs"], "arcs", 2))
         edges = doc["hyperedges"]
         if type(edges) is not list:

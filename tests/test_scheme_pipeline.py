@@ -12,7 +12,12 @@ import orjson
 import pytest
 
 from defcolor.check import verify_coloring
-from defcolor.errors import EmptyPaletteError, InputFormatError, SearchFailureError
+from defcolor.errors import (
+    EmptyPaletteError,
+    HypothesisViolationError,
+    InputFormatError,
+    SearchFailureError,
+)
 from defcolor.graphs import (
     complete_graph,
     ct,
@@ -297,6 +302,84 @@ class TestCodec:
             self.EDITS[case](doc)
             text = json.dumps(doc)
         assert self._outcome(text, inst) == self.OUTCOMES[case]
+
+    # model edits on caterpillar(1, 20), recorded before models were stored
+    # as one original-id list: the sha256 of the report JSON, and the
+    # colorer's colors (their sha256) or its error
+    CLEAN = "b7c8dfd25387805d9e20b2d98bd1d00d2a113031284d7347b01307fa98a28b6d"
+    COLORS = "colors 7bd5b9154066e6a0cc7b7babf783777c7dc7c56b43fe6d8e3e67b15cf18b8ffe"
+    KEYS = "bccbde80fe2d893b6b67fca279cc08d8c0a6f4e8e301f8d3b69b8b8940478e4c"
+    KEYS_ERROR = (
+        "HypothesisViolationError: entry 1 fails D1: "
+        "{'clause': 'model-keys', 'expected': 17}"
+    )
+    MODEL_OUTCOMES = {
+        "doubled-id": (CLEAN, COLORS),
+        "doubled-id-of-q": (CLEAN, COLORS),
+        "first-entry-doubled": (CLEAN, COLORS),
+        "empty-model": (
+            "2f34ec8c609100fa4c1832d8a45ec7f77552570da8a7884e8582c82d965909df",
+            "HypothesisViolationError: entry 1 fails D1: "
+            "{'clause': 'empty-model', 'vertex': 3}",
+        ),
+        "key-past-n": (KEYS, KEYS_ERROR),
+        "key-missing": (KEYS, KEYS_ERROR),
+    }
+
+    @staticmethod
+    def _edit_model(case: str, doc: list):
+        model = doc[1]["model"]
+        q_model = model[str(doc[1]["step_meta"]["q"])]
+        if case == "doubled-id":
+            model["3"] *= 2  # [o, o] is the singleton o
+        elif case == "doubled-id-of-q":
+            q_model.append(q_model[0])
+        elif case == "first-entry-doubled":
+            for ids in doc[0]["model"].values():
+                ids *= 2
+        elif case == "empty-model":
+            model["3"] = []
+        elif case == "key-past-n":
+            n = len(model)
+            model[str(n)] = model.pop(str(n - 1))
+        else:
+            del model["3"]
+
+    @pytest.mark.parametrize("case", sorted(MODEL_OUTCOMES))
+    def test_model_read_outcomes_pinned(self, case):
+        inst = caterpillar(1, 20)
+        doc = json.loads(scheme_to_json(build_scheme(inst.graph, inst.params)))
+        self._edit_model(case, doc)
+        scheme = scheme_from_json(json.dumps(doc))
+        report = certify_scheme(scheme, inst.params, inst.graph)
+        try:
+            colors = color_from_scheme(scheme, inst.params, inst.graph).colors
+            colored = "colors " + _sha(json.dumps(list(colors)))
+        except HypothesisViolationError as exc:
+            colored = f"{type(exc).__name__}: {exc}"
+        assert (_sha(json.dumps(report.to_json())), colored) == self.MODEL_OUTCOMES[case]
+
+    def test_model_key_order_does_not_move_the_report(self):
+        # vertex 12 shares vertex 3's id; a JSON object is unordered, so the
+        # sorted-key text and the numeric-order text are one document
+        inst = caterpillar(1, 20)
+        doc = json.loads(scheme_to_json(build_scheme(inst.graph, inst.params)))
+        model = doc[2]["model"]
+        model["12"] = model["3"]
+        sorted_text = json.dumps(doc, sort_keys=True)
+        doc[2]["model"] = {str(v): model[str(v)] for v in range(len(model))}
+        numeric_text = json.dumps(doc)
+        assert sorted_text != numeric_text
+        assert json.loads(sorted_text) == json.loads(numeric_text)
+        reports = [
+            certify_scheme(scheme_from_json(t), inst.params, inst.graph).to_json()
+            for t in (sorted_text, numeric_text)
+        ]
+        assert reports[0] == reports[1]
+        assert reports[0]["pairs"][1]["D2"]["witness"] == {
+            "clause": "edge-without-preimage",
+            "edge": [0, 3],
+        }
 
     def test_edge_list_endpoint_past_64_bits(self):
         text = json.dumps({"n": 3, "edges": [[0, 1], [1, 2**70]]})
