@@ -2,11 +2,23 @@
 """Scaling curve of the scheme pipeline.
 
 For star_of_balls(1, m, 5) (n = 5m + 1) and star_of_balls(2, m, 3)
-(n = 3m + 2), from about 10^2 to 10^5 vertices, and for caterpillar(1, s)
+(n = 3m + 2), from about 10^2 to 10^6 vertices, and for caterpillar(1, s)
 (n = s + 1, s = 101 to 1601), time ``build_scheme``, ``certify_scheme`` on
 the built scheme, the round trip ``scheme_to_json`` then
 ``scheme_from_json``, and ``color_from_scheme``, each once, and print one
-row per size.
+row per size.  Each row runs in a child process forked for it, and its last
+column is that child's peak resident set size, which includes the sweep's
+own (about 20 MB).  Rows past ``--max-n`` (default 100,001) are left out,
+so the two rows near 10^6 run only with ``--max-n 1000001``.
+
+Memory at n = 100,001 (star_of_balls(1, 20000, 5), 2 entries), traced by
+``tracemalloc`` after a full collection, beyond the input graph: the built
+scheme held 804 bytes per vertex while each entry kept one frozenset per
+singleton model, and 426 since singleton models are one original-id list
+(``SchemeEntry.orig``); the scheme read back from its 7.3 MB document held
+1,326 and then 750.  What is left is mostly adjacency: the built second
+entry's rows take 206 bytes per vertex, and the read-back graphs' rows and
+the ints parsed for their edges 684.
 
 A build that stops with ``BucketTooSmallError`` (the caterpillars'
 contraction steps run out of uniform buckets) prints the stop and its build
@@ -26,6 +38,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
+import resource
 import sys
 import time
 
@@ -42,10 +56,11 @@ from defcolor.scheme import (
 )
 from defcolor.scheme.corpus import caterpillar, star_of_balls
 
-# (apexes, ball size, ball counts): n from about 10^2 to 10^5 in each family
+# (apexes, ball size, ball counts): n from about 10^2 to 10^6 in each family;
+# the default --max-n stops at 10^5
 STARS = (
-    (1, 5, (20, 200, 400, 1000, 2000, 10000, 20000)),
-    (2, 3, (33, 333, 666, 1666, 3333, 16666, 33333)),
+    (1, 5, (20, 200, 400, 1000, 2000, 10000, 20000, 200000)),
+    (2, 3, (33, 333, 666, 1666, 3333, 16666, 33333, 333333)),
 )
 # spine lengths of caterpillar(1, s)
 SPINES = (101, 201, 401, 801, 1601)
@@ -92,6 +107,59 @@ def prefix_notes(report) -> list[str]:
     return notes
 
 
+def row(family: str, inst):
+    """The timing cells of one row, its notes (a note other than a prefix's
+    stop is a failure) and a prefix's report, which ``prefix_notes`` reads."""
+    t0 = time.perf_counter()
+    try:
+        scheme = build_scheme(inst.graph, inst.params)
+    except BucketTooSmallError as exc:
+        build_s = time.perf_counter() - t0
+        entries = prefix(inst)
+        t1 = time.perf_counter()
+        report = certify_scheme(entries, inst.params, inst.graph)
+        certify_s = time.perf_counter() - t1
+        cells = (
+            f"{family:>10s} {inst.graph.n:7d} {len(entries):7d} {build_s:8.2f} "
+            f"{'-':>9s} {'-':>12s} {'-':>8s} {certify_s:16.2f}"
+        )
+        return cells, [f"stopped: {exc}"], report
+    t1 = time.perf_counter()
+    report = certify_scheme(scheme, inst.params, inst.graph)
+    t2 = time.perf_counter()
+    back = scheme_from_json(scheme_to_json(scheme))
+    t3 = time.perf_counter()
+    color_from_scheme(scheme, inst.params, inst.graph)
+    t4 = time.perf_counter()
+    again = certify_scheme(back, inst.params, inst.graph)
+    notes = []
+    if not report.clean():
+        notes.append("not clean")
+    if json.dumps(again.to_json()) != json.dumps(report.to_json()):
+        notes.append("round trip certifies differently")
+    cells = (
+        f"{family:>10s} {inst.graph.n:7d} {len(scheme):7d} "
+        f"{t1 - t0:8.2f} {t2 - t1:9.2f} {t3 - t2:12.2f} {t4 - t3:8.2f} "
+        f"{'-':>16s}"
+    )
+    return cells, notes, None
+
+
+def forked(fn, *args):
+    """``fn(*args)`` run in a forked child, and the child's peak resident
+    set size in MB; an error in the child ends the sweep."""
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    child = ctx.Process(target=lambda: send.send((fn(*args), peak())))
+    child.start()
+    send.close()
+    try:
+        return recv.recv()
+    finally:
+        child.join()
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-n", type=int, default=100_001)
@@ -100,47 +168,15 @@ def main() -> int:
     print(
         f"{'family':>10s} {'n':>7s} {'entries':>7s} {'build s':>8s} "
         f"{'certify s':>9s} {'round trip s':>12s} {'color s':>8s} "
-        f"{'prefix certify s':>16s}"
+        f"{'prefix certify s':>16s} {'peak MB':>7s}"
     )
     bad = 0
     for family, inst in instances(args.max_n):
-        t0 = time.perf_counter()
-        try:
-            scheme = build_scheme(inst.graph, inst.params)
-        except BucketTooSmallError as exc:
-            build_s = time.perf_counter() - t0
-            entries = prefix(inst)
-            t1 = time.perf_counter()
-            report = certify_scheme(entries, inst.params, inst.graph)
-            certify_s = time.perf_counter() - t1
-            notes = [f"stopped: {exc}", *prefix_notes(report)]
-            bad += len(notes) > 1
-            print(
-                f"{family:>10s} {inst.graph.n:7d} {len(entries):7d} {build_s:8.2f} "
-                f"{'-':>9s} {'-':>12s} {'-':>8s} {certify_s:16.2f}"
-                + "".join(f"  {note}" for note in notes)
-            )
-            continue
-        t1 = time.perf_counter()
-        report = certify_scheme(scheme, inst.params, inst.graph)
-        t2 = time.perf_counter()
-        back = scheme_from_json(scheme_to_json(scheme))
-        t3 = time.perf_counter()
-        color_from_scheme(scheme, inst.params, inst.graph)
-        t4 = time.perf_counter()
-        again = certify_scheme(back, inst.params, inst.graph)
-        notes = []
-        if not report.clean():
-            notes.append("not clean")
-        if json.dumps(again.to_json()) != json.dumps(report.to_json()):
-            notes.append("round trip certifies differently")
-        bad += bool(notes)
-        print(
-            f"{family:>10s} {inst.graph.n:7d} {len(scheme):7d} "
-            f"{t1 - t0:8.2f} {t2 - t1:9.2f} {t3 - t2:12.2f} {t4 - t3:8.2f} "
-            f"{'-':>16s}"
-            + "".join(f"  {note}" for note in notes)
-        )
+        (cells, notes, report), peak_mb = forked(row, family, inst)
+        if report is not None:
+            notes += prefix_notes(report)
+        bad += any(not note.startswith("stopped: ") for note in notes)
+        print(f"{cells} {peak_mb:7.0f}" + "".join(f"  {note}" for note in notes))
     return 1 if bad else 0
 
 

@@ -80,9 +80,8 @@ def _load_params(path: str) -> SchemeParams:
 
 
 def _model_from_doc(doc) -> MinorModel:
-    return MinorModel(
-        {pv: frozenset(s) for pv, s in graphs.int_keyed(doc, "model document", 2)}
-    )
+    keys, sets = graphs.int_keyed(doc, "model document", 2)
+    return MinorModel(dict(zip(keys, map(frozenset, sets))))
 
 
 def _load_model(path: str) -> MinorModel:

@@ -611,36 +611,40 @@ def int_lists(value, what: str, depth: int = 1):
     raise InputFormatError(f"{what}: expected integers, got {value!r:.40}")
 
 
-def int_keyed(value, what: str, depth: int) -> Iterator[tuple[int, list]]:
-    """The items of a JSON object keyed by ASCII decimal strings, keys as
-    ints.  Two keys that read as one int ("1" and "01") are an error; every
-    value must pass ``int_lists(value, what, depth - 1)``."""
+def int_keyed(value, what: str, depth: int) -> tuple[list[int], list]:
+    """The keys, as ints, and the values of a JSON object keyed by ASCII
+    decimal strings.  Two keys that read as one int ("1" and "01") are an
+    error; every value must pass ``int_lists(value, what, depth - 1)``."""
     if type(value) is dict and "" not in value:
         digits = "".join(value) or "0"  # the empty object has no keys to check
         if digits.isascii() and digits.isdecimal():
             keys = list(map(int, value))
             if len(set(keys)) == len(keys):
-                int_lists(list(value.values()), what, depth)
-                return zip(keys, value.values())
+                values = list(value.values())
+                int_lists(values, what, depth)
+                return keys, values
     raise InputFormatError(f"{what} must be an object keyed by distinct integers")
 
 
 def write_json(doc) -> str:
     """``json.dumps(doc, sort_keys=True, separators=(",", ":"))``, written
-    by ``orjson``.
+    by ``orjson``; int keys are written and sorted as strings.
 
     For a document of dicts, lists, tuples, ints, bools and None whose
     only strings are printable ASCII keys, as every scheme and edge-list
     document is, the two write the same bytes (they differ on floats and
     on other strings).  orjson raises TypeError on an int outside
     64 bits (and on a type it cannot write); then ``json`` writes the
-    document, or raises its own TypeError.
+    document, after a round trip that makes its int keys strings (``json``
+    would sort them as numbers), or raises its own TypeError.
     """
     import orjson
 
+    options = orjson.OPT_SORT_KEYS | orjson.OPT_NON_STR_KEYS
     try:
-        return orjson.dumps(doc, option=orjson.OPT_SORT_KEYS).decode()
+        return orjson.dumps(doc, option=options).decode()
     except TypeError:
+        doc = json.loads(json.dumps(doc))
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 

@@ -3,14 +3,9 @@
 ``certify_scheme`` checks each consecutive pair of entries and returns,
 per pair, a per-condition report with explicit witnesses for every
 failure.  Every clause is decided exactly from the document and the
-original graph; none searches, and the module imports no search.  The
-minor clause of D10 reads only the hyperedge's witness family, whose
-members the clauses before it made nonempty, connected and disjoint: for
-label 1 the pattern ct(1, k) is a single vertex, so k + h - 1 disjoint
-copies exist exactly when G with each member contracted keeps at least
-k + h - 1 vertices; for a higher label the family must parse into
-k + h - label witness trees, each set adjacent in G to every set below
-it, and fails otherwise.  A verdict is skipped only after a shape flaw.
+original graph; none searches, and the module imports no search (D10's
+minor clause reads the witness family: ``_has_witnessed_minors``).  A
+verdict is skipped only after a shape flaw.
 
 One shape pass per entry (``_shape``) decides well-formedness before any
 clause reads the entry, so the clauses carry no range guards.  D1 reports
@@ -30,7 +25,10 @@ for the colorer.
 Each pair then builds its maps once (``_pair_maps``): absorb sends each
 previous vertex to the next vertex whose model contains its model, persist
 to the one with exactly its model, and the inverse of absorb lists the
-previous vertices inside each next vertex.  D2, D3, D4, D7 and D8 read
+previous vertices inside each next vertex.  Both images are mapped over
+the previous entry's original-id list in bulk (a singleton is absorbed
+where its id is held and persists as the singleton of that id); only the
+few other models are looked up one by one.  D2, D3, D4, D7 and D8 read
 absorb, D3, D7, D8a and D8h persist, and D2, D6a and D8e the inverse.
 Only D3's new-model clause still tests models for inclusion: it checks the
 relation absorb encodes, and absorb, which follows one holder per id,
@@ -49,21 +47,11 @@ The conditions scan the entry graphs and the original graph in O(n + m)
 per pair, apart from the model scan of D3, which takes O(n) for each new
 vertex.  A contracted model and a witness family persist unchanged across
 entries, so one certification decides each clause that reads no entry
-once, in one table (``_Facts``): whether an id set is connected in the
-original graph, which D1 asks of multi-vertex models and D10 of witness
-and link sets; whether sets are disjoint (D10's witness and link
-overlap); a link's first flaw against a family (it meets a witness, or is
-adjacent to none of one's ids); and the minor clause per (family, label).
-D10 is one scan of its clauses in order, per hyperedge: it asks these
-facts and checks the rest on the entry, the empty sets, the zones, the
-link count and link-misses-members.  The shape pass puts every model id in
-the original graph, so a set lies in the sink (member) zone exactly when
-its ids are in the graph and those in some model lie in the sink's
-(members') models; an id outside the original graph fails a zone clause
-before any clause reads the original adjacency.  D11 takes one pass over
-an owner map from each original id to the sinks of the hyperedges holding
-it, and scans the pairs of hyperedges in order for the first failure only
-when that map finds a conflict.
+once, in one table (``_Facts``), and D10 is one scan of its clauses in
+order, per hyperedge, that asks these facts and checks the rest on the
+entry.  D11 takes one pass over an owner map from each original id to the
+sinks of the hyperedges holding it, and scans the pairs of hyperedges in
+order for the first failure only when that map finds a conflict.
 
 D8g's gd clause and D8h's hg clause search the previous hyperedges for a
 partner (``_find_gd_partner``, ``_find_hg_partner``) only for a hyperedge
@@ -101,27 +89,8 @@ from .entry import SchemeEntry, parse_groups
 from .params import SchemeParams
 
 CONDITIONS = (
-    "D1",
-    "D2",
-    "D3",
-    "D4",
-    "D5",
-    "D6a",
-    "D6b",
-    "D7",
-    "D8a",
-    "D8b",
-    "D8c",
-    "D8d",
-    "D8e",
-    "D8f",
-    "D8g",
-    "D8h",
-    "D8i",
-    "D9",
-    "D10",
-    "D11",
-    "D12",
+    "D1", "D2", "D3", "D4", "D5", "D6a", "D6b", "D7", "D8a", "D8b", "D8c",
+    "D8d", "D8e", "D8f", "D8g", "D8h", "D8i", "D9", "D10", "D11", "D12",
 )
 
 
@@ -188,14 +157,15 @@ def _pair_maps(prev: SchemeEntry, nxt: SchemeEntry) -> tuple[Images, Images, Inv
     model, and persists as the next vertex with exactly its model; None
     when there is none.
     """
-    # by vertex, not in model order: a parsed model is in key-string order
-    models = list(map(prev.model.__getitem__, range(prev.graph.n)))
-    holder, next_model = nxt.holder, nxt.model
-    absorb: Images = []
-    for m in models:
+    # a singleton is absorbed where its id is held and persists as the
+    # singleton of its id; only the few other models are looked at one by one
+    holder = nxt.holder
+    absorb: Images = list(map(holder.get, prev.orig))
+    persist: Images = list(map(nxt.by_orig.get, prev.orig))
+    for v, m in prev.other.items():
         w = holder.get(next(iter(m)))
-        absorb.append(w if w is not None and m <= next_model[w] else None)
-    persist: Images = list(map(nxt.by_model.get, models))
+        absorb[v] = w if w is not None and m <= nxt.model_of(w) else None
+        persist[v] = nxt.by_other.get(m)
     first: dict[int, int] = {}
     more: dict[int, list[int]] = {}
     for a, w in enumerate(absorb):
@@ -209,7 +179,8 @@ def _pair_maps(prev: SchemeEntry, nxt: SchemeEntry) -> tuple[Images, Images, Inv
 def _same_state(prev: SchemeEntry, nxt: SchemeEntry) -> bool:
     return (
         prev.graph == nxt.graph
-        and prev.model == nxt.model
+        and prev.orig == nxt.orig
+        and prev.other == nxt.other
         and prev.arcs == nxt.arcs
         and set(prev.hyperedges) == set(nxt.hyperedges)
     )
@@ -230,17 +201,18 @@ def _first_flaw(
     entry: SchemeEntry, h: int, original_n: int
 ) -> Optional[tuple[str, dict]]:
     n = entry.graph.n
-    model = entry.model
-    if len(model) != n or (n and (min(model) < 0 or max(model) >= n)):
+    other = entry.other
+    if len(entry.orig) != n or (other and (min(other) < 0 or max(other) >= n)):
         return "D1", {"clause": "model-keys", "expected": n}
     cover = entry.cover
-    if frozenset() in entry.by_model or (
+    if not all(other.values()) or (
         cover and (min(cover) < 0 or max(cover) >= original_n)
     ):
         for v in range(n):
-            if not model[v]:
+            m = entry.model_of(v)
+            if not m:
                 return "D1", {"clause": "empty-model", "vertex": v}
-            for o in model[v]:
+            for o in m:
                 if not 0 <= o < original_n:
                     return "D1", {"clause": "id-range", "vertex": v, "original": o}
     stray = [(a, b) for a, b in entry.arcs if not (0 <= a < n and 0 <= b < n)]
@@ -368,9 +340,17 @@ def _certify_pair(
 
 
 def _check_d1(report: CertReport, nv: SchemeEntry, facts: _Facts):
+    other = nv.other
+    held = len(nv.orig) - len(other) + sum(map(len, other.values()))
+    if len(nv.holder) == held:  # no id in two models: only multi-vertex
+        for v, m in other.items():  # models can fail, by connectivity
+            if len(m) > 1 and not facts.connected(m):
+                report.fail("D1", clause="connectivity", vertex=v, model=m)
+                return
+        return
     seen: dict[int, int] = {}
     for v in range(nv.graph.n):
-        m = nv.model[v]
+        m = nv.model_of(v)
         for o in m:
             if o in seen:
                 report.fail(
@@ -402,28 +382,27 @@ def _check_d2(
     first, more = inverse
     # the singletons holding each original id: one in ``by_orig``, the others
     # of a duplicated id in ``shared``
-    single_id = nv.singles
-    singles = frozenset(single_id)
-    by_orig = nv.by_orig
+    orig, by_orig = nv.orig, nv.by_orig
+    multi = frozenset(nv.other)
     shared: dict[int, list[int]] = {}
-    if len(by_orig) < len(single_id):
-        for v, o in single_id.items():
-            if by_orig[o] != v:
+    if len(by_orig) < len(orig) - len(nv.other):
+        for v, o in enumerate(orig):
+            if o is not None and by_orig[o] != v:
                 shared.setdefault(o, []).append(v)
     # the edges at a multi-vertex model that the contraction lacks, both ways
     foreign: dict[int, set[int]] = {}
-    for w, m in nv.model.items():
+    for w, m in nv.other.items():
         if len(m) > 1:
             reach = frozenset().union(*(original.adj[o] for o in m))
             for v in g.adj[w]:
-                if reach.isdisjoint(nv.model[v]):
+                if reach.isdisjoint(nv.model_of(v)):
                     foreign.setdefault(w, set()).add(v)
                     foreign.setdefault(v, set()).add(w)
     missing_pair = None
     dropped = False
     for u, adj in enumerate(g.adj):
         outside = near = frozenset()
-        o = single_id.get(u)
+        o = orig[u]
         if o is not None:
             # the singletons whose originals are adjacent to u's original
             near = set(map(by_orig.get, original.adj[o]))
@@ -432,7 +411,7 @@ def _check_d2(
                 near.update(
                     v for x in original.adj[o] if x in shared for v in shared[x]
                 )
-            adj_singles = adj & singles
+            adj_singles = adj - multi
             if near != adj_singles:
                 outside = adj_singles - near
                 missing = [v for v in near - adj_singles if v > u]
@@ -480,31 +459,30 @@ def _check_d3(
     return not (frozen or same)
 
 
-def _check_d3_step(
-    report: CertReport,
-    pv: SchemeEntry,
-    nv: SchemeEntry,
-    absorb: Images,
-    persist: Images,
-):
-    if len(nv.model) >= len(pv.model):
+def _check_d3_step(report: CertReport, pv, nv, absorb: Images, persist: Images):
+    if nv.graph.n >= pv.graph.n:
         report.fail(
             "D3",
             clause="model-count-not-decreasing",
-            sizes=[len(pv.model), len(nv.model)],
+            sizes=[pv.graph.n, nv.graph.n],
         )
         return
-    for v in range(pv.graph.n):
+    # a singleton that is not absorbed has its id outside the next cover
+    for v, m in pv.other.items():
         kept = persist[v] is not None or absorb[v] is not None
-        if not kept and not pv.model[v].isdisjoint(nv.cover):
+        if not kept and not m.isdisjoint(nv.cover):
             report.fail("D3", clause="model-split-across-entries", vertex=v)
             return
-    for w in range(nv.graph.n):
-        m = nv.model[w]
-        if m in pv.by_model:
-            continue
-        parts = [v for v in range(pv.graph.n) if pv.model[v] <= m]
-        if frozenset().union(*(pv.model[v] for v in parts)) != m:
+    # the vertices whose model the previous entry lacks, in order
+    new = [w for w, m in nv.other.items() if m not in pv.by_other]
+    missing = nv.by_orig.keys() - pv.by_orig.keys()
+    if missing:
+        new = sorted(new + [w for w, o in enumerate(nv.orig) if o in missing])
+    for w in new:
+        m = nv.model_of(w)
+        parts = [v for v, o in enumerate(pv.orig) if o in m]
+        parts += [v for v, pm in pv.other.items() if pm <= m]
+        if pv.ids_of(parts) != m:
             report.fail("D3", clause="new-model-not-a-union", vertex=w)
             return
         if len(induced_components(pv.graph, parts)) > 1:
@@ -539,7 +517,7 @@ def _check_d4(report: CertReport, pv: SchemeEntry, nv: SchemeEntry, absorb: Imag
     # arc tails are original vertices; hyperedge members and the greedy
     # coloring rely on it
     for a, b in arcs:
-        if len(nv.model[a]) != 1:
+        if nv.orig[a] is None:
             report.fail("D4", clause="tail-not-original", arc=[a, b])
             return
 
@@ -582,13 +560,7 @@ def _check_d6(
                 report.fail("D6b", edge=[v, u])
 
 
-def _check_d7(
-    report: CertReport,
-    pv: SchemeEntry,
-    nv: SchemeEntry,
-    absorb: Images,
-    persist: Images,
-):
+def _check_d7(report: CertReport, pv, nv, absorb: Images, persist: Images):
     present = {(e.members, e.label) for e in nv.hyperedges}
     for edge in pv.hyperedges:
         rest = edge.members - {edge.sink}
@@ -645,10 +617,8 @@ def _check_d8(
 
     d = params.d
     # D8a: vanished or absorbed singletons had low degree
-    for v in range(pv.graph.n):
-        if len(pv.model[v]) != 1:
-            continue
-        if persist[v] is None and pv.graph.degree(v) > d:
+    for v, w in enumerate(persist):
+        if w is None and pv.orig[v] is not None and pv.graph.degree(v) > d:
             report.fail("D8a", vertex=v, degree=pv.graph.degree(v), limit=d)
             break
 
@@ -658,11 +628,11 @@ def _check_d8(
     if u_set != expected_u:
         report.fail("D8b", clause="u-mismatch", u=u_set, expected=expected_u)
 
-    if nv.orig_at.get(q) in u_plus:
+    if nv.orig_at[q] in u_plus:
         report.fail("D8c", clause="q-in-u-plus", q=q)
     for x in sorted(nv.graph.adj[q]):
         if nv.graph.degree(x) > d:
-            o = nv.orig_at.get(x)
+            o = nv.orig_at[x]
             if o is None or o not in u_set:
                 report.fail("D8c", clause="hot-neighbor-outside-u", vertex=x)
                 break
@@ -672,7 +642,7 @@ def _check_d8(
             continue
         for x in sorted(edge.members - {edge.sink}):
             if pv.graph.degree(x) > d:
-                o = pv.orig_at.get(x)
+                o = pv.orig_at[x]
                 if o is None or o not in u_plus:
                     report.fail("D8d", member=x, edge_members=edge.members)
                     break
@@ -692,7 +662,7 @@ def _check_d8(
     # gc and hd scan the previous edges only when D2 did not rule out a
     # dropped one
     if pv.cover == nv.cover:
-        _check_d8g(report, pv, nv, params, q, u_plus, absorb, dropped)
+        _check_d8g(report, pv, nv, params, q, u_plus, absorb, persist, dropped)
         # D8h vacuous on contraction-type steps
     else:
         _check_d8h(
@@ -709,24 +679,25 @@ def _check_d8e(report, pv, nv, d, q, u_set, u_plus, inverse):
     absorbed_into_q = [first[q], *more.get(q, ())] if q in first else []
     for vp in absorbed_into_q:
         for v in sorted(pv.graph.adj[vp]):
-            o = pv.orig_at.get(v)
+            o = pv.orig_at[v]
             if o is None or o in u_plus or pv.graph.degree(v) > d:
                 continue
             w_img = nv.by_orig.get(o)
             if w_img is None:
                 continue
             for x in sorted(nv.graph.adj[w_img]):
-                ox = nv.orig_at.get(x)
+                ox = nv.orig_at[x]
                 if ox is not None and nv.graph.degree(x) > d and ox not in u_set:
                     report.fail("D8e", around=o, hot_neighbor=ox)
                     return
 
 
-def _check_d8g(report, pv, nv, params, q, u_plus, absorb, dropped):
-    if nv.model[q] in pv.by_model:
+def _check_d8g(report, pv, nv, params, q, u_plus, absorb, persist, dropped):
+    o = nv.orig[q]
+    if o in pv.by_orig if o is not None else nv.other[q] in pv.by_other:
         report.fail("D8g", clause="ga-q-not-new", q=q)
-    for v in range(pv.graph.n):
-        if pv.model[v] not in nv.by_model and absorb[v] != q:
+    for v, w in enumerate(persist):
+        if w is None and absorb[v] != q:
             report.fail("D8g", clause="gb-model-lost", vertex=v)
             return
     for u, v in pv.graph.edges() if dropped is not False else ():
@@ -738,7 +709,7 @@ def _check_d8g(report, pv, nv, params, q, u_plus, absorb, dropped):
             return
         x_next = wu if wv == q else wv
         x_prev = u if wv == q else v
-        o = pv.orig_at.get(x_prev)
+        o = pv.orig_at[x_prev]
         if (
             o is None
             or o in u_plus
@@ -759,7 +730,7 @@ def _check_d8g(report, pv, nv, params, q, u_plus, absorb, dropped):
 
 def _u_part(pv: SchemeEntry, vertices, u_plus: frozenset[int]) -> frozenset[int]:
     """Originals of the given vertices that lie in U+."""
-    return frozenset(o for o in map(pv.orig_at.get, vertices) if o in u_plus)
+    return frozenset(o for o in map(pv.orig_at.__getitem__, vertices) if o in u_plus)
 
 
 def _sig_multiset(sigs) -> list[tuple[int, ...]]:
@@ -769,19 +740,19 @@ def _sig_multiset(sigs) -> list[tuple[int, ...]]:
 def _find_gd_partner(pv, edge, q, u_plus, absorb) -> bool:
     rest = [
         v for v in sorted(edge.members - {edge.sink})
-        if pv.orig_at.get(v) not in u_plus
+        if pv.orig_at[v] not in u_plus
     ]
     want = _sig_multiset(_u_part(pv, pv.graph.adj[v], u_plus) for v in rest)
     s_upart = _u_part(pv, edge.members, u_plus)
     for cand in pv.hyperedges:
         if cand.label != edge.label:
             continue
-        if pv.orig_at.get(cand.sink) in u_plus:
+        if pv.orig_at[cand.sink] in u_plus:
             continue
         outside = [
             v
             for v in cand.members - {cand.sink}
-            if pv.orig_at.get(v) not in u_plus
+            if pv.orig_at[v] not in u_plus
         ]
         if _u_part(pv, cand.members, u_plus) != s_upart:
             continue
@@ -797,11 +768,10 @@ def _check_d8h(
     report, pv, nv, params, original, q, u_set, u_plus, absorb, persist, dropped
 ):
     vanished = []
-    for v in range(pv.graph.n):
-        m = pv.model[v]
-        if m in nv.by_model or absorb[v] == q:
+    for v, w in enumerate(persist):
+        if w is not None or absorb[v] == q:
             continue
-        if not m.isdisjoint(nv.cover):
+        if not pv.model_of(v).isdisjoint(nv.cover):
             report.fail("D8h", clause="ha-model-partially-kept", vertex=v)
             return
         vanished.append(v)
@@ -816,7 +786,7 @@ def _check_d8h(
                 report.fail("D8h", clause="hb-vanished-neighbor", edge=[v, u])
                 return
     for x in sorted(nv.graph.adj[q]):
-        o = nv.orig_at.get(x)
+        o = nv.orig_at[x]
         if o is None:
             report.fail("D8h", clause="hc-neighbor-not-original", vertex=x)
             return
@@ -833,17 +803,15 @@ def _check_d8h(
     if gone > params.n_freeze:
         report.fail("D8h", clause="he-too-many-removed", removed=gone)
     # the U-neighborhoods of the originals in q, once
-    twins = {original.adj[o] & u_set for o in nv.model[q] if o in pv.by_orig}
-    for v in range(pv.graph.n):
-        o = pv.orig_at.get(v)
+    twins = {original.adj[o] & u_set for o in nv.model_of(q) if o in pv.by_orig}
+    for o in pv.orig_at:
         if o is None or o in nv.cover:
             continue
         if original.adj[o] & u_set not in twins:
             report.fail("D8h", clause="hf-no-twin-in-q", original=o)
             return
     for edge in pv.hyperedges:
-        sink_model = pv.model[edge.sink]
-        if sink_model & nv.cover:
+        if pv.model_of(edge.sink) & nv.cover:
             continue
         if not _find_hg_partner(pv, original, edge, q, u_set, absorb, persist):
             report.fail("D8h", clause="hg-no-partner-edge", members=edge.members)
@@ -855,7 +823,7 @@ def _find_hg_partner(pv, original, edge, q, u_set, absorb, persist) -> bool:
         v for v in edge.members - {edge.sink} if persist[v] is not None
     )
     gone = [v for v in sorted(edge.members - {edge.sink}) if persist[v] is None]
-    if any(pv.orig_at.get(v) is None for v in gone):
+    if any(pv.orig_at[v] is None for v in gone):
         return False
     want = _sig_multiset(
         frozenset(original.adj[pv.orig_at[v]] & u_set) for v in gone
@@ -873,7 +841,7 @@ def _find_hg_partner(pv, original, edge, q, u_set, absorb, persist) -> bool:
         in_q = [
             v
             for v in sorted(cand.members - {cand.sink})
-            if v in pv.orig_at and absorb[v] == q
+            if pv.orig_at[v] is not None and absorb[v] == q
         ]
         if len(in_q) != len(gone):
             continue
@@ -893,11 +861,11 @@ def _check_d8i(report, pv, nv, original, q, u_set, u_plus, absorb):
         rest = edge.members - {edge.sink}
         if absorb[edge.sink] != q or all(absorb[v] != q for v in rest):
             continue
-        outside = [v for v in sorted(rest) if pv.orig_at.get(v) not in u_plus]
+        outside = [v for v in sorted(rest) if pv.orig_at[v] not in u_plus]
         u_part = frozenset(nv.by_orig[o] for o in _u_part(pv, edge.members, u_plus))
         zones = {}
         for v in outside:
-            o = pv.orig_at.get(v)
+            o = pv.orig_at[v]
             if o is not None and original.adj[o] & u_set:
                 zones[v] = sorted(original.adj[o] & u_set)
         # no skipped member: the derived edge (ia); a skipped member: the
@@ -936,7 +904,7 @@ def _check_d10(report: CertReport, nv: SchemeEntry, facts: _Facts):
     for ei, edge in enumerate(nv.hyperedges):
         fam = nv.witnesses[ei]
         links = nv.witness_links[ei]
-        sink_ids = nv.model[edge.sink]
+        sink_ids = nv.model_of(edge.sink)
         for a in fam:
             if not a:
                 report.fail("D10", clause="empty-witness", edge=ei)
@@ -959,10 +927,10 @@ def _check_d10(report: CertReport, nv: SchemeEntry, facts: _Facts):
                 expected=len(edge.members) - 1,
             )
             return
-        member_ids = frozenset().union(*(nv.model[v] for v in edge.members))
+        member_ids = nv.ids_of(edge.members)
         member_origs = frozenset(
-            nv.orig_at[v] for v in edge.members - {edge.sink} if v in nv.orig_at
-        )
+            nv.orig_at[v] for v in edge.members - {edge.sink}
+        ) - {None}
         for l in links:
             if not (l and l <= ids and (l & cover) <= member_ids):
                 report.fail("D10", clause="link-outside-zone", edge=ei, bad=l)
@@ -1019,11 +987,8 @@ def _check_d11(report: CertReport, nv: SchemeEntry):
     the id's singleton is not a member of both.  So an id held under two
     sinks is a conflict when a witness holds it, or when its singleton is
     not a member of every hyperedge whose link holds it.  The rule pays
-    for itself: in 158 of the 160 entries of the caterpillar(1, 801)
-    prefix, links under two sinks share an id (no witness does), in about
-    4,200 pairs of hyperedges per entry, and scanning just those pairs
-    took certifying the prefix from 0.38 s to 2.8-4.0 s (best of 9 each,
-    2-vCPU VM).
+    for itself: scanning just the pairs that share an id took certifying
+    the caterpillar(1, 801) prefix from 0.38 s to 2.8-4.0 s (2-vCPU VM).
     """
     edges = nv.hyperedges
     by_sink: dict[int, list[frozenset[int]]] = {}
@@ -1078,10 +1043,8 @@ def _scan_d11(report: CertReport, nv: SchemeEntry):
                         )
                         return
             shared_members = frozenset(
-                nv.orig_at[v]
-                for v in edges[i].members & edges[j].members
-                if v in nv.orig_at
-            )
+                nv.orig_at[v] for v in edges[i].members & edges[j].members
+            ) - {None}
             for a in links_i:
                 for b in links_j:
                     shared = a & b
@@ -1136,9 +1099,8 @@ def _is_initial(entry: SchemeEntry, original: Graph) -> bool:
         and entry.witnesses == {}
         and entry.witness_links == {}
         and entry.step_meta is None
-        and len(entry.model) == n
-        and len(entry.singles) == n
-        and all(v == o and 0 <= v < n for v, o in entry.singles.items())
+        and entry.orig == list(range(n))
+        and not entry.other
     )
 
 

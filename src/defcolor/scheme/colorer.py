@@ -35,9 +35,9 @@ def color_from_scheme(
         if flaw is not None:
             cond, witness = flaw
             raise HypothesisViolationError(f"entry {i} fails {cond}: {witness}")
-    colors: dict[int, int] = {o: 1 for o in final.by_orig}
+    colors: dict[int, int] = dict.fromkeys(final.by_orig, 1)
     for prev, nxt in reversed(list(zip(scheme, scheme[1:]))):
-        fresh = [o for o in sorted(prev.by_orig) if o not in colors]
+        fresh = sorted(prev.by_orig.keys() - colors.keys())
         if not fresh:
             continue
         meta = nxt.step_meta

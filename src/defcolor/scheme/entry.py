@@ -52,10 +52,7 @@ class WitnessNode:
 
 
 def flatten_groups(groups: tuple[WitnessNode, ...]) -> tuple[frozenset[int], ...]:
-    out: list[frozenset[int]] = []
-    for g in groups:
-        out.extend(g.sets())
-    return tuple(out)
+    return tuple(s for g in groups for s in g.sets())
 
 
 def parse_groups(
@@ -107,28 +104,30 @@ class StepMeta:
 class SchemeEntry:
     """One entry of a scheme, with its derived lookups.
 
-    An entry checks nothing about itself: the certifier's shape pass
-    decides once per entry whether its keys, ids, arcs, hyperedges and
-    witness keys are in range (see ``certify``).
+    Almost every model is one original vertex, so the models are one list
+    and a small dict: ``orig[v]`` is the id of v's model when it is a
+    singleton, else None, and ``other`` maps the other vertices, in order,
+    to their models (two or more ids, or none in a malformed document).
+    Model keys other than 0..n-1 leave ``orig`` empty and every model in
+    ``other``, which the shape pass reports.  An entry checks nothing about
+    itself: the certifier's shape pass decides once per entry whether its
+    keys, ids, arcs, hyperedges and witness keys are in range.
 
     The lookups below are computed once per entry, on first use, and shared
     by the certifier, the steps and the colorer; they are read-only.  They
     are well defined on any parseable entry, valid or not, so the shape
     pass can read them before it has checked the entry.  Where two vertices
-    compete for one key (a shared id or model), the later in model order
-    wins.
+    compete for one key (a shared id or model), the later vertex wins.
 
-    ``singles``
-        entry vertex -> original id, for every singleton model (a shared
-        id keeps every holder).
     ``by_orig``
-        original id -> entry vertex, the inverse of ``singles``.
+        original id -> the singleton vertex holding it.
     ``orig_at``
-        entry vertex -> original id, the inverse of ``by_orig``.
+        the inverse of ``by_orig``: ``orig``, but with None at the other
+        holders of a shared id.
     ``holder``
         original id -> a vertex whose model contains it.
-    ``by_model``
-        model -> vertex with that model.
+    ``by_other``
+        model -> vertex with that model, for the models in ``other``.
     ``heads``, ``sinks``
         arc heads and hyperedge sinks.
     ``special``
@@ -141,32 +140,49 @@ class SchemeEntry:
     """
 
     graph: Graph
-    model: dict[int, frozenset[int]]
+    orig: list[Optional[int]]
+    other: dict[int, frozenset[int]]
     arcs: frozenset[tuple[int, int]]
     hyperedges: tuple[Hyperedge, ...]
     witnesses: dict[int, tuple[frozenset[int], ...]] = field(default_factory=dict)
     witness_links: dict[int, tuple[frozenset[int], ...]] = field(default_factory=dict)
     step_meta: Optional[StepMeta] = None
 
-    @cached_property
-    def singles(self) -> dict[int, int]:
-        return {v: next(iter(m)) for v, m in self.model.items() if len(m) == 1}
+    def model_of(self, v: int) -> frozenset[int]:
+        o = self.orig[v]
+        return self.other[v] if o is None else frozenset((o,))
+
+    def ids_of(self, vertices) -> frozenset[int]:
+        """The union of the models of ``vertices``."""
+        return frozenset().union(*map(self.model_of, vertices))
 
     @cached_property
     def by_orig(self) -> dict[int, int]:
-        return {o: v for v, o in self.singles.items()}
+        by_orig = dict(zip(self.orig, range(len(self.orig))))
+        by_orig.pop(None, None)
+        return by_orig
 
     @cached_property
-    def orig_at(self) -> dict[int, int]:
-        return {v: o for o, v in self.by_orig.items()}
+    def orig_at(self) -> list[Optional[int]]:
+        orig, by_orig = self.orig, self.by_orig
+        if len(by_orig) == len(orig) - len(self.other):
+            return orig
+        return [o if o is None or by_orig[o] == v else None for v, o in enumerate(orig)]
 
     @cached_property
     def holder(self) -> dict[int, int]:
-        return {o: v for v, m in self.model.items() for o in m}
+        if not self.other:
+            return self.by_orig
+        holder = dict(self.by_orig)
+        for v, m in self.other.items():
+            for o in m:
+                if holder.get(o, -1) < v:
+                    holder[o] = v
+        return holder
 
     @cached_property
-    def by_model(self) -> dict[frozenset[int], int]:
-        return {m: v for v, m in self.model.items()}
+    def by_other(self) -> dict[frozenset[int], int]:
+        return {m: v for v, m in self.other.items()}
 
     @cached_property
     def heads(self) -> frozenset[int]:
@@ -178,12 +194,12 @@ class SchemeEntry:
 
     @cached_property
     def special(self) -> frozenset[int]:
-        multi = frozenset(v for v, m in self.model.items() if len(m) >= 2)
+        multi = frozenset(v for v, m in self.other.items() if len(m) >= 2)
         return multi | self.heads | self.sinks
 
     @cached_property
     def cover(self) -> frozenset[int]:
-        return frozenset().union(*self.model.values())
+        return frozenset(self.holder)
 
     @cached_property
     def shape_flaws(self) -> dict:
@@ -208,16 +224,31 @@ class SchemeEntry:
         )
 
 
+def split_models(keys: list[int], models: list) -> tuple[list, dict]:
+    """``orig`` and ``other`` of the entry whose vertex ``keys[i]`` has the
+    ids ``models[i]``; the keys are distinct and nonnegative."""
+    orig: list[Optional[int]] = [None] * len(keys)
+    other = {}
+    try:
+        for v, ids in zip(keys, models):
+            # a set only where the list is not one id: [3, 3] is a singleton
+            if len(ids) == 1 or len(ids := frozenset(ids)) == 1:
+                (orig[v],) = ids
+            else:
+                other[v] = ids
+    except IndexError:  # a key past n - 1: the keys are not the vertices
+        return [], dict(zip(keys, map(frozenset, models)))
+    return orig, dict(sorted(other.items()))
+
+
 def initial_entry(g: Graph) -> SchemeEntry:
     """The canonical first entry: singleton models, no arcs or hyperedges."""
     return SchemeEntry(
         graph=g,
-        model={v: frozenset([v]) for v in range(g.n)},
+        orig=list(range(g.n)),
+        other={},
         arcs=frozenset(),
         hyperedges=(),
-        witnesses={},
-        witness_links={},
-        step_meta=None,
     )
 
 
@@ -229,10 +260,6 @@ def sort_hyperedges(
     ``edges`` maps each hyperedge to a (flat_witnesses, links) pair.
     """
     ordered = sorted(edges, key=Hyperedge.sort_key)
-    witnesses = {}
-    links = {}
-    for i, e in enumerate(ordered):
-        w, l = edges[e]
-        witnesses[i] = tuple(w)
-        links[i] = tuple(l)
+    witnesses = {i: tuple(edges[e][0]) for i, e in enumerate(ordered)}
+    links = {i: tuple(edges[e][1]) for i, e in enumerate(ordered)}
     return tuple(ordered), witnesses, links

@@ -3,7 +3,8 @@
 A scheme document is an array of entries; every set is emitted sorted so
 documents are byte-stable and round-trip to equal values.  Pairs (edges and
 arcs) are emitted as tuples, which JSON writes as arrays, and object keys
-are left to ``sort_keys``.
+are left to ``sort_keys``.  A model is read into ``SchemeEntry.orig`` by
+vertex, whatever the order of its keys; only the other models are sets.
 
 The bytes are written and read by ``graphs.write_json`` and
 ``graphs.read_json``: ``orjson``, with the standard library's ``json``
@@ -16,9 +17,11 @@ way in: see ``read_json`` for why that makes the fallback rule exact.
 Both directions run with the cyclic garbage collector paused.  They only
 build acyclic containers, which reference counting frees, so a collection
 inside them finds nothing to free: it only traverses the document being
-built, and at n = 100,001 that was most of the round trip's time.  A
-collection that fell due meanwhile runs at the next allocation after the
-call.
+built, and at n = 100,001 that was most of the round trip's time.  A young
+collection that falls due meanwhile runs when ``_collector_paused`` exits,
+still inside the call, over every container the call made: reading
+star_of_balls(1, 400, 5) it took 0.52-0.59 ms of 5.1-5.4 ms with a
+frozenset per singleton model, and 0.26-0.30 of 4.4-4.5 ms without.
 """
 
 from __future__ import annotations
@@ -28,14 +31,16 @@ from contextlib import contextmanager
 
 from ..errors import InputFormatError
 from ..graphs import graph_from_doc, int_keyed, int_lists, read_json, write_json
-from .entry import Hyperedge, SchemeEntry, StepMeta
+from .entry import Hyperedge, SchemeEntry, StepMeta, split_models
 
 
 def entry_to_json(entry: SchemeEntry) -> dict:
     g = entry.graph
+    model = dict(zip(range(len(entry.orig)), zip(entry.orig)))  # int keys
+    model.update((v, sorted(m)) for v, m in entry.other.items())
     doc = {
         "graph": {"n": g.n, "edges": g.edges()},
-        "model": {str(v): sorted(m) for v, m in entry.model.items()},
+        "model": model,
         "arcs": sorted(entry.arcs),
         "hyperedges": [
             {"s": sorted(e.members), "j": e.label, "sink": e.sink}
@@ -61,7 +66,7 @@ def entry_to_json(entry: SchemeEntry) -> dict:
 
 
 def _families(doc: dict, key: str) -> dict[int, tuple[frozenset[int], ...]]:
-    items = int_keyed(doc.get(key, {}), key, 3)
+    items = zip(*int_keyed(doc.get(key, {}), key, 3))
     return {i: tuple(map(frozenset, family)) for i, family in items}
 
 
@@ -69,11 +74,7 @@ def entry_from_json(doc: dict) -> SchemeEntry:
     """One entry; every integer field must be a JSON integer, not a boolean."""
     try:
         graph = graph_from_doc(doc["graph"])
-        # in vertex order, as built entries are: a shared id goes to its
-        # later holder whatever the text's key order
-        model = {
-            v: frozenset(m) for v, m in sorted(int_keyed(doc["model"], "model", 2))
-        }
+        orig, other = split_models(*int_keyed(doc["model"], "model", 2))
         arcs = frozenset((a, b) for a, b in int_lists(doc["arcs"], "arcs", 2))
         edges = doc["hyperedges"]
         if type(edges) is not list:
@@ -95,7 +96,8 @@ def entry_from_json(doc: dict) -> SchemeEntry:
         raise InputFormatError(f"malformed scheme entry: {exc}") from exc
     return SchemeEntry(
         graph=graph,
-        model=model,
+        orig=orig,
+        other=other,
         arcs=arcs,
         hyperedges=hyperedges,
         witnesses=witnesses,

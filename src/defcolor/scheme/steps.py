@@ -60,7 +60,7 @@ def _subsets(items: list[int]):
 
 
 def _member_orig(entry: SchemeEntry, v: int) -> int:
-    o = entry.orig_at.get(v)
+    o = entry.orig_at[v]
     if o is None:
         raise HypothesisViolationError(
             f"hyperedge member {v} has a multi-vertex model"
@@ -182,9 +182,12 @@ class _Rebuild:
             rows.append(frozenset(row))
         rows.append(frozenset(new_row))
         self.graph = Graph(self.v_new + 1, rows)
-        model = {self.idx[v]: entry.model[v] for v in survivors}
-        model[self.v_new] = frozenset().union(*(entry.model[v] for v in contracted))
-        self.model = model
+        self.orig = list(map(entry.orig.__getitem__, survivors))
+        self.other = {get(v): m for v, m in entry.other.items() if v in self.idx}
+        merged = entry.ids_of(contracted)  # one id for a lone singleton
+        self.orig.append(next(iter(merged)) if len(merged) == 1 else None)
+        if len(merged) != 1:
+            self.other[self.v_new] = merged
 
     def map_members(self, vertices) -> frozenset[int]:
         return frozenset(self.idx[v] for v in vertices)
@@ -254,10 +257,7 @@ def _next_entry(
     e3_members = frozenset({rb.v_new}) | frozenset(
         rb.idx[entry.by_orig[u]] for u in u_set
     )
-    groups = tuple(
-        WitnessNode(frozenset().union(*(entry.model[v] for v in s)))
-        for s in sources.values()
-    )
+    groups = tuple(WitnessNode(entry.ids_of(s)) for s in sources.values())
     links = tuple(frozenset([u]) for u in sorted(u_set))
     collected[Hyperedge(e3_members, 1, rb.v_new)] = (flatten_groups(groups), links)
 
@@ -331,7 +331,8 @@ def _next_entry(
     hyperedges, witnesses, links = sort_hyperedges(collected)
     return SchemeEntry(
         graph=rb.graph,
-        model=rb.model,
+        orig=rb.orig,
+        other=rb.other,
         arcs=arcs,
         hyperedges=hyperedges,
         witnesses=witnesses,
@@ -361,7 +362,7 @@ def step(
     balls = check_homogeneous(g, triple, params.t, params.l0, params.d, params.r)
     w_orig = {}
     for wv in sorted(triple.w_set):
-        o = entry.orig_at.get(wv)
+        o = entry.orig_at[wv]
         if o is None:
             raise HypothesisViolationError(
                 f"boundary vertex {wv} has a multi-vertex model"
@@ -406,7 +407,7 @@ def del_step(
         edge_sig = frozenset(
             _edge_type(g, e, w) for e in entry.hyperedges if e.sink in b
         )
-        vertex_sig = frozenset(g.adj[v] & w for v in b if v in entry.orig_at)
+        vertex_sig = frozenset(g.adj[v] & w for v in b if v not in entry.other)
         buckets.setdefault((edge_sig, vertex_sig), []).append(zi)
     need = params.k + params.h
     eligible = [b for b in buckets.values() if len(b) >= need]
@@ -515,7 +516,7 @@ def contract_step(
     extra = frozenset(
         v
         for v in boundary(g, region_core)
-        if v in x and (len(entry.model[v]) >= 2 or v in entry.sinks)
+        if v in x and (v in entry.other or v in entry.sinks)
     )
     region = frozenset(region_core | extra)
 

@@ -27,6 +27,7 @@ from defcolor.depth import ClusteredBounds, connected_tree_depth
 from defcolor.graphs import Graph, RootedTree, induced_components
 from defcolor.hugeint import PLAIN_LIMIT, HugeInt
 from defcolor.scheme import CertReport, SchemeEntry, SchemeParams, certify_scheme
+from defcolor.scheme.entry import split_models
 
 
 # ---------------------------------------------------------------------------
@@ -586,17 +587,30 @@ def minor_dfs_oracle(host: Graph, pattern: Graph):
 # scheme oracle: condition D2 by a scan over every vertex pair
 
 
+def models(entry: SchemeEntry) -> dict[int, frozenset[int]]:
+    """Every model of ``entry`` as one dict, vertex -> ids, in vertex order."""
+    singles = {v: frozenset({o}) for v, o in enumerate(entry.orig) if o is not None}
+    return dict(sorted({**singles, **entry.other}.items()))
+
+
+def with_models(model: dict[int, frozenset[int]]) -> dict:
+    """The ``orig`` and ``other`` fields of an entry with these models."""
+    orig, other = split_models(list(model), list(model.values()))
+    return {"orig": orig, "other": other}
+
+
 def d2_oracle(prev, nxt, original: Graph) -> dict:
     """Verdict JSON of condition D2 for the pair (prev, nxt), found by the
     plain quadratic scan: every edge of the next graph, then every pair of
     its vertices in lexicographic order.  Models may share ids only between
     singletons; a previous model inside several next models is absorbed
-    into the last of them in model order, the certifier's rule for a shared
+    into the last of them in vertex order, the certifier's rule for a shared
     key."""
     g, pg = nxt.graph, prev.graph
+    prev_model, next_model = models(prev), models(nxt)
     absorbed = {w: [] for w in range(g.n)}
     for v in range(pg.n):
-        into = [w for w in nxt.model if prev.model[v] <= nxt.model[w]]
+        into = [w for w in next_model if prev_model[v] <= next_model[w]]
         if into:
             absorbed[into[-1]].append(v)
 
@@ -605,14 +619,14 @@ def d2_oracle(prev, nxt, original: Graph) -> dict:
 
     for u, v in g.edges():
         if not any(
-            original.has_edge(a, b) for a in nxt.model[u] for b in nxt.model[v]
+            original.has_edge(a, b) for a in next_model[u] for b in next_model[v]
         ):
             return fail(clause="edge-not-in-contraction", edge=[u, v])
         if not any(pg.has_edge(a, b) for a in absorbed[u] for b in absorbed[v]):
             return fail(clause="edge-without-preimage", edge=[u, v])
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            mu, mv = nxt.model[u], nxt.model[v]
+            mu, mv = next_model[u], next_model[v]
             if g.has_edge(u, v) or len(mu) != 1 or len(mv) != 1:
                 continue
             if original.has_edge(min(mu), min(mv)):

@@ -155,7 +155,8 @@ def test_c07_scheme_end_to_end_corpus():
 def _swap_entry(entry: SchemeEntry, **changes) -> SchemeEntry:
     fields = {
         "graph": entry.graph,
-        "model": entry.model,
+        "orig": entry.orig,
+        "other": entry.other,
         "arcs": entry.arcs,
         "hyperedges": entry.hyperedges,
         "witnesses": entry.witnesses,

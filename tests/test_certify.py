@@ -34,20 +34,23 @@ from defcolor.scheme.certify import (
 )
 from defcolor.scheme.corpus import acceptance_corpus, caterpillar, star_of_balls
 from defcolor.scheme.entry import SchemeEntry, StepMeta
-from helpers import certify_entry, d2_oracle, skipped
+from helpers import certify_entry, d2_oracle, models, skipped, with_models
 from test_steps import typed_spine_fabric
 
 
 def swap(entry: SchemeEntry, **changes) -> SchemeEntry:
     fields = {
         "graph": entry.graph,
-        "model": entry.model,
+        "orig": entry.orig,
+        "other": entry.other,
         "arcs": entry.arcs,
         "hyperedges": entry.hyperedges,
         "witnesses": entry.witnesses,
         "witness_links": entry.witness_links,
         "step_meta": entry.step_meta,
     }
+    if "model" in changes:
+        fields.update(with_models(changes.pop("model")))
     fields.update(changes)
     return SchemeEntry(**fields)
 
@@ -177,9 +180,9 @@ class TestPairwiseConditions:
         u, v = next(
             (u, v)
             for u, v in e2.graph.edges()
-            if e2.orig_at.get(u) is not None and e2.orig_at.get(v) is not None
+            if e2.orig_at[u] is not None and e2.orig_at[v] is not None
         )
-        a, b = sorted((e2.orig_at.get(u), e2.orig_at.get(v)))
+        a, b = sorted((e2.orig_at[u], e2.orig_at[v]))
         cut = Graph.from_edges(
             e1.graph.n, [e for e in e1.graph.edges() if e != (a, b)]
         )
@@ -195,7 +198,7 @@ class TestPairwiseConditions:
         between = [
             (u, v)
             for u, v in e2.graph.edges()
-            if e2.orig_at.get(u) is not None and e2.orig_at.get(v) is not None
+            if e2.orig_at[u] is not None and e2.orig_at[v] is not None
         ]
         # two edges at the apex and one further along the spine
         dropped = [e for e in between if e[0] == between[0][0]][-2:]
@@ -215,11 +218,11 @@ class TestOutOfRangeModelIds:
         # an id past original.n used to raise IndexError in D2's edge clause
         inst, scheme = cat
         prev, nxt = scheme[0], scheme[1]
-        singles = [v for v, m in sorted(nxt.model.items()) if len(m) == 1]
+        singles = [v for v, m in models(nxt).items() if len(m) == 1]
         assert 0 in singles
         for v in singles:
-            shifted = min(nxt.model[v]) + 10**6
-            model = dict(nxt.model)
+            shifted = min(nxt.model_of(v)) + 10**6
+            model = models(nxt)
             model[v] = frozenset({shifted})
             report = certify_entry(prev, swap(nxt, model=model), inst.params, inst.graph)
             assert not report.clean()
@@ -232,8 +235,8 @@ class TestOutOfRangeModelIds:
         # a model key past graph.n used to raise KeyError in D2's absorb map
         inst, scheme = cat
         prev, nxt = scheme
-        last = max(nxt.model)
-        model = dict(nxt.model)
+        model = models(nxt)
+        last = max(model)
         model[last + 5] = model.pop(last)
         gap = swap(nxt, model=model)
         report = certify_scheme([prev, gap], inst.params, inst.graph)
@@ -257,7 +260,7 @@ class TestOutOfRangeModelIds:
         inst = star_of_balls(1, 5, 1)
         prev, nxt = build_scheme(inst.graph, inst.params)
         for v in range(prev.graph.n):
-            model = dict(prev.model)
+            model = models(prev)
             model[v] = frozenset(o + 10**6 for o in model[v])
             report = certify_scheme(
                 [swap(prev, model=model), nxt], inst.params, inst.graph
@@ -396,7 +399,7 @@ class TestUOutsideUPlus:
         triple = find_homogeneous(prev.graph, 1, params.l0, 4, 3)
         nxt = step(prev, triple, params)
         meta = nxt.step_meta
-        for o in sorted(nxt.model[meta.q])[:4]:
+        for o in sorted(models(nxt)[meta.q])[:4]:
             bad = StepMeta(meta.q, meta.u_set | {o}, meta.u_plus)
             report = certify_entry(prev, swap(nxt, step_meta=bad), params, g)
             assert report.verdicts["D8b"].witness["clause"] == "u-not-in-u-plus"
@@ -445,10 +448,10 @@ class TestD2AgainstOracle:
         ):
             scheme = build_scheme(inst.graph, inst.params)
             for prev, nxt in list(zip(scheme, scheme[1:])) + [(scheme[-1],) * 2]:
-                singles = [v for v, m in nxt.model.items() if len(m) == 1]
-                multi = [v for v, m in nxt.model.items() if len(m) > 1]
+                singles = [v for v, o in enumerate(nxt.orig) if o is not None]
+                multi = list(nxt.other)
                 for _ in range(12):
-                    model = dict(nxt.model)
+                    model = models(nxt)
                     graph = _edit_edges(nxt.graph, rng, 1, 1)
                     a, b = sorted(rng.sample(singles, 2))
                     kind = rng.choice(["duplicated-id", "moved-model"])
@@ -536,7 +539,7 @@ class TestWitnessOverlapAcrossSinks:
             links[i] = (frozenset({m}), frozenset({apex}))
         entry = SchemeEntry(
             graph=entry_graph,
-            model={remap[v]: frozenset({v}) for v in covered},
+            **with_models({remap[v]: frozenset({v}) for v in covered}),
             arcs=frozenset(arcs),
             hyperedges=tuple(hyperedges),
             witnesses=witnesses,
@@ -581,7 +584,8 @@ def _one_edge_entry(label: int, family, links) -> SchemeEntry:
     apex, s, m = 0, 1, 2
     return SchemeEntry(
         graph=complete_graph(3),
-        model={v: frozenset({v}) for v in range(3)},
+        orig=[0, 1, 2],
+        other={},
         arcs=frozenset({(apex, s), (m, s)}),
         hyperedges=(Hyperedge(frozenset({apex, s, m}), label, s),),
         witnesses={0: tuple(frozenset(a) for a in family)},
@@ -763,8 +767,9 @@ def _check_inverse(prev: SchemeEntry, nxt: SchemeEntry):
     _, _, (first, more) = _pair_maps(prev, nxt)
     got = {w: [v, *more.get(w, ())] for w, v in first.items()}
     want = {}
+    prev_model, next_model = models(prev), models(nxt)
     for w in range(nxt.graph.n):
-        inside = [v for v in range(prev.graph.n) if prev.model[v] <= nxt.model[w]]
+        inside = [v for v in range(prev.graph.n) if prev_model[v] <= next_model[w]]
         if inside:
             want[w] = inside
     assert got == want
@@ -798,7 +803,7 @@ class TestAbsorbInverse:
                 for prev, nxt in zip(scheme, scheme[1:]):
                     if _shape(prev, params, g) or _shape(nxt, params, g):
                         continue
-                    if sum(map(len, nxt.model.values())) != len(nxt.cover):
+                    if sum(map(len, models(nxt).values())) != len(nxt.cover):
                         continue
                     _check_inverse(prev, nxt)
                     checked += 1
@@ -918,7 +923,7 @@ class TestLongScheme:
         ]
         ei, ej = random.Random(5).sample(inherited, 2)
         fam_i, fam_j = entry.witnesses[ei], entry.witnesses[ej]
-        sink_ids = entry.model[entry.hyperedges[ei].sink]
+        sink_ids = entry.model_of(entry.hyperedges[ei].sink)
         held = frozenset().union(*fam_i)
 
         def at_middle(new_entry):
@@ -1059,7 +1064,7 @@ class TestDroppedEdgeClauses:
         inst = caterpillar(1, 20)
         scheme = build_scheme(inst.graph, inst.params)
         prev, nxt = scheme[1], scheme[2]
-        assert nxt.step_meta.q == 12 and nxt.model[11] == prev.model[16]
+        assert nxt.step_meta.q == 12 and models(nxt)[11] == models(prev)[16]
         got = _dropped_edge_failures(inst, prev, _with_edges(nxt, drop=[(0, 11)]))
         assert got["D8g"] == {"clause": "gc-edge-dropped-away-from-q", "edge": [0, 16]}
 
@@ -1069,7 +1074,7 @@ class TestDroppedEdgeClauses:
         # next edge (3, 1)
         inst = star_of_balls(1, 6, 2)
         prev, nxt = build_scheme(inst.graph, inst.params)
-        assert nxt.step_meta.q == 3 and nxt.model[1] == frozenset({11})
+        assert nxt.step_meta.q == 3 and models(nxt)[1] == frozenset({11})
         got = _dropped_edge_failures(inst, _with_edges(prev, add=[(1, 11)]), nxt)
         assert got == {"D8h": {"clause": "hd-edge-dropped", "edge": [1, 11]}}
 
@@ -1112,7 +1117,8 @@ def _singletons(g: Graph, hyperedges, arcs) -> SchemeEntry:
     keys = range(len(hyperedges))
     return SchemeEntry(
         graph=g,
-        model={v: frozenset({v}) for v in range(g.n)},
+        orig=list(range(g.n)),
+        other={},
         arcs=frozenset(arcs),
         hyperedges=tuple(hyperedges),
         witnesses={i: () for i in keys},
@@ -1148,7 +1154,9 @@ class TestPartnerClauses:
         prev = _singletons(g, [Hyperedge(frozenset({1, 2}), 1, 1)], [(2, 1)])
         nxt = SchemeEntry(
             graph=Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]),
-            model={0: frozenset({0}), 1: frozenset({2}), 2: frozenset({4}), 3: frozenset({1, 3})},
+            **with_models(
+                {0: frozenset({0}), 1: frozenset({2}), 2: frozenset({4}), 3: frozenset({1, 3})}
+            ),
             arcs=frozenset(),
             hyperedges=(),
             witnesses={},
@@ -1181,7 +1189,7 @@ class TestPartnerClauses:
         prev = _singletons(g, edges, arcs)
         nxt = SchemeEntry(
             graph=Graph.from_edges(2, [(0, 1)]),
-            model={0: frozenset({0}), 1: frozenset({1, 2})},
+            **with_models({0: frozenset({0}), 1: frozenset({1, 2})}),
             arcs=frozenset(),
             hyperedges=(),
             witnesses={},

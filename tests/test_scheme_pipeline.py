@@ -36,7 +36,7 @@ from defcolor.scheme import (
     serialize,
 )
 from defcolor.scheme.corpus import acceptance_corpus, caterpillar, star_of_balls
-from helpers import path_graph
+from helpers import models, path_graph, with_models
 from test_certify import _prefix
 from test_golden import INSTANCES
 
@@ -102,7 +102,7 @@ class TestCorpus:
         assert len(scheme) == 2
         assert scheme[1].cover == scheme[0].cover
         meta = scheme[1].step_meta
-        assert meta is not None and len(scheme[1].model[meta.q]) >= 2
+        assert meta is not None and len(scheme[1].model_of(meta.q)) >= 2
 
 
 class TestMultiStep:
@@ -222,7 +222,17 @@ class TestSerialization:
 
 
 def _stdlib_text(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(_str_keys(doc), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _str_keys(doc):
+    """The JSON value of ``doc``: int keys become their decimal strings, so
+    that ``sort_keys`` sorts them as strings."""
+    if isinstance(doc, dict):
+        return {str(k): _str_keys(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_str_keys(x) for x in doc]
+    return doc
 
 
 def _sha(text: str) -> str:
@@ -251,10 +261,9 @@ class TestCodec:
         inst = star_of_balls(1, 6, 2)
         scheme = build_scheme(inst.graph, inst.params)
         entry = scheme[1]
-        v = min(entry.model)
-        big = dataclasses.replace(
-            entry, model={**entry.model, v: entry.model[v] | {2**64}}
-        )
+        model = models(entry)
+        model[0] |= {2**64}
+        big = dataclasses.replace(entry, **with_models(model))
         text = scheme_to_json([scheme[0], big])
         assert text == _stdlib_text([serialize.entry_to_json(e) for e in (scheme[0], big)])
         assert "18446744073709551616" in text
@@ -476,7 +485,8 @@ class TestColoringGuards:
             entries.append(
                 SchemeEntry(
                     graph=sub,
-                    model={i: frozenset({v}) for i, v in enumerate(ids)},
+                    orig=list(ids),
+                    other={},
                     arcs=frozenset(),
                     hyperedges=(),
                     step_meta=StepMeta(q=0, u_set=u_set, u_plus=u_set),
@@ -498,14 +508,16 @@ class TestColoringGuards:
         e1 = initial_entry(g)
         e2 = SchemeEntry(
             graph=complete_graph(2),
-            model={0: frozenset({1}), 1: frozenset({2})},
+            orig=[1, 2],
+            other={},
             arcs=frozenset(),
             hyperedges=(),
             step_meta=StepMeta(q=0, u_set=frozenset({1, 2}), u_plus=frozenset({1, 2})),
         )
         e3 = SchemeEntry(
             graph=complete_graph(1),
-            model={0: frozenset({1})},
+            orig=[1],
+            other={},
             arcs=frozenset(),
             hyperedges=(),
             step_meta=StepMeta(q=0, u_set=frozenset({1}), u_plus=frozenset({1})),

@@ -18,7 +18,7 @@ from defcolor.scheme import (
 from defcolor.scheme.corpus import acceptance_corpus, caterpillar, star_of_balls
 from defcolor.scheme.entry import SchemeEntry
 from defcolor.scheme.homogeneous import boundary
-from helpers import certify_entry
+from helpers import certify_entry, models, with_models
 
 
 def run_homogeneous(inst):
@@ -200,7 +200,6 @@ def paired_ball_fabric(pairs: int, h: int = 4, k: int = 1):
     entry_graph = Graph.from_edges(
         len(covered), [(remap[u], remap[v]) for u, v in sub_edges]
     )
-    model = {remap[v]: frozenset({v}) for v in covered}
     arcs = set()
     hyperedges = []
     witnesses = {}
@@ -217,7 +216,7 @@ def paired_ball_fabric(pairs: int, h: int = 4, k: int = 1):
         links[i] = (frozenset({m}), frozenset({apex}))
     entry = SchemeEntry(
         graph=entry_graph,
-        model=model,
+        **with_models({remap[v]: frozenset({v}) for v in covered}),
         arcs=frozenset(arcs),
         hyperedges=tuple(hyperedges),
         witnesses=witnesses,
@@ -237,9 +236,7 @@ class TestDelLabelUpgrade:
         out = step(entry, triple, params)
         meta = out.step_meta
         labels = {(tuple(sorted(e.members)), e.label) for e in out.hyperedges}
-        apex_img = next(
-            v for v in range(out.graph.n) if out.model[v] == frozenset({0})
-        )
+        apex_img = out.orig.index(0)
         # the upgrade: a label-2 hyperedge on the new vertex and the apex
         assert (tuple(sorted({meta.q, apex_img})), 2) in labels
         assert (tuple(sorted({meta.q, apex_img})), 1) in labels
@@ -283,7 +280,8 @@ def typed_spine_fabric(h: int = 4, k: int = 1):
     entry_graph = Graph.from_edges(1 + spine, edges)
     entry = SchemeEntry(
         graph=entry_graph,
-        model={v: frozenset({v}) for v in range(1 + spine)},
+        orig=list(range(1 + spine)),
+        other={},
         arcs=frozenset(arcs),
         hyperedges=tuple(hyperedges),
         witnesses=witnesses,
@@ -303,9 +301,7 @@ class TestContractLabelUpgrade:
         out = step(entry, triple, params)
         meta = out.step_meta
         assert meta is not None and meta.u_plus == frozenset({apex})
-        apex_img = next(
-            v for v in range(out.graph.n) if out.model[v] == frozenset({apex})
-        )
+        apex_img = out.orig.index(apex)
         labels = {(tuple(sorted(e.members)), e.label) for e in out.hyperedges}
         assert (tuple(sorted({meta.q, apex_img})), 2) in labels
         assert (tuple(sorted({meta.q, apex_img})), 1) in labels
@@ -319,9 +315,9 @@ def _merge_into_member(g: Graph, entry: SchemeEntry) -> SchemeEntry:
     edge = entry.hyperedges[0]
     v = min(edge.members - {edge.sink, 0})
     spare = min(set(range(g.n)) - entry.cover)
-    model = dict(entry.model)
+    model = models(entry)
     model[v] = model[v] | {spare}
-    return replace(entry, model=model)
+    return replace(entry, **with_models(model))
 
 
 @pytest.mark.parametrize("branch", ["del", "contract"])
