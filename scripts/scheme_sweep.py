@@ -6,10 +6,10 @@ For star_of_balls(1, m, 5) (n = 5m + 1) and star_of_balls(2, m, 3)
 (n = s + 1, s = 101 to 1601), time ``build_scheme``, ``certify_scheme`` on
 the built scheme, the round trip ``scheme_to_json`` then
 ``scheme_from_json``, and ``color_from_scheme``, each once, and print one
-row per size.  Each row runs in a child process forked for it, and its last
-column is that child's peak resident set size, which includes the sweep's
-own (about 20 MB).  Rows past ``--max-n`` (default 100,001) are left out,
-so the two rows near 10^6 run only with ``--max-n 1000001``.
+row per size.  Each row runs in a process spawned for it, and its last
+column is that process's peak resident set size, about 20 MB of it the
+interpreter and its imports.  Rows past ``--max-n`` (default 100,001) are
+left out, so the two rows near 10^6 run only with ``--max-n 1000001``.
 
 Memory at n = 100,001 (star_of_balls(1, 20000, 5), 2 entries), traced by
 ``tracemalloc`` after a full collection, beyond the input graph: the built
@@ -67,18 +67,15 @@ SPINES = (101, 201, 401, 801, 1601)
 
 
 def instances(max_n: int):
-    """(family label, instance) for every row within max_n vertices."""
-    for apexes, size, counts in STARS:
-        for m in counts:
-            inst = star_of_balls(apexes, m, size)
-            if inst.graph.n > max_n:
-                break
-            yield f"({apexes}, m, {size})", inst
-    for s in SPINES:
-        inst = caterpillar(1, s)
-        if inst.graph.n > max_n:
-            break
-        yield "cat(1, s)", inst
+    """(family label, constructor, its arguments) for every row within
+    max_n vertices: a star has apexes + m * size, a caterpillar 1 + s."""
+    rows = [
+        (f"({a}, m, {size})", a + m * size, star_of_balls, (a, m, size))
+        for a, size, counts in STARS
+        for m in counts
+    ]
+    rows += [("cat(1, s)", 1 + s, caterpillar, (1, s)) for s in SPINES]
+    return [(family, make, args) for family, n, make, args in rows if n <= max_n]
 
 
 def prefix(inst):
@@ -107,9 +104,10 @@ def prefix_notes(report) -> list[str]:
     return notes
 
 
-def row(family: str, inst):
+def row(family: str, make, args):
     """The timing cells of one row, its notes (a note other than a prefix's
     stop is a failure) and a prefix's report, which ``prefix_notes`` reads."""
+    inst = make(*args)
     t0 = time.perf_counter()
     try:
         scheme = build_scheme(inst.graph, inst.params)
@@ -145,19 +143,16 @@ def row(family: str, inst):
     return cells, notes, None
 
 
-def forked(fn, *args):
-    """``fn(*args)`` run in a forked child, and the child's peak resident
-    set size in MB; an error in the child ends the sweep."""
-    ctx = multiprocessing.get_context("fork")
-    recv, send = ctx.Pipe(duplex=False)
-    peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    child = ctx.Process(target=lambda: send.send((fn(*args), peak())))
-    child.start()
-    send.close()
-    try:
-        return recv.recv()
-    finally:
-        child.join()
+def measured(fn, *args):
+    """``fn(*args)`` and the peak resident set size of this process in MB."""
+    return fn(*args), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def in_fresh_process(fn, *args):
+    """``measured(fn, *args)`` in a newly spawned process; an error there
+    is raised here and ends the sweep."""
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        return pool.apply(measured, (fn, *args))
 
 
 def main() -> int:
@@ -171,8 +166,8 @@ def main() -> int:
         f"{'prefix certify s':>16s} {'peak MB':>7s}"
     )
     bad = 0
-    for family, inst in instances(args.max_n):
-        (cells, notes, report), peak_mb = forked(row, family, inst)
+    for family, make, make_args in instances(args.max_n):
+        (cells, notes, report), peak_mb = in_fresh_process(row, family, make, make_args)
         if report is not None:
             notes += prefix_notes(report)
         bad += any(not note.startswith("stopped: ") for note in notes)

@@ -227,17 +227,16 @@ class SchemeEntry:
 def split_models(keys: list[int], models: list) -> tuple[list, dict]:
     """``orig`` and ``other`` of the entry whose vertex ``keys[i]`` has the
     ids ``models[i]``; the keys are distinct and nonnegative."""
+    if keys and max(keys) >= len(keys):  # the keys are not 0..n-1
+        return [], dict(zip(keys, map(frozenset, models)))
     orig: list[Optional[int]] = [None] * len(keys)
     other = {}
-    try:
-        for v, ids in zip(keys, models):
-            # a set only where the list is not one id: [3, 3] is a singleton
-            if len(ids) == 1 or len(ids := frozenset(ids)) == 1:
-                (orig[v],) = ids
-            else:
-                other[v] = ids
-    except IndexError:  # a key past n - 1: the keys are not the vertices
-        return [], dict(zip(keys, map(frozenset, models)))
+    for v, ids in zip(keys, models):
+        # a set only where the list is not one id: [3, 3] is a singleton
+        if len(ids) == 1 or len(ids := frozenset(ids)) == 1:
+            (orig[v],) = ids
+        else:
+            other[v] = ids
     return orig, dict(sorted(other.items()))
 
 

@@ -184,9 +184,11 @@ class _Rebuild:
         self.graph = Graph(self.v_new + 1, rows)
         self.orig = list(map(entry.orig.__getitem__, survivors))
         self.other = {get(v): m for v, m in entry.other.items() if v in self.idx}
-        merged = entry.ids_of(contracted)  # one id for a lone singleton
-        self.orig.append(next(iter(merged)) if len(merged) == 1 else None)
-        if len(merged) != 1:
+        merged = entry.ids_of(contracted)
+        if len(merged) == 1:  # a lone singleton contracted
+            self.orig.extend(merged)
+        else:
+            self.orig.append(None)
             self.other[self.v_new] = merged
 
     def map_members(self, vertices) -> frozenset[int]:

@@ -366,7 +366,8 @@ class TestCodec:
             colored = "colors " + _sha(json.dumps(list(colors)))
         except HypothesisViolationError as exc:
             colored = f"{type(exc).__name__}: {exc}"
-        assert (_sha(json.dumps(report.to_json())), colored) == self.MODEL_OUTCOMES[case]
+        outcome = (_sha(json.dumps(report.to_json())), colored)
+        assert outcome == self.MODEL_OUTCOMES[case]
 
     def test_model_key_order_does_not_move_the_report(self):
         # vertex 12 shares vertex 3's id; a JSON object is unordered, so the
